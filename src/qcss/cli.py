@@ -10,7 +10,12 @@ import sys
 from pathlib import Path
 
 from . import tables
-from .bch import search_self_orthogonal_bch
+from .bch import (
+    default_field,
+    search_self_orthogonal_bch,
+    spec_from_zero_set,
+    zero_set_of_polynomial,
+)
 from .channel import ChannelSpec, monte_carlo
 from .codes import DEFAULT_BUDGET, LinearCode
 from .constructions import (
@@ -24,7 +29,6 @@ from .constructions import (
     construction_y4,
     extend_parity_dual,
     nebe,
-    outer_field,
     plotkin,
     product,
     shorten,
@@ -37,60 +41,65 @@ from .css import (
     css_from_reed_muller,
     css_from_self_orthogonal_cyclic,
 )
-from .errors import QcssError
+from .errors import InvalidInput, QcssError
 from .gf2 import BitMatrix
 from .projgeom import ProjGeometry, build_so_code, enumerate_spaces
 from .reedmuller import rm_generator
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInput(f"cannot read {path}: {exc}") from exc
+
+
+def _int(text: str, base: int = 10) -> int:
+    try:
+        return int(text, base)
+    except ValueError:
+        raise InvalidInput(f"not a base-{base} integer: {text!r}") from None
+
+
 def _load_code(path: str) -> LinearCode:
-    return LinearCode.from_text(Path(path).read_text())
+    return LinearCode.from_text(_read(path))
 
 
 def _save_code(code: LinearCode, path: str) -> None:
     Path(path).write_text(code.to_text())
 
 
+def _concat(args, inner: LinearCode):
+    if not args.outer:
+        raise InvalidInput("concat needs --outer FILE")
+    return concatenate(inner, _load_outer(args.outer, inner.k))
+
+
+# construction name -> (number of --in codes, builder(args, *codes))
+_CONSTRUCTIONS = {
+    "augment": (1, lambda args, c: augment(c)),
+    "shorten": (1, lambda args, c: shorten(c, args.coordinate)),
+    "plotkin": (2, lambda args, c1, c2: plotkin(c1, c2)),
+    "triple": (2, lambda args, c1, c2: triple_sum(c1, c2)),
+    "nebe": (3, lambda args, c, d, e: nebe(c, d, e)),
+    "product": (2, lambda args, c1, c2: product(c1, c2)),
+    "concat": (1, _concat),
+    "x": (3, lambda args, *cs: construction_x(*cs)),
+    "x3": (5, lambda args, *cs: construction_x3(*cs)),
+    "x4": (4, lambda args, *cs: construction_x4(*cs)),
+    "y1": (1, lambda args, c: construction_y1(c)),
+    "y4": (1, lambda args, c: construction_y4(c)),
+    "extend-dual": (1, lambda args, c: extend_parity_dual(c)),
+}
+
+
 def _cmd_construct(args) -> int:
     codes = [_load_code(p) for p in args.inputs]
-    name = args.name
-    arity = {
-        "augment": 1, "shorten": 1, "plotkin": 2, "triple": 2, "nebe": 3,
-        "product": 2, "concat": 1, "x": 3, "x3": 5, "x4": 4, "y1": 1,
-        "y4": 1, "extend-dual": 1,
-    }[name]
+    arity, build = _CONSTRUCTIONS[args.name]
     if len(codes) != arity:
-        print(f"{name} needs {arity} input code(s), got {len(codes)}", file=sys.stderr)
+        print(f"{args.name} needs {arity} input code(s), got {len(codes)}", file=sys.stderr)
         return 2
-    if name == "augment":
-        report = augment(codes[0])
-    elif name == "shorten":
-        report = shorten(codes[0], args.coordinate)
-    elif name == "plotkin":
-        report = plotkin(codes[0], codes[1])
-    elif name == "triple":
-        report = triple_sum(codes[0], codes[1])
-    elif name == "nebe":
-        report = nebe(codes[0], codes[1], codes[2])
-    elif name == "product":
-        report = product(codes[0], codes[1])
-    elif name == "concat":
-        if not args.outer:
-            print("concat needs --outer FILE", file=sys.stderr)
-            return 2
-        report = concatenate(codes[0], _load_outer(args.outer, codes[0].k))
-    elif name == "x":
-        report = construction_x(codes[0], codes[1], codes[2])
-    elif name == "x3":
-        report = construction_x3(*codes)
-    elif name == "x4":
-        report = construction_x4(*codes)
-    elif name == "y1":
-        report = construction_y1(codes[0])
-    elif name == "y4":
-        report = construction_y4(codes[0])
-    else:  # extend-dual
-        report = extend_parity_dual(codes[0])
+    report = build(args, *codes)
     _save_code(report.code, args.out)
     rel = report.dual_distance_relation
     print(f"[{report.code.n},{report.code.k}] written to {args.out}")
@@ -103,10 +112,14 @@ def _cmd_construct(args) -> int:
 
 def _load_outer(path: str, k1: int) -> OuterCode:
     """Outer-code format: 'n k' header, then k lines of n hex symbols."""
-    lines = [ln.split() for ln in Path(path).read_text().strip().splitlines()]
-    n, k = int(lines[0][0]), int(lines[0][1])
-    rows = tuple(tuple(int(sym, 16) for sym in ln) for ln in lines[1 : k + 1])
-    return OuterCode(field=outer_field(k1), n=n, rows=rows)
+    lines = [ln.split() for ln in _read(path).splitlines() if ln.strip()]
+    if not lines or len(lines[0]) != 2:
+        raise InvalidInput(f"{path}: the outer-code header must be 'n k'")
+    n, k = (_int(t) for t in lines[0])
+    if len(lines) - 1 != k:
+        raise InvalidInput(f"{path}: expected {k} outer rows, found {len(lines) - 1}")
+    rows = tuple(tuple(_int(sym, 16) for sym in ln) for ln in lines[1:])
+    return OuterCode(field=default_field(k1), n=n, rows=rows)
 
 
 def _cmd_bch_search(args) -> int:
@@ -168,32 +181,48 @@ def _cmd_pg(args) -> int:
     return 0
 
 
+def _bch_css(n: str, ghex: str) -> CssCode:
+    n_int = _int(n)
+    spec = spec_from_zero_set(n_int, zero_set_of_polynomial(n_int, _int(ghex, 16)))
+    return css_from_self_orthogonal_cyclic(spec)
+
+
+# decoder name -> (argument count, builder from the argument strings)
+_DECODERS = {
+    "reed": (2, lambda m, r: css_from_reed_muller(_int(m), _int(r))),
+    "rudolph": (3, lambda k, q, l: css_from_projective_geometry(_int(k), _int(q), _int(l))),
+    "bch": (2, _bch_css),
+}
+
+
+def _css_from_spec(spec: list[str]) -> CssCode:
+    """CSS code of a decoder spec: 'reed m r', 'rudolph k q l' or 'bch n ghex'."""
+    if not spec or spec[0] not in _DECODERS:
+        raise InvalidInput(f"unknown decoder spec {' '.join(spec)!r}")
+    arity, build = _DECODERS[spec[0]]
+    if len(spec) - 1 != arity:
+        raise InvalidInput(
+            f"the {spec[0]} decoder takes {arity} arguments, got {len(spec) - 1}"
+        )
+    return build(*spec[1:])
+
+
+def _lookup_css(c1: LinearCode, c2: LinearCode) -> CssCode:
+    return CssCode(c1, c2, decoder1=LookupDecoder(c1), decoder2=LookupDecoder(c2))
+
+
 def _cmd_css_build(args) -> int:
     if args.decoder == "lookup":
+        if not args.c1:
+            raise InvalidInput("the lookup decoder needs --c1 FILE")
         c1 = _load_code(args.c1)
-        c2 = _load_code(args.c2) if args.c2 else c1
-        css = CssCode(c1, c2, decoder1=LookupDecoder(c1), decoder2=LookupDecoder(c2))
-        meta = {"decoder": "lookup"}
-    elif args.decoder == "reed":
-        m, r = args.decoder_args
-        css = css_from_reed_muller(int(m), int(r))
-        meta = {"decoder": f"reed {m} {r}"}
-    elif args.decoder == "rudolph":
-        k, q, l = args.decoder_args
-        css = css_from_projective_geometry(int(k), int(q), int(l))
-        meta = {"decoder": f"rudolph {k} {q} {l}"}
-    else:  # bch
-        from .bch import spec_from_zero_set, zero_set_of_polynomial
-
-        n, ghex = args.decoder_args
-        n = int(n)
-        g = int(ghex, 16)
-        spec = spec_from_zero_set(n, zero_set_of_polynomial(n, g))
-        css = css_from_self_orthogonal_cyclic(spec)
-        meta = {"decoder": f"bch {n} {ghex}"}
+        css = _lookup_css(c1, _load_code(args.c2) if args.c2 else c1)
+        spec = ["lookup"]
+    else:
+        spec = [args.decoder, *args.decoder_args]
+        css = _css_from_spec(spec)
     out = Path(args.out)
-    blocks = [f"n: {css.n}", f"quantum-k: {css.quantum_k}"]
-    blocks += [f"{key}: {value}" for key, value in meta.items()]
+    blocks = [f"n: {css.n}", f"quantum-k: {css.quantum_k}", f"decoder: {' '.join(spec)}"]
     blocks.append("G1")
     blocks.append(css.c1.generator.to_text().rstrip("\n"))
     blocks.append("G2")
@@ -205,33 +234,17 @@ def _cmd_css_build(args) -> int:
 
 def load_css(path: str) -> CssCode:
     """Rebuild a CSS code (with its decoder) from a .css file."""
-    text = Path(path).read_text().splitlines()
-    header: dict[str, str] = {}
-    i = 0
-    while i < len(text) and ":" in text[i] and not text[i].startswith("G1"):
-        key, value = text[i].split(":", 1)
-        header[key.strip()] = value.strip()
-        i += 1
-    decoder = header.get("decoder", "lookup").split()
-    if decoder[0] == "reed":
-        return css_from_reed_muller(int(decoder[1]), int(decoder[2]))
-    if decoder[0] == "rudolph":
-        return css_from_projective_geometry(int(decoder[1]), int(decoder[2]), int(decoder[3]))
-    if decoder[0] == "bch":
-        from .bch import spec_from_zero_set, zero_set_of_polynomial
-
-        n = int(decoder[1])
-        g = int(decoder[2], 16)
-        spec = spec_from_zero_set(n, zero_set_of_polynomial(n, g))
-        return css_from_self_orthogonal_cyclic(spec)
-    # lookup: read the explicit matrices
-    assert text[i] == "G1"
-    j = text.index("G2")
-    g1 = BitMatrix.from_text("\n".join(text[i + 1 : j]))
-    g2 = BitMatrix.from_text("\n".join(text[j + 1 :]))
-    c1 = LinearCode(g1)
-    c2 = LinearCode(g2)
-    return CssCode(c1, c2, decoder1=LookupDecoder(c1), decoder2=LookupDecoder(c2))
+    lines = _read(path).splitlines()
+    header = {k.strip(): v.strip() for k, v in (ln.split(":", 1) for ln in lines if ":" in ln)}
+    spec = header.get("decoder", "lookup").split()
+    if spec != ["lookup"]:
+        return _css_from_spec(spec)
+    if "G1" not in lines or "G2" not in lines:
+        raise InvalidInput(f"{path}: a lookup-decoded file needs G1 and G2 matrix blocks")
+    i, j = lines.index("G1"), lines.index("G2")
+    g1 = BitMatrix.from_text("\n".join(lines[i + 1 : j]))
+    g2 = BitMatrix.from_text("\n".join(lines[j + 1 :]))
+    return _lookup_css(LinearCode(g1), LinearCode(g2))
 
 
 def _cmd_simulate(args) -> int:
@@ -313,10 +326,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="combine codes")
-    p.add_argument("name", choices=[
-        "augment", "shorten", "plotkin", "triple", "nebe", "product",
-        "concat", "x", "x3", "x4", "y1", "y4", "extend-dual",
-    ])
+    p.add_argument("name", choices=list(_CONSTRUCTIONS))
     p.add_argument("--in", dest="inputs", action="append", default=[], metavar="FILE")
     p.add_argument("--out", required=True)
     p.add_argument("--coordinate", type=int, default=0, help="for shorten")

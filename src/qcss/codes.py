@@ -15,7 +15,16 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InternalConsistencyError, InvalidInput, PreconditionError, ResourceLimit
-from .gf2 import BitMatrix, BitVector, in_rowspace, nullspace_basis, pack_rows, rref
+from .gf2 import (
+    BitMatrix,
+    BitVector,
+    in_rowspace,
+    kernel_from_rref,
+    nullspace_basis,
+    pack_rows,
+    parities,
+    rref,
+)
 
 DEFAULT_BUDGET = 1 << 29
 
@@ -129,11 +138,7 @@ class LinearCode:
 
     def is_self_orthogonal(self) -> bool:
         rows = self.generator.row_bits()
-        for i, a in enumerate(rows):
-            for b in rows[i:]:
-                if (a & b).bit_count() & 1:
-                    return False
-        return True
+        return not any(parities(rows[i:], a) for i, a in enumerate(rows))
 
     def dual(self) -> "LinearCode":
         if self._dual is None:
@@ -166,9 +171,7 @@ class LinearCode:
         rows = self.generator.row_bits()
         if any(r.bit_count() & 1 for r in rows):
             return 1
-        pair_even = all(
-            not ((a & b).bit_count() & 1) for i, a in enumerate(rows) for b in rows[i + 1 :]
-        )
+        pair_even = not any(parities(rows[i + 1 :], a) for i, a in enumerate(rows))
         if pair_even and all(r.bit_count() % 4 == 0 for r in rows):
             return 4
         return 2
@@ -253,6 +256,18 @@ def _low_weight_min(rows: list[int], extra: list[int] | None, depth: int) -> tup
     return best, patterns
 
 
+def split_patterns(k: int, rank: int, half: int) -> int:
+    """Work of the split search on k rows whose non-pivot part has the given
+    rank: the 2^(k - rank) - 1 nonzero kernel words, every row support of
+    size 1..half, and every RA-row support of size 1..half once per kernel
+    word.  With a trivial kernel this is exactly ``patterns_scanned``.
+    """
+    kernel_size = 1 << (k - rank)
+    return kernel_size - 1 + sum(
+        math.comb(k, i) + math.comb(rank, i) * kernel_size for i in range(1, half + 1)
+    )
+
+
 def _min_distance_split(code: LinearCode, bound: int) -> SplitDistanceResult:
     n, k = code.n, code.k
     if k == 0:
@@ -288,13 +303,22 @@ def _min_distance_split(code: LinearCode, bound: int) -> SplitDistanceResult:
     a_mat = BitMatrix(n_np, a_rows)
     ra, ra_pivots = rref(a_mat)
     ra_rows = ra.row_bits()
-    u_rows = [a_mat.column_bits(q) for q in ra_pivots]  # columns of A at RA pivots
-    kernel = nullspace_basis(BitMatrix(k, u_rows)).row_bits()
-    if len(kernel) > 24:
+    rank = len(ra_rows)
+    predicted = split_patterns(k, rank, half)
+    if predicted > DEFAULT_BUDGET:
         raise ResourceLimit(
-            f"{len(kernel)} generator rows vanish on the non-pivot columns; "
-            "the coset enumeration would be infeasible"
+            f"the split search would scan {predicted:.3g} patterns, beyond the "
+            f"budget of {DEFAULT_BUDGET}"
         )
+
+    # One rref of [U^T | I] gives the kernel of U^T and, in its identity
+    # part T, a preimage m_j of every RA row j: U^T m_j = e_j is solved by
+    # m_j = sum_i T_i[j] e_{c_i} over the pivots c_i of rref(U^T) = T U^T.
+    u_rows = [a_mat.column_bits(q) for q in ra_pivots]  # columns of A at RA pivots
+    aug = [u | 1 << (k + j) for j, u in enumerate(u_rows)]
+    red_u, u_pivots = rref(BitMatrix(k + rank, aug))
+    red_u_rows = red_u.row_bits()
+    kernel = kernel_from_rref(red_u_rows, u_pivots, k)
     kernel_words = _span(kernel)
     for kw in kernel_words:
         if kw:
@@ -313,12 +337,10 @@ def _min_distance_split(code: LinearCode, bound: int) -> SplitDistanceResult:
         # mu-supports over RA rows covers every low-weight image; a preimage
         # of RA row j is carried alongside so popcount(m) is exact, and a
         # nontrivial kernel expands each preimage into a coset.
-        solvers = []
-        for j in range(len(ra_rows)):
-            sol = _solve_rows(u_rows, k, 1 << j)
-            if sol is None:
-                raise InternalConsistencyError("rref image rows must be reachable")
-            solvers.append(sol)
+        solvers = [
+            sum(1 << c for row, c in zip(red_u_rows, u_pivots) if row >> (k + j) & 1)
+            for j in range(rank)
+        ]
         if len(kernel_words) == 1:
             par_best, par_patterns = _low_weight_min(ra_rows, solvers, half)
         else:
@@ -357,14 +379,6 @@ def _low_weight_min_coset(
     if depth >= 1 and kk:
         rec(0, depth, 0, 0)
     return best, patterns
-
-
-def _solve_rows(matrix_rows: list[int], cols: int, rhs_bits: int) -> int | None:
-    from .gf2 import solve
-
-    m = BitMatrix(cols, matrix_rows)
-    out = solve(m, BitVector(len(matrix_rows), rhs_bits))
-    return None if out is None else out.bits
 
 
 def _span(basis: list[int]) -> list[int]:
@@ -448,7 +462,7 @@ def random_self_orthogonal_code(n: int, k: int, rng, max_tries: int = 4000) -> L
             cand = int(rng.getrandbits(n))
             if not cand or cand.bit_count() & 1:
                 continue
-            if any((cand & r).bit_count() & 1 for r in rows):
+            if parities(rows, cand):
                 continue
             m = BitMatrix(n, rows + [cand])
             if rref(m)[0].rows == len(rows) + 1:

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bch import Gf2mField, default_field
+from .bch import Gf2mField
 from .codes import DEFAULT_BUDGET, LinearCode, dual_distance_via_transform, extend_with_parity
 from .errors import InvalidInput, PreconditionError, ResourceLimit
-from .gf2 import BitMatrix, BitVector
+from .gf2 import BitMatrix, BitVector, parities, rref
 
 _PREDICT_BUDGET = 1 << 24
 
@@ -88,10 +88,9 @@ def _require_self_orthogonal(*codes: LinearCode) -> None:
 def _require_mutually_orthogonal(c1: LinearCode, c2: LinearCode) -> None:
     if c1.n != c2.n:
         raise PreconditionError(f"length mismatch: {c1.n} != {c2.n}")
-    for a in c1.generator.row_bits():
-        for b in c2.generator.row_bits():
-            if (a & b).bit_count() & 1:
-                raise PreconditionError("second code is not inside the dual of the first")
+    c2_rows = c2.generator.row_bits()
+    if any(parities(c2_rows, a) for a in c1.generator.row_bits()):
+        raise PreconditionError("second code is not inside the dual of the first")
 
 
 def _coset_leader_basis(sub: LinearCode, sup: LinearCode) -> list[int]:
@@ -151,22 +150,16 @@ def shorten(code: LinearCode, i: int) -> ConstructionReport:
     _require_self_orthogonal(code)
     if not 0 <= i < code.n:
         raise InvalidInput(f"coordinate {i} out of range for length {code.n}")
-    rows = list(code.rref_matrix.row_bits())
-    mask = 1 << i
-    pivot_row = next((r for r in rows if r & mask), None)
+    zero_column = code.generator.column_bits(i) == 0
     warning = None
-    if pivot_row is None:
+    if zero_column:
         warning = f"column {i} is identically zero; dimension does not drop"
-        kept = rows
-    else:
-        kept = [r ^ pivot_row if r & mask else r for r in rows if r is not pivot_row]
-    new_rows = [BitVector(code.n, r).delete([i]).bits for r in kept]
-    out = LinearCode.from_spanning(BitMatrix(code.n - 1, new_rows))
+    out = _remove_support(code, (i,))
     d = _predicted_dual(code)
     return ConstructionReport(
         code=out,
         predicted_n=code.n - 1,
-        predicted_k=code.k if pivot_row is None else code.k - 1,
+        predicted_k=code.k if zero_column else code.k - 1,
         predicted_dual_distance=None if d is None else max(1, d - 1),
         dual_distance_relation=">=",
         warning=warning,
@@ -359,10 +352,6 @@ def concatenate(inner: LinearCode, outer: OuterCode) -> ConstructionReport:
     )
 
 
-def outer_field(k1: int) -> Gf2mField:
-    return default_field(k1)
-
-
 # -- X-family ------------------------------------------------------------------
 
 
@@ -505,15 +494,23 @@ def _dual_words(code: LinearCode, budget: int) -> list[int]:
 
 
 def _remove_support(code: LinearCode, support: tuple[int, ...]) -> LinearCode:
-    rows = list(code.rref_matrix.row_bits())
-    for s in support:
-        mask = 1 << s
-        pivot_row = next((r for r in rows if r & mask), None)
-        if pivot_row is None:
-            continue
-        rows = [r ^ pivot_row if r & mask else r for r in rows if r is not pivot_row]
-    trimmed = [BitVector(code.n, r).delete(support).bits for r in rows]
-    return LinearCode.from_spanning(BitMatrix(code.n - len(support), trimmed))
+    """Keep the codewords vanishing on ``support``, then delete those columns.
+
+    The rref of [G_S | G] clears the support columns first, so its rows with
+    a pivot outside G_S span exactly the codewords that vanish on the support.
+    """
+    w = len(support)
+    aug = [
+        sum((r >> s & 1) << j for j, s in enumerate(support)) | r << w
+        for r in code.generator.row_bits()
+    ]
+    red, pivots = rref(BitMatrix(w + code.n, aug))
+    kept = [
+        BitVector(code.n, r >> w).delete(support).bits
+        for r, p in zip(red.row_bits(), pivots)
+        if p >= w
+    ]
+    return LinearCode.from_spanning(BitMatrix(code.n - w, kept))
 
 
 def construction_y1(code: LinearCode, budget: int = 1 << 24) -> ConstructionReport:

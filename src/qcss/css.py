@@ -13,8 +13,17 @@ from typing import Protocol
 
 from .bch import BchDecoder, CyclicCodeSpec, spec_from_zero_set, zero_set_of_polynomial
 from .codes import LinearCode
-from .errors import DecodingFailure, InternalConsistencyError, InvalidInput, PreconditionError
-from .gf2 import BitMatrix, BitVector, in_rowspace
+from .errors import (
+    DecodingFailure,
+    InternalConsistencyError,
+    InvalidInput,
+    PreconditionError,
+    ResourceLimit,
+)
+from .gf2 import BitMatrix, BitVector, in_rowspace, parities, rref
+
+# largest parity-check count a LookupDecoder accepts: its table has 2^k entries
+LOOKUP_MAX_ROWS = 16
 
 _PAULI_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
@@ -107,6 +116,11 @@ class LookupDecoder:
     """
 
     def __init__(self, parity: LinearCode, max_weight: int | None = None):
+        if parity.k > LOOKUP_MAX_ROWS:
+            raise ResourceLimit(
+                f"a table of 2^{parity.k} syndromes exceeds the lookup budget "
+                f"of 2^{LOOKUP_MAX_ROWS}"
+            )
         self.parity = parity
         n = parity.n
         rows = parity.generator.row_bits()
@@ -121,9 +135,7 @@ class LookupDecoder:
                 e = 0
                 for p in support:
                     e |= 1 << p
-                s = 0
-                for i, row in enumerate(rows):
-                    s |= ((row & e).bit_count() & 1) << i
+                s = parities(rows, e)
                 if s not in table:
                     table[s] = e
             weight += 1
@@ -133,10 +145,7 @@ class LookupDecoder:
         self.radius = max((e.bit_count() for e in table.values()), default=0)
 
     def decode_word(self, bits: int) -> int:
-        s = 0
-        for i, row in enumerate(self._rows):
-            s |= ((row & bits).bit_count() & 1) << i
-        e = self._table.get(s)
+        e = self._table.get(parities(self._rows, bits))
         if e is None:
             raise DecodingFailure("syndrome outside the coset-leader table")
         return bits ^ e
@@ -160,10 +169,9 @@ class CssCode:
     ):
         if c1.n != c2.n:
             raise PreconditionError(f"length mismatch: {c1.n} != {c2.n}")
-        for a in c1.generator.row_bits():
-            for b in c2.generator.row_bits():
-                if (a & b).bit_count() & 1:
-                    raise PreconditionError("the two codes are not mutually orthogonal")
+        c2_rows = c2.generator.row_bits()
+        if any(parities(c2_rows, a) for a in c1.generator.row_bits()):
+            raise PreconditionError("the two codes are not mutually orthogonal")
         self.c1 = c1
         self.c2 = c2
         self.n = c1.n
@@ -171,8 +179,8 @@ class CssCode:
         self.decoder1 = decoder1
         self.decoder2 = decoder2
         self.distance = distance
-        self._solver1 = _SyndromeSolver(c1)
-        self._solver2 = _SyndromeSolver(c2)
+        self._transform1 = _syndrome_transform(c1)
+        self._transform2 = _syndrome_transform(c2)
 
     @classmethod
     def from_self_orthogonal(
@@ -198,25 +206,26 @@ class CssCode:
     def syndrome(self, error: PauliError) -> Syndrome:
         if error.n != self.n:
             raise InvalidInput(f"error size {error.n} != {self.n}")
-        s_x = 0
-        for i, row in enumerate(self.c1.generator.row_bits()):
-            s_x |= ((row & error.z_bits).bit_count() & 1) << i
-        s_z = 0
-        for i, row in enumerate(self.c2.generator.row_bits()):
-            s_z |= ((row & error.x_bits).bit_count() & 1) << i
+        s_x = parities(self.c1.generator.row_bits(), error.z_bits)
+        s_z = parities(self.c2.generator.row_bits(), error.x_bits)
         return Syndrome(s_x=BitVector(self.c1.k, s_x), s_z=BitVector(self.c2.k, s_z))
 
     def decode(self, syndrome: Syndrome) -> PauliError:
-        z_hat = self._decode_side(syndrome.s_x, self._solver1, self.decoder1, "z")
-        x_hat = self._decode_side(syndrome.s_z, self._solver2, self.decoder2, "x")
+        z_hat = self._decode_side(syndrome.s_x, self._transform1, self.decoder1, "z")
+        x_hat = self._decode_side(syndrome.s_z, self._transform2, self.decoder2, "x")
         return PauliError(self.n, x_hat, z_hat)
 
-    def _decode_side(self, s: BitVector, solver, decoder, side: str) -> int:
+    def _decode_side(self, s: BitVector, transform, decoder, side: str) -> int:
         if s.bits == 0:
             return 0
         if decoder is None:
             raise DecodingFailure(f"no decoder attached for the {side} component", side=side)
-        word = solver.preimage(s.bits)
+        t_rows, pivots = transform
+        y = parities(t_rows, s.bits)
+        word = 0
+        for i, p in enumerate(pivots):
+            if y >> i & 1:
+                word |= 1 << p
         try:
             codeword = decoder.decode_word(word)
         except DecodingFailure as exc:
@@ -240,55 +249,16 @@ class CssCode:
         return not in_stab
 
 
-class _SyndromeSolver:
-    """Produces one word with a prescribed parity pattern against a code's rows.
+def _syndrome_transform(code: LinearCode) -> tuple[list[int], tuple[int, ...]]:
+    """Rows T_i and pivots p_i with rref(G) = T G, from one rref of [G | I_k].
 
-    With R = rref(G) and pivots p_i, the word sum_i y_i e_{p_i} has parity y_i
-    against row i of R; U maps R-coordinates back to G-coordinates.
+    The word w = sum_i y_i e_{p_i} has R w = y for R = rref(G), so G w = s
+    holds for y = T s: bit i of y is the parity of T_i & s.
     """
-
-    def __init__(self, code: LinearCode):
-        self.code = code
-        g_rows = code.generator.row_bits()
-        pivots = code.pivots
-        k = code.k
-        u_rows = []
-        for row in g_rows:
-            u_rows.append(sum((row >> p & 1) << j for j, p in enumerate(pivots)))
-        self._u_inv = _invert_bit_matrix(u_rows, k)
-        self._pivots = pivots
-        self.k = k
-
-    def preimage(self, s_bits: int) -> int:
-        # y = U^-1 s, evaluated row by row
-        y = 0
-        for j, row in enumerate(self._u_inv):
-            if (row & s_bits).bit_count() & 1:
-                y |= 1 << j
-        word = 0
-        for j, p in enumerate(self._pivots):
-            if y >> j & 1:
-                word |= 1 << p
-        return word
-
-
-def _invert_bit_matrix(rows: list[int], k: int) -> list[int]:
-    """Rows of the inverse of a k x k invertible matrix over GF(2)."""
-    work = list(rows)
-    inv = [1 << i for i in range(k)]
-    r = 0
-    for c in range(k):
-        piv = next((i for i in range(r, k) if work[i] >> c & 1), None)
-        if piv is None:
-            raise InternalConsistencyError("generator rows were not independent")
-        work[r], work[piv] = work[piv], work[r]
-        inv[r], inv[piv] = inv[piv], inv[r]
-        for i in range(k):
-            if i != r and work[i] >> c & 1:
-                work[i] ^= work[r]
-                inv[i] ^= inv[r]
-        r += 1
-    return inv
+    n = code.n
+    aug = [g | 1 << (n + j) for j, g in enumerate(code.generator.row_bits())]
+    red, pivots = rref(BitMatrix(n + code.k, aug))
+    return [r >> n for r in red.row_bits()], pivots
 
 
 # -- assembly helpers ----------------------------------------------------------

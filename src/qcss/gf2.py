@@ -117,11 +117,6 @@ class BitVector:
         return self.to_string()
 
 
-def dot(u: BitVector, v: BitVector) -> int:
-    """Parity of the overlap of two equal-length vectors."""
-    return u.dot(v)
-
-
 class BitMatrix:
     """Row-major GF(2) matrix; rows are packed ints like BitVector."""
 
@@ -192,10 +187,7 @@ class BitMatrix:
         """M @ v over GF(2); result length = number of rows."""
         if v.n != self.cols:
             raise InvalidInput(f"length mismatch: {v.n} != {self.cols}")
-        out = 0
-        for i, r in enumerate(self._data):
-            out |= ((r & v.bits).bit_count() & 1) << i
-        return BitVector(self.rows, out)
+        return BitVector(self.rows, parities(self._data, v.bits))
 
     def to_text(self) -> str:
         """Repo matrix format: 'rows cols' header then one 0/1 string per row."""
@@ -259,50 +251,52 @@ def rank(m: BitMatrix) -> int:
 def nullspace_basis(m: BitMatrix) -> BitMatrix:
     """Basis of {v : M v = 0}, one row per non-pivot column, in column order."""
     red, pivots = rref(m)
+    return BitMatrix(m.cols, kernel_from_rref(red.row_bits(), pivots, m.cols))
+
+
+def kernel_from_rref(rows: Sequence[int], pivots: Sequence[int], cols: int) -> list[int]:
+    """Nullspace basis of the first ``cols`` columns of a matrix in rref.
+
+    Bits of ``rows`` at or above ``cols`` (an augmented part) are ignored.
+    """
     pivot_set = set(pivots)
-    data = red.row_bits()
     basis = []
-    for f in range(m.cols):
+    for f in range(cols):
         if f in pivot_set:
             continue
         v = 1 << f
-        for i, p in enumerate(pivots):
-            if data[i] >> f & 1:
+        for row, p in zip(rows, pivots):
+            if row >> f & 1:
                 v |= 1 << p
         basis.append(v)
-    return BitMatrix(m.cols, basis)
+    return basis
 
 
 def solve(m: BitMatrix, rhs: BitVector) -> BitVector | None:
-    """One solution x of M x = rhs, or None if the system is inconsistent."""
+    """One solution x of M x = rhs, or None if the system is inconsistent.
+
+    Reduces [M | rhs]: a pivot in the rhs column is an equation 0 = 1, and
+    otherwise row i fixes the pivot variable p_i to its rhs bit.
+    """
     if rhs.n != m.rows:
         raise InvalidInput(f"rhs length {rhs.n} != row count {m.rows}")
-    data = list(m.row_bits())
-    b = [rhs.bits >> i & 1 for i in range(m.rows)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        mask = 1 << c
-        piv = next((i for i in range(r, len(data)) if data[i] & mask), None)
-        if piv is None:
-            continue
-        data[r], data[piv] = data[piv], data[r]
-        b[r], b[piv] = b[piv], b[r]
-        for i in range(len(data)):
-            if i != r and data[i] & mask:
-                data[i] ^= data[r]
-                b[i] ^= b[r]
-        pivots.append(c)
-        r += 1
-        if r == len(data):
-            break
-    if any(b[i] for i in range(r, len(data))):
+    c = m.cols
+    aug = [r | (rhs.bits >> i & 1) << c for i, r in enumerate(m.row_bits())]
+    red, pivots = rref(BitMatrix(c + 1, aug))
+    if pivots and pivots[-1] == c:
         return None
     x = 0
-    for i, p in enumerate(pivots):
-        if b[i]:
-            x |= 1 << p
-    return BitVector(m.cols, x)
+    for row, p in zip(red.row_bits(), pivots):
+        x |= (row >> c & 1) << p
+    return BitVector(c, x)
+
+
+def parities(rows: Sequence[int], word: int) -> int:
+    """Bit i is the parity of ``rows[i] & word``: the GF(2) product M @ word."""
+    out = 0
+    for i, r in enumerate(rows):
+        out |= ((r & word).bit_count() & 1) << i
+    return out
 
 
 def in_rowspace(m_rref: BitMatrix, pivots: Sequence[int], v: BitVector) -> bool:

@@ -19,7 +19,7 @@ from .errors import (
     InvalidInput,
     UnsupportedConfiguration,
 )
-from .gf2 import BitMatrix, BitVector
+from .gf2 import BitMatrix, BitVector, parities
 
 
 class PrimePowerField:
@@ -347,7 +347,7 @@ class RudolphDecoder:
         self.two_pass_bound = two_pass
 
     def _is_codeword(self, bits: int) -> bool:
-        return all((bits & g).bit_count() % 2 == 0 for g in self._span_rows)
+        return not parities(self._span_rows, bits)
 
     def _majority_pass(self, word_bits: int, hypothesis: int) -> int:
         violated = [
@@ -391,7 +391,3 @@ class RudolphDecoder:
 
     def decode_word(self, bits: int) -> int:
         return self.decode(BitVector(self.n, bits)).bits
-
-
-def rudolph_decode(cfg: Configuration, received: BitVector, extended: bool) -> BitVector:
-    return RudolphDecoder(cfg, extended).decode(received)

@@ -129,7 +129,3 @@ class ReedDecoder:
 
     def decode_word(self, bits: int) -> int:
         return self.decode(BitVector(self.rm.n, bits)).codeword.bits
-
-
-def reed_decode(rm: RmCode, received: BitVector) -> ReedDecodeResult:
-    return ReedDecoder(rm).decode(received)

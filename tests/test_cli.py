@@ -1,6 +1,14 @@
+import random
+import tempfile
 from pathlib import Path
 
-from qcss.cli import load_css, main
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qcss.cli import _load_outer, load_css, main
+from qcss.codes import LinearCode, random_self_orthogonal_code
+from qcss.gf2 import BitMatrix
 from qcss.named import extended_hamming_8
 
 
@@ -119,3 +127,81 @@ def test_error_reporting(tmp_path, capsys):
     bad.write_text("not a matrix\n")
     code = main(["min-distance", "--code", str(bad)])
     assert code == 1
+
+
+def _css_without_g1(tmp):
+    path = tmp / "bad.css"
+    path.write_text("n: 7\nquantum-k: 1\ndecoder: lookup\n")
+    return ["simulate", "--css", str(path), "--p", "0.01", "--trials", "10"]
+
+
+def _bch_with_one_argument(tmp):
+    return ["css-build", "--decoder", "bch", "--decoder-args", "15", "--out", str(tmp / "x.css")]
+
+
+def _missing_input(tmp):
+    return ["min-distance", "--code", str(tmp / "absent.code")]
+
+
+def _concat_with_outer(text):
+    def argv(tmp):
+        inner = tmp / "inner.code"
+        inner.write_text(extended_hamming_8().to_text())
+        outer = tmp / "outer.txt"
+        outer.write_text(text)
+        return ["construct", "concat", "--in", str(inner), "--outer", str(outer),
+                "--out", str(tmp / "out.code")]
+    return argv
+
+
+@pytest.mark.parametrize("make_argv", [
+    _css_without_g1,
+    _bch_with_one_argument,
+    _missing_input,
+    _concat_with_outer("3 1\n1 1 zz\n"),
+    _concat_with_outer("3\n1 1 1\n"),
+], ids=["css-no-g1", "bch-one-arg", "missing-file", "outer-non-hex", "outer-short-header"])
+def test_malformed_input_is_an_error_line(tmp_path, capsys, make_argv):
+    code = main(make_argv(tmp_path))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32), st.booleans())
+def test_lookup_css_file_roundtrip(seed, separate_c2):
+    rng = random.Random(seed)
+    n = rng.randrange(4, 16)
+    c1 = random_self_orthogonal_code(n, rng.randrange(1, n // 4 + 2), rng)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "c1.code").write_text(c1.to_text())
+        argv = ["css-build", "--decoder", "lookup", "--c1", str(tmp / "c1.code")]
+        c2 = c1
+        if separate_c2:  # any subcode of the self-orthogonal c1 lies in its dual
+            c2 = LinearCode(BitMatrix(n, c1.generator.row_bits()[: rng.randrange(1, c1.k + 1)]))
+            (tmp / "c2.code").write_text(c2.to_text())
+            argv += ["--c2", str(tmp / "c2.code")]
+        assert main(argv + ["--out", str(tmp / "c.css")]) == 0
+        css = load_css(str(tmp / "c.css"))
+    assert css.c1.same_code(c1) and css.c2.same_code(c2)
+    assert css.parameters()[:2] == (n, n - c1.k - c2.k)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda m: st.tuples(
+    st.just(m),
+    st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, (1 << m) - 1), min_size=n, max_size=n), max_size=5,
+    )),
+)))
+def test_outer_code_file_roundtrip(case):
+    m, rows = case
+    n = len(rows[0]) if rows else 3
+    text = f"{n} {len(rows)}\n" + "".join(" ".join(f"{s:x}" for s in row) + "\n" for row in rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "outer.txt"
+        path.write_text(text)
+        outer = _load_outer(str(path), m)
+    assert (outer.n, outer.rows, outer.field.m) == (n, tuple(map(tuple, rows)), m)

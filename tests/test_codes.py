@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from qcss import tables
+from qcss.bch import spec_from_zero_set, zero_set_of_polynomial
 from qcss.codes import (
     LinearCode,
     WeightEnumerator,
@@ -11,9 +13,10 @@ from qcss.codes import (
     macwilliams,
     random_linear_code,
     random_self_orthogonal_code,
+    split_patterns,
 )
 from qcss.errors import InternalConsistencyError, InvalidInput, ResourceLimit
-from qcss.gf2 import BitMatrix, BitVector
+from qcss.gf2 import BitMatrix, BitVector, rank
 
 EXT_HAMMING_ROWS = ["11111111", "01010101", "00110011", "00001111"]
 PLANE_ROWS = [
@@ -220,6 +223,35 @@ def test_split_agrees_with_exhaustive_on_random_codes():
                 assert res.found and res.value == d
             else:
                 assert not res.found and res.value == bound + 1
+
+
+def test_split_prediction_equals_patterns_when_kernel_is_trivial():
+    rng = random.Random(91)
+    checked = 0
+    for _ in range(200):
+        n = rng.randrange(4, 24)
+        c = random_linear_code(n, rng.randrange(1, n // 2 + 1), rng)
+        nonpivot = (1 << n) - 1 - sum(1 << p for p in c.pivots)
+        restricted = BitMatrix(n, [r & nonpivot for r in c.rref_matrix.row_bits()])
+        if rank(restricted) < c.k:
+            continue  # a nontrivial kernel is scanned once per coset word
+        bound = rng.randrange(1, 9)
+        modulus = c.weight_modulus()
+        half = bound // modulus * modulus // 2
+        res = c.min_distance_split(bound)
+        assert split_patterns(c.k, c.k, half) == res.patterns_scanned
+        checked += 1
+    assert checked > 50
+
+
+def test_split_refuses_search_predicted_above_budget():
+    # the [89,56] dual of the [[89,23,9]] row: about 4.75e13 patterns at bound 15
+    g = next(row[3] for row in tables.TABLE1_ROWS if row[:3] == (89, 23, 9))
+    spec = spec_from_zero_set(89, zero_set_of_polynomial(89, g))
+    dual = spec.to_code().dual()
+    assert (dual.n, dual.k) == (89, 56)
+    with pytest.raises(ResourceLimit, match="4.75e"):
+        dual.min_distance_split(15)
 
 
 def test_weight_modulus_detection():

@@ -15,13 +15,12 @@ from qcss.constructions import (
     dual_min_distance,
     extend_parity_dual,
     nebe,
-    outer_field,
     plotkin,
     product,
     shorten,
     triple_sum,
 )
-from qcss.bch import bch_generator
+from qcss.bch import bch_generator, default_field
 from qcss.errors import InvalidInput, PreconditionError
 from qcss.gf2 import BitMatrix, BitVector
 from qcss.named import extended_hamming_8, golay_24, simplex_dual_7_3, steane_component
@@ -220,7 +219,7 @@ def test_product_dual_distance_law_exhaustive():
 
 def test_concatenate_repetition_outer():
     inner = extended_hamming_8()
-    outer = OuterCode.repetition(outer_field(4), 3)
+    outer = OuterCode.repetition(default_field(4), 3)
     rep = concatenate(inner, outer)
     assert not rep.verify()
     assert (rep.code.n, rep.code.k) == (24, 4)
@@ -236,7 +235,7 @@ def test_concatenate_repetition_outer():
 
 def test_concatenate_identity_outer_is_inner():
     inner = extended_hamming_8()
-    rep = concatenate(inner, OuterCode.identity(outer_field(4), 1))
+    rep = concatenate(inner, OuterCode.identity(default_field(4), 1))
     assert rep.code.same_code(inner)
 
 
@@ -474,7 +473,7 @@ def test_random_concatenate_instances():
         if k1 > n1 // 2:
             continue
         inner = rand_so(n1, k1, rng)
-        fld = outer_field(k1)
+        fld = default_field(k1)
         k2 = rng.randrange(1, 4)
         n2 = rng.randrange(k2, k2 + 3)
         # systematic random outer generator: guaranteed full rank

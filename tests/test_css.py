@@ -5,6 +5,7 @@ import pytest
 
 from qcss.bch import search_self_orthogonal_bch
 from qcss.css import (
+    LOOKUP_MAX_ROWS,
     CssCode,
     LookupDecoder,
     PauliError,
@@ -15,7 +16,8 @@ from qcss.css import (
     css_with_lookup,
     symplectic_dot,
 )
-from qcss.errors import DecodingFailure, InvalidInput, PreconditionError
+from qcss.codes import random_linear_code, random_self_orthogonal_code
+from qcss.errors import DecodingFailure, InvalidInput, PreconditionError, ResourceLimit
 from qcss.gf2 import BitVector
 from qcss.named import steane_component
 
@@ -279,3 +281,33 @@ def test_bch_31_11_5_css_exhaustive_weight_two():
                 err = PauliError.single(31, q1, k1) * PauliError.single(31, q2, k2)
                 est = css.decode(css.syndrome(err))
                 assert not css.residual_is_logical(err, est), (q1, q2, k1, k2)
+
+
+class _ZeroCodeword:
+    """Decodes every word to the zero codeword, so the estimate is the preimage."""
+
+    radius = 0
+
+    def decode_word(self, bits: int) -> int:
+        return 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_syndrome_preimage_reproduces_requested_syndrome(seed):
+    rng = random.Random(seed)
+    for _ in range(20):
+        n = rng.randrange(4, 40)
+        code = random_self_orthogonal_code(n, rng.randrange(1, n // 4 + 2), rng)
+        css = CssCode.from_self_orthogonal(code, decoder=_ZeroCodeword())
+        for _ in range(10):
+            wanted = Syndrome(
+                s_x=BitVector(code.k, rng.getrandbits(code.k)),
+                s_z=BitVector(code.k, rng.getrandbits(code.k)),
+            )
+            assert css.syndrome(css.decode(wanted)) == wanted
+
+
+def test_lookup_decoder_refuses_oversized_table():
+    code = random_linear_code(40, LOOKUP_MAX_ROWS + 1, random.Random(8))
+    with pytest.raises(ResourceLimit):
+        LookupDecoder(code)

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcss.errors import InvalidInput
-from qcss.gf2 import BitMatrix, BitVector, dot, nullspace_basis, rank, rref, solve
+from qcss.gf2 import BitMatrix, BitVector, nullspace_basis, parities, rank, rref, solve
 
 # extended incidence matrix of the 7-point plane, spanning the [8,4,4] code
 PLANE_ROWS = [
@@ -18,12 +20,12 @@ PLANE_ROWS = [
 
 
 def test_dot_single_overlap():
-    assert dot(BitVector.from_string("1100"), BitVector.from_string("1010")) == 1
+    assert BitVector.from_string("1100").dot(BitVector.from_string("1010")) == 1
 
 
 def test_dot_even_weight_self():
     v = BitVector.from_string("110110")
-    assert dot(v, v) == 0
+    assert v.dot(v) == 0
 
 
 def test_dot_cyclic_shift_of_table_polynomial():
@@ -34,12 +36,12 @@ def test_dot_cyclic_shift_of_table_polynomial():
     shifted = BitVector(15, ((bits << 1) | (bits >> 14)) & ((1 << 15) - 1))
     overlap = len(set(v.support()) & set(shifted.support()))
     assert overlap % 2 == 0
-    assert dot(v, shifted) == 0
+    assert v.dot(shifted) == 0
 
 
 def test_dot_length_mismatch():
     with pytest.raises(InvalidInput):
-        dot(BitVector.from_string("101"), BitVector.from_string("1011"))
+        BitVector.from_string("101").dot(BitVector.from_string("1011"))
 
 
 def test_rref_identity():
@@ -87,7 +89,7 @@ def test_nullspace_of_all_ones_row():
     assert basis.rows == 3
     for row in basis:
         assert row.weight() % 2 == 0
-        assert dot(row, BitVector.from_string("1111")) == 0
+        assert row.dot(BitVector.from_string("1111")) == 0
 
 
 def test_nullspace_of_self_dual_code_spans_same_space():
@@ -111,7 +113,7 @@ def test_rank_nullity_and_orthogonality_random():
         assert rank(m) + basis.rows == n
         for b in basis:
             for r in m:
-                assert dot(b, r) == 0
+                assert b.dot(r) == 0
 
 
 def test_dot_symmetric_bilinear():
@@ -121,8 +123,8 @@ def test_dot_symmetric_bilinear():
         u = BitVector(n, rng.getrandbits(n))
         v = BitVector(n, rng.getrandbits(n))
         w = BitVector(n, rng.getrandbits(n))
-        assert dot(u, v) == dot(v, u)
-        assert dot(u ^ v, w) == dot(u, w) ^ dot(v, w)
+        assert u.dot(v) == v.dot(u)
+        assert (u ^ v).dot(w) == u.dot(w) ^ v.dot(w)
 
 
 def test_solve_consistent_and_inconsistent():
@@ -154,3 +156,41 @@ def test_delete_and_concat():
     assert v.delete([1, 3]).to_string() == "110"
     u = BitVector.from_string("01")
     assert v.concat(u).to_string() == "1011001"
+
+
+def test_solve_agrees_with_exhaustive_search():
+    # oracle: try every x; inconsistent systems must come back as None
+    rng = random.Random(41)
+    inconsistent = 0
+    for _ in range(300):
+        cols = rng.randrange(1, 11)
+        m = BitMatrix(cols, [rng.getrandbits(cols) for _ in range(rng.randrange(0, 9))])
+        rhs = BitVector(m.rows, rng.getrandbits(m.rows))
+        solutions = {
+            x for x in range(1 << cols) if m.mul_vector(BitVector(cols, x)) == rhs
+        }
+        x = solve(m, rhs)
+        if not solutions:
+            inconsistent += 1
+            assert x is None
+        else:
+            assert x is not None and x.bits in solutions
+    assert inconsistent > 20
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, (1 << 70) - 1), max_size=12), st.integers(0, (1 << 70) - 1))
+def test_parities_matches_per_row_loop(rows, word):
+    expected = sum(bin(r & word).count("1") % 2 << i for i, r in enumerate(rows))
+    assert parities(rows, word) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 70).flatmap(
+    lambda cols: st.lists(st.integers(0, (1 << cols) - 1), max_size=10).map(
+        lambda rows: BitMatrix(cols, rows)
+    )
+))
+def test_matrix_text_roundtrip_hypothesis(m):
+    # a row is written as one 0/1 line, so the format needs at least one column
+    assert BitMatrix.from_text(m.to_text()) == m

@@ -13,7 +13,6 @@ from qcss.projgeom import (
     build_so_code,
     config_params,
     enumerate_spaces,
-    rudolph_decode,
     small_field,
 )
 
@@ -273,11 +272,11 @@ def test_rudolph_failure_beyond_radius():
     assert failures > 0  # weight-2 errors exceed the radius of this code
 
 
-def test_rudolph_decode_function_wrapper():
+def test_rudolph_decoder_extended_corrects_one_flip():
     cfg = enumerate_spaces(ProjGeometry(2, 2), 1)
     code = build_so_code(cfg)
     cw = code.generator.row_bits()[1]
-    out = rudolph_decode(cfg, BitVector(8, cw ^ 1), extended=True)
+    out = RudolphDecoder(cfg, extended=True).decode(BitVector(8, cw ^ 1))
     assert out.bits == cw
 
 

@@ -7,7 +7,7 @@ import pytest
 from qcss.codes import LinearCode
 from qcss.errors import DecodingFailure, InvalidInput
 from qcss.gf2 import BitMatrix, BitVector
-from qcss.reedmuller import ReedDecoder, reed_decode, rm_generator
+from qcss.reedmuller import ReedDecoder, rm_generator
 
 
 def test_parameters():
