@@ -1,9 +1,18 @@
 """Binary linear codes: duals, orthogonality, weight spectra, distances.
 
-Weight spectra are computed by a two-level Gray-code scan: the low 16
-generator rows are expanded once into a packed block, the remaining rows are
-Gray-stepped and XORed into the whole block at once, and popcounts come from
-``np.bitwise_count``.  This is what makes 2^29-codeword enumerations practical.
+Both enumerations run on word-major blocks: a (words, m) uint64 array holds
+m codewords, row i their i-th 64-bit word, so that a popcount is one
+``np.bitwise_count`` and a sum of ``words`` rows.
+
+- Weight spectra: a two-level Gray-code scan.  The span of the low 16
+  generator rows is expanded once into a (words, 2^16) block, the remaining
+  rows are Gray-stepped and XORed into the whole block at once, and the
+  weights go to ``np.bincount``.  This is what makes 2^29-codeword
+  enumerations practical.
+- Distance certificates: ``min_distance_split`` is a meet-in-the-middle
+  search whose pivot and non-pivot halves both call ``_low_weight_min``.
+  That kernel keeps every XOR of up to 3 rows in one block and loops in
+  Python only over the prefixes of longer supports.
 """
 from __future__ import annotations
 
@@ -29,6 +38,8 @@ from .gf2 import (
 DEFAULT_BUDGET = 1 << 29
 
 _BLOCK_BITS = 16
+# cap on the 64-bit words in the split search's block of row XORs
+_SPLIT_BLOCK_WORDS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -180,87 +191,117 @@ class LinearCode:
         return _min_distance_split(self, bound)
 
 
-# -- spectrum scanner ----------------------------------------------------
+# -- word-major enumeration ------------------------------------------------
+
+
+def _weights(block: np.ndarray, nbits: int) -> np.ndarray:
+    """Popcount of every column of a word-major (words, m) block of nbits-bit
+    columns: the uint8 counts of the words are summed in the narrowest
+    unsigned type that holds nbits."""
+    c = np.bitwise_count(block)
+    if len(c) == 1:
+        return c[0]
+    w = c[0].astype(
+        np.uint8 if nbits < 1 << 8 else np.uint16 if nbits < 1 << 16 else np.uint32, copy=False
+    )
+    for word in c[1:]:
+        w += word
+    return w
+
+
+def _span_block(cols: np.ndarray, words: int) -> np.ndarray:
+    """Every XOR of the (words, 1) columns ``cols``, as a (words, 2^len) block."""
+    block = np.zeros((words, 1), dtype=np.uint64)
+    for c in cols:
+        block = np.concatenate([block, block ^ c], axis=1)
+    return block
 
 
 def _weight_counts(row_bits: Sequence[int], n: int) -> np.ndarray:
     k = len(row_bits)
-    arr = pack_rows(row_bits, n)
-    words = arr.shape[1]
+    arr = pack_rows(row_bits, n)[:, :, None]  # row j is a (words, 1) column
     k_lo = min(k, _BLOCK_BITS)
-    block = np.zeros((1, words), dtype=np.uint64)
-    for j in range(k_lo):
-        block = np.vstack([block, block ^ arr[j]])
-    counts = np.zeros(n + 1, dtype=np.int64)
-
-    def accumulate(blk: np.ndarray) -> None:
-        w = np.bitwise_count(blk).sum(axis=1, dtype=np.int64)
-        nonlocal counts
-        counts += np.bincount(w, minlength=n + 1)
-
-    accumulate(block)
+    block = _span_block(arr[:k_lo], arr.shape[1])
+    counts = np.bincount(_weights(block, n), minlength=n + 1)
     if k > k_lo:
         buf = np.empty_like(block)
-        acc = np.zeros(words, dtype=np.uint64)
+        acc = np.zeros_like(arr[0])
         for i in range(1, 1 << (k - k_lo)):
-            j = (i & -i).bit_length() - 1 + k_lo
-            acc ^= arr[j]
+            acc ^= arr[(i & -i).bit_length() - 1 + k_lo]
             np.bitwise_xor(block, acc, out=buf)
-            accumulate(buf)
+            counts += np.bincount(_weights(buf, n), minlength=n + 1)
     return counts
+
+
+def _low_weight_min(
+    rows: Sequence[int], nbits: int, depth: int, free: Sequence[int] = ()
+) -> tuple[int, int]:
+    """Smallest popcount of f ^ XOR(rows[S]) over 1 <= |S| <= depth and f in
+    the span of the independent words ``free``, and over S = {} with f != 0.
+    Returns (best, patterns), one pattern per pair (S, f).
+
+    The XORs of 1..r rows (r <= 3) sit in one word-major block, those of
+    exactly r rows last and in lexicographic order, so the r-sets that
+    extend a prefix ending at row j are a contiguous suffix of the block.
+    Python walks only the prefixes of up to depth - r rows.  The span of the
+    first free words is a middle axis of the block, as far as it stays
+    within 2^16 cells; the rest is Gray-stepped around the whole walk.
+    """
+    kk, depth = len(rows), min(depth, len(rows))
+    arr, free_arr = pack_rows(rows, nbits), pack_rows(free, nbits)
+    words = arr.shape[1]
+    best, patterns = 1 << 62, 0
+    if free:  # S = {}: the spectrum of the span
+        best = int(np.flatnonzero(_weight_counts(free, nbits)[1:])[0]) + 1
+        patterns = (1 << len(free)) - 1
+    if depth == 0:
+        return best, patterns
+    r = min(3, depth)
+    while r > 1 and math.comb(kk, r) * words > _SPLIT_BLOCK_WORDS:
+        r -= 1
+    sizes = [math.comb(kk, s) for s in range(1, r + 1)]
+    b = 0
+    while b < len(free) and sum(sizes) * words << (b + 1) <= 1 << _BLOCK_BITS:
+        b += 1
+    block = np.empty((words, 1 << b, sum(sizes)), dtype=np.uint64)
+    flat, end = block[:, 0], kk
+    flat[:, :kk] = arr.T
+    for s in range(2, r + 1):
+        # the s-sets that start at row i: row i XOR the last C(kk - i - 1, s - 1)
+        # columns of the (s - 1)-sets, so every level stays lexicographic
+        prev = flat[:, end - sizes[s - 2] : end]
+        for i in range(kk):
+            tail = prev[:, sizes[s - 2] - math.comb(kk - i - 1, s - 1) :]
+            np.bitwise_xor(tail, arr[i, :, None], out=flat[:, end : end + tail.shape[1]])
+            end += tail.shape[1]
+    span = _span_block(free_arr[:b, :, None], words)
+    np.bitwise_xor(flat[:, None, :], span[:, 1:, None], out=block[:, 1:])
+    starts = [block.shape[2] - math.comb(kk - j - 1, r) for j in range(kk - r)]
+    terms = arr[:, :, None, None]  # row j as a (words, 1, 1) term
+    acc = np.zeros((words, 1, 1), dtype=np.uint64)
+    for g in range(1 << (len(free) - b)):
+        if g:
+            acc = acc ^ free_arr[b + (g & -g).bit_length() - 1, :, None, None]
+        # prefixes: (XOR, start of their suffix, first row after them, rows left)
+        todo = [(acc, 0, 0, depth - r)]
+        while todo:
+            x, start, first, left = todo.pop()
+            seg = block[:, :, start:]
+            best = min(best, int(_weights(seg ^ x, nbits).min()))
+            patterns += seg[0].size
+            if left:
+                todo += [(x ^ terms[j], starts[j], j + 1, left - 1) for j in range(first, kk - r)]
+    return best, patterns
 
 
 # -- meet-in-the-middle distance certification ----------------------------
 
 
-def _low_weight_min(rows: list[int], extra: list[int] | None, depth: int) -> tuple[int, int]:
-    """Minimum of |S| + popcount(xor rows[S]) (+ popcount(xor extra[S]))
-    over all supports S with 1 <= |S| <= depth.
-
-    When ``extra`` is given the |S| term is replaced by the popcount of the
-    XOR of the extra accumulators (used for the coset-solver side where the
-    message weight is not the support size).  Returns (best, patterns).
-    """
-    kk = len(rows)
-    best = 1 << 62
-    patterns = 0
-    use_extra = extra is not None
-
-    def rec(start: int, left: int, acc: int, eacc: int, base: int) -> None:
-        nonlocal best, patterns
-        if left == 1:
-            if use_extra:
-                for j in range(start, kk):
-                    w = (acc ^ rows[j]).bit_count() + (eacc ^ extra[j]).bit_count()
-                    if w < best:
-                        best = w
-            else:
-                b = base + 1
-                for j in range(start, kk):
-                    w = b + (acc ^ rows[j]).bit_count()
-                    if w < best:
-                        best = w
-            patterns += kk - start
-            return
-        for j in range(start, kk):
-            y = acc ^ rows[j]
-            e = eacc ^ extra[j] if use_extra else 0
-            w = (y.bit_count() + e.bit_count()) if use_extra else (base + 1 + y.bit_count())
-            if w < best:
-                best = w
-            patterns += 1
-            rec(j + 1, left - 1, y, e, base + 1)
-
-    if depth >= 1 and kk:
-        rec(0, depth, 0, 0, 0)
-    return best, patterns
-
-
 def split_patterns(k: int, rank: int, half: int) -> int:
     """Work of the split search on k rows whose non-pivot part has the given
-    rank: the 2^(k - rank) - 1 nonzero kernel words, every row support of
-    size 1..half, and every RA-row support of size 1..half once per kernel
-    word.  With a trivial kernel this is exactly ``patterns_scanned``.
+    rank: every row support of size 1..half, and every RA-row support of
+    size 0..half once per kernel word, less the empty support with the zero
+    kernel word.  This is exactly ``patterns_scanned``.
     """
     kernel_size = 1 << (k - rank)
     return kernel_size - 1 + sum(
@@ -293,10 +334,6 @@ def _min_distance_split(code: LinearCode, bound: int) -> SplitDistanceResult:
     for r in red:
         a_rows.append(sum((r >> c & 1) << i for i, c in enumerate(nonpivots)))
 
-    # generator rows are codewords, so their weights bound the distance
-    best = row_witness
-    patterns = 0
-
     # Write A = U . RA with RA = rref(A).  The kernel of m -> m.A consists of
     # the codewords supported entirely on pivot columns; they are scanned in
     # full because their non-pivot weight is 0 regardless of `half`.
@@ -319,73 +356,32 @@ def _min_distance_split(code: LinearCode, bound: int) -> SplitDistanceResult:
     red_u, u_pivots = rref(BitMatrix(k + rank, aug))
     red_u_rows = red_u.row_bits()
     kernel = kernel_from_rref(red_u_rows, u_pivots, k)
-    kernel_words = _span(kernel)
-    for kw in kernel_words:
-        if kw:
-            w = kw.bit_count()
-            if w < best:
-                best = w
-    patterns += len(kernel_words) - 1
+    solvers = [
+        sum(1 << c for row, c in zip(red_u_rows, u_pivots) if row >> (k + j) & 1)
+        for j in range(rank)
+    ]
 
-    if half >= 1:
-        # pivot side: codeword = XOR of rows S, pivot-restriction weight = |S|
-        gen_best, gen_patterns = _low_weight_min(a_rows, None, half)
-        best = min(best, gen_best)
-        patterns += gen_patterns
-
-        # non-pivot side: all messages m with wt(m . A) <= half.  Enumerating
-        # mu-supports over RA rows covers every low-weight image; a preimage
-        # of RA row j is carried alongside so popcount(m) is exact, and a
-        # nontrivial kernel expands each preimage into a coset.
-        solvers = [
-            sum(1 << c for row, c in zip(red_u_rows, u_pivots) if row >> (k + j) & 1)
-            for j in range(rank)
-        ]
-        if len(kernel_words) == 1:
-            par_best, par_patterns = _low_weight_min(ra_rows, solvers, half)
-        else:
-            par_best, par_patterns = _low_weight_min_coset(
-                ra_rows, solvers, kernel_words, half
-            )
-        best = min(best, par_best)
-        patterns += par_patterns
-
+    # Rows are tagged with their messages above bit n_np, so that the
+    # popcount of a XOR is the weight of the codeword it stands for.
+    # Pivot side: the codeword of rows S has pivot restriction S.
+    pivot_best, pivot_patterns = _low_weight_min(
+        [a | 1 << (n_np + i) for i, a in enumerate(a_rows)], n_np + k, half
+    )
+    # Non-pivot side: every message m with wt(m . A) <= half is the preimage
+    # of an RA-row support mu plus a kernel word; mu = {} gives the kernel
+    # codewords themselves.
+    nonpivot_best, nonpivot_patterns = _low_weight_min(
+        [ra | m << n_np for ra, m in zip(ra_rows, solvers)],
+        n_np + k,
+        half,
+        [w << n_np for w in kernel],
+    )
+    # generator rows are codewords, so their weights bound the distance
+    best = min(row_witness, pivot_best, nonpivot_best)
+    patterns = pivot_patterns + nonpivot_patterns
     if best <= bound:
         return SplitDistanceResult(True, best, best, patterns)
     return SplitDistanceResult(False, bound + 1, best, patterns)
-
-
-def _low_weight_min_coset(
-    rows: list[int], solvers: list[int], kernel_words: list[int], depth: int
-) -> tuple[int, int]:
-    kk = len(rows)
-    best = 1 << 62
-    patterns = 0
-
-    def rec(start: int, left: int, acc: int, m0: int) -> None:
-        nonlocal best, patterns
-        for j in range(start, kk):
-            y = acc ^ rows[j]
-            m = m0 ^ solvers[j]
-            yw = y.bit_count()
-            for kw in kernel_words:
-                w = yw + (m ^ kw).bit_count()
-                if w < best:
-                    best = w
-            patterns += 1
-            if left > 1:
-                rec(j + 1, left - 1, y, m)
-
-    if depth >= 1 and kk:
-        rec(0, depth, 0, 0)
-    return best, patterns
-
-
-def _span(basis: list[int]) -> list[int]:
-    words = [0]
-    for b in basis:
-        words += [w ^ b for w in words]
-    return words
 
 
 # -- MacWilliams transform -------------------------------------------------

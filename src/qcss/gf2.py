@@ -204,6 +204,8 @@ class BitMatrix:
             rows, cols = map(int, lines[0].split())
         except ValueError as exc:
             raise InvalidInput(f"bad matrix header: {lines[0]!r}") from exc
+        if cols == 0 and rows >= 0 and len(lines) == 1:
+            return cls(0, [0] * rows)  # zero-width rows are blank lines
         if len(lines) - 1 != rows:
             raise InvalidInput(f"expected {rows} rows, found {len(lines) - 1}")
         vecs = []

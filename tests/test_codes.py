@@ -1,9 +1,12 @@
+import functools
 import itertools
+import operator
 import random
+import tracemalloc
 
 import pytest
 
-from qcss import tables
+from qcss import codes, tables
 from qcss.bch import spec_from_zero_set, zero_set_of_polynomial
 from qcss.codes import (
     LinearCode,
@@ -225,23 +228,89 @@ def test_split_agrees_with_exhaustive_on_random_codes():
                 assert not res.found and res.value == bound + 1
 
 
-def test_split_prediction_equals_patterns_when_kernel_is_trivial():
+def nonpivot_rank(c):
+    nonpivot = (1 << c.n) - 1 - sum(1 << p for p in c.pivots)
+    return rank(BitMatrix(c.n, [r & nonpivot for r in c.rref_matrix.row_bits()]))
+
+
+def test_split_prediction_equals_patterns_scanned():
     rng = random.Random(91)
-    checked = 0
-    for _ in range(200):
+    trivial = nontrivial = 0
+    for _ in range(300):
         n = rng.randrange(4, 24)
-        c = random_linear_code(n, rng.randrange(1, n // 2 + 1), rng)
-        nonpivot = (1 << n) - 1 - sum(1 << p for p in c.pivots)
-        restricted = BitMatrix(n, [r & nonpivot for r in c.rref_matrix.row_bits()])
-        if rank(restricted) < c.k:
-            continue  # a nontrivial kernel is scanned once per coset word
+        c = random_linear_code(n, rng.randrange(1, n), rng)
+        rk = nonpivot_rank(c)
         bound = rng.randrange(1, 9)
         modulus = c.weight_modulus()
         half = bound // modulus * modulus // 2
         res = c.min_distance_split(bound)
-        assert split_patterns(c.k, c.k, half) == res.patterns_scanned
-        checked += 1
-    assert checked > 50
+        if bound >= modulus:  # otherwise the search returns before scanning
+            assert split_patterns(c.k, rk, half) == res.patterns_scanned
+            trivial += rk == c.k
+            nontrivial += rk < c.k
+    assert trivial > 50 and nontrivial > 50
+
+
+def test_split_memory_does_not_grow_with_the_kernel():
+    # two non-pivot columns leave a kernel of dimension >= 18: listing its
+    # 2^18 words as Python ints would take about 12 MB
+    c = random_linear_code(22, 20, random.Random(3))
+    assert c.k - nonpivot_rank(c) >= 18
+    tracemalloc.start()
+    try:
+        res = c.min_distance_split(3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.found and res.value == c.min_distance()
+    assert peak < 4 << 20
+
+
+def brute_low_weight_min(rows, depth, free):
+    # oracle: every support of 0..depth rows against every word of the span
+    span = [0]
+    for f in free:
+        span += [w ^ f for w in span]
+    best, patterns = 1 << 62, 0
+    for size in range(depth + 1):
+        for support in itertools.combinations(rows, size):
+            x = functools.reduce(operator.xor, support, 0)
+            for f in span:
+                if size or f:
+                    best = min(best, (x ^ f).bit_count())
+                    patterns += 1
+    return best, patterns
+
+
+@pytest.mark.parametrize("block_words,block_bits", [(codes._SPLIT_BLOCK_WORDS, 16), (8, 2)])
+def test_low_weight_kernel_matches_brute_force(monkeypatch, block_words, block_bits):
+    # small limits force fewer rows per block and Gray-stepped free words
+    monkeypatch.setattr(codes, "_SPLIT_BLOCK_WORDS", block_words)
+    monkeypatch.setattr(codes, "_BLOCK_BITS", block_bits)
+    rng = random.Random(block_bits)
+    for _ in range(150):
+        words = rng.randrange(1, 5)
+        nbits = rng.randrange(64 * words - 63, 64 * words + 1)
+        rows = [rng.getrandbits(nbits) for _ in range(rng.randrange(0, 12))]
+        f = rng.randrange(0, min(nbits, 3) + 1)
+        free = random_linear_code(nbits, f, rng).generator.row_bits() if f else []
+        depth = rng.randrange(1, 6)
+        assert codes._low_weight_min(rows, nbits, depth, free) == brute_low_weight_min(
+            rows, depth, free
+        )
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129, 256])
+def test_word_major_scan_matches_naive_enumeration(n):
+    rng = random.Random(n)
+    for k in (1, 15, 16, 17, 20):
+        rows = [rng.getrandbits(n) for _ in range(k)]
+        rows[0] = (1 << n) - 1  # at n = 256 its weight overflows a uint8 sum
+        naive, acc = [1] + [0] * n, 0
+        for i in range(1, 1 << k):
+            acc ^= rows[(i & -i).bit_length() - 1]
+            naive[acc.bit_count()] += 1
+        assert codes._weight_counts(rows, n).tolist() == naive
 
 
 def test_split_refuses_search_predicted_above_budget():
