@@ -2,12 +2,20 @@
 
 Polynomials over GF(2) are ints with bit i = coefficient of x^i, so the hex
 rendering of a generator polynomial is its value at x = 2.
+
+Each code length n has one cached table (``_length_table``): the cyclotomic
+coset of every residue, and the units that are least in their coset under
+doubling.  Zero sets are unions of cosets, so relabelling the roots by u or
+by 2u gives the same scaled zero set, and window searches scan one unit per
+coset.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+
+import numpy as np
 
 from .codes import LinearCode
 from .errors import DecodingFailure, InvalidInput, PreconditionError
@@ -237,71 +245,110 @@ class CyclicCodeSpec:
         return spec_from_zero_set(self.n, dz, self.field)
 
 
-def _closure(exponents, n: int) -> tuple[int, ...]:
-    out: set[int] = set()
-    for e in exponents:
-        out.update(cyclotomic_coset(e, n))
-    return tuple(sorted(out))
+@dataclass(frozen=True)
+class _LengthTable:
+    """The doubling structure of the residues mod an odd length n."""
 
-
-def _generator_from_zeros(n: int, zeros, fld: Gf2mField) -> int:
-    s = fld.order // n
-    bits_by_coset: dict[tuple[int, ...], int] = {}
-    for e in zeros:
-        coset = cyclotomic_coset(e, n)
-        if coset not in bits_by_coset:
-            bits_by_coset[coset] = minimal_polynomial(fld, (s * coset[0]) % fld.order)
-    g = 1
-    for p in bits_by_coset.values():
-        g = poly_mul(g, p)
-    return g
-
-
-def longest_zero_run(zero_set, n: int) -> tuple[int, int]:
-    """(start, length) of the longest cyclic run of consecutive exponents."""
-    zeros = set(zero_set)
-    if len(zeros) >= n:
-        return 0, n
-    best_start, best_len = 0, 0
-    for start in zeros:
-        if (start - 1) % n in zeros:
-            continue  # not the beginning of a run
-        length = 0
-        while (start + length) % n in zeros:
-            length += 1
-        if length > best_len:
-            best_start, best_len = start, length
-    return best_start, best_len
+    coset_of: tuple[tuple[int, ...], ...]  # cyclotomic coset of each residue
+    coset_units: tuple[int, ...]  # units least in their coset, increasing
+    inverses: np.ndarray  # inverses[r] * coset_units[r] = 1 mod n
 
 
 def units(n: int) -> list[int]:
     return [u for u in range(1, n) if math.gcd(u, n) == 1]
 
 
+@lru_cache(maxsize=None)
+def _length_table(n: int) -> _LengthTable:
+    coset_of: list[tuple[int, ...]] = [()] * n
+    for e in range(n):
+        if not coset_of[e]:
+            coset = cyclotomic_coset(e, n)
+            for j in coset:
+                coset_of[j] = coset
+    reps = tuple(u for u in units(n) if coset_of[u][0] == u)
+    inverses = np.array([pow(u, -1, n) for u in reps], dtype=np.int64)
+    inverses.flags.writeable = False
+    return _LengthTable(tuple(coset_of), reps, inverses)
+
+
+def _closure(exponents, n: int) -> tuple[int, ...]:
+    coset_of = _length_table(n).coset_of
+    out: set[int] = set()
+    for e in exponents:
+        out.update(coset_of[e % n])
+    return tuple(sorted(out))
+
+
+def _generator_from_zeros(n: int, zeros, fld: Gf2mField, minpolys: dict[int, int]) -> int:
+    """Product of the minimal polynomials of the cosets in a closed zero set.
+    ``minpolys`` caches them by least coset element, for callers that build
+    many generators in one field."""
+    coset_of = _length_table(n).coset_of
+    s = fld.order // n
+    g = 1
+    for rep in {coset_of[e][0] for e in zeros}:
+        if rep not in minpolys:
+            minpolys[rep] = minimal_polynomial(fld, (s * rep) % fld.order)
+        g = poly_mul(minpolys[rep], g)  # walks the few bits of the factor
+    return g
+
+
+# cells of one (units, 2n) block in best_window; larger lengths take chunks
+_WINDOW_CELLS = 1 << 16
+
+
 def best_window(zero_set, n: int) -> tuple[int, int, int]:
     """(step, start, length) of the longest run of consecutive exponents of
     any relabeled root beta^step; the exponents step*(start+j) all lie in the
-    zero set for j < length."""
-    zs = set(zero_set)
+    zero set for j < length.
+
+    The zero set must be closed under doubling mod n.  The winner is the
+    first unit u = step^-1, in increasing order, whose scaled set u*Z has the
+    longest run, and ``start`` is the smallest start among the longest runs
+    of u*Z.  Since u*Z = 2u*Z, that unit is least in its doubling coset, so
+    only those units are scanned.
+    """
+    mask = np.zeros(n, dtype=bool)
+    mask[np.fromiter(zero_set, dtype=np.int64) % n] = True
+    if (mask & ~mask[2 * np.arange(n) % n]).any():
+        raise InvalidInput(f"zero set is not closed under doubling mod {n}")
+    if mask.all():
+        return 1, 0, n
+    inverses = _length_table(n).inverses
+    chunk = max(1, _WINDOW_CELLS // (2 * n))
     best = (1, 0, 0)
-    for u in units(n):
-        scaled = {u * i % n for i in zs}
-        start, run = longest_zero_run(scaled, n)
-        if run > best[2]:
-            best = (pow(u, -1, n), start, run)
+    for lo in range(0, len(inverses), chunk):
+        inv = inverses[lo : lo + chunk]
+        block = mask[inv[:, None] * np.arange(n) % n]  # block[r, j]: j in u_r * Z
+        block = np.concatenate((block, block), axis=1)  # no run wraps in two periods
+        count = np.cumsum(block, axis=1)
+        runs = count - np.maximum.accumulate(np.where(block, 0, count), axis=1)
+        longest = runs.max(axis=1)
+        r = int(longest.argmax())
+        length = int(longest[r])
+        if length > best[2]:
+            ends = np.flatnonzero(runs[r] == length)
+            best = (int(inv[r]), int(((ends - length + 1) % n).min()), length)
     return best
 
 
 def bch_bound(zero_set, n: int) -> int:
-    """Sharpest BCH-bound distance over all unit relabelings of the roots."""
+    """Sharpest BCH-bound distance over all unit relabelings of the roots of
+    a zero set closed under doubling mod n."""
     return best_window(zero_set, n)[2] + 1
 
 
 def spec_from_zero_set(n: int, zero_set, fld: Gf2mField | None = None) -> CyclicCodeSpec:
     if fld is None:
         fld = default_field(multiplicative_order_of_two(n))
-    zero_set = _closure(zero_set, n)
-    g = _generator_from_zeros(n, zero_set, fld) if zero_set else 1
+    return _closed_spec(n, _closure(zero_set, n), fld, {})
+
+
+def _closed_spec(
+    n: int, zero_set: tuple[int, ...], fld: Gf2mField, minpolys: dict[int, int]
+) -> CyclicCodeSpec:
+    g = _generator_from_zeros(n, zero_set, fld, minpolys)
     step, start, length = best_window(zero_set, n)
     return CyclicCodeSpec(
         n=n, m=fld.m, b=start, delta=length + 1, zero_set=zero_set, generator=g,
@@ -325,7 +372,7 @@ def bch_generator(n: int, b: int, delta: int, fld: Gf2mField | None = None) -> C
         raise PreconditionError(
             f"window (b={b}, delta={delta}) closes over all residues: empty code"
         )
-    g = _generator_from_zeros(n, zero_set, fld)
+    g = _generator_from_zeros(n, zero_set, fld, {})
     spec = CyclicCodeSpec(
         n=n, m=fld.m, b=b, delta=delta, zero_set=zero_set, generator=g, field=fld
     )
@@ -492,34 +539,39 @@ def search_self_orthogonal_bch(n: int) -> list[BchSearchHit]:
     if n < 3 or n % 2 == 0:
         raise InvalidInput(f"length must be odd and >= 3, got {n}")
     fld = default_field(multiplicative_order_of_two(n))
-    seen: dict[tuple[int, ...], BchSearchHit] = {}
+    masks = [sum(1 << j for j in coset) for coset in _length_table(n).coset_of]
+    minpolys: dict[int, int] = {}
+    seen: set[int] = set()
+    hits = []
     for b in range(n):
-        closure: set[int] = set()
+        # the dual's zero set (the window's closure) and its negation, as masks
+        closure = negated = 0
         for delta in range(2, n + 1):
-            closure.update(cyclotomic_coset(b + delta - 2, n))
-            if len(closure) >= n:
+            e = (b + delta - 2) % n
+            if closure >> e & 1:
+                continue  # the closure of delta - 1 again
+            closure |= masks[e]
+            negated |= masks[-e % n]
+            if closure & negated:
+                # some i and -i are both dual zeros, so the dual is not a
+                # superset code, here or for any larger delta
                 break
-            dual_zeros = tuple(sorted(closure))
-            code_zeros = tuple(
-                sorted(i for i in range(n) if (n - i) % n not in closure)
-            )
-            if not set(dual_zeros) <= set(code_zeros):
-                continue  # dual candidate is not a superset code
-            if code_zeros in seen:
+            if closure in seen:
                 continue
-            code_spec = spec_from_zero_set(n, code_zeros, fld)
-            dual_spec = spec_from_zero_set(n, dual_zeros, fld)
+            seen.add(closure)
+            code_zeros = tuple(i for i in range(n) if not negated >> i & 1)
+            dual_zeros = tuple(i for i in range(n) if closure >> i & 1)
+            code_spec = _closed_spec(n, code_zeros, fld, minpolys)
+            dual_spec = _closed_spec(n, dual_zeros, fld, minpolys)
             k = code_spec.dimension
-            seen[code_zeros] = BchSearchHit(
+            hits.append(BchSearchHit(
                 code_spec=code_spec,
                 dual_spec=dual_spec,
                 quantum_n=n,
                 quantum_k=n - 2 * k,
                 designed_distance=dual_spec.delta,
-            )
-    return sorted(
-        seen.values(), key=lambda h: (h.code_spec.dimension, h.code_spec.zero_set)
-    )
+            ))
+    return sorted(hits, key=lambda h: (h.code_spec.dimension, h.code_spec.zero_set))
 
 
 @dataclass(frozen=True)
@@ -546,7 +598,9 @@ def match_polynomial_against_search(
     if hits is None:
         hits = search_self_orthogonal_bch(n)
     by_zeros = {frozenset(h.code_spec.zero_set): h for h in hits}
-    for u in units(n):
+    # the zero set is closed, so u and 2u scale it alike and the first unit
+    # that matches is least in its doubling coset
+    for u in _length_table(n).coset_units:
         scaled = frozenset(u * i % n for i in zeros)
         hit = by_zeros.get(scaled)
         if hit is None:

@@ -181,7 +181,15 @@ class BitMatrix:
         return out
 
     def transpose(self) -> "BitMatrix":
-        return BitMatrix(self.rows, [self.column_bits(j) for j in range(self.cols)])
+        """All columns at once, unpacked to a byte per bit and packed back."""
+        nbytes = (self.cols + 7) // 8
+        if not self._data or not nbytes:
+            return BitMatrix(self.rows, [0] * self.cols)
+        raw = b"".join(r.to_bytes(nbytes, "little") for r in self._data)
+        packed = np.frombuffer(raw, dtype=np.uint8).reshape(self.rows, nbytes)
+        bits = np.unpackbits(packed, axis=1, count=self.cols, bitorder="little")
+        columns = np.packbits(bits.T, axis=1, bitorder="little")
+        return BitMatrix(self.rows, [int.from_bytes(c.tobytes(), "little") for c in columns])
 
     def mul_vector(self, v: BitVector) -> BitVector:
         """M @ v over GF(2); result length = number of rows."""

@@ -189,7 +189,7 @@ class Configuration:
         for row in rows:
             if row.bit_count() != self.k_prime:
                 raise InternalConsistencyError("row weight differs from k'")
-        columns = [self.incidence.column_bits(j) for j in range(self.v)]
+        columns = self.incidence.transpose().row_bits()
         for col in columns:
             if col.bit_count() != self.r:
                 raise InternalConsistencyError("column weight differs from r")

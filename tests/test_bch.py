@@ -3,11 +3,15 @@ import random
 
 import pytest
 
+from qcss import bch
 from qcss.bch import (
     BchDecoder,
+    BchSearchHit,
+    CyclicCodeSpec,
     Gf2mField,
     bch_bound,
     bch_generator,
+    best_window,
     bm_decode,
     cyclotomic_coset,
     default_field,
@@ -22,6 +26,7 @@ from qcss.bch import (
     poly_mul,
     search_self_orthogonal_bch,
     spec_from_zero_set,
+    units,
     zero_set_of_polynomial,
 )
 from qcss.errors import DecodingFailure, InvalidInput, PreconditionError
@@ -275,3 +280,100 @@ def test_bm_decode_deep_radius_sampled_length_93():
         for p in positions:
             noisy ^= 1 << p
         assert bm_decode(dual, BitVector(n, noisy)) == set(positions)
+
+
+# -- slow oracles for the coset-unit search ----------------------------------
+
+
+def _oracle_best_window(zero_set, n):
+    """Every unit, runs found on sets: the smallest start among the longest
+    runs of the first unit that reaches them."""
+    zs = set(zero_set)
+    if len(zs) >= n:
+        return 1, 0, n
+    best = (1, 0, 0)
+    for u in units(n):
+        scaled = {u * i % n for i in zs}
+        for start in sorted(scaled):
+            if (start - 1) % n in scaled:
+                continue  # not the beginning of a run
+            length = 0
+            while (start + length) % n in scaled:
+                length += 1
+            if length > best[2]:
+                best = (pow(u, -1, n), start, length)
+    return best
+
+
+def _oracle_generator(n, zeros, fld):
+    s = fld.order // n
+    g = 1
+    for coset in {cyclotomic_coset(e, n) for e in zeros}:
+        g = poly_mul(g, minimal_polynomial(fld, (s * coset[0]) % fld.order))
+    return g
+
+
+def _oracle_search(n):
+    fld = default_field(multiplicative_order_of_two(n))
+
+    def spec(zeros):
+        step, start, length = _oracle_best_window(zeros, n)
+        return CyclicCodeSpec(
+            n=n, m=fld.m, b=start, delta=length + 1, zero_set=zeros,
+            generator=_oracle_generator(n, zeros, fld), step=step, field=fld,
+        )
+
+    seen = {}
+    for b in range(n):
+        closure = set()
+        for delta in range(2, n + 1):
+            closure.update(cyclotomic_coset(b + delta - 2, n))
+            if len(closure) >= n:
+                break
+            dual_zeros = tuple(sorted(closure))
+            code_zeros = tuple(sorted(i for i in range(n) if (n - i) % n not in closure))
+            if not closure <= set(code_zeros) or code_zeros in seen:
+                continue
+            code, dual = spec(code_zeros), spec(dual_zeros)
+            seen[code_zeros] = BchSearchHit(code, dual, n, n - 2 * code.dimension, dual.delta)
+    return sorted(seen.values(), key=lambda h: (h.code_spec.dimension, h.code_spec.zero_set))
+
+
+@pytest.mark.parametrize("n", [15, 21, 31, 45, 51, 63, 85, 93])
+def test_search_equals_all_units_oracle(n):
+    assert search_self_orthogonal_bch(n) == _oracle_search(n)
+
+
+@pytest.mark.parametrize("n,count", [(63, 62), (85, 42), (93, 124), (127, 360), (255, 852)])
+def test_search_hit_counts(n, count):
+    hits = search_self_orthogonal_bch(n)
+    assert len(hits) == count
+    assert len({h.code_spec.zero_set for h in hits}) == count
+
+
+@pytest.mark.parametrize("one_unit_per_chunk", [False, True])
+@pytest.mark.parametrize("n", [21, 45, 51, 73, 85, 89, 93])
+def test_best_window_matches_brute_force_on_closed_sets(n, one_unit_per_chunk, monkeypatch):
+    if one_unit_per_chunk:
+        monkeypatch.setattr(bch, "_WINDOW_CELLS", 1)
+    rng = random.Random(n)
+    cosets = sorted({cyclotomic_coset(e, n) for e in range(n)})
+    samples = [(), tuple(range(1, n)), tuple(range(n))]
+    for _ in range(25):
+        picked = [c for c in cosets if rng.random() < rng.random()]
+        samples.append(tuple(sorted(i for c in picked for i in c)))
+    for zs in samples:
+        want = _oracle_best_window(zs, n)
+        assert best_window(zs, n) == want
+        assert best_window(zs[::-1], n) == want  # iteration order does not matter
+        assert bch_bound(set(zs), n) == want[2] + 1
+        step, start, length = want
+        assert all(step * (start + j) % n in set(zs) for j in range(length))
+
+
+def test_window_refuses_sets_not_closed_under_doubling():
+    with pytest.raises(InvalidInput):
+        best_window([1], 7)
+    with pytest.raises(InvalidInput):
+        bch_bound([1, 2], 7)  # misses 4 = 2 * 2
+    assert bch_bound([1, 2, 4], 7) == 3

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcss.errors import InvalidInput
@@ -194,3 +194,18 @@ def test_parities_matches_per_row_loop(rows, word):
 def test_matrix_text_roundtrip_hypothesis(m):
     # with zero columns every row is written as a blank line
     assert BitMatrix.from_text(m.to_text()) == m
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 70).flatmap(
+    lambda cols: st.lists(st.integers(0, (1 << cols) - 1), max_size=20).map(
+        lambda rows: BitMatrix(cols, rows)
+    )
+))
+@example(BitMatrix(0, []))
+@example(BitMatrix(5, []))
+@example(BitMatrix(0, [0, 0, 0]))
+def test_transpose_matches_column_bits_hypothesis(m):
+    t = m.transpose()
+    assert (t.rows, t.cols) == (m.cols, m.rows)
+    assert t.row_bits() == [m.column_bits(j) for j in range(m.cols)]
