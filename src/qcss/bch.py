@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import getitem, xor
 
 import numpy as np
 
@@ -127,9 +128,6 @@ class Gf2mField:
             raise InvalidInput("zero has no inverse")
         return self._exp[(self.order - self._log[a]) % self.order]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def alpha_pow(self, e: int) -> int:
         return self._exp[e % self.order]
 
@@ -160,7 +158,7 @@ def multiplicative_order_of_two(n: int) -> int:
     if n < 1 or n % 2 == 0:
         raise InvalidInput(f"length must be odd and positive, got {n}")
     m, x = 1, 2 % n
-    while x != 1:
+    while x != 1 % n:
         x = (x * 2) % n
         m += 1
     return m
@@ -406,6 +404,70 @@ def zero_set_of_polynomial(n: int, g: int, fld: Gf2mField | None = None) -> tupl
 
 
 # -- Berlekamp-Massey decoding ----------------------------------------------
+#
+# The value of a binary word at a field element is GF(2)-linear in the
+# word's bits, and so is the value of a locator polynomial in the bits of its
+# coefficients.  The tables below hold those linear maps, built once per spec
+# and field, so a decode takes every syndrome and zero-set value with one
+# lookup per byte of the received word (and one XOR per corrected position),
+# and the Chien search with one XOR per set bit of the locator's
+# coefficients.  Berlekamp-Massey multiplies inline through the field's own
+# exp/log lists.
+
+
+@dataclass(frozen=True)
+class _DecoderTables:
+    """Tables of ``bm_decode`` for one spec over one field.
+
+    A packed value holds m-bit field elements side by side: field j < delta-1
+    is the value at beta^(step*(b+j)) (syndrome j), and the fields after them
+    the values at one zero per cyclotomic coset of the zero set.
+    """
+
+    exp: list[int]  # the field's lists, not copies
+    log: list[int]
+    position_values: list[int]  # entry p: the packed values of x^p
+    byte_values: list[list[int]]  # [k][v]: packed values of v * x^(8k)
+    chien: list[list[int]]  # [i][c]: bit b*n + p is bit b of x^c * beta^(-i*step*p)
+
+
+@lru_cache(maxsize=64)
+def _decoder_tables(spec: CyclicCodeSpec, poly: int) -> _DecoderTables:
+    """Keyed by the field polynomial too: specs compare without their field,
+    and equal specs over different fields have different tables."""
+    fld = spec.field
+    m, order, n = fld.m, fld.order, spec.n
+    exp, log = fld._exp, fld._log
+    s0 = order // n  # beta = alpha^s0
+    s = s0 * spec.step % order  # the decoding root beta^step
+    # the exponents of alpha at which words are evaluated, one per packed field
+    points = [s * (spec.b + j) for j in range(spec.delta - 1)]
+    # c(beta^2z) = c(beta^z)^2 for a binary word c, so one zero per coset
+    # tests the whole zero set
+    points += [s0 * z for z in sorted({_length_table(n).coset_of[z][0] for z in spec.zero_set})]
+    position_values = [
+        sum(exp[e * p % order] << (m * f) for f, e in enumerate(points)) for p in range(n)
+    ]
+    byte_values = []
+    for k in range(0, n, 8):
+        column = position_values[k : k + 8]
+        table = [0] * 256
+        for v in range(1, 1 << len(column)):
+            low = v & -v
+            table[v] = table[v ^ low] ^ column[low.bit_length() - 1]
+        byte_values.append(table)
+    chien = []
+    for i in range((spec.delta - 1) // 2 + 1):
+        row = []
+        for c in range(m):
+            planes = 0
+            for p in range(n):
+                value = exp[(log[1 << c] - i * s * p) % order]
+                for b in range(m):
+                    planes |= (value >> b & 1) << (b * n + p)
+            row.append(planes)
+        chien.append(row)
+    return _DecoderTables(exp, log, position_values, byte_values, chien)
 
 
 def bm_decode(spec: CyclicCodeSpec, received: BitVector) -> set[int]:
@@ -414,20 +476,13 @@ def bm_decode(spec: CyclicCodeSpec, received: BitVector) -> set[int]:
     """
     if received.n != spec.n:
         raise InvalidInput(f"received length {received.n} != n = {spec.n}")
-    fld = spec.field
-    s = (fld.order // spec.n) * spec.step  # exponent of the decoding root
+    tables = _decoder_tables(spec, spec.field.poly)
+    exp, log = tables.exp, tables.log
+    m, order, n = spec.field.m, spec.field.order, spec.n
     nsyn = spec.delta - 1
-    syndromes = []
-    r = received.bits
-    for j in range(nsyn):
-        e = (spec.b + j) % spec.n
-        acc = 0
-        rr = r
-        while rr:
-            low = rr & -rr
-            acc ^= fld.alpha_pow(s * e * (low.bit_length() - 1))
-            rr ^= low
-        syndromes.append(acc)
+    data = received.bits.to_bytes(len(tables.byte_values), "little")
+    packed = reduce(xor, map(getitem, tables.byte_values, data), 0)
+    syndromes = [packed >> (m * j) & order for j in range(nsyn)]
     if not any(syndromes):
         return set()
 
@@ -439,19 +494,21 @@ def bm_decode(spec: CyclicCodeSpec, received: BitVector) -> set[int]:
     prev_disc = 1
     for step in range(1, nsyn + 1):
         disc = syndromes[step - 1]
-        for i in range(1, lfsr_len + 1):
-            if i < len(lam) and lam[i]:
-                disc ^= fld.mul(lam[i], syndromes[step - 1 - i])
+        for i in range(1, min(lfsr_len + 1, len(lam))):
+            c, syn = lam[i], syndromes[step - 1 - i]
+            if c and syn:
+                disc ^= exp[(log[c] + log[syn]) % order]
         if disc == 0:
             shift += 1
             continue
-        scale = fld.div(disc, prev_disc)
+        scale = log[disc] - log[prev_disc]  # log of disc / prev_disc
         update = lam.copy()
         grow = len(prev) + shift - len(update)
         if grow > 0:
             update += [0] * grow
         for i, c in enumerate(prev):
-            update[i + shift] ^= fld.mul(scale, c)
+            if c:
+                update[i + shift] ^= exp[(scale + log[c]) % order]
         if 2 * lfsr_len <= step - 1:
             prev = lam
             lfsr_len = step - lfsr_len
@@ -470,36 +527,35 @@ def bm_decode(spec: CyclicCodeSpec, received: BitVector) -> set[int]:
             f"error weight exceeds the designed radius {t_max}"
         )
 
-    # Chien search: position p is in error iff lambda(beta^-p) = 0
-    beta_exp = s % fld.order
+    # Chien search: position p is in error iff lambda(beta^-p) = 0.  The m
+    # bit planes of lambda(beta^-p) over all p are the XOR of one table entry
+    # per set bit of the coefficients.
+    planes = 0
+    for i in range(lfsr_len + 1):
+        row = tables.chien[i]
+        c = lam[i]
+        while c:
+            low = c & -c
+            planes ^= row[low.bit_length() - 1]
+            c ^= low
+    nonzero = 0
+    for b in range(m):
+        nonzero |= planes >> (b * n)
+    roots = ~nonzero & ((1 << n) - 1)
     positions = set()
-    for p in range(spec.n):
-        x = fld.alpha_pow(-beta_exp * p % fld.order)
-        acc = 0
-        xp = 1
-        for c in lam[: lfsr_len + 1]:
-            if c:
-                acc ^= fld.mul(c, xp)
-            xp = fld.mul(xp, x)
-        if acc == 0:
-            positions.add(p)
+    while roots:
+        low = roots & -roots
+        positions.add(low.bit_length() - 1)
+        roots ^= low
     if len(positions) != lfsr_len:
         raise DecodingFailure(
             f"locator of degree {lfsr_len} has {len(positions)} roots"
         )
-    corrected = received.bits
+    # the corrected word's values are the received word's plus the error's
     for p in positions:
-        corrected ^= 1 << p
-    s0 = fld.order // spec.n
-    for i in spec.zero_set:
-        acc = 0
-        rr = corrected
-        while rr:
-            low = rr & -rr
-            acc ^= fld.alpha_pow(s0 * i * (low.bit_length() - 1))
-            rr ^= low
-        if acc:
-            raise DecodingFailure("corrected word fails the zero-set check")
+        packed ^= tables.position_values[p]
+    if packed >> (m * nsyn):
+        raise DecodingFailure("corrected word fails the zero-set check")
     return positions
 
 

@@ -67,16 +67,29 @@ def sample_error(channel: ChannelSpec, n: int, rng: np.random.Generator) -> Paul
 
 @dataclass(frozen=True)
 class TrialReport:
+    """Counts of one Monte Carlo run.
+
+    ``x_failures`` and ``z_failures`` split ``decode_failures`` by the side
+    whose classical decoder gave up.  The z side is decoded first, so a trial
+    on which both sides would fail counts as a z failure.  Both are None on a
+    report that does not split its failures.
+    """
+
     trials: int
     successes: int
     decode_failures: int
     logical_errors: int
     seed: int
     channel: ChannelSpec
+    x_failures: int | None = None
+    z_failures: int | None = None
 
     def __post_init__(self):
         if self.successes + self.decode_failures + self.logical_errors != self.trials:
             raise InvalidInput("trial counts do not add up")
+        split = (self.x_failures, self.z_failures)
+        if split != (None, None) and (None in split or sum(split) != self.decode_failures):
+            raise InvalidInput("x and z failures do not add up to the decode failures")
 
     @property
     def logical_rate(self) -> float:
@@ -88,8 +101,10 @@ class TrialReport:
 
     def to_csv(self) -> str:
         lines = ["field,value"]
-        for name in ("trials", "successes", "decode_failures", "logical_errors", "seed"):
-            lines.append(f"{name},{getattr(self, name)}")
+        for name in ("trials", "successes", "decode_failures", "x_failures", "z_failures",
+                     "logical_errors", "seed"):
+            value = getattr(self, name)
+            lines.append(f"{name},{'' if value is None else value}")
         lines.append(f"p_i,{self.channel.p_i}")
         lines.append(f"p_x,{self.channel.p_x}")
         lines.append(f"p_y,{self.channel.p_y}")
@@ -102,21 +117,25 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 def _run_range(code: CssCode, channel: ChannelSpec, seed: int, lo: int, hi: int):
-    successes = failures = logicals = 0
+    """(successes, x failures, z failures, logical errors) of trials lo..hi-1."""
+    successes = x_failures = z_failures = logicals = 0
     n = code.n
     for t in range(lo, hi):
         err = sample_error(channel, n, _trial_rng(seed, t))
         syndrome = code.syndrome(err)
         try:
             estimate = code.decode(syndrome)
-        except DecodingFailure:
-            failures += 1
+        except DecodingFailure as exc:
+            if exc.side == "x":
+                x_failures += 1
+            else:
+                z_failures += 1
             continue
         if code.residual_is_logical(err, estimate):
             logicals += 1
         else:
             successes += 1
-    return successes, failures, logicals
+    return successes, x_failures, z_failures, logicals
 
 
 def monte_carlo(
@@ -138,7 +157,7 @@ def monte_carlo(
         workers = int(os.environ.get("QCSS_THREADS", "1"))
     workers = max(1, min(workers, trials))
     if workers == 1:
-        s, f, l = _run_range(code, channel, seed, 0, trials)
+        s, fx, fz, l = _run_range(code, channel, seed, 0, trials)
     else:
         bounds = [trials * i // workers for i in range(workers + 1)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -148,16 +167,16 @@ def monte_carlo(
                     zip(bounds, bounds[1:]),
                 )
             )
-        s = sum(p[0] for p in parts)
-        f = sum(p[1] for p in parts)
-        l = sum(p[2] for p in parts)
+        s, fx, fz, l = (sum(p[i] for p in parts) for i in range(4))
     return TrialReport(
         trials=trials,
         successes=s,
-        decode_failures=f,
+        decode_failures=fx + fz,
         logical_errors=l,
         seed=seed,
         channel=channel,
+        x_failures=fx,
+        z_failures=fz,
     )
 
 

@@ -253,7 +253,8 @@ def _cmd_simulate(args) -> int:
     report = monte_carlo(css, channel, trials=args.trials, seed=args.seed)
     print(
         f"trials={report.trials} successes={report.successes} "
-        f"decode_failures={report.decode_failures} logical_errors={report.logical_errors} "
+        f"decode_failures={report.decode_failures} x_failures={report.x_failures} "
+        f"z_failures={report.z_failures} logical_errors={report.logical_errors} "
         f"logical_rate={report.logical_rate:.3e}"
     )
     if args.csv:

@@ -169,8 +169,10 @@ class CssCode:
     ):
         if c1.n != c2.n:
             raise PreconditionError(f"length mismatch: {c1.n} != {c2.n}")
-        c2_rows = c2.generator.row_bits()
-        if any(parities(c2_rows, a) for a in c1.generator.row_bits()):
+        # stabilizer rows, kept for syndromes: row_bits() copies its list
+        self._rows1 = c1.generator.row_bits()
+        self._rows2 = c2.generator.row_bits()
+        if any(parities(self._rows2, a) for a in self._rows1):
             raise PreconditionError("the two codes are not mutually orthogonal")
         self.c1 = c1
         self.c2 = c2
@@ -206,8 +208,8 @@ class CssCode:
     def syndrome(self, error: PauliError) -> Syndrome:
         if error.n != self.n:
             raise InvalidInput(f"error size {error.n} != {self.n}")
-        s_x = parities(self.c1.generator.row_bits(), error.z_bits)
-        s_z = parities(self.c2.generator.row_bits(), error.x_bits)
+        s_x = parities(self._rows1, error.z_bits)
+        s_z = parities(self._rows2, error.x_bits)
         return Syndrome(s_x=BitVector(self.c1.k, s_x), s_z=BitVector(self.c2.k, s_z))
 
     def decode(self, syndrome: Syndrome) -> PauliError:

@@ -333,13 +333,10 @@ class RudolphDecoder:
         if extended and code.n != self.n:
             raise InvalidInput("configuration does not extend")
         self._span_rows = code.generator.row_bits()
-        self._through = [[] for _ in range(self.v)]
-        for idx, check in enumerate(self.checks):
-            c = check
-            while c:
-                low = c & -c
-                self._through[low.bit_length() - 1].append(idx)
-                c ^= low
+        # bit i of column j is set when check i passes through point j
+        self._columns = cfg.incidence.transpose().row_bits()
+        if any(column.bit_count() != cfg.r for column in self._columns):
+            raise InvalidInput("a point does not lie on exactly r checks")
         one_step = (cfg.r + cfg.lam - 1) // (2 * cfg.lam)
         two_pass = (cfg.r + cfg.lam) // (2 * cfg.lam)
         self.radius = radius if radius is not None else (two_pass if extended else one_step)
@@ -349,35 +346,37 @@ class RudolphDecoder:
     def _is_codeword(self, bits: int) -> bool:
         return not parities(self._span_rows, bits)
 
-    def _majority_pass(self, word_bits: int, hypothesis: int) -> int:
-        violated = [
-            ((check & word_bits).bit_count() & 1) ^ hypothesis for check in self.checks
-        ]
-        flips = 0
-        for j in range(self.v):
-            through = self._through[j]
-            bad = 0
-            for idx in through:
-                bad += violated[idx]
-            if 2 * bad > len(through):
-                flips |= 1 << j
-        return flips
+    def _majority_pass(self, violated: int) -> tuple[int, int]:
+        """Points through which a strict majority of the r checks are
+        violated, for the appended bit 0 and for 1; bit i of ``violated`` is
+        set when check i is violated with the appended bit 0.  The appended
+        bit 1 flips every check, so c violated checks through a point become
+        r - c."""
+        r = self.cfg.r
+        flips0 = flips1 = 0
+        for j, column in enumerate(self._columns):
+            twice = 2 * (violated & column).bit_count()
+            if twice > r:
+                flips0 |= 1 << j
+            elif twice < r:
+                flips1 |= 1 << j
+        return flips0, flips1
 
     def decode(self, received: BitVector) -> BitVector:
         if received.n != self.n:
             raise InvalidInput(f"received length {received.n} != {self.n}")
         bits = received.bits
         if not self.extended:
-            flips = self._majority_pass(bits, 0)
+            flips = self._majority_pass(parities(self.checks, bits))[0]
             out = bits ^ flips
             if flips.bit_count() > self.radius or not self._is_codeword(out):
                 raise DecodingFailure("majority vote did not reach a codeword")
             return BitVector(self.n, out)
 
+        points = bits & ((1 << self.v) - 1)
         candidates = []
-        for hypothesis in (0, 1):
-            flips = self._majority_pass(bits & ((1 << self.v) - 1), hypothesis)
-            out = (bits & ((1 << self.v) - 1)) ^ flips | hypothesis << self.v
+        for hypothesis, flips in enumerate(self._majority_pass(parities(self.checks, points))):
+            out = points ^ flips | hypothesis << self.v
             weight = (out ^ bits).bit_count()
             if weight <= self.radius and self._is_codeword(out):
                 candidates.append((weight, out))

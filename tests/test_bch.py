@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -247,6 +248,7 @@ def test_multiplicative_order():
     assert multiplicative_order_of_two(45) == 12
     assert multiplicative_order_of_two(55) == 20
     assert multiplicative_order_of_two(89) == 11
+    assert multiplicative_order_of_two(1) == 1
 
 
 def test_bch_bound_invariant_under_scaling():
@@ -377,3 +379,147 @@ def test_window_refuses_sets_not_closed_under_doubling():
     with pytest.raises(InvalidInput):
         bch_bound([1, 2], 7)  # misses 4 = 2 * 2
     assert bch_bound([1, 2, 4], 7) == 3
+
+
+# -- the field-call decoder as the oracle of the table-driven one -------------
+
+
+def _oracle_bm_decode(spec, received):
+    """bm_decode as it was before its tables: one field call per product."""
+    fld = spec.field
+    s = (fld.order // spec.n) * spec.step
+    nsyn = spec.delta - 1
+    syndromes = []
+    r = received.bits
+    for j in range(nsyn):
+        e = (spec.b + j) % spec.n
+        acc = 0
+        for p in range(spec.n):
+            if r >> p & 1:
+                acc ^= fld.alpha_pow(s * e * p)
+        syndromes.append(acc)
+    if not any(syndromes):
+        return set()
+    lam, prev, lfsr_len, shift, prev_disc = [1], [1], 0, 1, 1
+    for step in range(1, nsyn + 1):
+        disc = syndromes[step - 1]
+        for i in range(1, lfsr_len + 1):
+            if i < len(lam) and lam[i]:
+                disc ^= fld.mul(lam[i], syndromes[step - 1 - i])
+        if disc == 0:
+            shift += 1
+            continue
+        scale = fld.mul(disc, fld.inv(prev_disc))
+        update = lam.copy()
+        grow = len(prev) + shift - len(update)
+        if grow > 0:
+            update += [0] * grow
+        for i, c in enumerate(prev):
+            update[i + shift] ^= fld.mul(scale, c)
+        if 2 * lfsr_len <= step - 1:
+            prev, lfsr_len, prev_disc, shift = lam, step - lfsr_len, disc, 1
+        else:
+            shift += 1
+        lam = update
+    degree = len(lam) - 1
+    while degree > 0 and lam[degree] == 0:
+        degree -= 1
+    t_max = (spec.delta - 1) // 2
+    if lfsr_len > t_max or degree != lfsr_len:
+        raise DecodingFailure(f"error weight exceeds the designed radius {t_max}")
+    beta_exp = s % fld.order
+    positions = set()
+    for p in range(spec.n):
+        x = fld.alpha_pow(-beta_exp * p % fld.order)
+        acc, xp = 0, 1
+        for c in lam[: lfsr_len + 1]:
+            if c:
+                acc ^= fld.mul(c, xp)
+            xp = fld.mul(xp, x)
+        if acc == 0:
+            positions.add(p)
+    if len(positions) != lfsr_len:
+        raise DecodingFailure(f"locator of degree {lfsr_len} has {len(positions)} roots")
+    corrected = received.bits
+    for p in positions:
+        corrected ^= 1 << p
+    s0 = fld.order // spec.n
+    for i in spec.zero_set:
+        acc = 0
+        for p in range(spec.n):
+            if corrected >> p & 1:
+                acc ^= fld.alpha_pow(s0 * i * p)
+        if acc:
+            raise DecodingFailure("corrected word fails the zero-set check")
+    return positions
+
+
+def _outcome(decode, spec, bits):
+    try:
+        return decode(spec, BitVector(spec.n, bits))
+    except DecodingFailure as exc:
+        return f"DecodingFailure: {exc}"
+
+
+def _decoder_test_words(spec, rng, per_weight):
+    """Codeword plus an error of each weight 0..radius+3, and uniform words."""
+    rows = spec.to_code().generator.row_bits()
+    words = []
+    for weight in range((spec.delta - 1) // 2 + 4):
+        for _ in range(per_weight):
+            cw = 0
+            for r in rows:
+                if rng.random() < 0.5:
+                    cw ^= r
+            for p in rng.sample(range(spec.n), weight):
+                cw ^= 1 << p
+            words.append(cw)
+    words += [rng.getrandbits(spec.n) for _ in range(per_weight)]
+    return words
+
+
+def _bch127_dual():
+    from qcss.tables import TABLE1_ROWS
+
+    g = next(g for n, kq, d, g in TABLE1_ROWS if (n, kq, d) == (127, 57, 11))
+    return spec_from_zero_set(127, zero_set_of_polynomial(127, g)).dual_spec()
+
+
+@pytest.mark.parametrize("make_spec, per_weight", [
+    (lambda: bch_generator(15, 1, 3), 40),
+    (lambda: bch_generator(15, 1, 7), 40),
+    (lambda: bch_generator(31, 1, 5), 40),
+    (lambda: bch_generator(31, 3, 7), 40),
+    (lambda: spec_from_zero_set(93, zero_set_of_polynomial(93, 0x3E3E4297282E6B)).dual_spec(), 10),
+    (_bch127_dual, 10),
+], ids=["15-3", "15-7", "31-5", "31-b3-7", "93-dual", "127-dual"])
+def test_bm_decode_matches_field_oracle(make_spec, per_weight):
+    spec = make_spec()
+    rng = random.Random(spec.n * 1000 + spec.delta)
+    outcomes = {"positions": 0, "failure": 0}
+    for bits in _decoder_test_words(spec, rng, per_weight):
+        fast = _outcome(bm_decode, spec, bits)
+        assert fast == _outcome(_oracle_bm_decode, spec, bits)
+        outcomes["failure" if isinstance(fast, str) else "positions"] += 1
+    # both kinds of outcome were compared; a Hamming code decodes every word
+    assert outcomes["positions"] and (outcomes["failure"] or spec.delta == 3)
+
+
+def test_bch127_dual_window_is_relabelled():
+    spec = _bch127_dual()
+    assert (spec.b, spec.step, spec.delta) == (117, 104, 11)
+
+
+def test_bm_decode_tables_follow_the_field():
+    # equal specs (the field is not compared) over two primitive polynomials
+    alt = Gf2mField(5, 0x3B)
+    spec_alt = bch_generator(31, 1, 5, alt)
+    spec_default = dataclasses.replace(spec_alt, field=default_field(5))
+    assert spec_default == spec_alt
+    rng = random.Random(31)
+    words = _decoder_test_words(spec_alt, rng, 20)
+    for spec in (spec_default, spec_alt):
+        for bits in words:
+            assert _outcome(bm_decode, spec, bits) == _outcome(_oracle_bm_decode, spec, bits)
+    for bits in words[:40]:  # codewords with up to one error, in spec_alt's own field
+        assert not isinstance(_outcome(bm_decode, spec_alt, bits), str)

@@ -10,8 +10,8 @@ from qcss.channel import (
     monte_carlo,
     sample_error,
 )
-from qcss.css import PauliError, css_from_reed_muller, css_with_lookup
-from qcss.errors import InvalidInput
+from qcss.css import CssCode, LookupDecoder, PauliError, css_from_reed_muller, css_with_lookup
+from qcss.errors import DecodingFailure, InvalidInput
 from qcss.named import steane_component
 
 
@@ -68,6 +68,52 @@ def test_trial_report_count_invariant():
         TrialReport(
             trials=10, successes=5, decode_failures=2, logical_errors=1, seed=0, channel=spec
         )
+
+
+def test_trial_report_failure_split_invariant():
+    spec = ChannelSpec.depolarizing(0.1)
+    counts = dict(trials=10, successes=5, decode_failures=3, logical_errors=2, seed=0, channel=spec)
+    assert TrialReport(**counts).x_failures is None  # a report without the split
+    assert TrialReport(**counts, x_failures=1, z_failures=2).z_failures == 2
+    for split in ((1, 1), (3, 1), (3, None), (None, 0)):
+        with pytest.raises(InvalidInput):
+            TrialReport(**counts, x_failures=split[0], z_failures=split[1])
+
+
+class _Refuses:
+    radius = 0
+
+    def decode_word(self, bits):
+        raise DecodingFailure("refused")
+
+
+@pytest.mark.parametrize("z_fails, x_fails", [(True, False), (False, True), (True, True)])
+def test_monte_carlo_splits_failures_by_side(z_fails, x_fails):
+    # decoder1 recovers the z component, decoder2 the x component; the z side
+    # is decoded first, so a trial on which both fail counts as z
+    code = steane_component()
+    css = CssCode(
+        code, code,
+        decoder1=_Refuses() if z_fails else LookupDecoder(code),
+        decoder2=_Refuses() if x_fails else LookupDecoder(code),
+    )
+    channel = ChannelSpec.depolarizing(0.1)
+    report = monte_carlo(css, channel, trials=300, seed=4, workers=1)
+    assert report == monte_carlo(css, channel, trials=300, seed=4, workers=3)
+    from qcss.channel import _trial_rng
+
+    expect = {"x": 0, "z": 0}
+    for t in range(300):
+        syndrome = css.syndrome(sample_error(channel, 7, _trial_rng(4, t)))
+        if z_fails and syndrome.s_x.bits:
+            expect["z"] += 1
+        elif x_fails and syndrome.s_z.bits:
+            expect["x"] += 1
+    assert (report.x_failures, report.z_failures) == (expect["x"], expect["z"])
+    assert report.x_failures + report.z_failures == report.decode_failures > 0
+    csv = dict(line.split(",") for line in report.to_csv().splitlines()[1:])
+    assert int(csv["x_failures"]) == report.x_failures
+    assert int(csv["z_failures"]) == report.z_failures
 
 
 def test_monte_carlo_p_zero():

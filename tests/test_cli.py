@@ -105,6 +105,8 @@ def test_css_build_and_simulate(tmp_path, capsys):
         "--trials", "500", "--seed", "5",
     )
     assert code == 0 and "trials=500" in out
+    fields = dict(item.split("=") for item in out.split())
+    assert int(fields["x_failures"]) + int(fields["z_failures"]) == int(fields["decode_failures"])
 
 
 def test_css_build_lookup_roundtrip(tmp_path, capsys):
@@ -139,6 +141,11 @@ def _bch_with_one_argument(tmp):
     return ["css-build", "--decoder", "bch", "--decoder-args", "15", "--out", str(tmp / "x.css")]
 
 
+def _bch_of_length_one(tmp):
+    return ["css-build", "--decoder", "bch", "--decoder-args", "1", "0x1",
+            "--out", str(tmp / "x.css")]
+
+
 def _missing_input(tmp):
     return ["min-distance", "--code", str(tmp / "absent.code")]
 
@@ -157,10 +164,11 @@ def _concat_with_outer(text):
 @pytest.mark.parametrize("make_argv", [
     _css_without_g1,
     _bch_with_one_argument,
+    _bch_of_length_one,
     _missing_input,
     _concat_with_outer("3 1\n1 1 zz\n"),
     _concat_with_outer("3\n1 1 1\n"),
-], ids=["css-no-g1", "bch-one-arg", "missing-file", "outer-non-hex", "outer-short-header"])
+], ids=["css-no-g1", "bch-one-arg", "bch-length-one", "missing-file", "outer-non-hex", "outer-short-header"])
 def test_malformed_input_is_an_error_line(tmp_path, capsys, make_argv):
     code = main(make_argv(tmp_path))
     err = capsys.readouterr().err

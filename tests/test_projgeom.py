@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -5,7 +6,7 @@ import pytest
 
 from qcss.codes import LinearCode
 from qcss.errors import DecodingFailure, InvalidInput, UnsupportedConfiguration
-from qcss.gf2 import BitMatrix, BitVector
+from qcss.gf2 import BitMatrix, BitVector, parities
 from qcss.projgeom import (
     Configuration,
     ProjGeometry,
@@ -310,3 +311,101 @@ def test_line_oracle_as_hyperplane_intersections_pg32():
             expected.add(a & b)
     lines = set(enumerate_spaces(geom, 1).incidence.row_bits())
     assert lines == expected
+
+
+# -- the per-check-list majority vote as the oracle of the mask-count one ------
+
+
+def _oracle_majority_pass(cfg, word_bits, hypothesis):
+    """_majority_pass as it was before the column masks: one parity per
+    check, then a sum over the checks through each point."""
+    checks = cfg.incidence.row_bits()
+    through = [[] for _ in range(cfg.v)]
+    for idx, check in enumerate(checks):
+        for j in range(cfg.v):
+            if check >> j & 1:
+                through[j].append(idx)
+    violated = [((check & word_bits).bit_count() & 1) ^ hypothesis for check in checks]
+    flips = 0
+    for j in range(cfg.v):
+        bad = sum(violated[idx] for idx in through[j])
+        if 2 * bad > len(through[j]):
+            flips |= 1 << j
+    return flips
+
+
+def _oracle_decode(dec, bits):
+    """RudolphDecoder.decode on top of the oracle pass."""
+    cfg, v = dec.cfg, dec.v
+    if not dec.extended:
+        flips = _oracle_majority_pass(cfg, bits, 0)
+        out = bits ^ flips
+        if flips.bit_count() > dec.radius or not dec._is_codeword(out):
+            raise DecodingFailure("majority vote did not reach a codeword")
+        return out
+    candidates = []
+    for hypothesis in (0, 1):
+        flips = _oracle_majority_pass(cfg, bits & ((1 << v) - 1), hypothesis)
+        out = (bits & ((1 << v) - 1)) ^ flips | hypothesis << v
+        weight = (out ^ bits).bit_count()
+        if weight <= dec.radius and dec._is_codeword(out):
+            candidates.append((weight, out))
+    if not candidates:
+        raise DecodingFailure("neither hypothesis for the appended bit decodes")
+    candidates.sort()
+    if len(candidates) == 2 and candidates[0][0] == candidates[1][0] \
+            and candidates[0][1] != candidates[1][1]:
+        raise DecodingFailure("both appended-bit hypotheses decode equally well")
+    return candidates[0][1]
+
+
+def _complemented_fano():
+    fano = enumerate_spaces(ProjGeometry(2, 2), 1)
+    rows = [r ^ 0x7F for r in fano.incidence.row_bits()]
+    return Configuration(incidence=BitMatrix(7, rows), b=7, v=7, r=4, k_prime=4, lam=2)
+
+
+# the two small codes decode every word: their outcomes are all codewords
+@pytest.mark.parametrize("make_cfg, extended, outcomes", [
+    (lambda: enumerate_spaces(ProjGeometry(2, 2), 1), True, {int}),
+    (lambda: enumerate_spaces(ProjGeometry(2, 8), 1), True, {int, str}),
+    (lambda: enumerate_spaces(ProjGeometry(3, 2), 2), True, {int, str}),
+    (lambda: enumerate_spaces(ProjGeometry(3, 2), 1), False, {int, str}),
+    (_complemented_fano, False, {int}),
+], ids=["pg22", "pg28", "pg32-planes", "pg32-lines", "fano-complement"])
+def test_rudolph_matches_per_check_oracle(make_cfg, extended, outcomes):
+    cfg = make_cfg()
+    dec = RudolphDecoder(cfg, extended=extended)
+    rng = random.Random(cfg.v)
+    rows = LinearCode.from_spanning(cfg.incidence).dual().generator.row_bits()
+    words = [rng.getrandbits(dec.n) for _ in range(150)]
+    for _ in range(150):
+        cw = 0
+        for r in rows:
+            if rng.random() < 0.5:
+                cw ^= r
+        for p in rng.sample(range(cfg.v), rng.randrange(dec.radius + 4)):
+            cw ^= 1 << p
+        words.append(cw | rng.getrandbits(1) << cfg.v if extended else cw)
+    seen = set()
+    for bits in words:
+        points = bits & ((1 << cfg.v) - 1)
+        passes = dec._majority_pass(parities(dec.checks, points))
+        assert passes == tuple(_oracle_majority_pass(cfg, points, h) for h in (0, 1))
+        try:
+            fast = dec.decode_word(bits)
+        except DecodingFailure as exc:
+            fast = str(exc)
+        try:
+            slow = _oracle_decode(dec, bits)
+        except DecodingFailure as exc:
+            slow = str(exc)
+        assert fast == slow
+        seen.add(type(fast))
+    assert seen == outcomes
+
+
+def test_rudolph_refuses_a_column_of_the_wrong_weight():
+    cfg = dataclasses.replace(enumerate_spaces(ProjGeometry(2, 2), 1), r=4)
+    with pytest.raises(InvalidInput):
+        RudolphDecoder(cfg, extended=True)
