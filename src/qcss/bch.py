@@ -12,6 +12,7 @@ coset.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from operator import getitem, xor
@@ -88,7 +89,15 @@ def poly_divides(a: int, b: int) -> bool:
 
 
 class Gf2mField:
-    """GF(2^m) with exp/log tables; elements are ints in poly representation."""
+    """GF(2^m) with exp/log tables; elements are ints in poly representation.
+
+    ``_exp[i]`` is alpha^i for 0 <= i <= 2^m - 1 (the last entry is 1 again)
+    and ``_log[x]`` is the exponent of x != 0; ``_log[0]`` is unused.  Both are
+    ``array('I')`` of 2^m entries at 4 bytes each, filled in place, so the
+    largest field on record (m = 20) holds about 8 MB of tables.  A Python
+    list would hold a pointer per entry plus an int object per distinct value,
+    about ten times that.
+    """
 
     def __init__(self, m: int, primitive_poly: int | None = None):
         if m < 1:
@@ -101,8 +110,8 @@ class Gf2mField:
         self.m = m
         self.poly = poly
         self.order = (1 << m) - 1
-        exp = [0] * (self.order + 1)
-        log = [0] * (1 << m)
+        exp = array("I", [0]) * (1 << m)
+        log = array("I", [0]) * (1 << m)
         x = 1
         for i in range(self.order):
             exp[i] = x
@@ -394,13 +403,16 @@ def is_self_orthogonal_cyclic(spec: CyclicCodeSpec) -> bool:
 
 
 def zero_set_of_polynomial(n: int, g: int, fld: Gf2mField | None = None) -> tuple[int, ...]:
-    """Exponents i with g(beta^i) = 0, by direct evaluation."""
+    """Exponents i with g(beta^i) = 0.  g is binary, so g(beta^2i) =
+    g(beta^i)^2 and g is evaluated at one residue per cyclotomic coset."""
     if fld is None:
         fld = default_field(multiplicative_order_of_two(n))
     s = fld.order // n
-    return tuple(
-        i for i in range(n) if fld.eval_poly(g, fld.alpha_pow(s * i)) == 0
-    )
+    zeros: list[int] = []
+    for coset in set(_length_table(n).coset_of):
+        if fld.eval_poly(g, fld.alpha_pow(s * coset[0])) == 0:
+            zeros += coset
+    return tuple(sorted(zeros))
 
 
 # -- Berlekamp-Massey decoding ----------------------------------------------
@@ -411,8 +423,8 @@ def zero_set_of_polynomial(n: int, g: int, fld: Gf2mField | None = None) -> tupl
 # and field, so a decode takes every syndrome and zero-set value with one
 # lookup per byte of the received word (and one XOR per corrected position),
 # and the Chien search with one XOR per set bit of the locator's
-# coefficients.  Berlekamp-Massey multiplies inline through the field's own
-# exp/log lists.
+# coefficients.  Berlekamp-Massey multiplies inline through list copies of
+# the field's exp/log tables.
 
 
 @dataclass(frozen=True)
@@ -424,7 +436,7 @@ class _DecoderTables:
     the values at one zero per cyclotomic coset of the zero set.
     """
 
-    exp: list[int]  # the field's lists, not copies
+    exp: list[int]  # list copies of the field's arrays
     log: list[int]
     position_values: list[int]  # entry p: the packed values of x^p
     byte_values: list[list[int]]  # [k][v]: packed values of v * x^(8k)
@@ -434,10 +446,17 @@ class _DecoderTables:
 @lru_cache(maxsize=64)
 def _decoder_tables(spec: CyclicCodeSpec, poly: int) -> _DecoderTables:
     """Keyed by the field polynomial too: specs compare without their field,
-    and equal specs over different fields have different tables."""
+    and equal specs over different fields have different tables.
+
+    ``exp`` and ``log`` are list copies of the field's ``array('I')`` tables,
+    held per cached spec: Berlekamp-Massey indexes them a few dozen times a
+    decode, and a list index is faster than an array index, which boxes a new
+    int each time.  Each copy costs about 36 bytes an entry beyond the
+    field's own 4, so fields of large m cost more here than in ``Gf2mField``.
+    """
     fld = spec.field
     m, order, n = fld.m, fld.order, spec.n
-    exp, log = fld._exp, fld._log
+    exp, log = list(fld._exp), list(fld._log)
     s0 = order // n  # beta = alpha^s0
     s = s0 * spec.step % order  # the decoding root beta^step
     # the exponents of alpha at which words are evaluated, one per packed field

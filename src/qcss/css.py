@@ -299,12 +299,8 @@ def css_from_projective_geometry(
 
     cfg = enumerate_spaces(ProjGeometry(k, q), l)
     code = build_so_code(cfg)
-    extended = code.n == cfg.v + 1
-    radius = None
-    if distance is not None:
-        decoder_default = RudolphDecoder(cfg, extended=extended)
-        radius = min((distance - 1) // 2, decoder_default.two_pass_bound)
-    decoder = RudolphDecoder(cfg, extended=extended, radius=radius)
+    radius = None if distance is None else min((distance - 1) // 2, cfg.two_pass_bound)
+    decoder = RudolphDecoder(cfg, code, radius=radius)
     return CssCode.from_self_orthogonal(code, decoder=decoder, distance=distance)
 
 

@@ -4,6 +4,10 @@ configurations, and majority-logic decoding.
 Points of PG(k, q) are the nonzero vectors of GF(q)^(k+1) scaled so the first
 nonzero coordinate is 1, ordered lexicographically.  l-spaces are enumerated
 as (l+1)-dimensional subspaces via their reduced-echelon canonical matrices.
+
+Vectors are arrays of uint8 coordinates (field elements as table indices);
+the base-q number of a vector, first coordinate most significant, indexes the
+geometry's point lookup table.
 """
 from __future__ import annotations
 
@@ -12,14 +16,25 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product as iproduct
 
+import numpy as np
+
 from .codes import LinearCode
 from .errors import (
     DecodingFailure,
     InternalConsistencyError,
     InvalidInput,
+    ResourceLimit,
     UnsupportedConfiguration,
 )
 from .gf2 import BitMatrix, BitVector, parities
+
+# Most coordinates a geometry may list (q^(k+1) vectors of k+1 each) and most
+# span coordinates or incidence entries one space enumeration may build.
+# Every Table-2 geometry stays under 2^21; PG(3,8) fits as well.
+GEOMETRY_BUDGET = 1 << 22
+
+# span coordinates of one block of bases in enumerate_spaces
+_SPAN_CELLS = 1 << 16
 
 
 class PrimePowerField:
@@ -135,39 +150,59 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     raise InvalidInput(f"{q} is not a prime power")
 
 
+def _digits(start: int, stop: int, width: int, q: int) -> np.ndarray:
+    """Base-q digits of start..stop-1, most significant first, as uint8 rows:
+    the order of ``itertools.product(range(q), repeat=width)``."""
+    powers = q ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    return (np.arange(start, stop, dtype=np.int64)[:, None] // powers % q).astype(np.uint8)
+
+
+def _numbers(vectors: np.ndarray, q: int) -> np.ndarray:
+    """Base-q number of each vector along the last axis, first digit most
+    significant."""
+    out = vectors[..., 0].astype(np.intp)
+    for j in range(1, vectors.shape[-1]):
+        out *= q
+        out += vectors[..., j]
+    return out
+
+
 class ProjGeometry:
-    """Point set of PG(k, q) with canonical representatives."""
+    """Point set of PG(k, q) with canonical representatives.
+
+    ``points`` holds the canonical vectors in lexicographic order, and
+    ``lookup[x]`` the index of the point of the vector whose base-q number is
+    x (-1 for the zero vector), so every multiple of a point maps to it.
+    """
 
     def __init__(self, k: int, q: int):
         if k < 2:
             raise InvalidInput(f"projective dimension must be >= 2, got {k}")
         p, s = _factor_prime_power(q)
+        count = q ** (k + 1)
+        expected = (count - 1) // (q - 1)
+        if count * (k + 1) > GEOMETRY_BUDGET:
+            raise ResourceLimit(
+                f"PG({k},{q}) has {expected:.3g} points; listing its {count:.3g} "
+                f"vectors of {k + 1} coordinates exceeds the budget of {GEOMETRY_BUDGET}"
+            )
         self.k = k
         self.q = q
-        self.field = small_field(p, s)
-        pts = []
-        for vec in iproduct(range(q), repeat=k + 1):
-            first = next((x for x in vec if x), None)
-            if first == 1:  # canonical: first nonzero coordinate is 1
-                pts.append(vec)
-        self.points = tuple(pts)
-        expected = (q ** (k + 1) - 1) // (q - 1)
-        if len(pts) != expected:
+        self.field = f = small_field(p, s)
+        vectors = _digits(0, count, k + 1, q)
+        first = vectors[np.arange(count), (vectors != 0).argmax(axis=1)]
+        canonical = first == 1  # the first nonzero coordinate is 1
+        self.points = tuple(map(tuple, vectors[canonical].tolist()))
+        if len(self.points) != expected:
             raise InternalConsistencyError(
-                f"{len(pts)} canonical points, expected {expected}"
+                f"{len(self.points)} canonical points, expected {expected}"
             )
-        self._index = {pt: i for i, pt in enumerate(pts)}
-
-    def canonicalize(self, vec: tuple[int, ...]) -> tuple[int, ...]:
-        f = self.field
-        first = next((x for x in vec if x), None)
-        if first is None:
-            raise InvalidInput("zero vector has no projective point")
-        scale = f.inv[first]
-        return tuple(f.mul[scale][x] for x in vec)
-
-    def point_index(self, vec: tuple[int, ...]) -> int:
-        return self._index[self.canonicalize(vec)]
+        # scaling by the inverse of the first nonzero coordinate gives the
+        # canonical vector; the zero vector stays zero and ranks -1
+        inverse = np.asarray(f.inv, dtype=np.uint8)[first]
+        scaled = np.asarray(f.mul, dtype=np.uint8)[inverse[:, None], vectors]
+        self.lookup = (np.cumsum(canonical) - 1)[_numbers(scaled, q)]
+        self.lookup.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -181,6 +216,18 @@ class Configuration:
     r: int
     k_prime: int
     lam: int
+
+    @property
+    def one_step_bound(self) -> int:
+        """floor((r + lambda - 1) / (2 lambda)): the radius of one-step
+        majority-logic decoding."""
+        return (self.r + self.lam - 1) // (2 * self.lam)
+
+    @property
+    def two_pass_bound(self) -> int:
+        """floor((r + lambda) / (2 lambda)): the radius when both hypotheses
+        for the appended bit are decoded."""
+        return (self.r + self.lam) // (2 * self.lam)
 
     def check_invariants(self) -> None:
         rows = self.incidence.row_bits()
@@ -235,46 +282,64 @@ def config_params(k: int, q: int, l: int) -> tuple[int, int, int, int, int]:
     return b, v, r, k_prime, lam
 
 
-def _echelon_matrices(k1: int, m: int, q: int):
-    """All reduced-echelon k1 x m matrices of rank k1 over GF(q), as row
-    tuples; one canonical matrix per k1-dimensional subspace."""
+def _echelon_blocks(k1: int, m: int, q: int, block: int):
+    """All reduced-echelon k1 x m matrices of rank k1 over GF(q), one per
+    k1-dimensional subspace, as uint8 arrays of at most ``block`` matrices.
+
+    Pivot sets come in ``combinations`` order and, within one, the free
+    entries (right of their row's pivot, outside pivot columns, row by row)
+    in ``product`` order, the first entry most significant."""
     for pivots in combinations(range(m), k1):
-        # free entries sit right of their row's pivot, outside pivot columns
-        free_positions = [
+        free = [
             (i, c)
             for i in range(k1)
             for c in range(pivots[i] + 1, m)
             if c not in pivots
         ]
-        for values in iproduct(range(q), repeat=len(free_positions)):
-            rows = [[0] * m for _ in range(k1)]
-            for i, pc in enumerate(pivots):
-                rows[i][pc] = 1
-            for (i, c), val in zip(free_positions, values):
-                rows[i][c] = val
-            yield tuple(tuple(r) for r in rows)
+        rows = np.array([i for i, _ in free], dtype=np.intp)
+        cols = np.array([c for _, c in free], dtype=np.intp)
+        total = q ** len(free)
+        for lo in range(0, total, block):
+            values = _digits(lo, min(lo + block, total), len(free), q)
+            bases = np.zeros((len(values), k1, m), dtype=np.uint8)
+            bases[:, list(range(k1)), list(pivots)] = 1
+            bases[:, rows, cols] = values
+            yield bases
 
 
 def enumerate_spaces(geom: ProjGeometry, l: int) -> Configuration:
-    """Incidence matrix of all l-spaces of the geometry over its point set."""
+    """Incidence matrix of all l-spaces of the geometry over its point set.
+
+    The rows follow the reduced-echelon order of ``_echelon_blocks``.  A
+    block of bases is spanned one basis row at a time: the span so far plus
+    every multiple of the next row, through the field's add and mul tables.
+    """
     b, v, r, k_prime, lam = config_params(geom.k, geom.q, l)
-    f = geom.field
     q = geom.q
     dim = l + 1
     ambient = geom.k + 1
-    rows = []
-    for basis in _echelon_matrices(dim, ambient, q):
-        bits = 0
-        for coeffs in iproduct(range(q), repeat=dim):
-            if not any(coeffs):
-                continue
-            vec = [0] * ambient
-            for c, row in zip(coeffs, basis):
-                if c:
-                    for j, x in enumerate(row):
-                        vec[j] = f.add[vec[j]][f.mul[c][x]]
-            bits |= 1 << geom.point_index(tuple(vec))
-        rows.append(bits)
+    span_cells = b * q**dim * ambient
+    if max(span_cells, b * v) > GEOMETRY_BUDGET:
+        raise ResourceLimit(
+            f"the {b:.3g} {l}-spaces of PG({geom.k},{q}) take {span_cells:.3g} span "
+            f"coordinates and {b * v:.3g} incidence entries, beyond the budget of "
+            f"{GEOMETRY_BUDGET}"
+        )
+    add = np.asarray(geom.field.add, dtype=np.uint8)
+    mul = np.asarray(geom.field.mul, dtype=np.uint8)
+    elements = np.arange(q, dtype=np.uint8)[:, None]
+    rows: list[int] = []
+    for bases in _echelon_blocks(dim, ambient, q, max(1, _SPAN_CELLS // (q**dim * ambient))):
+        count = len(bases)
+        span = np.zeros((count, 1, ambient), dtype=np.uint8)
+        for i in range(dim):
+            multiples = mul[elements, bases[:, i, None, :]]  # (count, q, ambient)
+            span = add[span[:, :, None, :], multiples[:, None, :, :]].reshape(count, -1, ambient)
+        points = geom.lookup[_numbers(span[:, 1:], q)]  # the zero vector is first
+        incidence = np.zeros((count, v), dtype=bool)
+        incidence[np.arange(count)[:, None], points] = True
+        packed = np.packbits(incidence, axis=1, bitorder="little")
+        rows += [int.from_bytes(row.tobytes(), "little") for row in packed]
     if len(rows) != b:
         raise InternalConsistencyError(f"enumerated {len(rows)} spaces, expected {b}")
     cfg = Configuration(
@@ -321,27 +386,32 @@ class RudolphDecoder:
     strict majority of the r checks through it are violated.  With the
     all-ones extension the value of the appended bit is unknown to the checks,
     so both hypotheses are decoded and the consistent one wins.
+
+    ``code`` is the span of the incidence rows that the caller has built:
+    ``build_so_code(cfg)``, or the plain span of ``cfg.incidence``.  It is
+    extended when it has one coordinate more than the configuration's points.
     """
 
-    def __init__(self, cfg: Configuration, extended: bool, radius: int | None = None):
+    def __init__(self, cfg: Configuration, code: LinearCode, radius: int | None = None):
+        if code.n not in (cfg.v, cfg.v + 1):
+            raise InvalidInput(
+                f"code of length {code.n} does not span {cfg.v} points or their extension"
+            )
         self.cfg = cfg
-        self.extended = extended
+        self.extended = extended = code.n == cfg.v + 1
         self.checks = cfg.incidence.row_bits()
         self.v = cfg.v
-        self.n = cfg.v + 1 if extended else cfg.v
-        code = build_so_code(cfg) if extended else LinearCode.from_spanning(cfg.incidence)
-        if extended and code.n != self.n:
-            raise InvalidInput("configuration does not extend")
+        self.n = code.n
         self._span_rows = code.generator.row_bits()
         # bit i of column j is set when check i passes through point j
         self._columns = cfg.incidence.transpose().row_bits()
         if any(column.bit_count() != cfg.r for column in self._columns):
             raise InvalidInput("a point does not lie on exactly r checks")
-        one_step = (cfg.r + cfg.lam - 1) // (2 * cfg.lam)
-        two_pass = (cfg.r + cfg.lam) // (2 * cfg.lam)
-        self.radius = radius if radius is not None else (two_pass if extended else one_step)
-        self.one_step_bound = one_step
-        self.two_pass_bound = two_pass
+        self.one_step_bound = cfg.one_step_bound
+        self.two_pass_bound = cfg.two_pass_bound
+        if radius is None:
+            radius = self.two_pass_bound if extended else self.one_step_bound
+        self.radius = radius
 
     def _is_codeword(self, bits: int) -> bool:
         return not parities(self._span_rows, bits)

@@ -24,7 +24,7 @@ from .bch import (
 from .codes import DEFAULT_BUDGET, LinearCode, macwilliams
 from .constructions import extend_parity_dual
 from .errors import ResourceLimit
-from .projgeom import ProjGeometry, RudolphDecoder, build_so_code, enumerate_spaces
+from .projgeom import ProjGeometry, build_so_code, enumerate_spaces
 from .reedmuller import rm_generator
 
 # (n, quantum dimension, distance, generator polynomial of the
@@ -243,14 +243,13 @@ def verify_table2(budget: int = DEFAULT_BUDGET, rows=None) -> list[RowReport]:
         if kq == 0:
             rep.checks["self_dual"] = code.dual().same_code(code)
 
-        decoder = RudolphDecoder(cfg, extended=code.n == cfg.v + 1)
         cap = (d_perp - 1) // 2
-        rep.values["one_step_bound"] = decoder.one_step_bound
-        rep.values["two_pass_bound"] = decoder.two_pass_bound
+        rep.values["one_step_bound"] = cfg.one_step_bound
+        rep.values["two_pass_bound"] = cfg.two_pass_bound
         rep.values["distance_cap"] = cap
         candidates = {
-            min(decoder.one_step_bound, cap),
-            min(decoder.two_pass_bound, cap),
+            min(cfg.one_step_bound, cap),
+            min(cfg.two_pass_bound, cap),
         }
         rep.values["t_printed"] = t_printed
         if t_printed not in candidates:

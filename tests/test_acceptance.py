@@ -132,8 +132,8 @@ def _classical_decoder_pairs():
         ("bm / [31,16,7]", BchDecoder(bch_generator(31, 1, 7)), bch_generator(31, 1, 7).to_code(), 3),
         ("reed / [16,11,4]", ReedDecoder(rm_generator(4, 2)), rm_generator(4, 2).code, 1),
         ("reed / [16,5,8]", ReedDecoder(rm_generator(4, 1)), rm_generator(4, 1).code, 3),
-        ("rudolph / [8,4,4]", RudolphDecoder(fano, extended=True, radius=1), build_so_code(fano).dual(), 1),
-        ("rudolph / [74,46,10]", RudolphDecoder(pg28, extended=True, radius=4), build_so_code(pg28).dual(), 4),
+        ("rudolph / [8,4,4]", RudolphDecoder(fano, build_so_code(fano), radius=1), build_so_code(fano).dual(), 1),
+        ("rudolph / [74,46,10]", RudolphDecoder(pg28, build_so_code(pg28), radius=4), build_so_code(pg28).dual(), 4),
     ]
 
 

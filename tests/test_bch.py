@@ -6,6 +6,7 @@ import pytest
 
 from qcss import bch
 from qcss.bch import (
+    PRIMITIVE_POLYS,
     BchDecoder,
     BchSearchHit,
     CyclicCodeSpec,
@@ -32,6 +33,7 @@ from qcss.bch import (
 )
 from qcss.errors import DecodingFailure, InvalidInput, PreconditionError
 from qcss.gf2 import BitVector
+from qcss.tables import TABLE1_ROWS
 
 
 def test_poly_arithmetic():
@@ -523,3 +525,76 @@ def test_bm_decode_tables_follow_the_field():
             assert _outcome(bm_decode, spec, bits) == _outcome(_oracle_bm_decode, spec, bits)
     for bits in words[:40]:  # codewords with up to one error, in spec_alt's own field
         assert not isinstance(_outcome(bm_decode, spec_alt, bits), str)
+
+
+# -- the list-built field and direct zero-set evaluation as oracles ------------
+
+
+def _list_field_tables(m, poly):
+    """exp/log as the Python lists the field held before its array tables."""
+    order = (1 << m) - 1
+    exp = [0] * (order + 1)
+    log = [0] * (1 << m)
+    x = 1
+    for i in range(order):
+        exp[i] = x
+        log[x] = i
+        x <<= 1
+        if x >> m & 1:
+            x ^= poly
+    exp[order] = 1
+    return exp, log
+
+
+def _alpha_pow_by_squaring(e, poly):
+    """x^e mod poly with no tables."""
+    out, base = 1, 2
+    while e:
+        if e & 1:
+            out = poly_mod(poly_mul(out, base), poly)
+        base = poly_mod(poly_mul(base, base), poly)
+        e >>= 1
+    return out
+
+
+@pytest.mark.parametrize("m", sorted(PRIMITIVE_POLYS))
+def test_compact_field_matches_list_oracle(m):
+    fld = Gf2mField(m)
+    poly, order = fld.poly, fld.order
+    assert fld._exp.itemsize == fld._log.itemsize == 4
+    assert len(fld._exp) == len(fld._log) == 1 << m
+    if m <= 12:
+        exp, log = _list_field_tables(m, poly)
+        assert list(fld._exp) == exp and list(fld._log) == log
+    rng = random.Random(m)
+    elements = [1, 2, order] + [rng.randrange(1, 1 << m) for _ in range(300)]
+    for a, b in zip(elements, reversed(elements)):
+        assert fld.mul(a, b) == poly_mod(poly_mul(a, b), poly)
+        assert fld.mul(a, 0) == fld.mul(0, b) == 0
+        inv = fld.inv(a)
+        assert poly_mod(poly_mul(a, inv), poly) == 1
+        assert _alpha_pow_by_squaring(fld.log(a), poly) == a
+    for e in [0, 1, order - 1, order, order + 5] + [rng.randrange(order) for _ in range(100)]:
+        assert fld.alpha_pow(e) == _alpha_pow_by_squaring(e % order, poly)
+        if e < order:
+            assert fld.log(fld.alpha_pow(e)) == e
+
+
+def _direct_zero_set(n, g):
+    """zero_set_of_polynomial as it was: g evaluated at every residue."""
+    fld = default_field(multiplicative_order_of_two(n))
+    s = fld.order // n
+    return tuple(i for i in range(n) if fld.eval_poly(g, fld.alpha_pow(s * i)) == 0)
+
+
+@pytest.mark.parametrize("row", TABLE1_ROWS, ids=lambda row: f"n{row[0]}k{row[1]}d{row[2]}")
+def test_coset_zero_sets_match_direct_evaluation(row):
+    n, _, _, g = row
+    zeros = zero_set_of_polynomial(n, g)
+    assert zeros == _direct_zero_set(n, g)
+    dual = spec_from_zero_set(n, dual_zero_set(spec_from_zero_set(n, zeros)))
+    assert zero_set_of_polynomial(n, dual.generator) == _direct_zero_set(n, dual.generator)
+    assert zero_set_of_polynomial(n, dual.generator) == dual.zero_set
+    # a polynomial with no zero among the n-th roots of unity, and x^n + 1
+    assert zero_set_of_polynomial(n, 0b10) == _direct_zero_set(n, 0b10) == ()
+    assert zero_set_of_polynomial(n, 1 << n | 1) == tuple(range(n))

@@ -161,6 +161,11 @@ def _concat_with_outer(text):
     return argv
 
 
+def _pg_too_large(tmp):
+    # 4^14 vectors; the 4.0e14 lines would take far longer than the test
+    return ["pg", "--k", "13", "--q", "4", "--l", "1", "--emit", "config"]
+
+
 @pytest.mark.parametrize("make_argv", [
     _css_without_g1,
     _bch_with_one_argument,
@@ -168,7 +173,9 @@ def _concat_with_outer(text):
     _missing_input,
     _concat_with_outer("3 1\n1 1 zz\n"),
     _concat_with_outer("3\n1 1 1\n"),
-], ids=["css-no-g1", "bch-one-arg", "bch-length-one", "missing-file", "outer-non-hex", "outer-short-header"])
+    _pg_too_large,
+], ids=["css-no-g1", "bch-one-arg", "bch-length-one", "missing-file", "outer-non-hex",
+        "outer-short-header", "pg-too-large"])
 def test_malformed_input_is_an_error_line(tmp_path, capsys, make_argv):
     code = main(make_argv(tmp_path))
     err = capsys.readouterr().err

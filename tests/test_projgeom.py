@@ -5,7 +5,8 @@ import random
 import pytest
 
 from qcss.codes import LinearCode
-from qcss.errors import DecodingFailure, InvalidInput, UnsupportedConfiguration
+from qcss import css, tables
+from qcss.errors import DecodingFailure, InvalidInput, ResourceLimit, UnsupportedConfiguration
 from qcss.gf2 import BitMatrix, BitVector, parities
 from qcss.projgeom import (
     Configuration,
@@ -143,7 +144,7 @@ def test_pg24_code():
 def test_rudolph_zero_error_fano():
     cfg = enumerate_spaces(ProjGeometry(2, 2), 1)
     code = build_so_code(cfg)
-    dec = RudolphDecoder(cfg, extended=True, radius=1)
+    dec = RudolphDecoder(cfg, code, radius=1)
     for word in (0, code.generator.row_bits()[0]):
         assert dec.decode(BitVector(8, word)).bits == word
 
@@ -151,7 +152,7 @@ def test_rudolph_zero_error_fano():
 def test_rudolph_corrects_single_errors_fano():
     cfg = enumerate_spaces(ProjGeometry(2, 2), 1)
     code = build_so_code(cfg)
-    dec = RudolphDecoder(cfg, extended=True, radius=1)
+    dec = RudolphDecoder(cfg, code, radius=1)
     rows = code.generator.row_bits()
     rng = random.Random(3)
     for _ in range(8):
@@ -166,11 +167,11 @@ def test_rudolph_corrects_single_errors_fano():
 
 def test_rudolph_bounds_reported():
     cfg = enumerate_spaces(ProjGeometry(2, 2), 1)
-    dec = RudolphDecoder(cfg, extended=True)
+    dec = RudolphDecoder(cfg, build_so_code(cfg))
     assert dec.one_step_bound == 1
     assert dec.two_pass_bound == 2
     cfg28 = enumerate_spaces(ProjGeometry(2, 8), 1)
-    dec28 = RudolphDecoder(cfg28, extended=True)
+    dec28 = RudolphDecoder(cfg28, build_so_code(cfg28))
     assert dec28.one_step_bound == 4
     assert dec28.two_pass_bound == 5
 
@@ -179,7 +180,7 @@ def test_rudolph_pg32_single_errors():
     cfg = enumerate_spaces(ProjGeometry(3, 2), 2)
     code = build_so_code(cfg)
     dual = code.dual()
-    dec = RudolphDecoder(cfg, extended=True, radius=1)
+    dec = RudolphDecoder(cfg, code, radius=1)
     rng = random.Random(4)
     rows = dual.generator.row_bits()
     for _ in range(4):
@@ -197,7 +198,7 @@ def test_rudolph_pg28_radius_four():
     code = build_so_code(cfg)
     assert (code.n, code.k) == (74, 28)
     dual = code.dual()
-    dec = RudolphDecoder(cfg, extended=True, radius=4)
+    dec = RudolphDecoder(cfg, code, radius=4)
     rng = random.Random(5)
     rows = dual.generator.row_bits()
     cw = 0
@@ -232,7 +233,7 @@ def test_rudolph_unextended_even_even_configuration():
     dual = code.dual()
     d_dual = dual.min_distance()
     radius = min((d_dual - 1) // 2, (cfg.r + cfg.lam - 1) // (2 * cfg.lam))
-    dec = RudolphDecoder(cfg, extended=False)
+    dec = RudolphDecoder(cfg, code)
     assert dec.radius == (cfg.r + cfg.lam - 1) // (2 * cfg.lam)
     rng = random.Random(6)
     for _ in range(5):
@@ -248,8 +249,8 @@ def test_rudolph_unextended_even_even_configuration():
 
 def test_rudolph_failure_beyond_radius():
     cfg = enumerate_spaces(ProjGeometry(2, 2), 1)
-    dec = RudolphDecoder(cfg, extended=True, radius=1)
     code = build_so_code(cfg)
+    dec = RudolphDecoder(cfg, code, radius=1)
     dual_d = 4
     failures = 0
     corrections = 0
@@ -277,7 +278,7 @@ def test_rudolph_decoder_extended_corrects_one_flip():
     cfg = enumerate_spaces(ProjGeometry(2, 2), 1)
     code = build_so_code(cfg)
     cw = code.generator.row_bits()[1]
-    out = RudolphDecoder(cfg, extended=True).decode(BitVector(8, cw ^ 1))
+    out = RudolphDecoder(cfg, code).decode(BitVector(8, cw ^ 1))
     assert out.bits == cw
 
 
@@ -375,7 +376,9 @@ def _complemented_fano():
 ], ids=["pg22", "pg28", "pg32-planes", "pg32-lines", "fano-complement"])
 def test_rudolph_matches_per_check_oracle(make_cfg, extended, outcomes):
     cfg = make_cfg()
-    dec = RudolphDecoder(cfg, extended=extended)
+    code = build_so_code(cfg) if extended else LinearCode.from_spanning(cfg.incidence)
+    dec = RudolphDecoder(cfg, code)
+    assert dec.extended == extended
     rng = random.Random(cfg.v)
     rows = LinearCode.from_spanning(cfg.incidence).dual().generator.row_bits()
     words = [rng.getrandbits(dec.n) for _ in range(150)]
@@ -408,4 +411,102 @@ def test_rudolph_matches_per_check_oracle(make_cfg, extended, outcomes):
 def test_rudolph_refuses_a_column_of_the_wrong_weight():
     cfg = dataclasses.replace(enumerate_spaces(ProjGeometry(2, 2), 1), r=4)
     with pytest.raises(InvalidInput):
-        RudolphDecoder(cfg, extended=True)
+        RudolphDecoder(cfg, build_so_code(cfg))
+
+
+def test_rudolph_refuses_a_code_of_the_wrong_length():
+    cfg = enumerate_spaces(ProjGeometry(2, 2), 1)
+    with pytest.raises(InvalidInput):
+        RudolphDecoder(cfg, LinearCode.from_spanning(BitMatrix(9, [1])))
+
+
+# -- the per-vector span loop as the oracle of the block enumeration -----------
+
+
+def _oracle_points(geom):
+    """Canonical points by a scan of every vector, with a dict from each
+    nonzero vector to the index of its point."""
+    f, q = geom.field, geom.q
+    points = [vec for vec in itertools.product(range(q), repeat=geom.k + 1)
+              if next((x for x in vec if x), None) == 1]
+    index = {}
+    for i, pt in enumerate(points):
+        for c in range(1, q):
+            index[tuple(f.mul[c][x] for x in pt)] = i
+    return points, index
+
+
+def _oracle_echelon_matrices(k1, m, q):
+    for pivots in itertools.combinations(range(m), k1):
+        free_positions = [
+            (i, c) for i in range(k1) for c in range(pivots[i] + 1, m) if c not in pivots
+        ]
+        for values in itertools.product(range(q), repeat=len(free_positions)):
+            rows = [[0] * m for _ in range(k1)]
+            for i, pc in enumerate(pivots):
+                rows[i][pc] = 1
+            for (i, c), val in zip(free_positions, values):
+                rows[i][c] = val
+            yield rows
+
+
+def _oracle_space_rows(geom, l):
+    """enumerate_spaces' rows as the per-vector loop built them."""
+    f, q = geom.field, geom.q
+    _, index = _oracle_points(geom)
+    rows = []
+    for basis in _oracle_echelon_matrices(l + 1, geom.k + 1, q):
+        bits = 0
+        for coeffs in itertools.product(range(q), repeat=l + 1):
+            if not any(coeffs):
+                continue
+            vec = [0] * (geom.k + 1)
+            for c, row in zip(coeffs, basis):
+                for j, x in enumerate(row):
+                    vec[j] = f.add[vec[j]][f.mul[c][x]]
+            bits |= 1 << index[tuple(vec)]
+        rows.append(bits)
+    return rows
+
+
+_ORACLE_GEOMETRIES = sorted(
+    {(k, q, l) for _, k, q, l, *_ in tables.TABLE2_ROWS}
+    | {(2, 3, 1), (3, 3, 1), (3, 3, 2), (2, 9, 1)}
+)
+
+
+@pytest.mark.parametrize("k, q, l", _ORACLE_GEOMETRIES)
+def test_enumerate_spaces_matches_per_vector_oracle(k, q, l):
+    geom = ProjGeometry(k, q)
+    points, index = _oracle_points(geom)
+    assert list(geom.points) == points
+    for vec, i in index.items():
+        number = 0
+        for x in vec:
+            number = number * q + x
+        assert geom.lookup[number] == i
+    assert geom.lookup[0] == -1
+    assert enumerate_spaces(geom, l).incidence.row_bits() == _oracle_space_rows(geom, l)
+
+
+def test_oversized_geometries_are_refused():
+    with pytest.raises(ResourceLimit, match="8.95e\\+07 points"):
+        ProjGeometry(13, 4)
+    with pytest.raises(ResourceLimit, match="3-spaces of PG\\(7,2\\)"):
+        enumerate_spaces(ProjGeometry(7, 2), 3)
+
+
+def test_each_incidence_matrix_is_spanned_once(monkeypatch):
+    spans = []
+    from_spanning = LinearCode.from_spanning.__func__
+
+    def counting(cls, rows):
+        spans.append(rows.rows)
+        return from_spanning(cls, rows)
+
+    monkeypatch.setattr(LinearCode, "from_spanning", classmethod(counting))
+    css.css_from_projective_geometry(2, 8, 1, distance=10)
+    assert spans.count(73) == 1  # the 73 lines of PG(2,8)
+    spans.clear()
+    tables.verify_table2(rows=[tables.TABLE2_ROWS[0]])
+    assert spans.count(7) == 1  # the 7 lines of PG(2,2)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+
+import qcss
 from qcss.tables import (
     RM_EXPECTED,
     TABLE1_ROWS,
@@ -69,6 +74,9 @@ def test_verify_table2_small_rows():
     assert len(reports) == 8
     for rep in reports:
         assert rep.passed, rep.line()
+        assert not rep.notes, rep.notes  # each tabulated t matches a capped bound
+    bounds = [(rep.values["one_step_bound"], rep.values["two_pass_bound"]) for rep in reports]
+    assert bounds == [(1, 2), (1, 1), (2, 3), (1, 1), (1, 1), (1, 1), (2, 3), (2, 2)]
 
 
 def test_report_formatting_and_json():
@@ -77,3 +85,26 @@ def test_report_formatting_and_json():
     assert "pass" in text and "[[15,7,3]]" in text
     payload = reports_to_json({"demo": reps})
     assert '"passed": true' in payload
+
+
+_ROW_MEMORY = """
+import resource
+from qcss.tables import TABLE1_ROWS, verify_table1_row
+row = next(r for r in TABLE1_ROWS if r[:3] == (55, 15, 4))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+rep = verify_table1_row(row)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(rep.passed, (after - before) / 1024)
+"""
+
+
+def test_gf2_20_row_memory_stays_small():
+    # [[55,15,4]] is the one row over GF(2^20); its field tables once grew the
+    # peak resident memory of a fresh process by about 81 MB
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qcss.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", _ROW_MEMORY], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    ).stdout.split()
+    assert out[0] == "True"
+    assert float(out[1]) < 25, f"ru_maxrss grew by {out[1]} MB"
