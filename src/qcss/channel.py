@@ -1,13 +1,12 @@
 """Pauli and depolarizing channels with a reproducible Monte Carlo harness.
 
-Every trial derives its own random stream from (seed, trial index), so
-reports are bit-identical no matter how the trials are partitioned across
-workers.
+Trials are grouped into blocks of ``_BLOCK`` consecutive indices; block b
+draws its errors in order from one generator keyed by (seed, b).  The stream
+is a function of the seed alone, so the first t errors of any run are those
+of a t-trial run.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +15,8 @@ from .css import CssCode, PauliError
 from .errors import DecodingFailure, InvalidInput
 
 _PROB_TOL = 1e-9
+# trials per generator; part of the stream's definition, not a tuning knob
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -49,10 +50,8 @@ class ChannelSpec:
 def sample_error(channel: ChannelSpec, n: int, rng: np.random.Generator) -> PauliError:
     """Independent per-qubit draw: I, X, Y, Z by cumulative threshold."""
     t1, t2, t3 = channel.thresholds()
-    u = rng.random(n)
     x_bits = z_bits = 0
-    for j in range(n):
-        v = u[j]
+    for j, v in enumerate(rng.random(n).tolist()):
         if v < t1:
             continue
         if v < t2:
@@ -112,30 +111,16 @@ class TrialReport:
         return "\n".join(lines) + "\n"
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+def _trial_errors(channel: ChannelSpec, n: int, seed: int, trials: int):
+    """Yield the sampled error of each trial 0..trials-1, in order.
 
-
-def _run_range(code: CssCode, channel: ChannelSpec, seed: int, lo: int, hi: int):
-    """(successes, x failures, z failures, logical errors) of trials lo..hi-1."""
-    successes = x_failures = z_failures = logicals = 0
-    n = code.n
-    for t in range(lo, hi):
-        err = sample_error(channel, n, _trial_rng(seed, t))
-        syndrome = code.syndrome(err)
-        try:
-            estimate = code.decode(syndrome)
-        except DecodingFailure as exc:
-            if exc.side == "x":
-                x_failures += 1
-            else:
-                z_failures += 1
-            continue
-        if code.residual_is_logical(err, estimate):
-            logicals += 1
-        else:
-            successes += 1
-    return successes, x_failures, z_failures, logicals
+    Each trial is one `sample_error` call on its block's generator, so a
+    wrapper around `sample_error` sees every trial.
+    """
+    for block, lo in enumerate(range(0, trials, _BLOCK)):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
+        for _ in range(min(_BLOCK, trials - lo)):
+            yield sample_error(channel, n, rng)
 
 
 def monte_carlo(
@@ -147,36 +132,42 @@ def monte_carlo(
 ) -> TrialReport:
     """Sample, decode and classify `trials` errors; deterministic in `seed`.
 
-    Worker count only affects wall time: trials are keyed by index, so the
-    aggregate is identical for any partition.  Defaults to the QCSS_THREADS
-    environment variable, else 1.
+    Every trial runs on the calling thread.  ``workers`` is accepted for
+    callers that pass it and changes nothing: the report depends only on the
+    code, the channel, `trials` and `seed`.  An identity error is counted as a
+    success without decoding; its syndrome is zero, which decodes to the
+    identity, and the zero residual lies in the stabilizer.
     """
     if trials < 1:
         raise InvalidInput(f"need at least one trial, got {trials}")
-    if workers is None:
-        workers = int(os.environ.get("QCSS_THREADS", "1"))
-    workers = max(1, min(workers, trials))
-    if workers == 1:
-        s, fx, fz, l = _run_range(code, channel, seed, 0, trials)
-    else:
-        bounds = [trials * i // workers for i in range(workers + 1)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda span: _run_range(code, channel, seed, span[0], span[1]),
-                    zip(bounds, bounds[1:]),
-                )
-            )
-        s, fx, fz, l = (sum(p[i] for p in parts) for i in range(4))
+    if seed < 0:
+        raise InvalidInput(f"seed must be non-negative, got {seed}")
+    successes = x_failures = z_failures = logicals = 0
+    for err in _trial_errors(channel, code.n, seed, trials):
+        if not (err.x_bits or err.z_bits):
+            successes += 1
+            continue
+        try:
+            estimate = code.decode(code.syndrome(err))
+        except DecodingFailure as exc:
+            if exc.side == "x":
+                x_failures += 1
+            else:
+                z_failures += 1
+            continue
+        if code.residual_is_logical(err, estimate):
+            logicals += 1
+        else:
+            successes += 1
     return TrialReport(
         trials=trials,
-        successes=s,
-        decode_failures=fx + fz,
-        logical_errors=l,
+        successes=successes,
+        decode_failures=x_failures + z_failures,
+        logical_errors=logicals,
         seed=seed,
         channel=channel,
-        x_failures=fx,
-        z_failures=fz,
+        x_failures=x_failures,
+        z_failures=z_failures,
     )
 
 

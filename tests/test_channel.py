@@ -6,6 +6,7 @@ import pytest
 from qcss.channel import (
     ChannelSpec,
     TrialReport,
+    _trial_errors,
     component_weight_bound,
     monte_carlo,
     sample_error,
@@ -55,6 +56,125 @@ def test_sample_error_marginals_within_three_sigma():
         assert abs(freq - expect) < 3.5 * sigma, (kind, freq)
 
 
+def _reference_sample_error(channel, n, rng):
+    # per-qubit loop over numpy scalars: sample_error, which walks a Python
+    # list of the same draws, must match it bit for bit
+    t1, t2, t3 = channel.thresholds()
+    u = rng.random(n)
+    x_bits = z_bits = 0
+    for j in range(n):
+        v = u[j]
+        if v < t1:
+            continue
+        if v < t2:
+            x_bits |= 1 << j
+        elif v < t3:
+            x_bits |= 1 << j
+            z_bits |= 1 << j
+        else:
+            z_bits |= 1 << j
+    return PauliError(n, x_bits, z_bits)
+
+
+@pytest.mark.parametrize("n", [1, 7, 16, 64, 65, 127])
+@pytest.mark.parametrize("channel", [
+    ChannelSpec.depolarizing(0.0),
+    ChannelSpec.depolarizing(0.01),
+    ChannelSpec.depolarizing(0.3),
+    ChannelSpec.depolarizing(1.0),
+    ChannelSpec.pauli(0.05, 0.15, 0.3),
+], ids=["p0", "p0.01", "p0.3", "p1", "biased"])
+def test_sample_error_matches_per_qubit_oracle(n, channel):
+    for seed in range(40):
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            assert sample_error(channel, n, fast) == _reference_sample_error(channel, n, slow)
+
+
+def _block_rng(seed, block):
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
+
+
+def test_trial_errors_stream_is_keyed_by_seed_and_block():
+    # blocks of 1024 trials are part of the stream's definition
+    channel = ChannelSpec.depolarizing(0.3)
+    errors = list(_trial_errors(channel, 9, 17, 2 * 1024 + 5))
+    for block in range(3):
+        rng = _block_rng(17, block)
+        chunk = errors[block * 1024 : (block + 1) * 1024]
+        assert chunk == [sample_error(channel, 9, rng) for _ in chunk]
+
+
+def test_trial_errors_prefix_property():
+    channel = ChannelSpec.depolarizing(0.2)
+    for seed in (0, 5, 2**40):
+        full = list(_trial_errors(channel, 11, seed, 2500))
+        assert len(full) == 2500
+        for t in (1, 1023, 1024, 1025, 2500):
+            assert list(_trial_errors(channel, 11, seed, t)) == full[:t]
+
+
+def _reference_report(css, channel, trials, seed):
+    # decodes every sampled error, the identity included
+    counts = {"s": 0, "x": 0, "z": 0, "l": 0}
+    for err in _trial_errors(channel, css.n, seed, trials):
+        try:
+            estimate = css.decode(css.syndrome(err))
+        except DecodingFailure as exc:
+            counts[exc.side] += 1
+            continue
+        counts["l" if css.residual_is_logical(err, estimate) else "s"] += 1
+    return TrialReport(
+        trials=trials, successes=counts["s"], decode_failures=counts["x"] + counts["z"],
+        logical_errors=counts["l"], seed=seed, channel=channel,
+        x_failures=counts["x"], z_failures=counts["z"],
+    )
+
+
+_TRIAL_COUNTS = (1, 1023, 1024, 1025, 2500)
+
+
+@pytest.mark.parametrize("p", [0.05, 0.3])
+@pytest.mark.parametrize("make_code", [
+    lambda: css_from_reed_muller(4, 1),
+    lambda: css_with_lookup(steane_component(), distance=3),
+], ids=["rm16", "steane"])
+def test_monte_carlo_equals_decoding_every_trial(make_code, p):
+    css = make_code()
+    channel = ChannelSpec.depolarizing(p)
+    for seed in (1, 2, 2**33 + 7):
+        for trials in _TRIAL_COUNTS:
+            report = monte_carlo(css, channel, trials=trials, seed=seed)
+            assert report == _reference_report(css, channel, trials, seed), (seed, trials)
+
+
+@pytest.mark.parametrize("z_fails, x_fails", [(True, False), (False, True), (True, True)])
+def test_monte_carlo_equals_decoding_every_trial_with_refusing_decoders(z_fails, x_fails):
+    code = steane_component()
+    css = CssCode(
+        code, code,
+        decoder1=_Refuses() if z_fails else LookupDecoder(code),
+        decoder2=_Refuses() if x_fails else LookupDecoder(code),
+    )
+    for p in (0.05, 0.3):
+        channel = ChannelSpec.depolarizing(p)
+        for seed in (3, 4):
+            for trials in _TRIAL_COUNTS:
+                report = monte_carlo(css, channel, trials=trials, seed=seed)
+                assert report == _reference_report(css, channel, trials, seed), (seed, trials)
+                if trials > 1:
+                    assert report.successes > 0 and report.decode_failures > 0
+
+
+def test_monte_carlo_rejects_bad_trials_and_seed():
+    css = css_with_lookup(steane_component(), distance=3)
+    channel = ChannelSpec.depolarizing(0.1)
+    with pytest.raises(InvalidInput):
+        monte_carlo(css, channel, trials=0, seed=1)
+    with pytest.raises(InvalidInput):
+        monte_carlo(css, channel, trials=10, seed=-1)
+
+
 def test_sample_error_deterministic_given_seed():
     channel = ChannelSpec.depolarizing(0.2)
     a = sample_error(channel, 16, np.random.default_rng(42))
@@ -100,11 +220,9 @@ def test_monte_carlo_splits_failures_by_side(z_fails, x_fails):
     channel = ChannelSpec.depolarizing(0.1)
     report = monte_carlo(css, channel, trials=300, seed=4, workers=1)
     assert report == monte_carlo(css, channel, trials=300, seed=4, workers=3)
-    from qcss.channel import _trial_rng
-
     expect = {"x": 0, "z": 0}
-    for t in range(300):
-        syndrome = css.syndrome(sample_error(channel, 7, _trial_rng(4, t)))
+    for err in _trial_errors(channel, 7, 4, 300):
+        syndrome = css.syndrome(err)
         if z_fails and syndrome.s_x.bits:
             expect["z"] += 1
         elif x_fails and syndrome.s_z.bits:
@@ -143,10 +261,7 @@ def test_monte_carlo_weight_one_errors_always_corrected():
     # successes must dominate by far
     assert report.successes > 2900
     # and every observed failure must come from a component weight above 1
-    from qcss.channel import _trial_rng
-
-    for t in range(3000):
-        err = sample_error(channel, 7, _trial_rng(3, t))
+    for err in _trial_errors(channel, 7, 3, 3000):
         if max(err.x_bits.bit_count(), err.z_bits.bit_count()) <= 1:
             syndrome = css.syndrome(err)
             est = css.decode(syndrome)

@@ -166,6 +166,12 @@ def _pg_too_large(tmp):
     return ["pg", "--k", "13", "--q", "4", "--l", "1", "--emit", "config"]
 
 
+def _simulate_negative_seed(tmp):
+    path = tmp / "rm.css"
+    path.write_text("decoder: reed 4 1\n")
+    return ["simulate", "--css", str(path), "--p", "0.01", "--trials", "10", "--seed", "-1"]
+
+
 @pytest.mark.parametrize("make_argv", [
     _css_without_g1,
     _bch_with_one_argument,
@@ -174,8 +180,9 @@ def _pg_too_large(tmp):
     _concat_with_outer("3 1\n1 1 zz\n"),
     _concat_with_outer("3\n1 1 1\n"),
     _pg_too_large,
+    _simulate_negative_seed,
 ], ids=["css-no-g1", "bch-one-arg", "bch-length-one", "missing-file", "outer-non-hex",
-        "outer-short-header", "pg-too-large"])
+        "outer-short-header", "pg-too-large", "negative-seed"])
 def test_malformed_input_is_an_error_line(tmp_path, capsys, make_argv):
     code = main(make_argv(tmp_path))
     err = capsys.readouterr().err
