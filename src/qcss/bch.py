@@ -14,14 +14,13 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
-from operator import getitem, xor
+from functools import lru_cache
 
 import numpy as np
 
 from .codes import LinearCode
 from .errors import DecodingFailure, InvalidInput, PreconditionError
-from .gf2 import BitMatrix, BitVector
+from .gf2 import BitMatrix, BitVector, ParityMap
 
 # One fixed primitive polynomial per extension degree (lowest-weight standard
 # choices).  Primitivity is re-verified at table construction time.
@@ -423,8 +422,8 @@ def zero_set_of_polynomial(n: int, g: int, fld: Gf2mField | None = None) -> tupl
 # and field, so a decode takes every syndrome and zero-set value with one
 # lookup per byte of the received word (and one XOR per corrected position),
 # and the Chien search with one XOR per set bit of the locator's
-# coefficients.  Berlekamp-Massey multiplies inline through list copies of
-# the field's exp/log tables.
+# coefficients.  Berlekamp-Massey multiplies inline through the field's own
+# exp/log arrays.
 
 
 @dataclass(frozen=True)
@@ -436,10 +435,10 @@ class _DecoderTables:
     the values at one zero per cyclotomic coset of the zero set.
     """
 
-    exp: list[int]  # list copies of the field's arrays
-    log: list[int]
+    exp: array  # the field's own arrays, not copies
+    log: array
     position_values: list[int]  # entry p: the packed values of x^p
-    byte_values: list[list[int]]  # [k][v]: packed values of v * x^(8k)
+    values: ParityMap  # a word's packed values, one table per byte of it
     chien: list[list[int]]  # [i][c]: bit b*n + p is bit b of x^c * beta^(-i*step*p)
 
 
@@ -448,15 +447,13 @@ def _decoder_tables(spec: CyclicCodeSpec, poly: int) -> _DecoderTables:
     """Keyed by the field polynomial too: specs compare without their field,
     and equal specs over different fields have different tables.
 
-    ``exp`` and ``log`` are list copies of the field's ``array('I')`` tables,
-    held per cached spec: Berlekamp-Massey indexes them a few dozen times a
-    decode, and a list index is faster than an array index, which boxes a new
-    int each time.  Each copy costs about 36 bytes an entry beyond the
-    field's own 4, so fields of large m cost more here than in ``Gf2mField``.
+    ``exp`` and ``log`` are the field's own arrays: list copies would cost 36
+    bytes an entry more (80 MB for m = 20) for no measurable gain in the few
+    dozen multiplications of a decode.
     """
     fld = spec.field
     m, order, n = fld.m, fld.order, spec.n
-    exp, log = list(fld._exp), list(fld._log)
+    exp, log = fld._exp, fld._log
     s0 = order // n  # beta = alpha^s0
     s = s0 * spec.step % order  # the decoding root beta^step
     # the exponents of alpha at which words are evaluated, one per packed field
@@ -467,14 +464,6 @@ def _decoder_tables(spec: CyclicCodeSpec, poly: int) -> _DecoderTables:
     position_values = [
         sum(exp[e * p % order] << (m * f) for f, e in enumerate(points)) for p in range(n)
     ]
-    byte_values = []
-    for k in range(0, n, 8):
-        column = position_values[k : k + 8]
-        table = [0] * 256
-        for v in range(1, 1 << len(column)):
-            low = v & -v
-            table[v] = table[v ^ low] ^ column[low.bit_length() - 1]
-        byte_values.append(table)
     chien = []
     for i in range((spec.delta - 1) // 2 + 1):
         row = []
@@ -486,7 +475,7 @@ def _decoder_tables(spec: CyclicCodeSpec, poly: int) -> _DecoderTables:
                     planes |= (value >> b & 1) << (b * n + p)
             row.append(planes)
         chien.append(row)
-    return _DecoderTables(exp, log, position_values, byte_values, chien)
+    return _DecoderTables(exp, log, position_values, ParityMap(position_values), chien)
 
 
 def bm_decode(spec: CyclicCodeSpec, received: BitVector) -> set[int]:
@@ -499,8 +488,7 @@ def bm_decode(spec: CyclicCodeSpec, received: BitVector) -> set[int]:
     exp, log = tables.exp, tables.log
     m, order, n = spec.field.m, spec.field.order, spec.n
     nsyn = spec.delta - 1
-    data = received.bits.to_bytes(len(tables.byte_values), "little")
-    packed = reduce(xor, map(getitem, tables.byte_values, data), 0)
+    packed = tables.values(received.bits)
     syndromes = [packed >> (m * j) & order for j in range(nsyn)]
     if not any(syndromes):
         return set()

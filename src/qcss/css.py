@@ -5,9 +5,17 @@ phase never influences syndromes or logical-error analysis and is dropped.
 Decoding runs the classical decoder of each constituent's dual on a word with
 the observed syndrome: x-type stabilizer syndromes determine the z-type error
 component and vice versa.
+
+Each side of a code has two ``gf2.ParityMap``s, built once: a check map on
+the side's error bits, whose low bits are the syndrome and whose high bits,
+the checks of the other code's dual, vanish exactly on the stabilizer part;
+and a preimage map from a syndrome to a word that has it.  Their ceil(n/8)
+and ceil(k/8) tables of 256 n-bit ints take 0.23 MB for [[127,57,11]]; the
+sides share them when C1 and C2 have one generator.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -20,7 +28,7 @@ from .errors import (
     PreconditionError,
     ResourceLimit,
 )
-from .gf2 import BitMatrix, BitVector, in_rowspace, parities, rref
+from .gf2 import BitMatrix, BitVector, ParityMap, parities, rref
 
 # largest parity-check count a LookupDecoder accepts: its table has 2^k entries
 LOOKUP_MAX_ROWS = 16
@@ -123,29 +131,24 @@ class LookupDecoder:
             )
         self.parity = parity
         n = parity.n
-        rows = parity.generator.row_bits()
-        size = 1 << len(rows)
+        self._syndromes = syndromes = ParityMap.from_rows(parity.generator.row_bits(), n)
+        size = 1 << parity.k
         table: dict[int, int] = {0: 0}
         cap = max_weight if max_weight is not None else n
         weight = 1
-        import itertools
-
         while len(table) < size and weight <= cap:
             for support in itertools.combinations(range(n), weight):
-                e = 0
-                for p in support:
-                    e |= 1 << p
-                s = parities(rows, e)
+                e = sum(1 << p for p in support)
+                s = syndromes(e)
                 if s not in table:
                     table[s] = e
             weight += 1
         self._table = table
-        self._rows = rows
         self.n = n
         self.radius = max((e.bit_count() for e in table.values()), default=0)
 
     def decode_word(self, bits: int) -> int:
-        e = self._table.get(parities(self._rows, bits))
+        e = self._table.get(self._syndromes(bits))
         if e is None:
             raise DecodingFailure("syndrome outside the coset-leader table")
         return bits ^ e
@@ -169,10 +172,8 @@ class CssCode:
     ):
         if c1.n != c2.n:
             raise PreconditionError(f"length mismatch: {c1.n} != {c2.n}")
-        # stabilizer rows, kept for syndromes: row_bits() copies its list
-        self._rows1 = c1.generator.row_bits()
-        self._rows2 = c2.generator.row_bits()
-        if any(parities(self._rows2, a) for a in self._rows1):
+        rows2 = c2.generator.row_bits()
+        if any(parities(rows2, a) for a in c1.generator.row_bits()):
             raise PreconditionError("the two codes are not mutually orthogonal")
         self.c1 = c1
         self.c2 = c2
@@ -181,8 +182,13 @@ class CssCode:
         self.decoder1 = decoder1
         self.decoder2 = decoder2
         self.distance = distance
-        self._transform1 = _syndrome_transform(c1)
-        self._transform2 = _syndrome_transform(c2)
+        self._mask1, self._mask2 = (1 << c1.k) - 1, (1 << c2.k) - 1
+        # z bits -> s_x, then the checks of C2's dual; x bits likewise
+        self._z_checks, self._preimage1 = _check_map(c1, c2), _preimage_map(c1)
+        if c1.generator == c2.generator:
+            self._x_checks, self._preimage2 = self._z_checks, self._preimage1
+        else:
+            self._x_checks, self._preimage2 = _check_map(c2, c1), _preimage_map(c2)
 
     @classmethod
     def from_self_orthogonal(
@@ -208,26 +214,23 @@ class CssCode:
     def syndrome(self, error: PauliError) -> Syndrome:
         if error.n != self.n:
             raise InvalidInput(f"error size {error.n} != {self.n}")
-        s_x = parities(self._rows1, error.z_bits)
-        s_z = parities(self._rows2, error.x_bits)
+        s_x = self._z_checks(error.z_bits) & self._mask1
+        s_z = self._x_checks(error.x_bits) & self._mask2
         return Syndrome(s_x=BitVector(self.c1.k, s_x), s_z=BitVector(self.c2.k, s_z))
 
     def decode(self, syndrome: Syndrome) -> PauliError:
-        z_hat = self._decode_side(syndrome.s_x, self._transform1, self.decoder1, "z")
-        x_hat = self._decode_side(syndrome.s_z, self._transform2, self.decoder2, "x")
+        if syndrome.s_x.n != self.c1.k or syndrome.s_z.n != self.c2.k:
+            raise InvalidInput(f"syndrome lengths {syndrome.s_x.n}, {syndrome.s_z.n} do not fit")
+        z_hat = self._decode_side(syndrome.s_x.bits, self._preimage1, self.decoder1, "z")
+        x_hat = self._decode_side(syndrome.s_z.bits, self._preimage2, self.decoder2, "x")
         return PauliError(self.n, x_hat, z_hat)
 
-    def _decode_side(self, s: BitVector, transform, decoder, side: str) -> int:
-        if s.bits == 0:
+    def _decode_side(self, s: int, preimage: ParityMap, decoder, side: str) -> int:
+        if s == 0:
             return 0
         if decoder is None:
             raise DecodingFailure(f"no decoder attached for the {side} component", side=side)
-        t_rows, pivots = transform
-        y = parities(t_rows, s.bits)
-        word = 0
-        for i, p in enumerate(pivots):
-            if y >> i & 1:
-                word |= 1 << p
+        word = preimage(s)
         try:
             codeword = decoder.decode_word(word)
         except DecodingFailure as exc:
@@ -238,29 +241,41 @@ class CssCode:
         """True when error and estimate differ by more than a stabilizer.
 
         A nonzero residual syndrome means the estimate was not syndrome
-        consistent, which only a broken decoder produces.
+        consistent, which only a broken decoder produces.  Otherwise the
+        residual's x part lies in C1 exactly when the checks of C1's dual
+        vanish on it, and its z part in C2 likewise.
         """
-        residual = error * estimate
-        if not self.syndrome(residual).is_zero():
+        if error.n != self.n or estimate.n != self.n:
+            raise InvalidInput(f"error sizes {error.n}, {estimate.n} != {self.n}")
+        z_checks = self._z_checks(error.z_bits ^ estimate.z_bits)
+        x_checks = self._x_checks(error.x_bits ^ estimate.x_bits)
+        if z_checks & self._mask1 or x_checks & self._mask2:
             raise InternalConsistencyError("estimate does not match the observed syndrome")
-        in_stab = in_rowspace(
-            self.c1.rref_matrix, self.c1.pivots, BitVector(self.n, residual.x_bits)
-        ) and in_rowspace(
-            self.c2.rref_matrix, self.c2.pivots, BitVector(self.n, residual.z_bits)
-        )
-        return not in_stab
+        return bool(z_checks >> self.c1.k or x_checks >> self.c2.k)
 
 
-def _syndrome_transform(code: LinearCode) -> tuple[list[int], tuple[int, ...]]:
-    """Rows T_i and pivots p_i with rref(G) = T G, from one rref of [G | I_k].
+def _check_map(syndrome_code: LinearCode, stabilizer_code: LinearCode) -> ParityMap:
+    """Parities with the rows of ``syndrome_code``, then with the dual of
+    ``stabilizer_code``: those high bits vanish exactly on that code."""
+    rows = syndrome_code.generator.row_bits() + stabilizer_code.dual().generator.row_bits()
+    return ParityMap.from_rows(rows, syndrome_code.n)
 
-    The word w = sum_i y_i e_{p_i} has R w = y for R = rref(G), so G w = s
-    holds for y = T s: bit i of y is the parity of T_i & s.
+
+def _preimage_map(code: LinearCode) -> ParityMap:
+    """The map s -> w with G w = s, from one rref of [G | I_k].
+
+    The rref gives rows T_i and pivots p_i with rref(G) = T G.  The word
+    w = sum_i y_i e_{p_i} has rref(G) w = y, so G w = s holds for y = T s:
+    the image of bit j of s is the sum of e_{p_i} over the T_i with bit j set.
     """
-    n = code.n
+    n, k = code.n, code.k
     aug = [g | 1 << (n + j) for j, g in enumerate(code.generator.row_bits())]
-    red, pivots = rref(BitMatrix(n + code.k, aug))
-    return [r >> n for r in red.row_bits()], pivots
+    red, pivots = rref(BitMatrix(n + k, aug))
+    images = [0] * k
+    for row, p in zip(red.row_bits(), pivots):
+        for j in range(k):
+            images[j] |= (row >> (n + j) & 1) << p
+    return ParityMap(images)
 
 
 # -- assembly helpers ----------------------------------------------------------

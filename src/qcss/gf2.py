@@ -7,6 +7,8 @@ nullspace and inner-product work in the package is built on these two types.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import getitem, xor
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -307,6 +309,37 @@ def parities(rows: Sequence[int], word: int) -> int:
     for i, r in enumerate(rows):
         out |= ((r & word).bit_count() & 1) << i
     return out
+
+
+class ParityMap:
+    """A fixed GF(2) matrix applied to many words, one lookup per input byte.
+
+    ``images`` are its c columns.  Table k maps a byte v to the XOR of the
+    images of v's set bits at 8k..8k+7 ("Four Russians", Arlazarov et al.
+    1970): ceil(c/8) lists of 256 ints as wide as the output.  A last partial
+    byte fills 2^(c mod 8) entries, so a word must stay below 2^c.
+    """
+
+    __slots__ = ("tables",)
+
+    def __init__(self, images: Sequence[int]):
+        self.tables = []
+        for k in range(0, len(images), 8):
+            column = images[k : k + 8]
+            table = [0] * 256
+            for v in range(1, 1 << len(column)):
+                low = v & -v
+                table[v] = table[v ^ low] ^ column[low.bit_length() - 1]
+            self.tables.append(table)
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[int], cols: int) -> "ParityMap":
+        """The map ``word -> parities(rows, word)`` on words of ``cols`` bits."""
+        return cls(BitMatrix(cols, rows).transpose().row_bits())
+
+    def __call__(self, word: int) -> int:
+        tables = self.tables
+        return reduce(xor, map(getitem, tables, word.to_bytes(len(tables), "little")), 0)
 
 
 def in_rowspace(m_rref: BitMatrix, pivots: Sequence[int], v: BitVector) -> bool:

@@ -26,7 +26,7 @@ from .errors import (
     ResourceLimit,
     UnsupportedConfiguration,
 )
-from .gf2 import BitMatrix, BitVector, parities
+from .gf2 import BitMatrix, BitVector, ParityMap
 
 # Most coordinates a geometry may list (q^(k+1) vectors of k+1 each) and most
 # span coordinates or incidence entries one space enumeration may build.
@@ -402,11 +402,13 @@ class RudolphDecoder:
         self.checks = cfg.incidence.row_bits()
         self.v = cfg.v
         self.n = code.n
-        self._span_rows = code.generator.row_bits()
         # bit i of column j is set when check i passes through point j
         self._columns = cfg.incidence.transpose().row_bits()
         if any(column.bit_count() != cfg.r for column in self._columns):
             raise InvalidInput("a point does not lie on exactly r checks")
+        # points -> violated checks, and a word -> its syndrome in the code
+        self._violated = ParityMap(self._columns)
+        self._syndrome = ParityMap.from_rows(code.generator.row_bits(), code.n)
         self.one_step_bound = cfg.one_step_bound
         self.two_pass_bound = cfg.two_pass_bound
         if radius is None:
@@ -414,7 +416,7 @@ class RudolphDecoder:
         self.radius = radius
 
     def _is_codeword(self, bits: int) -> bool:
-        return not parities(self._span_rows, bits)
+        return not self._syndrome(bits)
 
     def _majority_pass(self, violated: int) -> tuple[int, int]:
         """Points through which a strict majority of the r checks are
@@ -437,7 +439,7 @@ class RudolphDecoder:
             raise InvalidInput(f"received length {received.n} != {self.n}")
         bits = received.bits
         if not self.extended:
-            flips = self._majority_pass(parities(self.checks, bits))[0]
+            flips = self._majority_pass(self._violated(bits))[0]
             out = bits ^ flips
             if flips.bit_count() > self.radius or not self._is_codeword(out):
                 raise DecodingFailure("majority vote did not reach a codeword")
@@ -445,7 +447,7 @@ class RudolphDecoder:
 
         points = bits & ((1 << self.v) - 1)
         candidates = []
-        for hypothesis, flips in enumerate(self._majority_pass(parities(self.checks, points))):
+        for hypothesis, flips in enumerate(self._majority_pass(self._violated(points))):
             out = points ^ flips | hypothesis << self.v
             weight = (out ^ bits).bit_count()
             if weight <= self.radius and self._is_codeword(out):

@@ -1,6 +1,9 @@
 import dataclasses
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -525,6 +528,56 @@ def test_bm_decode_tables_follow_the_field():
             assert _outcome(bm_decode, spec, bits) == _outcome(_oracle_bm_decode, spec, bits)
     for bits in words[:40]:  # codewords with up to one error, in spec_alt's own field
         assert not isinstance(_outcome(bm_decode, spec_alt, bits), str)
+
+
+def _byte_values_oracle(position_values, n):
+    """The per-byte tables bm_decode built for itself before ParityMap."""
+    byte_values = []
+    for k in range(0, n, 8):
+        column = position_values[k : k + 8]
+        table = [0] * 256
+        for v in range(1, 1 << len(column)):
+            low = v & -v
+            table[v] = table[v ^ low] ^ column[low.bit_length() - 1]
+        byte_values.append(table)
+    return byte_values
+
+
+@pytest.mark.parametrize("row", TABLE1_ROWS, ids=lambda row: f"n{row[0]}k{row[1]}d{row[2]}")
+def test_decoder_byte_tables_match_their_former_build(row):
+    # every Table-1 dual, the bch127 dual among them
+    n, _, _, g = row
+    spec = spec_from_zero_set(n, zero_set_of_polynomial(n, g)).dual_spec()
+    tables = bch._decoder_tables(spec, spec.field.poly)
+    assert tables.values.tables == _byte_values_oracle(tables.position_values, n)
+    # the field's own arrays, not per-spec copies
+    assert tables.exp is spec.field._exp and tables.log is spec.field._log
+
+
+_DECODE_MEMORY = """
+import resource
+from qcss.bch import bm_decode, spec_from_zero_set, zero_set_of_polynomial
+from qcss.gf2 import BitVector
+from qcss.tables import TABLE1_ROWS
+n, _, _, g = next(r for r in TABLE1_ROWS if r[:3] == (55, 15, 4))
+spec = spec_from_zero_set(n, zero_set_of_polynomial(n, g)).dual_spec()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+positions = bm_decode(spec, BitVector(n, 1 << 3))
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(positions == {3}, (after - before) / 1024)
+"""
+
+
+def test_gf2_20_decoder_memory_stays_small():
+    # the [[55,15,4]] dual decodes over GF(2^20); list copies of the field's
+    # exp/log arrays once grew a fresh process by about 80 MB on one decode
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bch.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", _DECODE_MEMORY], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    ).stdout.split()
+    assert out[0] == "True"
+    assert float(out[1]) < 25, f"ru_maxrss grew by {out[1]} MB"
 
 
 # -- the list-built field and direct zero-set evaluation as oracles ------------

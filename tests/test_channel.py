@@ -287,3 +287,58 @@ def test_monte_carlo_rate_below_union_bound_16_6_4():
     sigma = math.sqrt(bound * (1 - bound) / trials)
     bad_rate = (report.logical_errors + report.decode_failures) / trials
     assert bad_rate <= bound + 3 * sigma
+
+
+def _simulate_codes():
+    """The four codes of perfbench's simulate workload, built directly."""
+    from qcss import bch, constructions, reedmuller, tables
+    from qcss.css import css_from_projective_geometry, css_from_self_orthogonal_cyclic
+
+    g127 = next(g for n, kq, d, g in tables.TABLE1_ROWS if (n, kq, d) == (127, 57, 11))
+    spec = bch.spec_from_zero_set(127, bch.zero_set_of_polynomial(127, g127))
+    c1 = bch.bch_generator(31, 1, 3).to_code().dual()
+    c2 = bch.bch_generator(31, 1, 5).to_code().dual()
+    x47 = constructions.construction_x(c1, c2, reedmuller.rm_generator(4, 1).code).code
+    return {
+        "rm16": css_from_reed_muller(4, 1),
+        "lookup47": css_with_lookup(x47),
+        "pg74": css_from_projective_geometry(2, 8, 1, distance=10),
+        "bch127": css_from_self_orthogonal_cyclic(spec, distance=11),
+    }
+
+
+# (code, p, seed, trials): (successes, x failures, z failures, logical errors),
+# measured when syndromes, preimages and residual checks ran one parity per
+# row and one pivot walk per basis row.  The trial counts are those of a
+# perfbench chunk, and 1100 spans two generator blocks.
+_PINNED_REPORTS = {
+    ("rm16", 0.01, 3, 2000): (1984, 9, 7, 0),
+    ("rm16", 0.01, 11, 2000): (1985, 5, 9, 1),
+    ("rm16", 0.03, 3, 2000): (1863, 55, 79, 3),
+    ("rm16", 0.03, 11, 2000): (1882, 47, 66, 5),
+    ("rm16", 0.03, 2026, 1100): (1013, 38, 44, 5),
+    ("lookup47", 0.01, 3, 1500): (1471, 0, 0, 29),
+    ("lookup47", 0.01, 11, 1500): (1461, 0, 0, 39),
+    ("lookup47", 0.03, 3, 1500): (1221, 0, 0, 279),
+    ("lookup47", 0.03, 11, 1500): (1208, 0, 0, 292),
+    ("lookup47", 0.03, 2026, 1100): (880, 0, 0, 220),
+    ("pg74", 0.01, 3, 400): (400, 0, 0, 0),
+    ("pg74", 0.01, 11, 400): (400, 0, 0, 0),
+    ("pg74", 0.03, 3, 400): (389, 3, 8, 0),
+    ("pg74", 0.03, 11, 400): (388, 3, 9, 0),
+    ("pg74", 0.03, 2026, 1100): (1064, 19, 17, 0),
+    ("bch127", 0.01, 3, 150): (150, 0, 0, 0),
+    ("bch127", 0.01, 11, 150): (150, 0, 0, 0),
+    ("bch127", 0.03, 3, 150): (135, 5, 10, 0),
+    ("bch127", 0.03, 11, 150): (141, 3, 6, 0),
+    ("bch127", 0.01, 2026, 1100): (1099, 0, 1, 0),
+    ("bch127", 0.03, 2026, 1100): (995, 46, 58, 1),
+}
+
+
+def test_monte_carlo_reports_pinned():
+    codes = _simulate_codes()
+    for (name, p, seed, trials), want in _PINNED_REPORTS.items():
+        r = monte_carlo(codes[name], ChannelSpec.depolarizing(p), trials, seed)
+        got = (r.successes, r.x_failures, r.z_failures, r.logical_errors)
+        assert got == want, (name, p, seed, trials)

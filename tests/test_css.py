@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -16,9 +17,15 @@ from qcss.css import (
     css_with_lookup,
     symplectic_dot,
 )
-from qcss.codes import random_linear_code, random_self_orthogonal_code
-from qcss.errors import DecodingFailure, InvalidInput, PreconditionError, ResourceLimit
-from qcss.gf2 import BitVector
+from qcss.codes import LinearCode, random_linear_code, random_self_orthogonal_code
+from qcss.errors import (
+    DecodingFailure,
+    InternalConsistencyError,
+    InvalidInput,
+    PreconditionError,
+    ResourceLimit,
+)
+from qcss.gf2 import BitMatrix, BitVector, in_rowspace, parities, rref
 from qcss.named import steane_component
 
 
@@ -311,3 +318,221 @@ def test_lookup_decoder_refuses_oversized_table():
     code = random_linear_code(40, LOOKUP_MAX_ROWS + 1, random.Random(8))
     with pytest.raises(ResourceLimit):
         LookupDecoder(code)
+
+
+# -- the per-row parities and pivot walks as the oracle of the byte-table maps --
+
+
+def _oracle_syndrome(css, err):
+    s_x = parities(css.c1.generator.row_bits(), err.z_bits)
+    s_z = parities(css.c2.generator.row_bits(), err.x_bits)
+    return s_x, s_z
+
+
+def _oracle_preimage(code, s):
+    """A word w with G w = s, through T with rref(G) = T G and a pivot loop."""
+    n = code.n
+    aug = [g | 1 << (n + j) for j, g in enumerate(code.generator.row_bits())]
+    red, pivots = rref(BitMatrix(n + code.k, aug))
+    y = parities([r >> n for r in red.row_bits()], s)
+    word = 0
+    for i, p in enumerate(pivots):
+        if y >> i & 1:
+            word |= 1 << p
+    return word
+
+
+def _oracle_decode(css, s_x, s_z):
+    out = []
+    for s, code, decoder, side in ((s_x, css.c1, css.decoder1, "z"),
+                                   (s_z, css.c2, css.decoder2, "x")):
+        if s == 0:
+            out.append(0)
+            continue
+        word = _oracle_preimage(code, s)
+        try:
+            out.append(word ^ decoder.decode_word(word))
+        except DecodingFailure:
+            return f"{side} failure"
+    return PauliError(css.n, out[1], out[0])
+
+
+def _oracle_residual(css, err, est):
+    residual = err * est
+    if any(_oracle_syndrome(css, residual)):
+        return "inconsistent"
+    n = css.n
+    in_stab = in_rowspace(
+        css.c1.rref_matrix, css.c1.pivots, BitVector(n, residual.x_bits)
+    ) and in_rowspace(css.c2.rref_matrix, css.c2.pivots, BitVector(n, residual.z_bits))
+    return not in_stab
+
+
+def _residual_outcome(css, err, est):
+    try:
+        return css.residual_is_logical(err, est)
+    except InternalConsistencyError:
+        return "inconsistent"
+
+
+def _random_word(rows, rng):
+    w = 0
+    for r in rows:
+        if rng.random() < 0.5:
+            w ^= r
+    return w
+
+
+def _random_css_pair(n, rng):
+    """C1 random, C2 a random subcode of C1's dual: C1 != C2 and both nonzero."""
+    while True:
+        c1 = random_linear_code(n, rng.randrange(1, n // 2), rng)
+        dual_rows = c1.dual().generator.row_bits()
+        span = [_random_word(dual_rows, rng) for _ in range(rng.randrange(1, len(dual_rows)))]
+        c2 = LinearCode.from_spanning(BitMatrix(n, span))
+        if c2.k and c1.k + c2.k < n and c1.generator != c2.generator:
+            return c1, c2
+
+
+# widths on either side of a byte boundary, so a dropped last byte shows
+@pytest.mark.parametrize("n", [7, 8, 9, 13, 16, 17, 23])
+def test_css_maps_match_oracle_on_unequal_pairs(n):
+    rng = random.Random(n)
+    seen = {"logical": 0, "benign": 0, "failure": 0, "inconsistent": 0}
+    for _ in range(6):
+        c1, c2 = _random_css_pair(n, rng)
+        # decoder1 decodes C1's dual up to weight 1 (so it can fail), decoder2
+        # C2's; then the preimages alone
+        lookup = CssCode(
+            c1, c2, decoder1=LookupDecoder(c1, max_weight=1), decoder2=LookupDecoder(c2)
+        )
+        zero = CssCode(c1, c2, decoder1=_ZeroCodeword(), decoder2=_ZeroCodeword())
+        c1_dual = c1.dual().generator.row_bits()
+        c2_dual = c2.dual().generator.row_bits()
+        for _ in range(40):
+            err = PauliError(n, rng.getrandbits(n), rng.getrandbits(n))
+            syn = lookup.syndrome(err)
+            s_x, s_z = _oracle_syndrome(lookup, err)
+            assert (syn.s_x, syn.s_z) == (BitVector(c1.k, s_x), BitVector(c2.k, s_z))
+            preimage = zero.decode(syn)
+            assert preimage == PauliError(n, _oracle_preimage(c2, s_z), _oracle_preimage(c1, s_x))
+            assert zero.syndrome(preimage) == syn
+            try:
+                est = lookup.decode(syn)
+            except DecodingFailure as exc:
+                assert _oracle_decode(lookup, s_x, s_z) == f"{exc.side} failure"
+                seen["failure"] += 1
+                continue
+            assert est == _oracle_decode(lookup, s_x, s_z)
+            # the decoded estimate, then one off by a stabilizer, one off by a
+            # word that keeps the syndrome and one that changes it
+            stab = PauliError(n, _random_word(c1.generator.row_bits(), rng),
+                              _random_word(c2.generator.row_bits(), rng))
+            keep = PauliError(n, _random_word(c2_dual, rng), _random_word(c1_dual, rng))
+            noisy = PauliError(n, rng.getrandbits(n), rng.getrandbits(n))
+            for other in (est, est * stab, est * keep, est * noisy):
+                want = _oracle_residual(lookup, err, other)
+                assert _residual_outcome(lookup, err, other) == want
+                assert _residual_outcome(zero, err, other) == want
+                seen["inconsistent" if want == "inconsistent" else
+                     "logical" if want else "benign"] += 1
+            # a stabilizer never changes the verdict, and the error itself is benign
+            assert lookup.residual_is_logical(err, est * stab) == lookup.residual_is_logical(err, est)
+            assert not lookup.residual_is_logical(err, err * stab)
+    # below 9 qubits weight-1 leaders cover every syndrome of C1's dual
+    assert all(count or (key == "failure" and n < 9) for key, count in seen.items()), seen
+
+
+@pytest.mark.parametrize("n", [7, 9, 12, 13])
+def test_residual_verdict_on_every_syndrome_free_word(n):
+    # a residual with zero syndrome lies in the dual of the other code; each
+    # such word is benign exactly when it lies in the stabilizer code, and a
+    # dropped or shifted check would misjudge some of them
+    rng = random.Random(n + 100)
+    for _ in range(4):
+        c1, c2 = _random_css_pair(n, rng)
+        css = CssCode(c1, c2)
+        for code, other, make in ((c1, c2, lambda w: PauliError(n, w, 0)),
+                                  (c2, c1, lambda w: PauliError(n, 0, w))):
+            rows = other.dual().generator.row_bits()
+            for coeffs in range(1 << len(rows)):
+                word = 0
+                for i, r in enumerate(rows):
+                    if coeffs >> i & 1:
+                        word ^= r
+                benign = code.contains(BitVector(n, word))
+                assert css.residual_is_logical(PauliError.identity(n), make(word)) != benign
+
+
+def test_css_maps_refuse_size_mismatches():
+    rng = random.Random(5)
+    c1, c2 = _random_css_pair(11, rng)
+    css = CssCode(c1, c2, decoder1=LookupDecoder(c1), decoder2=LookupDecoder(c2))
+    err = PauliError(11, 1, 2)
+    for bad in (PauliError(12, 1, 2), PauliError(10, 1, 2)):
+        with pytest.raises(InvalidInput):
+            css.syndrome(bad)
+        with pytest.raises(InvalidInput):
+            css.residual_is_logical(err, bad)
+        with pytest.raises(InvalidInput):
+            css.residual_is_logical(bad, err)
+    with pytest.raises(InvalidInput):
+        css.decode(Syndrome(BitVector(c1.k + 1, 1), BitVector(c2.k, 0)))
+    with pytest.raises(InvalidInput):
+        css.decode(Syndrome(BitVector(c1.k, 0), BitVector(c2.k - 1, 0)))
+
+
+def test_css_sides_share_maps_only_for_one_generator():
+    rm = css_from_reed_muller(4, 1)
+    assert rm._x_checks is rm._z_checks and rm._preimage1 is rm._preimage2
+    c1, c2 = _random_css_pair(13, random.Random(6))
+    pair = CssCode(c1, c2)
+    assert pair._x_checks is not pair._z_checks
+
+
+def _x47_component():
+    from qcss import constructions, reedmuller
+    from qcss.bch import bch_generator
+
+    c1 = bch_generator(31, 1, 3).to_code().dual()
+    c2 = bch_generator(31, 1, 5).to_code().dual()
+    return constructions.construction_x(c1, c2, reedmuller.rm_generator(4, 1).code).code
+
+
+_LOOKUP_CASES = [
+    (steane_component, None),
+    (_x47_component, None),
+    (lambda: random_linear_code(20, 9, random.Random(20)), 1),
+]
+
+
+def _lookup_outcomes(make_code, max_weight):
+    """Outcomes on 200 words: uniform, and dual codewords with 0-3 flips."""
+    code = make_code()
+    dec = LookupDecoder(code, max_weight=max_weight)
+    rng = random.Random(code.n)
+    dual = code.dual().generator.row_bits()
+    words = [rng.getrandbits(code.n) for _ in range(100)]
+    for _ in range(100):
+        word = _random_word(dual, rng)
+        for p in rng.sample(range(code.n), rng.randrange(4)):
+            word ^= 1 << p
+        words.append(word)
+    out = []
+    for bits in words:
+        try:
+            out.append(dec.decode_word(bits))
+        except DecodingFailure as exc:
+            out.append(str(exc))
+    return out
+
+
+# sha256 of the outcomes, as the decoder gave them when it took its
+# syndromes with one parity per row
+@pytest.mark.parametrize("case, digest", list(zip(_LOOKUP_CASES, [
+    "8f7062480d3d5978", "5fe90ccc1f7943c9", "8847e79a1de0e508",
+])), ids=["steane", "x47", "random20-weight1"])
+def test_lookup_outcomes_pinned(case, digest):
+    outcomes = _lookup_outcomes(*case)
+    assert len({type(o) for o in outcomes}) == (2 if case[1] else 1)
+    assert hashlib.sha256(repr(outcomes).encode()).hexdigest()[:16] == digest

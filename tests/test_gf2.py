@@ -5,7 +5,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcss.errors import InvalidInput
-from qcss.gf2 import BitMatrix, BitVector, nullspace_basis, parities, rank, rref, solve
+from qcss.gf2 import (
+    BitMatrix,
+    BitVector,
+    ParityMap,
+    nullspace_basis,
+    parities,
+    rank,
+    rref,
+    solve,
+)
 
 # extended incidence matrix of the 7-point plane, spanning the [8,4,4] code
 PLANE_ROWS = [
@@ -183,6 +192,41 @@ def test_solve_agrees_with_exhaustive_search():
 def test_parities_matches_per_row_loop(rows, word):
     expected = sum(bin(r & word).count("1") % 2 << i for i, r in enumerate(rows))
     assert parities(rows, word) == expected
+
+
+_MAP_WIDTHS = [0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129]
+
+
+@pytest.mark.parametrize("cols", _MAP_WIDTHS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_parity_map_matches_parities(cols, data):
+    word = st.integers(0, (1 << cols) - 1)
+    rows = data.draw(st.lists(word, max_size=12), label="rows")
+    words = data.draw(st.lists(word, min_size=1, max_size=6), label="words")
+    if cols:
+        words += [w | 1 << (cols - 1) for w in words] + [(1 << cols) - 1]
+    pmap = ParityMap.from_rows(rows, cols)
+    for w in words:
+        assert pmap(w) == parities(rows, w)
+
+
+@pytest.mark.parametrize("cols", _MAP_WIDTHS)
+def test_parity_map_images_are_its_columns(cols):
+    rng = random.Random(cols)
+    images = [rng.getrandbits(70) for _ in range(cols)]
+    pmap = ParityMap(images)
+    assert [pmap(1 << j) for j in range(cols)] == images
+    assert len(pmap.tables) == (cols + 7) // 8
+    assert pmap(0) == 0
+    rows = BitMatrix(70, images).transpose().row_bits()  # the matrix whose columns these are
+    assert ParityMap.from_rows(rows, cols).tables == pmap.tables
+
+
+def test_parity_map_of_no_rows_or_no_columns_is_zero():
+    assert ParityMap.from_rows([], 65)((1 << 65) - 1) == 0
+    assert ParityMap.from_rows([0, 0, 0], 0)(0) == 0
+    assert ParityMap([])(0) == 0
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -335,13 +336,15 @@ def _oracle_majority_pass(cfg, word_bits, hypothesis):
     return flips
 
 
-def _oracle_decode(dec, bits):
-    """RudolphDecoder.decode on top of the oracle pass."""
+def _oracle_decode(dec, code, bits):
+    """RudolphDecoder.decode on top of the oracle pass, with a codeword test
+    by one parity per generator row of ``code``."""
     cfg, v = dec.cfg, dec.v
+    rows = code.generator.row_bits()
     if not dec.extended:
         flips = _oracle_majority_pass(cfg, bits, 0)
         out = bits ^ flips
-        if flips.bit_count() > dec.radius or not dec._is_codeword(out):
+        if flips.bit_count() > dec.radius or parities(rows, out):
             raise DecodingFailure("majority vote did not reach a codeword")
         return out
     candidates = []
@@ -349,7 +352,7 @@ def _oracle_decode(dec, bits):
         flips = _oracle_majority_pass(cfg, bits & ((1 << v) - 1), hypothesis)
         out = (bits & ((1 << v) - 1)) ^ flips | hypothesis << v
         weight = (out ^ bits).bit_count()
-        if weight <= dec.radius and dec._is_codeword(out):
+        if weight <= dec.radius and not parities(rows, out):
             candidates.append((weight, out))
     if not candidates:
         raise DecodingFailure("neither hypothesis for the appended bit decodes")
@@ -366,15 +369,19 @@ def _complemented_fano():
     return Configuration(incidence=BitMatrix(7, rows), b=7, v=7, r=4, k_prime=4, lam=2)
 
 
-# the two small codes decode every word: their outcomes are all codewords
-@pytest.mark.parametrize("make_cfg, extended, outcomes", [
-    (lambda: enumerate_spaces(ProjGeometry(2, 2), 1), True, {int}),
-    (lambda: enumerate_spaces(ProjGeometry(2, 8), 1), True, {int, str}),
-    (lambda: enumerate_spaces(ProjGeometry(3, 2), 2), True, {int, str}),
-    (lambda: enumerate_spaces(ProjGeometry(3, 2), 1), False, {int, str}),
-    (_complemented_fano, False, {int}),
-], ids=["pg22", "pg28", "pg32-planes", "pg32-lines", "fano-complement"])
-def test_rudolph_matches_per_check_oracle(make_cfg, extended, outcomes):
+_RUDOLPH_CASES = [
+    (lambda: enumerate_spaces(ProjGeometry(2, 2), 1), True),
+    (lambda: enumerate_spaces(ProjGeometry(2, 8), 1), True),
+    (lambda: enumerate_spaces(ProjGeometry(3, 2), 2), True),
+    (lambda: enumerate_spaces(ProjGeometry(3, 2), 1), False),
+    (_complemented_fano, False),
+]
+_RUDOLPH_IDS = ["pg22", "pg28", "pg32-planes", "pg32-lines", "fano-complement"]
+
+
+def _rudolph_case(make_cfg, extended):
+    """The decoder, its code and 300 words: 150 uniform, 150 dual codewords
+    with up to radius + 3 flipped points (and a random appended bit)."""
     cfg = make_cfg()
     code = build_so_code(cfg) if extended else LinearCode.from_spanning(cfg.incidence)
     dec = RudolphDecoder(cfg, code)
@@ -390,22 +397,51 @@ def test_rudolph_matches_per_check_oracle(make_cfg, extended, outcomes):
         for p in rng.sample(range(cfg.v), rng.randrange(dec.radius + 4)):
             cw ^= 1 << p
         words.append(cw | rng.getrandbits(1) << cfg.v if extended else cw)
+    return dec, code, words
+
+
+def _decode_outcome(dec, bits):
+    try:
+        return dec.decode_word(bits)
+    except DecodingFailure as exc:
+        return str(exc)
+
+
+# the two small codes decode every word: their outcomes are all codewords
+@pytest.mark.parametrize("case, outcomes", list(zip(_RUDOLPH_CASES, [
+    {int}, {int, str}, {int, str}, {int, str}, {int},
+])), ids=_RUDOLPH_IDS)
+def test_rudolph_matches_per_check_oracle(case, outcomes):
+    dec, code, words = _rudolph_case(*case)
+    cfg = dec.cfg
     seen = set()
     for bits in words:
         points = bits & ((1 << cfg.v) - 1)
         passes = dec._majority_pass(parities(dec.checks, points))
         assert passes == tuple(_oracle_majority_pass(cfg, points, h) for h in (0, 1))
+        fast = _decode_outcome(dec, bits)
         try:
-            fast = dec.decode_word(bits)
-        except DecodingFailure as exc:
-            fast = str(exc)
-        try:
-            slow = _oracle_decode(dec, bits)
+            slow = _oracle_decode(dec, code, bits)
         except DecodingFailure as exc:
             slow = str(exc)
         assert fast == slow
         seen.add(type(fast))
     assert seen == outcomes
+
+
+def _outcome_digest(outcomes):
+    return hashlib.sha256(repr(outcomes).encode()).hexdigest()[:16]
+
+
+# sha256 of the outcomes on the oracle test's words, as the decoder gave
+# them when it applied its checks with one parity per row
+@pytest.mark.parametrize("case, digest", list(zip(_RUDOLPH_CASES, [
+    "e7001a86711bc065", "0f4f301d5f949c7b", "1723cdfe41d1fe8e", "48372112ad23edf8",
+    "37403ce496349662",
+])), ids=_RUDOLPH_IDS)
+def test_rudolph_outcomes_pinned(case, digest):
+    dec, _, words = _rudolph_case(*case)
+    assert _outcome_digest([_decode_outcome(dec, bits) for bits in words]) == digest
 
 
 def test_rudolph_refuses_a_column_of_the_wrong_weight():
