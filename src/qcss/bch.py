@@ -18,8 +18,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codes import LinearCode
-from .errors import DecodingFailure, InvalidInput, PreconditionError
+from .codes import DEFAULT_BUDGET, LinearCode, WeightEnumerator, _weight_counts
+from .errors import (
+    DecodingFailure,
+    InternalConsistencyError,
+    InvalidInput,
+    PreconditionError,
+    ResourceLimit,
+)
 from .gf2 import BitMatrix, BitVector, ParityMap
 
 # One fixed primitive polynomial per extension degree (lowest-weight standard
@@ -412,6 +418,133 @@ def zero_set_of_polynomial(n: int, g: int, fld: Gf2mField | None = None) -> tupl
         if fld.eval_poly(g, fld.alpha_pow(s * coset[0])) == 0:
             zeros += coset
     return tuple(sorted(zeros))
+
+
+# -- weight spectra by shift orbits -----------------------------------------
+#
+# Let K be the subcode of a cyclic code C = {a(x) g(x)} that also has the
+# cyclotomic coset J of j, of size m, among its zeros.  A word a(x) g(x) lies
+# in K exactly when the minimal polynomial m_J of beta^j divides a (g has no
+# zero at beta^j), so a mod m_J is an m-bit label of its coset of K, and the
+# word a(x) g(x) with deg a < m is an offset that carries it.  The cyclic
+# shift multiplies a codeword by x, so it multiplies the label by x modulo
+# m_J: by beta^j, of order o = n / gcd(n, j), in the field GF(2)[x]/m_J.
+# Multiplying by it fixes no nonzero label, so the 2^m - 1 cosets other than
+# K fall into orbits of exactly o, and the shift maps each coset of an orbit
+# onto the next one without changing any weight.  Hence
+#     W(C) = W(K) + o * sum over orbit representatives r of W(r + K),
+# and K is split again by the same rule.  The coset with the largest o
+# leaves the fewest representatives, about 2^m / o of them.
+
+# quotients C/K with labels of at most this many bits are walked
+ORBIT_LABEL_BITS = 12
+# codes of at most this dimension are scanned directly, one block of the scan
+ORBIT_DIRECT_DIM = 16
+
+
+@dataclass(frozen=True)
+class OrbitLevel:
+    """``multiplicity`` times the spectra of the cosets f + K, f in
+    ``offsets``, where K is spanned by the shifts of ``generator`` by
+    0..dim-1.  The innermost K is one level with offsets (0,) and
+    multiplicity 1."""
+
+    generator: int
+    dim: int
+    multiplicity: int
+    offsets: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class OrbitScan:
+    """The levels of one orbit scan of a code of the given dimension."""
+
+    dimension: int
+    levels: tuple[OrbitLevel, ...]
+
+    @property
+    def words(self) -> int:
+        """Codewords the scans visit, known before any scan runs."""
+        return sum(len(lv.offsets) << lv.dim for lv in self.levels)
+
+
+def _orbit_representatives(mj: int, m: int, order: int) -> list[int]:
+    """The least label of each orbit of multiplication by x on the nonzero
+    residues mod the degree-m irreducible ``mj``, whose root has ``order``."""
+    seen = bytearray(1 << m)
+    reps = []
+    for a in range(1, 1 << m):
+        if seen[a]:
+            continue
+        reps.append(a)
+        x = a
+        for _ in range(order):
+            seen[x] = 1
+            x <<= 1
+            if x >> m & 1:
+                x ^= mj
+        if x != a:
+            raise InternalConsistencyError(f"label {a} is not back after {order} shifts")
+    if len(reps) * order != (1 << m) - 1:
+        raise InternalConsistencyError(
+            f"{len(reps)} orbits of {order} do not cover the 2^{m} - 1 nonzero labels"
+        )
+    return reps
+
+
+def orbit_scan(spec: CyclicCodeSpec) -> OrbitScan:
+    """The scans ``cyclic_weight_counts`` runs on a cyclic code: one level
+    per quotient C/K, down to a code of dimension at most
+    ``ORBIT_DIRECT_DIM`` or to one whose nonzeros hold no coset of at most
+    ``ORBIT_LABEL_BITS`` elements.  Cosets go by decreasing
+    o = n / gcd(n, j), then by least element; the coset {0} (o = 1) is never
+    taken."""
+    n = spec.n
+    fld = spec.field or default_field(spec.m)
+    s = fld.order // n
+    zeros = set(spec.zero_set)
+    cosets = sorted(
+        (
+            c for c in set(_length_table(n).coset_of)
+            if c[0] and c[0] not in zeros and len(c) <= ORBIT_LABEL_BITS
+        ),
+        key=lambda c: (-(n // math.gcd(n, c[0])), c[0]),
+    )
+    g, k, levels = spec.generator, spec.dimension, []
+    for coset in cosets:
+        if k <= ORBIT_DIRECT_DIM:
+            break
+        j, m = coset[0], len(coset)
+        order = n // math.gcd(n, j)
+        mj = minimal_polynomial(fld, s * j)
+        reps = _orbit_representatives(mj, m, order)
+        g_sub = poly_mul(mj, g)
+        levels.append(OrbitLevel(g_sub, k - m, order, tuple(poly_mul(a, g) for a in reps)))
+        g, k = g_sub, k - m
+    levels.append(OrbitLevel(g, k, 1, (0,)))
+    return OrbitScan(spec.dimension, tuple(levels))
+
+
+def cyclic_weight_counts(spec: CyclicCodeSpec, budget: int = DEFAULT_BUDGET) -> WeightEnumerator:
+    """Weight enumerator of a cyclic code from one coset per shift orbit
+    (see ``orbit_scan``).  Raises ``ResourceLimit`` before any scan when the
+    predicted words exceed ``budget``."""
+    plan = orbit_scan(spec)
+    if plan.words > budget:
+        raise ResourceLimit(
+            f"the orbit scan would visit {plan.words:,} words, beyond the budget of {budget:,}"
+        )
+    counts = sum(
+        lv.multiplicity
+        * _weight_counts([lv.generator << i for i in range(lv.dim)], spec.n, lv.offsets)
+        for lv in plan.levels
+    )
+    enum = WeightEnumerator(tuple(int(c) for c in counts))
+    if enum.total() != 1 << plan.dimension:
+        raise InternalConsistencyError(
+            f"orbit spectrum sums to {enum.total()}, expected 2^{plan.dimension}"
+        )
+    return enum
 
 
 # -- Berlekamp-Massey decoding ----------------------------------------------

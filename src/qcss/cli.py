@@ -208,7 +208,11 @@ def _css_from_spec(spec: list[str]) -> CssCode:
 
 
 def _lookup_css(c1: LinearCode, c2: LinearCode) -> CssCode:
-    return CssCode(c1, c2, decoder1=LookupDecoder(c1), decoder2=LookupDecoder(c2))
+    """One coset-leader table per distinct code: a leader is the first
+    pattern of its coset in a fixed order, whatever basis spans the code."""
+    decoder1 = LookupDecoder(c1)
+    decoder2 = decoder1 if c1.same_code(c2) else LookupDecoder(c2)
+    return CssCode(c1, c2, decoder1=decoder1, decoder2=decoder2)
 
 
 def _cmd_css_build(args) -> int:

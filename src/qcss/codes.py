@@ -8,11 +8,14 @@ m codewords, row i their i-th 64-bit word, so that a popcount is one
   generator rows is expanded once into a (words, 2^16) block, the remaining
   rows are Gray-stepped and XORed into the whole block at once, and the
   weights go to ``np.bincount``.  This is what makes 2^29-codeword
-  enumerations practical.
+  enumerations practical.  The same kernel counts cosets f + C: each offset
+  f is XORed into the block first.  ``bch.cyclic_weight_counts`` uses that
+  to scan one coset per orbit of the cyclic shift.
 - Distance certificates: ``min_distance_split`` is a meet-in-the-middle
   search whose pivot and non-pivot halves both call ``_low_weight_min``.
-  That kernel keeps every XOR of up to 3 rows in one block and loops in
-  Python only over the prefixes of longer supports.
+  Their depths add up to one less than the largest weight searched for
+  (see ``split_patterns``).  That kernel keeps every XOR of up to 3 rows in
+  one block and loops in Python only over the prefixes of longer supports.
 """
 from __future__ import annotations
 
@@ -217,19 +220,28 @@ def _span_block(cols: np.ndarray, words: int) -> np.ndarray:
     return block
 
 
-def _weight_counts(row_bits: Sequence[int], n: int) -> np.ndarray:
+def _weight_counts(
+    row_bits: Sequence[int], n: int, offsets: Sequence[int] = (0,)
+) -> np.ndarray:
+    """Weight counts of the cosets f ^ span(row_bits), summed over the words
+    f in ``offsets``; the default is the spectrum of the span itself.  The
+    span of the low rows is expanded once, each nonzero offset is XORed into
+    that block, and the remaining rows are Gray-stepped over the result."""
     k = len(row_bits)
     arr = pack_rows(row_bits, n)[:, :, None]  # row j is a (words, 1) column
     k_lo = min(k, _BLOCK_BITS)
-    block = _span_block(arr[:k_lo], arr.shape[1])
-    counts = np.bincount(_weights(block, n), minlength=n + 1)
-    if k > k_lo:
-        buf = np.empty_like(block)
-        acc = np.zeros_like(arr[0])
-        for i in range(1, 1 << (k - k_lo)):
-            acc ^= arr[(i & -i).bit_length() - 1 + k_lo]
-            np.bitwise_xor(block, acc, out=buf)
-            counts += np.bincount(_weights(buf, n), minlength=n + 1)
+    span = _span_block(arr[:k_lo], arr.shape[1])
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for f in offsets:
+        block = span ^ pack_rows([f], n).T if f else span
+        counts += np.bincount(_weights(block, n), minlength=n + 1)
+        if k > k_lo:
+            buf = np.empty_like(block)
+            acc = np.zeros((arr.shape[1], 1), dtype=np.uint64)
+            for i in range(1, 1 << (k - k_lo)):
+                acc ^= arr[(i & -i).bit_length() - 1 + k_lo]
+                np.bitwise_xor(block, acc, out=buf)
+                counts += np.bincount(_weights(buf, n), minlength=n + 1)
     return counts
 
 
@@ -297,16 +309,24 @@ def _low_weight_min(
 # -- meet-in-the-middle distance certification ----------------------------
 
 
-def split_patterns(k: int, rank: int, half: int) -> int:
+def split_patterns(k: int, rank: int, pivot_depth: int, nonpivot_depth: int) -> int:
     """Work of the split search on k rows whose non-pivot part has the given
-    rank: every row support of size 1..half, and every RA-row support of
-    size 0..half once per kernel word, less the empty support with the zero
-    kernel word.  This is exactly ``patterns_scanned``.
+    rank: every row support of size 1..pivot_depth, and every RA-row support
+    of size 0..nonpivot_depth once per kernel word, less the empty support
+    with the zero kernel word.  This is exactly ``patterns_scanned``.
+
+    Depths h1 on the pivot side and h2 on the non-pivot side with
+    h1 + h2 = max_w - 1 find every nonzero codeword of weight w <= max_w.
+    Its pivot weight p and non-pivot weight q add up to w.  If p <= h1, the
+    pivot side lists its message, which is its pivot restriction.  Otherwise
+    p >= h1 + 1, so q <= max_w - h1 - 1 = h2, and the non-pivot side lists
+    it: the RA-row support mu of its non-pivot part has |mu| <= q, since RA
+    is reduced, and its message is the preimage of mu plus a kernel word.
     """
     kernel_size = 1 << (k - rank)
-    return kernel_size - 1 + sum(
-        math.comb(k, i) + math.comb(rank, i) * kernel_size for i in range(1, half + 1)
-    )
+    pivot = sum(math.comb(k, i) for i in range(1, pivot_depth + 1))
+    nonpivot = sum(math.comb(rank, i) for i in range(1, nonpivot_depth + 1))
+    return kernel_size - 1 + pivot + nonpivot * kernel_size
 
 
 def _min_distance_split(code: LinearCode, bound: int) -> SplitDistanceResult:
@@ -327,7 +347,9 @@ def _min_distance_split(code: LinearCode, bound: int) -> SplitDistanceResult:
     max_w = (bound // modulus) * modulus
     if max_w <= 0:
         return SplitDistanceResult(False, bound + 1, row_witness, 0)
-    half = max_w // 2
+    # depths with h1 + h2 = max_w - 1, enough by the argument in split_patterns
+    h1 = max_w // 2
+    h2 = max_w - 1 - h1
 
     # restriction of each rref row to the non-pivot columns, compacted
     a_rows = []
@@ -336,12 +358,12 @@ def _min_distance_split(code: LinearCode, bound: int) -> SplitDistanceResult:
 
     # Write A = U . RA with RA = rref(A).  The kernel of m -> m.A consists of
     # the codewords supported entirely on pivot columns; they are scanned in
-    # full because their non-pivot weight is 0 regardless of `half`.
+    # full because their non-pivot weight is 0 regardless of the depth.
     a_mat = BitMatrix(n_np, a_rows)
     ra, ra_pivots = rref(a_mat)
     ra_rows = ra.row_bits()
     rank = len(ra_rows)
-    predicted = split_patterns(k, rank, half)
+    predicted = split_patterns(k, rank, h1, h2)
     if predicted > DEFAULT_BUDGET:
         raise ResourceLimit(
             f"the split search would scan {predicted:.3g} patterns, beyond the "
@@ -365,15 +387,15 @@ def _min_distance_split(code: LinearCode, bound: int) -> SplitDistanceResult:
     # popcount of a XOR is the weight of the codeword it stands for.
     # Pivot side: the codeword of rows S has pivot restriction S.
     pivot_best, pivot_patterns = _low_weight_min(
-        [a | 1 << (n_np + i) for i, a in enumerate(a_rows)], n_np + k, half
+        [a | 1 << (n_np + i) for i, a in enumerate(a_rows)], n_np + k, h1
     )
-    # Non-pivot side: every message m with wt(m . A) <= half is the preimage
+    # Non-pivot side: every message m with wt(m . A) <= h2 is the preimage
     # of an RA-row support mu plus a kernel word; mu = {} gives the kernel
     # codewords themselves.
     nonpivot_best, nonpivot_patterns = _low_weight_min(
         [ra | m << n_np for ra, m in zip(ra_rows, solvers)],
         n_np + k,
-        half,
+        h2,
         [w << n_np for w in kernel],
     )
     # generator rows are codewords, so their weights bound the distance

@@ -18,6 +18,7 @@ from qcss.bch import (
     bch_generator,
     best_window,
     bm_decode,
+    cyclic_weight_counts,
     cyclotomic_coset,
     default_field,
     dual_zero_set,
@@ -25,6 +26,7 @@ from qcss.bch import (
     match_polynomial_against_search,
     minimal_polynomial,
     multiplicative_order_of_two,
+    orbit_scan,
     poly_deg,
     poly_divides,
     poly_mod,
@@ -34,7 +36,7 @@ from qcss.bch import (
     units,
     zero_set_of_polynomial,
 )
-from qcss.errors import DecodingFailure, InvalidInput, PreconditionError
+from qcss.errors import DecodingFailure, InvalidInput, PreconditionError, ResourceLimit
 from qcss.gf2 import BitVector
 from qcss.tables import TABLE1_ROWS
 
@@ -651,3 +653,128 @@ def test_coset_zero_sets_match_direct_evaluation(row):
     # a polynomial with no zero among the n-th roots of unity, and x^n + 1
     assert zero_set_of_polynomial(n, 0b10) == _direct_zero_set(n, 0b10) == ()
     assert zero_set_of_polynomial(n, 1 << n | 1) == tuple(range(n))
+
+
+# -- shift-orbit spectra ---------------------------------------------------
+
+# odd lengths whose field GF(2^m) has a primitive polynomial on record
+ORBIT_LENGTHS = [n for n in [*range(7, 67, 2), 73] if multiplicative_order_of_two(n) <= 20]
+
+
+def _random_cyclic_specs(n, rng, count, max_dim=14):
+    """Cyclic codes of dimension 1..max_dim: every coset starts as a zero
+    and random cosets become nonzeros while the dimension allows."""
+    cosets = sorted(set(bch._length_table(n).coset_of))
+    specs = []
+    for _ in range(count):
+        rng.shuffle(cosets)
+        nonzeros = []
+        for c in cosets:
+            if len(nonzeros) + len(c) <= max_dim and (not nonzeros or rng.random() < 0.7):
+                nonzeros += c
+        specs.append(spec_from_zero_set(n, [e for e in range(n) if e not in nonzeros]))
+    return specs
+
+
+def _scanned_words(monkeypatch):
+    """Count the words every _weight_counts call of the orbit scan visits."""
+    words = []
+    real = bch._weight_counts
+
+    def counting(rows, n, offsets=(0,)):
+        words.append(len(offsets) << len(rows))
+        return real(rows, n, offsets)
+
+    monkeypatch.setattr(bch, "_weight_counts", counting)
+    return words
+
+
+def test_orbit_spectrum_equals_direct_scan_on_random_cyclic_codes(monkeypatch):
+    rng = random.Random(2024)
+    words = _scanned_words(monkeypatch)
+    codes_seen = split = shared_gcd = 0
+    for n in ORBIT_LENGTHS:
+        for spec in _random_cyclic_specs(n, rng, 3):
+            direct = spec.to_code().weight_enumerator()
+            # with no direct scan above dimension 0, each code is split down
+            # to its last qualifying coset
+            for direct_dim in (16, 0):
+                monkeypatch.setattr(bch, "ORBIT_DIRECT_DIM", direct_dim)
+                plan = orbit_scan(spec)
+                words.clear()
+                assert cyclic_weight_counts(spec) == direct, (n, spec.zero_set)
+                assert sum(words) == plan.words
+            levels = plan.levels[:-1]
+            codes_seen += 1
+            split += bool(levels)
+            shared_gcd += any(lv.multiplicity < n for lv in levels)
+    assert codes_seen >= 70 and split >= 55 and shared_gcd >= 30
+
+
+def test_orbit_levels_take_cosets_by_decreasing_order(monkeypatch):
+    monkeypatch.setattr(bch, "ORBIT_DIRECT_DIM", 0)
+    rng = random.Random(7)
+    for n in ORBIT_LENGTHS:
+        for spec in _random_cyclic_specs(n, rng, 2, max_dim=n):
+            plan = orbit_scan(spec)
+            dim = spec.dimension
+            orders = []
+            for lv in plan.levels[:-1]:
+                # orbits of exactly o = n / gcd(n, j) > 1 cover the 2^m - 1 cosets
+                m = dim - lv.dim
+                assert lv.multiplicity > 1 and n % lv.multiplicity == 0
+                assert lv.multiplicity * len(lv.offsets) == (1 << m) - 1
+                assert all(spec.to_code().contains(BitVector(n, f)) for f in lv.offsets)
+                orders.append(lv.multiplicity)
+                dim = lv.dim
+            assert orders == sorted(orders, reverse=True)
+            base = plan.levels[-1]
+            assert (base.dim, base.multiplicity, base.offsets) == (dim, 1, (0,))
+
+
+# orbit-scan words of the Table-1 rows with k > 16: one representative per
+# coset of the n = 127 rows, 11 for [[93,43,7]] and 23 for [[89,23,9]]
+TABLE1_ORBIT_WORDS = {
+    (63, 27, 7): 8_192,
+    (89, 23, 9): 96_518_144,
+    (93, 43, 7): 393_216,
+    (93, 13, 11): 11_822_706_688,
+    (127, 85, 7): 32_768,
+    (127, 71, 9): 2_129_920,
+    (127, 57, 11): 270_565_376,
+    (127, 43, 13): 34_630_303_744,
+    (127, 29, 15): 4_432_676_814_848,
+}
+
+
+def _table1_spec(row):
+    return spec_from_zero_set(row[0], zero_set_of_polynomial(row[0], row[3]))
+
+
+def test_orbit_scan_words_of_table1_rows():
+    for row in TABLE1_ROWS:
+        spec = _table1_spec(row)
+        want = TABLE1_ORBIT_WORDS.get(row[:3], 1 << spec.dimension)
+        assert orbit_scan(spec).words == want, row[:3]
+
+
+def test_orbit_spectrum_equals_direct_scan_on_table1_rows(monkeypatch):
+    words = _scanned_words(monkeypatch)
+    for row in TABLE1_ROWS:
+        spec = _table1_spec(row)
+        if spec.dimension > 28:
+            continue
+        words.clear()
+        assert cyclic_weight_counts(spec) == spec.to_code().weight_enumerator(), row[:3]
+        assert sum(words) == orbit_scan(spec).words
+
+
+def test_orbit_scan_refuses_before_scanning(monkeypatch):
+    words = _scanned_words(monkeypatch)
+    spec = _table1_spec(next(r for r in TABLE1_ROWS if r[:3] == (127, 43, 13)))
+    with pytest.raises(ResourceLimit, match="34,630,303,744 words"):
+        cyclic_weight_counts(spec)
+    small = _table1_spec(next(r for r in TABLE1_ROWS if r[:3] == (127, 71, 9)))
+    with pytest.raises(ResourceLimit):
+        cyclic_weight_counts(small, budget=2_129_919)
+    assert words == []

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcss import bch, cli, constructions, reedmuller
 from qcss.cli import _load_outer, load_css, main
 from qcss.codes import LinearCode, random_self_orthogonal_code
 from qcss.gf2 import BitMatrix
@@ -227,3 +228,22 @@ def test_outer_code_file_roundtrip(case):
         path.write_text(text)
         outer = _load_outer(str(path), m)
     assert (outer.n, outer.rows, outer.field.m) == (n, tuple(map(tuple, rows)), m)
+
+
+def test_lookup_file_with_one_code_builds_one_table(tmp_path, monkeypatch):
+    # the [[47,27,4]] construction-X code, written with G1 == G2
+    c1 = bch.bch_generator(31, 1, 3).to_code().dual()
+    c2 = bch.bch_generator(31, 1, 5).to_code().dual()
+    code = constructions.construction_x(c1, c2, reedmuller.rm_generator(4, 1).code).code
+    matrix = code.generator.to_text().rstrip("\n")
+    path = tmp_path / "lookup47.css"
+    path.write_text(f"n: 47\nquantum-k: 27\ndecoder: lookup\nG1\n{matrix}\nG2\n{matrix}\n")
+    built = []
+    real = cli.LookupDecoder
+    monkeypatch.setattr(
+        cli, "LookupDecoder", lambda parity, *args: built.append(parity) or real(parity, *args)
+    )
+    css = load_css(str(path))
+    assert len(built) == 1
+    assert css.decoder1 is css.decoder2
+    assert css.parameters()[:2] == (47, 27)

@@ -242,13 +242,43 @@ def test_split_prediction_equals_patterns_scanned():
         rk = nonpivot_rank(c)
         bound = rng.randrange(1, 9)
         modulus = c.weight_modulus()
-        half = bound // modulus * modulus // 2
+        max_w = bound // modulus * modulus
         res = c.min_distance_split(bound)
         if bound >= modulus:  # otherwise the search returns before scanning
-            assert split_patterns(c.k, rk, half) == res.patterns_scanned
+            h1 = max_w // 2
+            assert split_patterns(c.k, rk, h1, max_w - 1 - h1) == res.patterns_scanned
             trivial += rk == c.k
             nontrivial += rk < c.k
     assert trivial > 50 and nontrivial > 50
+
+
+# Codes with bound = d and weight modulus 1, so max_w = d, whose lightest
+# words all split as (pivot weight, non-pivot weight) = (h1 + 1, h2) or
+# (h1, h2 + 1) for h1 = d // 2, h2 = d - 1 - h1: each is found only because
+# the two depths add up to max_w - 1, not max_w - 2.
+TIGHT_SPLIT_CODES = [
+    (14, [0x3083, 0x1D4A, 0x4EC, 0x4BA], 4, (3, 1)),
+    (12, [0x7D5, 0x18B, 0x8FD], 5, (3, 2)),
+    (13, [0x1F91, 0xF17, 0x1F5A], 4, (2, 2)),
+]
+
+
+@pytest.mark.parametrize("n, rows, d, split", TIGHT_SPLIT_CODES)
+def test_split_depths_add_up_to_max_weight_less_one(n, rows, d, split):
+    c = LinearCode(BitMatrix(n, rows))
+    assert c.weight_modulus() == 1 and c.min_distance() == d
+    pivot_mask = sum(1 << p for p in c.pivots)
+    lightest = [
+        w for w in (functools.reduce(operator.xor, s, 0) for r in range(1, len(rows) + 1)
+                    for s in itertools.combinations(rows, r))
+        if w.bit_count() == d
+    ]
+    parts = {((w & pivot_mask).bit_count(), (w & ~pivot_mask).bit_count()) for w in lightest}
+    assert parts == {split}
+    res = c.min_distance_split(d)
+    assert res.found and res.value == d
+    h1 = d // 2
+    assert res.patterns_scanned == split_patterns(len(rows), nonpivot_rank(c), h1, d - 1 - h1)
 
 
 def test_split_memory_does_not_grow_with_the_kernel():

@@ -1,8 +1,10 @@
 import os
 import subprocess
 import sys
+import time
 
 import qcss
+from qcss.bch import search_self_orthogonal_bch
 from qcss.tables import (
     RM_EXPECTED,
     TABLE1_ROWS,
@@ -48,6 +50,36 @@ def test_row_with_wrong_distance_flagged():
     rep = verify_table1_row((n, kq, d + 2, g), budget=1 << 16)
     assert not rep.passed
     assert rep.checks["designed_distance_at_least_d"] is False
+
+
+def _table1_row(key):
+    return next(row for row in TABLE1_ROWS if row[:3] == key)
+
+
+def test_rows_beyond_the_orbit_scan_stay_bound_certified():
+    searches = {n: search_self_orthogonal_bch(n) for n in (93, 127)}
+    predicted = {
+        (93, 13, 11): "11,822,706,688",
+        (127, 43, 13): "34,630,303,744",
+        (127, 29, 15): "4,432,676,814,848",
+    }
+    t0 = time.perf_counter()
+    reports = {key: verify_table1_row(_table1_row(key), searches=searches) for key in predicted}
+    assert time.perf_counter() - t0 < 1
+    for key, rep in reports.items():
+        assert rep.checks["exact_dual_distance_at_least_d"] is None
+        assert "exact_dual_distance" not in rep.values
+        assert any(predicted[key] + " words" in note for note in rep.notes), rep.notes
+        assert rep.passed
+
+
+def test_orbit_scan_certifies_two_more_rows_exactly():
+    searches = {}
+    for key in ((89, 23, 9), (127, 57, 11)):
+        rep = verify_table1_row(_table1_row(key), searches=searches)
+        assert rep.passed, rep.line()
+        assert rep.checks["exact_dual_distance_at_least_d"] is True
+        assert rep.values["exact_dual_distance"] == 11
 
 
 def test_rm_scan_expected_set():
