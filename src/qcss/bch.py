@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codes import DEFAULT_BUDGET, LinearCode, WeightEnumerator, _weight_counts
+from .codes import _BLOCK_BITS, DEFAULT_BUDGET, LinearCode, WeightEnumerator, _weight_counts
 from .errors import (
     DecodingFailure,
     InternalConsistencyError,
@@ -436,10 +436,9 @@ def zero_set_of_polynomial(n: int, g: int, fld: Gf2mField | None = None) -> tupl
 # and K is split again by the same rule.  The coset with the largest o
 # leaves the fewest representatives, about 2^m / o of them.
 
-# quotients C/K with labels of at most this many bits are walked
+# quotients C/K with labels of at most this many bits are walked; codes of
+# dimension at most _BLOCK_BITS, one block of the scan, are scanned directly
 ORBIT_LABEL_BITS = 12
-# codes of at most this dimension are scanned directly, one block of the scan
-ORBIT_DIRECT_DIM = 16
 
 
 @dataclass(frozen=True)
@@ -457,9 +456,8 @@ class OrbitLevel:
 
 @dataclass(frozen=True)
 class OrbitScan:
-    """The levels of one orbit scan of a code of the given dimension."""
+    """The levels of one orbit scan, the innermost K last."""
 
-    dimension: int
     levels: tuple[OrbitLevel, ...]
 
     @property
@@ -494,11 +492,10 @@ def _orbit_representatives(mj: int, m: int, order: int) -> list[int]:
 
 def orbit_scan(spec: CyclicCodeSpec) -> OrbitScan:
     """The scans ``cyclic_weight_counts`` runs on a cyclic code: one level
-    per quotient C/K, down to a code of dimension at most
-    ``ORBIT_DIRECT_DIM`` or to one whose nonzeros hold no coset of at most
-    ``ORBIT_LABEL_BITS`` elements.  Cosets go by decreasing
-    o = n / gcd(n, j), then by least element; the coset {0} (o = 1) is never
-    taken."""
+    per quotient C/K, down to a code of dimension at most ``_BLOCK_BITS`` or
+    to one whose nonzeros hold no coset of at most ``ORBIT_LABEL_BITS``
+    elements.  Cosets go by decreasing o = n / gcd(n, j), then by least
+    element; the coset {0} (o = 1) is never taken."""
     n = spec.n
     fld = spec.field or default_field(spec.m)
     s = fld.order // n
@@ -512,7 +509,7 @@ def orbit_scan(spec: CyclicCodeSpec) -> OrbitScan:
     )
     g, k, levels = spec.generator, spec.dimension, []
     for coset in cosets:
-        if k <= ORBIT_DIRECT_DIM:
+        if k <= _BLOCK_BITS:
             break
         j, m = coset[0], len(coset)
         order = n // math.gcd(n, j)
@@ -522,7 +519,7 @@ def orbit_scan(spec: CyclicCodeSpec) -> OrbitScan:
         levels.append(OrbitLevel(g_sub, k - m, order, tuple(poly_mul(a, g) for a in reps)))
         g, k = g_sub, k - m
     levels.append(OrbitLevel(g, k, 1, (0,)))
-    return OrbitScan(spec.dimension, tuple(levels))
+    return OrbitScan(tuple(levels))
 
 
 def cyclic_weight_counts(spec: CyclicCodeSpec, budget: int = DEFAULT_BUDGET) -> WeightEnumerator:
@@ -540,9 +537,9 @@ def cyclic_weight_counts(spec: CyclicCodeSpec, budget: int = DEFAULT_BUDGET) -> 
         for lv in plan.levels
     )
     enum = WeightEnumerator(tuple(int(c) for c in counts))
-    if enum.total() != 1 << plan.dimension:
+    if enum.total() != 1 << spec.dimension:
         raise InternalConsistencyError(
-            f"orbit spectrum sums to {enum.total()}, expected 2^{plan.dimension}"
+            f"orbit spectrum sums to {enum.total()}, expected 2^{spec.dimension}"
         )
     return enum
 

@@ -16,7 +16,6 @@ from .bch import (
     cyclic_weight_counts,
     match_polynomial_against_search,
     multiplicative_order_of_two,
-    orbit_scan,
     poly_deg,
     poly_divides,
     search_self_orthogonal_bch,
@@ -110,14 +109,23 @@ class RowReport:
         return f"{status:4}  {self.label:34}{extra}  ({self.seconds:.1f}s)"
 
 
-def verify_table1(budget: int = DEFAULT_BUDGET) -> list[RowReport]:
+# Default budget of a Table-1 row's exact dual distance, in the words that
+# ``cyclic_weight_counts`` predicts.  It covers every row with k <= 28 (the
+# largest scan, [[127,71,9]], visits 2,129,920 words) and leaves the exact
+# check skipped on the other five, as in perfbench's certify gate tests.
+# A budget of 2^29 also certifies [[89,23,9]] (96,518,144 words) and
+# [[127,57,11]] (270,565,376 words), in about 3 s more.
+TABLE1_BUDGET = 1 << 26
+
+
+def verify_table1(budget: int = TABLE1_BUDGET) -> list[RowReport]:
     searches: dict[int, list] = {}
     return [verify_table1_row(row, budget, searches) for row in TABLE1_ROWS]
 
 
 def verify_table1_row(
     row: tuple[int, int, int, int],
-    budget: int = DEFAULT_BUDGET,
+    budget: int = TABLE1_BUDGET,
     searches: dict[int, list] | None = None,
 ) -> RowReport:
     n, kq, d, g = row
@@ -160,23 +168,20 @@ def verify_table1_row(
         else:
             rep.notes.append(f"matches the search after root relabeling by {match.unit}")
 
-    spec = spec_from_zero_set(n, zeros)
-    plan = orbit_scan(spec)
-    if plan.words > budget:
-        rep.checks["exact_dual_distance_at_least_d"] = None
-        rep.notes.append(
-            f"the orbit scan needs {plan.words:,} words, beyond the budget of {budget:,}; "
-            "bound-certified only"
-        )
-    elif rep.checks["self_orthogonal"]:
-        enum = cyclic_weight_counts(spec, budget)
-        exact = macwilliams(enum, n, spec.dimension).min_distance()
-        rep.values["exact_dual_distance"] = exact
-        rep.checks["exact_dual_distance_at_least_d"] = exact >= d
-        if exact > d:
-            rep.notes.append(
-                f"true dual distance is {exact}; the tabulated {d} is the designed value"
-            )
+    if rep.checks["self_orthogonal"]:
+        try:
+            enum = cyclic_weight_counts(spec_from_zero_set(n, zeros), budget)
+        except ResourceLimit as exc:
+            rep.checks["exact_dual_distance_at_least_d"] = None
+            rep.notes.append(f"{exc}; bound-certified only")
+        else:
+            exact = macwilliams(enum, n, k).min_distance()
+            rep.values["exact_dual_distance"] = exact
+            rep.checks["exact_dual_distance_at_least_d"] = exact >= d
+            if exact > d:
+                rep.notes.append(
+                    f"true dual distance is {exact}; the tabulated {d} is the designed value"
+                )
     rep.seconds = time.time() - t0
     return rep
 

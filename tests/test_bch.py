@@ -699,7 +699,7 @@ def test_orbit_spectrum_equals_direct_scan_on_random_cyclic_codes(monkeypatch):
             # with no direct scan above dimension 0, each code is split down
             # to its last qualifying coset
             for direct_dim in (16, 0):
-                monkeypatch.setattr(bch, "ORBIT_DIRECT_DIM", direct_dim)
+                monkeypatch.setattr(bch, "_BLOCK_BITS", direct_dim)
                 plan = orbit_scan(spec)
                 words.clear()
                 assert cyclic_weight_counts(spec) == direct, (n, spec.zero_set)
@@ -712,7 +712,7 @@ def test_orbit_spectrum_equals_direct_scan_on_random_cyclic_codes(monkeypatch):
 
 
 def test_orbit_levels_take_cosets_by_decreasing_order(monkeypatch):
-    monkeypatch.setattr(bch, "ORBIT_DIRECT_DIM", 0)
+    monkeypatch.setattr(bch, "_BLOCK_BITS", 0)
     rng = random.Random(7)
     for n in ORBIT_LENGTHS:
         for spec in _random_cyclic_specs(n, rng, 2, max_dim=n):

@@ -247,3 +247,28 @@ def test_lookup_file_with_one_code_builds_one_table(tmp_path, monkeypatch):
     assert len(built) == 1
     assert css.decoder1 is css.decoder2
     assert css.parameters()[:2] == (47, 27)
+
+
+def test_verify_tables_budget_reaches_both_tables(monkeypatch, capsys):
+    """Without --budget each table keeps its own default; with it both get it."""
+    from qcss import tables
+
+    calls = []
+
+    def fake(name):
+        def verify(**kw):
+            calls.append((name, kw))
+            return []
+        return verify
+
+    for name in ("verify_table1", "verify_table2"):
+        monkeypatch.setattr(tables, name, fake(name))
+    for table in ("1", "2"):
+        assert main(["verify-tables", "--table", table]) == 0
+        assert main(["verify-tables", "--table", table, "--budget", "2^29"]) == 0
+    assert calls == [
+        ("verify_table1", {}),
+        ("verify_table1", {"budget": 1 << 29}),
+        ("verify_table2", {}),
+        ("verify_table2", {"budget": 1 << 29}),
+    ]

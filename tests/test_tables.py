@@ -56,10 +56,12 @@ def _table1_row(key):
     return next(row for row in TABLE1_ROWS if row[:3] == key)
 
 
-def test_rows_beyond_the_orbit_scan_stay_bound_certified():
-    searches = {n: search_self_orthogonal_bch(n) for n in (93, 127)}
+def test_rows_beyond_the_default_budget_stay_bound_certified():
+    searches = {n: search_self_orthogonal_bch(n) for n in (89, 93, 127)}
     predicted = {
+        (89, 23, 9): "96,518,144",
         (93, 13, 11): "11,822,706,688",
+        (127, 57, 11): "270,565,376",
         (127, 43, 13): "34,630,303,744",
         (127, 29, 15): "4,432,676,814,848",
     }
@@ -71,12 +73,16 @@ def test_rows_beyond_the_orbit_scan_stay_bound_certified():
         assert "exact_dual_distance" not in rep.values
         assert any(predicted[key] + " words" in note for note in rep.notes), rep.notes
         assert rep.passed
+    # 2^29 words still leave three rows to the BCH bound
+    for key in ((93, 13, 11), (127, 43, 13), (127, 29, 15)):
+        rep = verify_table1_row(_table1_row(key), budget=1 << 29, searches=searches)
+        assert rep.checks["exact_dual_distance_at_least_d"] is None
 
 
-def test_orbit_scan_certifies_two_more_rows_exactly():
+def test_orbit_scan_certifies_two_more_rows_at_2_29_words():
     searches = {}
     for key in ((89, 23, 9), (127, 57, 11)):
-        rep = verify_table1_row(_table1_row(key), searches=searches)
+        rep = verify_table1_row(_table1_row(key), budget=1 << 29, searches=searches)
         assert rep.passed, rep.line()
         assert rep.checks["exact_dual_distance_at_least_d"] is True
         assert rep.values["exact_dual_distance"] == 11
