@@ -241,12 +241,6 @@ class CyclicCodeSpec:
     def dimension(self) -> int:
         return self.n - len(self.zero_set)
 
-    def generator_hex(self) -> str:
-        return hex(self.generator)
-
-    def beta_exponent(self) -> int:
-        return ((1 << self.m) - 1) // self.n
-
     def to_code(self) -> LinearCode:
         k = self.dimension
         rows = [self.generator << j for j in range(k)]

@@ -94,10 +94,6 @@ class TrialReport:
     def logical_rate(self) -> float:
         return self.logical_errors / self.trials
 
-    @property
-    def failure_rate(self) -> float:
-        return self.decode_failures / self.trials
-
     def to_csv(self) -> str:
         lines = ["field,value"]
         for name in ("trials", "successes", "decode_failures", "x_failures", "z_failures",

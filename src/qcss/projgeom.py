@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product as iproduct
+from itertools import combinations
 
 import numpy as np
 
@@ -37,117 +37,19 @@ GEOMETRY_BUDGET = 1 << 22
 _SPAN_CELLS = 1 << 16
 
 
-class PrimePowerField:
-    """GF(p^s) for tiny orders, backed by full add/mul tables."""
-
-    def __init__(self, p: int, s: int):
-        if s < 1 or p < 2:
-            raise InvalidInput(f"bad field parameters p={p}, s={s}")
-        for d in range(2, p):
-            if p % d == 0:
-                raise InvalidInput(f"{p} is not prime")
-        self.p = p
-        self.s = s
-        self.q = p**s
-        if s == 1:
-            self.add = [[(a + b) % p for b in range(p)] for a in range(p)]
-            self.mul = [[(a * b) % p for b in range(p)] for a in range(p)]
-        else:
-            modulus = self._find_irreducible(p, s)
-            # element e <-> base-p digits, low coefficient first, so that the
-            # integers 0 and 1 are the field's zero and one
-            elems = []
-            for e in range(p**s):
-                digits = []
-                x = e
-                for _ in range(s):
-                    digits.append(x % p)
-                    x //= p
-                elems.append(tuple(digits))
-            index = {e: i for i, e in enumerate(elems)}
-            self.add = [
-                [index[tuple((x + y) % p for x, y in zip(a, b))] for b in elems]
-                for a in elems
-            ]
-            self.mul = [
-                [index[self._poly_mul_mod(a, b, modulus, p, s)] for b in elems]
-                for a in elems
-            ]
-        self.neg = [self.add[a].index(0) for a in range(self.q)]
-        self.inv = [0] * self.q
-        for a in range(1, self.q):
-            self.inv[a] = self.mul[a].index(1)
-
-    @staticmethod
-    def _poly_mul_mod(a, b, modulus, p, s):
-        prod = [0] * (2 * s - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        # reduce by the monic modulus (degree s)
-        for d in range(2 * s - 2, s - 1, -1):
-            coef = prod[d]
-            if coef:
-                prod[d] = 0
-                for j in range(s):
-                    prod[d - s + j] = (prod[d - s + j] - coef * modulus[j]) % p
-        return tuple(prod[:s])
-
-    @staticmethod
-    def _find_irreducible(p: int, s: int) -> tuple[int, ...]:
-        """Lexicographically first monic irreducible of degree s over GF(p)."""
-
-        def divides(small, big):
-            # polynomial long division over GF(p); small is monic of degree ds
-            big = list(big)
-            ds = len(small) - 1
-            while len(big) - 1 >= ds:
-                if big[-1] == 0:
-                    big.pop()
-                    continue
-                coef = big[-1]
-                off = len(big) - 1 - ds
-                for j in range(ds + 1):
-                    big[off + j] = (big[off + j] - coef * small[j]) % p
-                big.pop()
-            return not any(big)
-
-        monics_by_degree = {
-            d: [tuple(c) + (1,) for c in iproduct(range(p), repeat=d)]
-            for d in range(1, s // 2 + 1)
-        }
-        for low in iproduct(range(p), repeat=s):
-            cand = tuple(low) + (1,)
-            if cand[0] == 0:
-                continue
-            if any(
-                divides(f, cand)
-                for d in monics_by_degree
-                for f in monics_by_degree[d]
-            ):
-                continue
-            return cand
-        raise InternalConsistencyError(f"no irreducible of degree {s} over GF({p})")
-
-
-@lru_cache(maxsize=None)
-def small_field(p: int, s: int) -> PrimePowerField:
-    return PrimePowerField(p, s)
-
-
 def _factor_prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            s = 0
-            qq = q
-            while qq % p == 0:
-                qq //= p
-                s += 1
-            if qq != 1:
-                raise InvalidInput(f"{q} is not a prime power")
-            return p, s
-    raise InvalidInput(f"{q} is not a prime power")
+    """(p, s) with q = p^s.  Trial division stops at sqrt(q): a q with no
+    factor up to there is prime."""
+    if q < 2:
+        raise InvalidInput(f"{q} is not a prime power")
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    s, rest = 0, q
+    while rest % p == 0:
+        rest //= p
+        s += 1
+    if rest != 1:
+        raise InvalidInput(f"{q} is not a prime power")
+    return p, s
 
 
 def _digits(start: int, stop: int, width: int, q: int) -> np.ndarray:
@@ -167,6 +69,36 @@ def _numbers(vectors: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def field_tables(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only uint8 (add, mul, inv) tables of GF(q), q = p^s; inv[0] is 0.
+
+    Element e is the polynomial over GF(p) whose coefficients, constant
+    first, are the base-p digits of e, least significant first, so 0 and 1
+    are the field's zero and one.  The modulus is the first monic degree-s
+    polynomial, its lower coefficients (constant first) in ``product`` order,
+    whose residue ring has no zero divisors: the first irreducible one.
+    """
+    p, s = _factor_prime_power(q)
+    digits = _digits(0, q, s, p).astype(np.intp)
+    coeffs = digits[:, ::-1]
+    add = _numbers((coeffs[:, None] + coeffs)[..., ::-1] % p, p)
+    product = np.zeros((q, q, 2 * s - 1), dtype=np.intp)
+    for i in range(s):
+        product[:, :, i : i + s] += coeffs[:, None, i, None] * coeffs
+    for low in digits:
+        rest = product.copy()
+        for d in range(2 * s - 2, s - 1, -1):  # x^d = -x^(d-s) low(x)
+            rest[..., d - s : d] -= rest[..., d, None] * low
+        mul = _numbers(rest[..., s - 1 :: -1] % p, p)
+        if (mul[1:, 1:] != 0).all():
+            break
+    tables = tuple(t.astype(np.uint8) for t in (add, mul, (mul == 1).argmax(axis=1)))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
 class ProjGeometry:
     """Point set of PG(k, q) with canonical representatives.
 
@@ -178,7 +110,7 @@ class ProjGeometry:
     def __init__(self, k: int, q: int):
         if k < 2:
             raise InvalidInput(f"projective dimension must be >= 2, got {k}")
-        p, s = _factor_prime_power(q)
+        _factor_prime_power(q)
         count = q ** (k + 1)
         expected = (count - 1) // (q - 1)
         if count * (k + 1) > GEOMETRY_BUDGET:
@@ -188,7 +120,6 @@ class ProjGeometry:
             )
         self.k = k
         self.q = q
-        self.field = f = small_field(p, s)
         vectors = _digits(0, count, k + 1, q)
         first = vectors[np.arange(count), (vectors != 0).argmax(axis=1)]
         canonical = first == 1  # the first nonzero coordinate is 1
@@ -199,8 +130,8 @@ class ProjGeometry:
             )
         # scaling by the inverse of the first nonzero coordinate gives the
         # canonical vector; the zero vector stays zero and ranks -1
-        inverse = np.asarray(f.inv, dtype=np.uint8)[first]
-        scaled = np.asarray(f.mul, dtype=np.uint8)[inverse[:, None], vectors]
+        _, mul, inv = field_tables(q)
+        scaled = mul[inv[first][:, None], vectors]
         self.lookup = (np.cumsum(canonical) - 1)[_numbers(scaled, q)]
         self.lookup.flags.writeable = False
 
@@ -325,8 +256,7 @@ def enumerate_spaces(geom: ProjGeometry, l: int) -> Configuration:
             f"coordinates and {b * v:.3g} incidence entries, beyond the budget of "
             f"{GEOMETRY_BUDGET}"
         )
-    add = np.asarray(geom.field.add, dtype=np.uint8)
-    mul = np.asarray(geom.field.mul, dtype=np.uint8)
+    add, mul, _ = field_tables(q)
     elements = np.arange(q, dtype=np.uint8)[:, None]
     rows: list[int] = []
     for bases in _echelon_blocks(dim, ambient, q, max(1, _SPAN_CELLS // (q**dim * ambient))):

@@ -59,23 +59,25 @@ def rm_generator(m: int, r: int) -> RmCode:
     return RmCode(m=m, r=r, code=code, monomials=tuple(monomials))
 
 
+def _subsets(mask: int):
+    """The submasks of ``mask`` in increasing order."""
+    a = 0
+    while True:
+        yield a
+        if a == mask:
+            return
+        a = (a - mask) & mask
+
+
 def _vote_masks(m: int, variables: tuple[int, ...]) -> list[int]:
     """Characteristic sets of one monomial: for each assignment of the
-    complementary variables, the 2^deg points where they take that value."""
-    others = [i for i in range(m) if i not in variables]
-    masks = []
-    for assign in range(1 << len(others)):
-        bits = 0
-        for j in range(1 << m):
-            ok = True
-            for pos, i in enumerate(others):
-                if (j >> i & 1) != (assign >> pos & 1):
-                    ok = False
-                    break
-            if ok:
-                bits |= 1 << j
-        masks.append(bits)
-    return masks
+    complementary variables, the 2^deg points where they take that value.
+
+    ``base`` is the subcube on the monomial's variables; an assignment, read
+    as the point with those bits set, shifts it into place."""
+    inside = sum(1 << i for i in variables)
+    base = sum(1 << t for t in _subsets(inside))
+    return [base << a for a in _subsets(((1 << m) - 1) ^ inside)]
 
 
 @dataclass(frozen=True)
@@ -92,22 +94,24 @@ class ReedDecoder:
         self.rm = rm
         self.radius = (rm.design_distance() - 1) // 2
         self._masks = [_vote_masks(rm.m, s) for s in rm.monomials]
+        self._rows = rm.code.generator.row_bits()
+        # monomial indices by degree, highest degree first
+        self._layers = [
+            (deg, [idx for idx, s in enumerate(rm.monomials) if len(s) == deg])
+            for deg in range(rm.r, -1, -1)
+        ]
 
     def decode(self, received: BitVector) -> ReedDecodeResult:
         rm = self.rm
         if received.n != rm.n:
             raise InvalidInput(f"received length {received.n} != {rm.n}")
-        rows = rm.code.generator.row_bits()
-        by_degree: dict[int, list[int]] = {}
-        for idx, s in enumerate(rm.monomials):
-            by_degree.setdefault(len(s), []).append(idx)
-
+        rows = self._rows
         residual = received.bits
         codeword = 0
         coeffs = [0] * len(rm.monomials)
-        for deg in range(rm.r, -1, -1):
+        for deg, indices in self._layers:
             layer = 0
-            for idx in by_degree.get(deg, []):
+            for idx in indices:
                 ones = 0
                 masks = self._masks[idx]
                 for mask in masks:

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from .bch import (
     bch_bound,
     cyclic_weight_counts,
+    dual_zero_set,
+    is_self_orthogonal_cyclic,
     match_polynomial_against_search,
     multiplicative_order_of_two,
     poly_deg,
@@ -139,12 +141,9 @@ def verify_table1_row(
     rep.checks["degree_matches_dimension"] = poly_deg(g) == n - k
     zeros = zero_set_of_polynomial(n, g)
     rep.checks["zero_set_complete"] = len(zeros) == poly_deg(g)
-    zset = set(zeros)
-    rep.checks["self_orthogonal"] = all(
-        i in zset for i in range(n) if (n - i) % n not in zset
-    )
-    dual_zeros = [i for i in range(n) if (n - i) % n not in zset]
-    designed = bch_bound(dual_zeros, n)
+    spec = spec_from_zero_set(n, zeros)
+    rep.checks["self_orthogonal"] = is_self_orthogonal_cyclic(spec)
+    designed = bch_bound(dual_zero_set(spec), n)
     rep.values["designed_distance"] = designed
     rep.checks["designed_distance_at_least_d"] = designed >= d
 
@@ -170,7 +169,7 @@ def verify_table1_row(
 
     if rep.checks["self_orthogonal"]:
         try:
-            enum = cyclic_weight_counts(spec_from_zero_set(n, zeros), budget)
+            enum = cyclic_weight_counts(spec, budget)
         except ResourceLimit as exc:
             rep.checks["exact_dual_distance_at_least_d"] = None
             rep.notes.append(f"{exc}; bound-certified only")

@@ -167,6 +167,11 @@ def _pg_too_large(tmp):
     return ["pg", "--k", "13", "--q", "4", "--l", "1", "--emit", "config"]
 
 
+def _pg_huge_prime(tmp):
+    # q = 2^31 - 1 is prime; trial division to q itself would run for minutes
+    return ["pg", "--k", "2", "--q", "2147483647", "--l", "1"]
+
+
 def _simulate_negative_seed(tmp):
     path = tmp / "rm.css"
     path.write_text("decoder: reed 4 1\n")
@@ -181,9 +186,10 @@ def _simulate_negative_seed(tmp):
     _concat_with_outer("3 1\n1 1 zz\n"),
     _concat_with_outer("3\n1 1 1\n"),
     _pg_too_large,
+    _pg_huge_prime,
     _simulate_negative_seed,
 ], ids=["css-no-g1", "bch-one-arg", "bch-length-one", "missing-file", "outer-non-hex",
-        "outer-short-header", "pg-too-large", "negative-seed"])
+        "outer-short-header", "pg-too-large", "pg-huge-prime", "negative-seed"])
 def test_malformed_input_is_an_error_line(tmp_path, capsys, make_argv):
     code = main(make_argv(tmp_path))
     err = capsys.readouterr().err

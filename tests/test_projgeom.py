@@ -2,7 +2,9 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import time
 
+import numpy as np
 import pytest
 
 from qcss.codes import LinearCode
@@ -16,7 +18,7 @@ from qcss.projgeom import (
     build_so_code,
     config_params,
     enumerate_spaces,
-    small_field,
+    field_tables,
 )
 
 PLANE_ROWS = [
@@ -30,21 +32,68 @@ PLANE_ROWS = [
 ]
 
 
+# sha256 prefixes of the add and mul table bytes of every GF(q), q <= 111 (the
+# largest q that GEOMETRY_BUDGET admits), as the list-built field tables gave
+# them; they pin the element numbering and the choice of modulus
+_FIELD_DIGESTS = {
+    2: ("d5e2d2ac07b741be", "b40711a88c703975"),
+    3: ("21b6c798a9598add", "980882caf0be6965"),
+    4: ("62d40abfb721c5a0", "e5e400e15d86822c"),
+    5: ("6613b9e06fc8a57b", "845bf4916f0778d3"),
+    7: ("e8ca4fba8f1643a7", "8ce887078fec17f5"),
+    8: ("a6b3eec73959471a", "b2439fe5028d562b"),
+    9: ("258998982899a881", "e0fd6fdbf244caa6"),
+    11: ("b694c4789468dfd0", "8922c99ca0107038"),
+    13: ("f9c534890dc290a4", "ee72c4b75686eeae"),
+    16: ("c64c6cd575049342", "c27ef6a1517571ed"),
+    17: ("647fa122f2847c1a", "de9c9f7fb6a76998"),
+    19: ("4dc9754c3f278957", "b3b3add66d85b581"),
+    23: ("59603d0ff38e73e6", "391279798f484927"),
+    25: ("a0396752f887de70", "fab51fcb6800cf5a"),
+    27: ("c2efd70001108d5f", "b34bc169b5ac8495"),
+    29: ("30fb2c3f3b363e79", "3e305e4fb0eb58da"),
+    31: ("8a8ed78175f1847b", "24369f8ee3aacc29"),
+    32: ("fcc373f055882753", "70d4f7545b05061c"),
+    37: ("0607006e87a66e34", "3715afec79d4af47"),
+    41: ("d9cd86297b86f9d9", "b866ff6b0b9ec4be"),
+    43: ("450ddbbcdc21a57a", "6a190b4eead7b188"),
+    47: ("46bd20cb33067efd", "e1cce323a590fb85"),
+    49: ("2cdeb3ae2cd89b21", "85ebb1fa71de0554"),
+    53: ("3da86ac3edbe4daf", "2f9d282c6db32ccf"),
+    59: ("17eabbb2e510d28f", "0bf8f2dbfe9e3a72"),
+    61: ("0371a4bc968a8216", "9482026f9e2c49c9"),
+    64: ("f81810bac7773038", "dee2cdc21ede54ed"),
+    67: ("151ddb0c65bbc5c0", "c25240d3892fb12c"),
+    71: ("2ab1baa7bfb32d5b", "6bdc7e4268ad49a3"),
+    73: ("6b5d6f4635083fc9", "0960293c78b6dab4"),
+    79: ("46ebd8c58cfe7e06", "9ef111a0c438d613"),
+    81: ("990698fd546c16b7", "f4974661680da228"),
+    83: ("b339b2acae94daeb", "e2ddd61dd058a991"),
+    89: ("29da40bdfdb4595f", "cc81026caf2c8d6f"),
+    97: ("8f5245dc2bb7267d", "09597ffbbb48cbe3"),
+    101: ("6c6fccc38545afc2", "f1bf4ad647cc9e33"),
+    103: ("c044a7f7a62d1b1a", "afbe222a5567ead7"),
+    107: ("74587c1e51be3acf", "e18dbcf978b6cbec"),
+    109: ("d500fef4b7508275", "17c1f5e11a2074dc"),
+}
+
+
 def test_small_fields_multiplication_tables():
-    for p, s in [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2)]:
-        f = small_field(p, s)
-        q = f.q
-        for a in range(q):
-            assert f.add[a][f.neg[a]] == 0
-            assert f.mul[a][0] == 0 and f.mul[a][1] == a
-        for a in range(1, q):
-            assert f.mul[a][f.inv[a]] == 1
-        # associativity spot checks
-        rng = random.Random(q)
-        for _ in range(50):
-            a, b, c = (rng.randrange(q) for _ in range(3))
-            assert f.mul[f.mul[a][b]][c] == f.mul[a][f.mul[b][c]]
-            assert f.mul[a][f.add[b][c]] == f.add[f.mul[a][b]][f.mul[a][c]]
+    for q, expected in _FIELD_DIGESTS.items():
+        add, mul, inv = field_tables(q)
+        assert all(t.dtype == np.uint8 and not t.flags.writeable for t in (add, mul, inv))
+        digest = tuple(hashlib.sha256(t.tobytes()).hexdigest()[:16] for t in (add, mul))
+        assert digest == expected, q
+        a = np.arange(q)
+        neg = (add == 0).argmax(axis=1)
+        assert (add[a, neg] == 0).all()
+        assert (add[:, 0] == a).all() and (mul[:, 0] == 0).all() and (mul[:, 1] == a).all()
+        assert (mul[a[1:], inv[1:]] == 1).all() and inv[0] == 0
+        assert (add == add.T).all() and (mul == mul.T).all()
+        x, y, z = a[:, None, None], a[None, :, None], a[None, None, :]
+        assert (add[add[x, y], z] == add[x, add[y, z]]).all()
+        assert (mul[mul[x, y], z] == mul[x, mul[y, z]]).all()
+        assert (mul[x, add[y, z]] == add[mul[x, y], mul[x, z]]).all()
 
 
 def test_point_counts():
@@ -288,14 +337,14 @@ def test_hyperplane_oracle_for_space_enumeration():
     # hyperplane per canonical normal vector u
     for k, q in [(3, 2), (4, 2), (2, 4), (3, 3)]:
         geom = ProjGeometry(k, q)
-        f = geom.field
+        add, mul, _ = (t.tolist() for t in field_tables(q))
         expected = set()
         for normal in geom.points:
             bits = 0
             for idx, pt in enumerate(geom.points):
                 acc = 0
                 for u, x in zip(normal, pt):
-                    acc = f.add[acc][f.mul[u][x]]
+                    acc = add[acc][mul[u][x]]
                 if acc == 0:
                     bits |= 1 << idx
             expected.add(bits)
@@ -462,13 +511,14 @@ def test_rudolph_refuses_a_code_of_the_wrong_length():
 def _oracle_points(geom):
     """Canonical points by a scan of every vector, with a dict from each
     nonzero vector to the index of its point."""
-    f, q = geom.field, geom.q
+    q = geom.q
+    mul = field_tables(q)[1].tolist()
     points = [vec for vec in itertools.product(range(q), repeat=geom.k + 1)
               if next((x for x in vec if x), None) == 1]
     index = {}
     for i, pt in enumerate(points):
         for c in range(1, q):
-            index[tuple(f.mul[c][x] for x in pt)] = i
+            index[tuple(mul[c][x] for x in pt)] = i
     return points, index
 
 
@@ -488,7 +538,8 @@ def _oracle_echelon_matrices(k1, m, q):
 
 def _oracle_space_rows(geom, l):
     """enumerate_spaces' rows as the per-vector loop built them."""
-    f, q = geom.field, geom.q
+    q = geom.q
+    add, mul, _ = (t.tolist() for t in field_tables(q))
     _, index = _oracle_points(geom)
     rows = []
     for basis in _oracle_echelon_matrices(l + 1, geom.k + 1, q):
@@ -499,7 +550,7 @@ def _oracle_space_rows(geom, l):
             vec = [0] * (geom.k + 1)
             for c, row in zip(coeffs, basis):
                 for j, x in enumerate(row):
-                    vec[j] = f.add[vec[j]][f.mul[c][x]]
+                    vec[j] = add[vec[j]][mul[c][x]]
             bits |= 1 << index[tuple(vec)]
         rows.append(bits)
     return rows
@@ -528,6 +579,12 @@ def test_enumerate_spaces_matches_per_vector_oracle(k, q, l):
 def test_oversized_geometries_are_refused():
     with pytest.raises(ResourceLimit, match="8.95e\\+07 points"):
         ProjGeometry(13, 4)
+    # a prime q is factored by trial division up to sqrt(q) only; up to q
+    # itself it takes minutes
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit, match="exceeds the budget"):
+        ProjGeometry(2, 2147483647)
+    assert time.perf_counter() - start < 2
     with pytest.raises(ResourceLimit, match="3-spaces of PG\\(7,2\\)"):
         enumerate_spaces(ProjGeometry(7, 2), 3)
 

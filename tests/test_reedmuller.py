@@ -7,7 +7,7 @@ import pytest
 from qcss.codes import LinearCode
 from qcss.errors import DecodingFailure, InvalidInput
 from qcss.gf2 import BitMatrix, BitVector
-from qcss.reedmuller import ReedDecoder, rm_generator
+from qcss.reedmuller import ReedDecoder, _vote_masks, rm_generator
 
 
 def test_parameters():
@@ -179,3 +179,20 @@ def test_reed_decode_output_is_always_a_codeword():
         assert rm.code.contains(out.codeword)
         assert (out.codeword ^ out.error_estimate) == word
     assert decoded > 0
+
+
+def test_vote_masks_partition_the_points_into_subcubes():
+    for m in range(1, 8):
+        for deg in range(m + 1):
+            for variables in itertools.combinations(range(m), deg):
+                others = [i for i in range(m) if i not in variables]
+                masks = _vote_masks(m, variables)
+                assert len(masks) == 1 << (m - deg)
+                assert all(mask.bit_count() == 1 << deg for mask in masks)
+                union = 0
+                for mask in masks:
+                    assert union & mask == 0
+                    union |= mask
+                    points = [j for j in range(1 << m) if mask >> j & 1]
+                    assert len({tuple(j >> i & 1 for i in others) for j in points}) == 1
+                assert union == (1 << (1 << m)) - 1
