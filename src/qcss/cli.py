@@ -17,7 +17,7 @@ from .bch import (
     zero_set_of_polynomial,
 )
 from .channel import ChannelSpec, monte_carlo
-from .codes import DEFAULT_BUDGET, LinearCode
+from .codes import DEFAULT_BUDGET, LinearCode, predicted_split_patterns
 from .constructions import (
     OuterCode,
     augment,
@@ -41,7 +41,7 @@ from .css import (
     css_from_reed_muller,
     css_from_self_orthogonal_cyclic,
 )
-from .errors import InvalidInput, QcssError
+from .errors import InternalConsistencyError, InvalidInput, QcssError
 from .gf2 import BitMatrix
 from .projgeom import ProjGeometry, build_so_code, enumerate_spaces
 from .reedmuller import rm_generator
@@ -276,6 +276,10 @@ def _cmd_min_distance(args) -> int:
             print(
                 f"no codeword of weight <= {args.bound}; lightest seen: {res.witness_weight}"
             )
+        predicted = predicted_split_patterns(code, args.bound)
+        print(f"predicted patterns {predicted}, scanned {res.patterns_scanned}")
+        if predicted != res.patterns_scanned:
+            raise InternalConsistencyError("the split search did not scan the predicted patterns")
         return 0
     print(f"minimum distance {code.min_distance(budget=args.budget)}")
     return 0

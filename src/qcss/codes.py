@@ -15,7 +15,9 @@ m codewords, row i their i-th 64-bit word, so that a popcount is one
   search whose pivot and non-pivot halves both call ``_low_weight_min``.
   Their depths add up to one less than the largest weight searched for
   (see ``split_patterns``).  That kernel keeps every XOR of up to 3 rows in
-  one block and loops in Python only over the prefixes of longer supports.
+  one block and the XORs of the rows before them in colex-ordered tables,
+  and scans all the longer supports that share their last prefix row
+  against the block at once.
 """
 from __future__ import annotations
 
@@ -255,9 +257,15 @@ def _low_weight_min(
     The XORs of 1..r rows (r <= 3) sit in one word-major block, those of
     exactly r rows last and in lexicographic order, so the r-sets that
     extend a prefix ending at row j are a contiguous suffix of the block.
-    Python walks only the prefixes of up to depth - r rows.  The span of the
-    first free words is a middle axis of the block, as far as it stays
-    within 2^16 cells; the rest is Gray-stepped around the whole walk.
+    The prefixes of up to depth - r rows are grouped by their last row j:
+    the XORs of the s-sets of rows below j are the first C(j, s) columns of
+    a colex-ordered table, so every prefix of up to t + 1 rows that ends at
+    j is one column of an array scanned against that suffix at once.  The
+    tables hold as many levels t as fit in ``_SPLIT_BLOCK_WORDS``; longer
+    prefixes take their rows above the lowest t one at a time in Python.
+    The span of the first free words is a middle axis of the block, as far
+    as it stays within 2^16 cells; the rest is Gray-stepped around the
+    whole walk.
     """
     kk, depth = len(rows), min(depth, len(rows))
     arr, free_arr = pack_rows(rows, nbits), pack_rows(free, nbits)
@@ -288,21 +296,60 @@ def _low_weight_min(
             end += tail.shape[1]
     span = _span_block(free_arr[:b, :, None], words)
     np.bitwise_xor(flat[:, None, :], span[:, 1:, None], out=block[:, 1:])
+    # where the suffix of a prefix ending at row j starts: the r-sets after j
     starts = [block.shape[2] - math.comb(kk - j - 1, r) for j in range(kk - r)]
-    terms = arr[:, :, None, None]  # row j as a (words, 1, 1) term
-    acc = np.zeros((words, 1, 1), dtype=np.uint64)
+    if depth == r:  # no prefixes
+        starts = []
+    terms = arr[:, :, None]  # row j as a (words, 1) column
+    # lows[s]: XORs of the s-sets of rows 0..kk - r - 2 in colex order (the
+    # sets of rows below i first), as many levels as the block cap allows
+    lows = [np.zeros((words, 1), dtype=np.uint64)]
+    used = words
+    while len(lows) < depth - r:
+        s = len(lows)
+        used += math.comb(kk - r - 1, s) * words
+        if used > _SPLIT_BLOCK_WORDS:
+            break
+        low, end = np.empty((words, math.comb(kk - r - 1, s)), dtype=np.uint64), 0
+        for i in range(s - 1, kk - r - 1):
+            # the s-sets with largest row i: row i XOR the (s - 1)-sets below it
+            prev = lows[-1][:, : math.comb(i, s - 1)]
+            np.bitwise_xor(prev, terms[i], out=low[:, end : end + prev.shape[1]])
+            end += prev.shape[1]
+        lows.append(low)
+    t = len(lows) - 1
+    acc = np.zeros((words, 1), dtype=np.uint64)
+
+    def scan(lower: np.ndarray, x: np.ndarray, start: int) -> None:
+        # the prefixes x ^ (a column of lower) against the block from start on
+        nonlocal best, patterns
+        seg = block[:, None, :, start:]
+        per = seg[0].size
+        step = max(1, (1 << _BLOCK_BITS) // per)
+        for lo in range(0, lower.shape[1], step):
+            cells = (lower[:, lo : lo + step] ^ x)[:, :, None, None] ^ seg
+            best = min(best, int(_weights(cells, nbits).min()))
+        patterns += lower.shape[1] * per
+
     for g in range(1 << (len(free) - b)):
         if g:
-            acc = acc ^ free_arr[b + (g & -g).bit_length() - 1, :, None, None]
-        # prefixes: (XOR, start of their suffix, first row after them, rows left)
-        todo = [(acc, 0, 0, depth - r)]
-        while todo:
-            x, start, first, left = todo.pop()
-            seg = block[:, :, start:]
-            best = min(best, int(_weights(seg ^ x, nbits).min()))
-            patterns += seg[0].size
-            if left:
-                todo += [(x ^ terms[j], starts[j], j + 1, left - 1) for j in range(first, kk - r)]
+            acc = acc ^ free_arr[b + (g & -g).bit_length() - 1, :, None]
+        scan(lows[0], acc, 0)
+        for j, start in enumerate(starts):
+            x = acc ^ terms[j]
+            # the prefixes of 1..t + 1 rows that end at row j
+            for s, low in enumerate(lows):
+                scan(low[:, : math.comb(j, s)], x, start)
+            # longer ones: the rows between their lowest t and j are added one
+            # at a time, downward, and the lowest t come from lows[t]
+            todo = [(x, j, depth - r - 1 - t)]
+            while todo:
+                y, top, left = todo.pop()
+                if left:
+                    for i in range(t, top):
+                        z = y ^ terms[i]
+                        scan(lows[t][:, : math.comb(i, t)], z, start)
+                        todo.append((z, i, left - 1))
     return best, patterns
 
 
@@ -329,6 +376,32 @@ def split_patterns(k: int, rank: int, pivot_depth: int, nonpivot_depth: int) -> 
     return kernel_size - 1 + pivot + nonpivot * kernel_size
 
 
+def _split_depths(code: LinearCode, bound: int) -> tuple[int, int] | None:
+    """Pivot and non-pivot depths of the split search up to weight ``bound``,
+    or None when it scans nothing (k = 0, k = n, or no nonzero codeword
+    weight up to the bound).  They add up to max_w - 1, max_w being the
+    largest multiple of the weight modulus up to the bound, which is enough
+    by the argument in ``split_patterns``."""
+    modulus = code.weight_modulus()
+    max_w = (bound // modulus) * modulus
+    if code.k in (0, code.n) or max_w <= 0:
+        return None
+    return max_w // 2, max_w - 1 - max_w // 2
+
+
+def predicted_split_patterns(code: LinearCode, bound: int) -> int:
+    """``patterns_scanned`` of ``code.min_distance_split(bound)`` without the
+    scan: ``split_patterns`` of the search's depths and of the rank of the
+    generator's non-pivot columns, found here apart from the search so that
+    the two counts check each other."""
+    depths = _split_depths(code, bound)
+    if depths is None:
+        return 0
+    nonpivot = (1 << code.n) - 1 - sum(1 << p for p in code.pivots)
+    part = BitMatrix(code.n, [r & nonpivot for r in code.rref_matrix.row_bits()])
+    return split_patterns(code.k, len(rref(part)[1]), *depths)
+
+
 def _min_distance_split(code: LinearCode, bound: int) -> SplitDistanceResult:
     n, k = code.n, code.k
     if k == 0:
@@ -342,14 +415,11 @@ def _min_distance_split(code: LinearCode, bound: int) -> SplitDistanceResult:
         # full [n, n] code: unit vectors are codewords
         return SplitDistanceResult(bound >= 1, 1 if bound >= 1 else bound + 1, 1, 0)
 
-    modulus = code.weight_modulus()
     row_witness = min(r.bit_count() for r in red)
-    max_w = (bound // modulus) * modulus
-    if max_w <= 0:
+    depths = _split_depths(code, bound)
+    if depths is None:
         return SplitDistanceResult(False, bound + 1, row_witness, 0)
-    # depths with h1 + h2 = max_w - 1, enough by the argument in split_patterns
-    h1 = max_w // 2
-    h2 = max_w - 1 - h1
+    h1, h2 = depths
 
     # restriction of each rref row to the non-pivot columns, compacted
     a_rows = []
@@ -410,11 +480,19 @@ def _min_distance_split(code: LinearCode, bound: int) -> SplitDistanceResult:
 
 
 @lru_cache(maxsize=None)
-def _krawtchouk(n: int, w: int, j: int) -> int:
-    return sum(
-        (-1) ** i * math.comb(j, i) * math.comb(n - j, w - i)
-        for i in range(0, min(j, w) + 1)
-    )
+def _krawtchouk_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row j holds K_0(j)..K_n(j), the coefficients of (1 - z)^j (1 + z)^(n - j).
+
+    Row 0 is binomial; (1 + z) P_j = (1 - z) P_{j-1} gives the rest as
+    K_w(j) = K_w(j-1) - K_{w-1}(j-1) - K_{w-1}(j).
+    """
+    rows = [tuple(math.comb(n, w) for w in range(n + 1))]
+    for _ in range(n):
+        prev, row = rows[-1], [rows[-1][0]]
+        for w in range(1, n + 1):
+            row.append(prev[w] - prev[w - 1] - row[w - 1])
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def macwilliams(enum: WeightEnumerator, n: int, k: int) -> WeightEnumerator:
@@ -428,13 +506,16 @@ def macwilliams(enum: WeightEnumerator, n: int, k: int) -> WeightEnumerator:
     if enum.total() != 1 << k:
         raise InvalidInput(f"enumerator sums to {enum.total()}, expected 2^{k}")
     scale = 1 << k
+    acc = [0] * (n + 1)
+    for a, row in zip(enum.counts, _krawtchouk_rows(n)):
+        if a:
+            acc = [x + a * y for x, y in zip(acc, row)]
     out = []
-    for w in range(n + 1):
-        acc = sum(enum.counts[j] * _krawtchouk(n, w, j) for j in range(n + 1))
-        q, r = divmod(acc, scale)
+    for w, total in enumerate(acc):
+        q, r = divmod(total, scale)
         if r or q < 0:
             raise InternalConsistencyError(
-                f"transform coefficient A'_{w} = {acc}/{scale} is not a natural number"
+                f"transform coefficient A'_{w} = {total}/{scale} is not a natural number"
             )
         out.append(q)
     return WeightEnumerator(tuple(out))

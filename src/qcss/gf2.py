@@ -232,28 +232,32 @@ class BitMatrix:
 def rref(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
     """Reduced row echelon form over GF(2), zero rows dropped.
 
-    Pivot choice: leftmost nonzero column, topmost available row, no column
-    permutation; this fixes the pivot/non-pivot column split used by the
+    Each row is reduced against a basis keyed by lowest set bit and joins it
+    under a new key if anything is left; back-substitution from the highest
+    pivot down then clears every other pivot column.  The RREF of a row
+    space is unique, so rows and pivots are those of a sweep that pivots on
+    the leftmost nonzero column, with no column permutation and whatever the
+    row order; this fixes the pivot/non-pivot column split used by the
     meet-in-the-middle distance search.
     """
-    data = list(m.row_bits())
-    nrows = len(data)
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        mask = 1 << c
-        piv = next((i for i in range(r, nrows) if data[i] & mask), None)
-        if piv is None:
-            continue
-        data[r], data[piv] = data[piv], data[r]
-        for i in range(nrows):
-            if i != r and data[i] & mask:
-                data[i] ^= data[r]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return BitMatrix(m.cols, data[:r]), tuple(pivots)
+    basis: dict[int, int] = {}
+    for v in m.row_bits():
+        while v:
+            p = (v & -v).bit_length() - 1
+            b = basis.get(p)
+            if b is None:
+                basis[p] = v
+                break
+            v ^= b
+    pivots = sorted(basis)
+    mask = 0  # the pivot columns above the current one
+    for p in reversed(pivots):
+        v = basis[p]
+        while hit := v & mask:
+            v ^= basis[(hit & -hit).bit_length() - 1]
+        basis[p] = v
+        mask |= 1 << p
+    return BitMatrix(m.cols, [basis[p] for p in pivots]), tuple(pivots)
 
 
 def rank(m: BitMatrix) -> int:

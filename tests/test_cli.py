@@ -86,6 +86,11 @@ def test_min_distance_and_spectrum(tmp_path, capsys):
     assert code == 0 and "minimum distance 4" in out
     code, out = run(capsys, "min-distance", "--code", str(src), "--split", "--bound", "3")
     assert code == 0 and "no codeword of weight <= 3" in out
+    assert out.splitlines()[-1] == "predicted patterns 0, scanned 0"
+    # depths 2 and 1: C(4,1) + C(4,2) pivot supports, 4 non-pivot ones
+    code, out = run(capsys, "min-distance", "--code", str(src), "--split", "--bound", "4")
+    assert code == 0
+    assert out.splitlines() == ["minimum distance 4", "predicted patterns 14, scanned 14"]
     csv = tmp_path / "spec.csv"
     code, _ = run(capsys, "spectrum", "--code", str(src), "--out", str(csv))
     assert code == 0

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import operator
 import random
 import tracemalloc
@@ -14,6 +15,7 @@ from qcss.codes import (
     dual_distance_via_transform,
     extend_with_parity,
     macwilliams,
+    predicted_split_patterns,
     random_linear_code,
     random_self_orthogonal_code,
     split_patterns,
@@ -174,6 +176,23 @@ def test_macwilliams_transform_matches_dual_enumeration():
         assert lhs.counts == rhs.counts
 
 
+def closed_form_krawtchouk(n, w, j):
+    return sum((-1) ** i * math.comb(j, i) * math.comb(n - j, w - i) for i in range(min(j, w) + 1))
+
+
+def test_krawtchouk_rows_match_the_closed_form():
+    for n in range(41):
+        table = codes._krawtchouk_rows(n)
+        assert len(table) == n + 1
+        for j, row in enumerate(table):
+            assert list(row) == [closed_form_krawtchouk(n, w, j) for w in range(n + 1)]
+    rng = random.Random(127)
+    table = codes._krawtchouk_rows(127)
+    for _ in range(300):
+        j, w = rng.randrange(128), rng.randrange(128)
+        assert table[j][w] == closed_form_krawtchouk(127, w, j)
+
+
 def test_macwilliams_rejects_inconsistent_input():
     bad = WeightEnumerator((1, 2, 0, 1))  # sums to 4 but is no [3,2] spectrum
     with pytest.raises(InternalConsistencyError):
@@ -244,6 +263,7 @@ def test_split_prediction_equals_patterns_scanned():
         modulus = c.weight_modulus()
         max_w = bound // modulus * modulus
         res = c.min_distance_split(bound)
+        assert predicted_split_patterns(c, bound) == res.patterns_scanned
         if bound >= modulus:  # otherwise the search returns before scanning
             h1 = max_w // 2
             assert split_patterns(c.k, rk, h1, max_w - 1 - h1) == res.patterns_scanned
@@ -312,22 +332,45 @@ def brute_low_weight_min(rows, depth, free):
     return best, patterns
 
 
-@pytest.mark.parametrize("block_words,block_bits", [(codes._SPLIT_BLOCK_WORDS, 16), (8, 2)])
+# (cap, chunk bits): the defaults; tables of one level only, so that the
+# walk is all Python; two to four table levels with a Python walk past them
+# and several chunks per last row
+KERNEL_LIMITS = [(codes._SPLIT_BLOCK_WORDS, 16), (8, 2), (64, 3), (300, 4)]
+
+
+@pytest.mark.parametrize("block_words,block_bits", KERNEL_LIMITS)
 def test_low_weight_kernel_matches_brute_force(monkeypatch, block_words, block_bits):
-    # small limits force fewer rows per block and Gray-stepped free words
+    # small limits force fewer rows per block, fewer prefix-table levels,
+    # smaller chunks and Gray-stepped free words
     monkeypatch.setattr(codes, "_SPLIT_BLOCK_WORDS", block_words)
     monkeypatch.setattr(codes, "_BLOCK_BITS", block_bits)
     rng = random.Random(block_bits)
     for _ in range(150):
         words = rng.randrange(1, 5)
         nbits = rng.randrange(64 * words - 63, 64 * words + 1)
-        rows = [rng.getrandbits(nbits) for _ in range(rng.randrange(0, 12))]
+        rows = [rng.getrandbits(nbits) for _ in range(rng.randrange(0, 15))]
         f = rng.randrange(0, min(nbits, 3) + 1)
         free = random_linear_code(nbits, f, rng).generator.row_bits() if f else []
-        depth = rng.randrange(1, 6)
+        depth = rng.randrange(1, 8)
         assert codes._low_weight_min(rows, nbits, depth, free) == brute_low_weight_min(
             rows, depth, free
         )
+
+
+def test_deep_low_weight_search_keeps_its_tables_within_the_cap():
+    # depth 12 on 28 rows: prefixes of up to 9 rows, whose prefix tables
+    # would take 10.2 MB at every level; the 8 MB cap keeps levels 0..7
+    # (4.3 MB), and a chunk adds about 0.6 MB
+    rng = random.Random(12)
+    rows = [rng.getrandbits(64) for _ in range(28)]
+    tracemalloc.start()
+    try:
+        best, patterns = codes._low_weight_min(rows, 64, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert patterns == split_patterns(28, 28, 12, 0)
+    assert peak < 7 << 20
 
 
 @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129, 256])

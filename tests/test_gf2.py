@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 
 import pytest
@@ -90,6 +92,40 @@ def test_rref_idempotent():
         red, _ = rref(m)
         again, _ = rref(red)
         assert again == red
+
+
+def column_sweep_rref(m):
+    # oracle: leftmost nonzero column first, pivot on the topmost row below
+    # the ones already used, clear the column in every other row
+    data, pivots = m.row_bits(), []
+    for c in range(m.cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(data)) if data[i] >> c & 1), None)
+        if piv is None:
+            continue
+        data[r], data[piv] = data[piv], data[r]
+        data = [x ^ data[r] if i != r and x >> c & 1 else x for i, x in enumerate(data)]
+        pivots.append(c)
+    return BitMatrix(m.cols, data[: len(pivots)]), tuple(pivots)
+
+
+@pytest.mark.parametrize("shape", ["tall", "wide", "deficient"])
+def test_rref_matches_column_sweep(shape):
+    rng = random.Random(shape)
+    for _ in range(200):
+        cols = rng.randrange(0, 70)
+        if shape == "tall":
+            rows = [rng.getrandbits(cols) for _ in range(cols + rng.randrange(1, 40))]
+        elif shape == "wide":
+            rows = [rng.getrandbits(cols) for _ in range(rng.randrange(0, cols // 2 + 1))]
+        else:  # combinations of a few rows, in random order
+            base = [rng.getrandbits(cols) for _ in range(rng.randrange(1, 6))]
+            rows = [
+                functools.reduce(operator.xor, rng.sample(base, rng.randrange(len(base) + 1)), 0)
+                for _ in range(rng.randrange(1, 20))
+            ]
+        m = BitMatrix(cols, rows)
+        assert rref(m) == column_sweep_rref(m)
 
 
 def test_nullspace_of_all_ones_row():
