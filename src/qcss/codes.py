@@ -392,8 +392,9 @@ def _split_depths(code: LinearCode, bound: int) -> tuple[int, int] | None:
 def predicted_split_patterns(code: LinearCode, bound: int) -> int:
     """``patterns_scanned`` of ``code.min_distance_split(bound)`` without the
     scan: ``split_patterns`` of the search's depths and of the rank of the
-    generator's non-pivot columns, found here apart from the search so that
-    the two counts check each other."""
+    generator's non-pivot columns.  The search's budget gate uses it, and
+    ``qcss min-distance --split`` checks it against the count of patterns
+    the kernel actually scanned."""
     depths = _split_depths(code, bound)
     if depths is None:
         return 0
@@ -420,6 +421,12 @@ def _min_distance_split(code: LinearCode, bound: int) -> SplitDistanceResult:
     if depths is None:
         return SplitDistanceResult(False, bound + 1, row_witness, 0)
     h1, h2 = depths
+    predicted = predicted_split_patterns(code, bound)
+    if predicted > DEFAULT_BUDGET:
+        raise ResourceLimit(
+            f"the split search would scan {predicted:.3g} patterns, beyond the "
+            f"budget of {DEFAULT_BUDGET}"
+        )
 
     # restriction of each rref row to the non-pivot columns, compacted
     a_rows = []
@@ -433,12 +440,6 @@ def _min_distance_split(code: LinearCode, bound: int) -> SplitDistanceResult:
     ra, ra_pivots = rref(a_mat)
     ra_rows = ra.row_bits()
     rank = len(ra_rows)
-    predicted = split_patterns(k, rank, h1, h2)
-    if predicted > DEFAULT_BUDGET:
-        raise ResourceLimit(
-            f"the split search would scan {predicted:.3g} patterns, beyond the "
-            f"budget of {DEFAULT_BUDGET}"
-        )
 
     # One rref of [U^T | I] gives the kernel of U^T and, in its identity
     # part T, a preimage m_j of every RA row j: U^T m_j = e_j is solved by
