@@ -14,13 +14,19 @@ m codewords, row i their i-th 64-bit word, so that a popcount is one
 - Distance certificates: ``min_distance_split`` is a meet-in-the-middle
   search whose pivot and non-pivot halves both call ``_low_weight_min``.
   Their depths add up to one less than the largest weight searched for
-  (see ``split_patterns``).  That kernel keeps every XOR of up to 3 rows in
-  one block and the XORs of the rows before them in colex-ordered tables,
-  and scans all the longer supports that share their last prefix row
-  against the block at once.
+  (see ``split_patterns``).  Each half is a generator [I | R] whose
+  identity part stays implicit: the word of a support S of rows weighs
+  |S| + popcount(XOR R[S]), so only R is scanned and |S| is added once per
+  scan (the information-set bookkeeping of the Brouwer-Zimmermann family;
+  M. Grassl, "Searching for linear codes with large minimum distance",
+  2006).  That kernel keeps every XOR of up to 3 rows in one block and the
+  XORs of the rows before them in colex-ordered tables, and scans all the
+  longer supports that share their last prefix row against the block at
+  once.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,7 +40,6 @@ from .gf2 import (
     BitVector,
     in_rowspace,
     kernel_from_rref,
-    nullspace_basis,
     pack_rows,
     parities,
     rref,
@@ -97,6 +102,9 @@ class LinearCode:
             raise InvalidInput(
                 f"generator rows are dependent: rank {red.rows} < {generator.rows}"
             )
+        self._keep(generator, red, pivots)
+
+    def _keep(self, generator: BitMatrix, red: BitMatrix, pivots: tuple[int, ...]) -> None:
         self.generator = generator
         self._rref = red
         self._pivots = pivots
@@ -105,9 +113,12 @@ class LinearCode:
 
     @classmethod
     def from_spanning(cls, rows: BitMatrix) -> "LinearCode":
-        """Code spanned by arbitrary rows; the kept basis is the rref."""
-        red, _ = rref(rows)
-        return cls(red)
+        """Code spanned by arbitrary rows; the kept basis is the rref, which
+        is its own rref, so it is not reduced again."""
+        red, pivots = rref(rows)
+        code = cls.__new__(cls)
+        code._keep(red, red, pivots)
+        return code
 
     @classmethod
     def from_text(cls, text: str) -> "LinearCode":
@@ -158,8 +169,8 @@ class LinearCode:
 
     def dual(self) -> "LinearCode":
         if self._dual is None:
-            basis = nullspace_basis(self.generator)
-            dual = LinearCode.from_spanning(basis)
+            basis = kernel_from_rref(self._rref.row_bits(), self._pivots, self.n)
+            dual = LinearCode.from_spanning(BitMatrix(self.n, basis))
             dual._dual = self
             self._dual = dual
         return self._dual
@@ -199,11 +210,11 @@ class LinearCode:
 # -- word-major enumeration ------------------------------------------------
 
 
-def _weights(block: np.ndarray, nbits: int) -> np.ndarray:
-    """Popcount of every column of a word-major (words, m) block of nbits-bit
-    columns: the uint8 counts of the words are summed in the narrowest
-    unsigned type that holds nbits."""
-    c = np.bitwise_count(block)
+def _weights(block: np.ndarray, nbits: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Popcount of every column of a word-major (words, ...) block of
+    nbits-bit columns: the uint8 counts of the words, in ``out`` if given,
+    are summed in the narrowest unsigned type that holds nbits."""
+    c = np.bitwise_count(block, out=out)
     if len(c) == 1:
         return c[0]
     w = c[0].astype(
@@ -250,22 +261,28 @@ def _weight_counts(
 def _low_weight_min(
     rows: Sequence[int], nbits: int, depth: int, free: Sequence[int] = ()
 ) -> tuple[int, int]:
-    """Smallest popcount of f ^ XOR(rows[S]) over 1 <= |S| <= depth and f in
-    the span of the independent words ``free``, and over S = {} with f != 0.
-    Returns (best, patterns), one pattern per pair (S, f).
+    """Smallest |S| + popcount(f ^ XOR(rows[S])) over 1 <= |S| <= depth and f
+    in the span of the independent words ``free``, and over S = {} with
+    f != 0.  Returns (best, patterns), one pattern per pair (S, f).
 
-    The XORs of 1..r rows (r <= 3) sit in one word-major block, those of
-    exactly r rows last and in lexicographic order, so the r-sets that
-    extend a prefix ending at row j are a contiguous suffix of the block.
-    The prefixes of up to depth - r rows are grouped by their last row j:
-    the XORs of the s-sets of rows below j are the first C(j, s) columns of
-    a colex-ordered table, so every prefix of up to t + 1 rows that ends at
-    j is one column of an array scanned against that suffix at once.  The
-    tables hold as many levels t as fit in ``_SPLIT_BLOCK_WORDS``; longer
-    prefixes take their rows above the lowest t one at a time in Python.
-    The span of the first free words is a middle axis of the block, as far
-    as it stays within 2^16 cells; the rest is Gray-stepped around the
-    whole walk.
+    The rows are the part of a generator outside an identity: row i stands
+    for e_i | rows[i], so the word of S has weight |S| + popcount(XOR
+    rows[S]), and |S| is never scanned.  Every scan below covers supports of
+    one size, so the size is added to a chunk's minimum, not to its cells.
+
+    The XORs of 1..r rows (r <= 3) sit in one word-major block, level by
+    level, those of exactly r rows last and in lexicographic order, so the
+    r-sets that extend a prefix ending at row j are a contiguous suffix of
+    the block.  The prefixes of up to depth - r rows are grouped by their
+    last row j: the XORs of the s-sets of rows below j are the first C(j, s)
+    columns of a colex-ordered table, so every prefix of s + 1 rows that
+    ends at j is one column of an array scanned against that suffix at once.
+    The tables hold as many levels t as fit in ``_SPLIT_BLOCK_WORDS``;
+    longer prefixes take their rows above the lowest t one at a time in
+    Python.  The span of the first free words is a middle axis of the block,
+    as far as it stays within 2^16 cells; the rest is Gray-stepped around
+    the whole walk.  Each chunk is XORed and popcounted into buffers that
+    every chunk reuses.
     """
     kk, depth = len(rows), min(depth, len(rows))
     arr, free_arr = pack_rows(rows, nbits), pack_rows(free, nbits)
@@ -280,16 +297,18 @@ def _low_weight_min(
     while r > 1 and math.comb(kk, r) * words > _SPLIT_BLOCK_WORDS:
         r -= 1
     sizes = [math.comb(kk, s) for s in range(1, r + 1)]
+    # level s of the block: the XORs of s rows, in columns levels[s - 1]..levels[s]
+    levels = list(itertools.accumulate(sizes, initial=0))
     b = 0
-    while b < len(free) and sum(sizes) * words << (b + 1) <= 1 << _BLOCK_BITS:
+    while b < len(free) and levels[r] * words << (b + 1) <= 1 << _BLOCK_BITS:
         b += 1
-    block = np.empty((words, 1 << b, sum(sizes)), dtype=np.uint64)
-    flat, end = block[:, 0], kk
+    block = np.empty((words, 1 << b, levels[r]), dtype=np.uint64)
+    flat = block[:, 0]
     flat[:, :kk] = arr.T
     for s in range(2, r + 1):
         # the s-sets that start at row i: row i XOR the last C(kk - i - 1, s - 1)
         # columns of the (s - 1)-sets, so every level stays lexicographic
-        prev = flat[:, end - sizes[s - 2] : end]
+        prev, end = flat[:, levels[s - 2] : levels[s - 1]], levels[s - 1]
         for i in range(kk):
             tail = prev[:, sizes[s - 2] - math.comb(kk - i - 1, s - 1) :]
             np.bitwise_xor(tail, arr[i, :, None], out=flat[:, end : end + tail.shape[1]])
@@ -297,7 +316,7 @@ def _low_weight_min(
     span = _span_block(free_arr[:b, :, None], words)
     np.bitwise_xor(flat[:, None, :], span[:, 1:, None], out=block[:, 1:])
     # where the suffix of a prefix ending at row j starts: the r-sets after j
-    starts = [block.shape[2] - math.comb(kk - j - 1, r) for j in range(kk - r)]
+    starts = [levels[r] - math.comb(kk - j - 1, r) for j in range(kk - r)]
     if depth == r:  # no prefixes
         starts = []
     terms = arr[:, :, None]  # row j as a (words, 1) column
@@ -319,41 +338,63 @@ def _low_weight_min(
         lows.append(low)
     t = len(lows) - 1
     acc = np.zeros((words, 1), dtype=np.uint64)
+    # a chunk has at most 2^_BLOCK_BITS cells, or one prefix against a whole
+    # level when that level alone is larger
+    cells = max(1 << _BLOCK_BITS, (1 << b) * max(sizes))
+    pre_buf = np.empty((words, 1 << _BLOCK_BITS), dtype=np.uint64)
+    xor_buf = np.empty(words * cells, dtype=np.uint64)
+    count_buf = np.empty(words * cells, dtype=np.uint8)
 
-    def scan(lower: np.ndarray, x: np.ndarray, start: int) -> None:
-        # the prefixes x ^ (a column of lower) against the block from start on
+    def scan(
+        lower: np.ndarray, x: np.ndarray, size: int, start: int, stop: int | None = None
+    ) -> None:
+        # the prefixes x ^ (a column of lower) against block columns
+        # start..stop, every pair a support of ``size`` rows
         nonlocal best, patterns
-        seg = block[:, None, :, start:]
+        seg = block[:, None, :, start:stop]
         per = seg[0].size
         step = max(1, (1 << _BLOCK_BITS) // per)
         for lo in range(0, lower.shape[1], step):
-            cells = (lower[:, lo : lo + step] ^ x)[:, :, None, None] ^ seg
-            best = min(best, int(_weights(cells, nbits).min()))
+            chunk = lower[:, lo : lo + step]
+            pre = np.bitwise_xor(chunk, x, out=pre_buf[:, : chunk.shape[1]])
+            shape = (words, chunk.shape[1]) + seg.shape[2:]
+            m = words * chunk.shape[1] * per
+            xs = np.bitwise_xor(pre[:, :, None, None], seg, out=xor_buf[:m].reshape(shape))
+            w = _weights(xs, nbits, count_buf[:m].reshape(shape))
+            best = min(best, int(w.min()) + size)
         patterns += lower.shape[1] * per
 
     for g in range(1 << (len(free) - b)):
         if g:
             acc = acc ^ free_arr[b + (g & -g).bit_length() - 1, :, None]
-        scan(lows[0], acc, 0)
+        for s in range(1, r + 1):
+            scan(lows[0], acc, s, levels[s - 1], levels[s])
         for j, start in enumerate(starts):
             x = acc ^ terms[j]
-            # the prefixes of 1..t + 1 rows that end at row j
+            # the prefixes of s + 1 rows that end at row j
             for s, low in enumerate(lows):
-                scan(low[:, : math.comb(j, s)], x, start)
+                scan(low[:, : math.comb(j, s)], x, s + 1 + r, start)
             # longer ones: the rows between their lowest t and j are added one
-            # at a time, downward, and the lowest t come from lows[t]
+            # at a time, downward, and the lowest t come from lows[t]; with
+            # ``left`` rows still to add, z and a column of lows[t] make a
+            # prefix of depth - r - left + 1 rows
             todo = [(x, j, depth - r - 1 - t)]
             while todo:
                 y, top, left = todo.pop()
                 if left:
                     for i in range(t, top):
                         z = y ^ terms[i]
-                        scan(lows[t][:, : math.comb(i, t)], z, start)
+                        scan(lows[t][:, : math.comb(i, t)], z, depth - left + 1, start)
                         todo.append((z, i, left - 1))
     return best, patterns
 
 
 # -- meet-in-the-middle distance certification ----------------------------
+
+
+def _compact(word: int, cols: Sequence[int]) -> int:
+    """The bits of ``word`` at ``cols``, packed into bits 0..len(cols) - 1."""
+    return sum((word >> c & 1) << i for i, c in enumerate(cols))
 
 
 def split_patterns(k: int, rank: int, pivot_depth: int, nonpivot_depth: int) -> int:
@@ -429,9 +470,7 @@ def _min_distance_split(code: LinearCode, bound: int) -> SplitDistanceResult:
         )
 
     # restriction of each rref row to the non-pivot columns, compacted
-    a_rows = []
-    for r in red:
-        a_rows.append(sum((r >> c & 1) << i for i, c in enumerate(nonpivots)))
+    a_rows = [_compact(r, nonpivots) for r in red]
 
     # Write A = U . RA with RA = rref(A).  The kernel of m -> m.A consists of
     # the codewords supported entirely on pivot columns; they are scanned in
@@ -454,20 +493,27 @@ def _min_distance_split(code: LinearCode, bound: int) -> SplitDistanceResult:
         for j in range(rank)
     ]
 
-    # Rows are tagged with their messages above bit n_np, so that the
-    # popcount of a XOR is the weight of the codeword it stands for.
-    # Pivot side: the codeword of rows S has pivot restriction S.
-    pivot_best, pivot_patterns = _low_weight_min(
-        [a | 1 << (n_np + i) for i, a in enumerate(a_rows)], n_np + k, h1
-    )
-    # Non-pivot side: every message m with wt(m . A) <= h2 is the preimage
-    # of an RA-row support mu plus a kernel word; mu = {} gives the kernel
-    # codewords themselves.
+    # ``_low_weight_min`` adds |S| to the popcount of a support S; on both
+    # sides that sum is the weight of the codeword S stands for.
+    # Pivot side: row i of the rref has a single 1 among the pivot columns,
+    # at pivot i, so the codeword of message S is S on the pivots and
+    # XOR a_rows[S] elsewhere, and weighs |S| + wt(XOR a_rows[S]).
+    pivot_best, pivot_patterns = _low_weight_min(a_rows, n_np, h1)
+    # Non-pivot side: every message m with wt(m . A) <= h2 is m = XOR m_j[mu]
+    # ^ f for an RA-row support mu and a kernel word f; mu = {} gives the
+    # kernel codewords themselves.  The codeword is m on the pivots and
+    # m . A = XOR RA[mu] elsewhere.  RA is reduced, so XOR RA[mu] is mu on
+    # RA's pivots, and the codeword weighs |mu| + wt(m) + wt(XOR RA[mu] off
+    # RA's pivots): the popcount of the rows RA off its pivots with m_j above
+    # them, XORed over mu and with f above them.
+    ra_pivot_set = set(ra_pivots)
+    rest = [c for c in range(n_np) if c not in ra_pivot_set]
+    width = len(rest)
     nonpivot_best, nonpivot_patterns = _low_weight_min(
-        [ra | m << n_np for ra, m in zip(ra_rows, solvers)],
-        n_np + k,
+        [_compact(ra, rest) | m << width for ra, m in zip(ra_rows, solvers)],
+        width + k,
         h2,
-        [w << n_np for w in kernel],
+        [w << width for w in kernel],
     )
     # generator rows are codewords, so their weights bound the distance
     best = min(row_witness, pivot_best, nonpivot_best)

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from qcss import codes, tables
+from qcss import codes, gf2, tables
 from qcss.bch import spec_from_zero_set, zero_set_of_polynomial
 from qcss.codes import (
     LinearCode,
@@ -71,6 +71,32 @@ def test_dual_of_repetition_is_even_weight_code():
     d = repetition(5).dual()
     assert (d.n, d.k) == (5, 4)
     assert all(r.weight() % 2 == 0 for r in d.generator)
+
+
+def test_from_spanning_and_dual_row_reduce_once(monkeypatch):
+    # the rref of the spanning rows is kept as it is, and the dual's kernel
+    # is read off the stored rref, so each takes a single row reduction
+    plain_rref, calls = gf2.rref, []
+
+    def counted(m):
+        calls.append(m)
+        return plain_rref(m)
+
+    monkeypatch.setattr(gf2, "rref", counted)
+    monkeypatch.setattr(codes, "rref", counted)
+    rng = random.Random(17)
+    for _ in range(40):
+        n = rng.randrange(1, 20)
+        rows = BitMatrix(n, [rng.getrandbits(n) for _ in range(rng.randrange(0, 9))])
+        calls.clear()
+        c = LinearCode.from_spanning(rows)
+        assert len(calls) == 1
+        calls.clear()
+        d = c.dual()
+        assert len(calls) == 1
+        assert c.dual() is d and d.dual() is c
+        assert d.generator == plain_rref(gf2.nullspace_basis(c.generator))[0]
+        assert d.pivots == plain_rref(d.generator)[1]
 
 
 def test_double_dual_is_same_code():
@@ -232,19 +258,21 @@ def test_split_certificate_above_true_distance():
 
 def test_split_agrees_with_exhaustive_on_random_codes():
     rng = random.Random(77)
-    for _ in range(120):
-        n = rng.randrange(2, 26)
-        k = rng.randrange(1, min(n, 20) + 1)
-        c = random_linear_code(n, k, rng)
-        d = c.min_distance()
-        for bound in (d - 1, d, d + 2):
-            if bound < 0:
-                continue
-            res = c.min_distance_split(bound)
-            if bound >= d:
-                assert res.found and res.value == d
-            else:
-                assert not res.found and res.value == bound + 1
+    # short codes, then codes whose two halves span one 64-bit word or two
+    for (lo, hi), k_max, count in (((2, 26), 20, 120), ((60, 137), 12, 40)):
+        for _ in range(count):
+            n = rng.randrange(lo, hi)
+            c = random_linear_code(n, rng.randrange(1, min(n, k_max) + 1), rng)
+            d = c.min_distance()
+            for bound in (d - 1, d, d + 2):
+                if bound < 0:
+                    continue
+                res = c.min_distance_split(bound)
+                if bound >= d:
+                    assert res.found and res.value == d
+                else:
+                    assert not res.found and res.value == bound + 1
+                assert res.patterns_scanned == predicted_split_patterns(c, bound)
 
 
 def nonpivot_rank(c):
@@ -317,7 +345,9 @@ def test_split_memory_does_not_grow_with_the_kernel():
 
 
 def brute_low_weight_min(rows, depth, free):
-    # oracle: every support of 0..depth rows against every word of the span
+    # oracle: every support of 0..depth rows against every word of the span,
+    # each weighing its size plus its popcount (the rows sit beside an
+    # identity that the kernel never scans)
     span = [0]
     for f in free:
         span += [w ^ f for w in span]
@@ -327,7 +357,7 @@ def brute_low_weight_min(rows, depth, free):
             x = functools.reduce(operator.xor, support, 0)
             for f in span:
                 if size or f:
-                    best = min(best, (x ^ f).bit_count())
+                    best = min(best, size + (x ^ f).bit_count())
                     patterns += 1
     return best, patterns
 
@@ -360,7 +390,7 @@ def test_low_weight_kernel_matches_brute_force(monkeypatch, block_words, block_b
 def test_deep_low_weight_search_keeps_its_tables_within_the_cap():
     # depth 12 on 28 rows: prefixes of up to 9 rows, whose prefix tables
     # would take 10.2 MB at every level; the 8 MB cap keeps levels 0..7
-    # (4.3 MB), and a chunk adds about 0.6 MB
+    # (4.3 MB), and the reused chunk buffers add about 1.1 MB
     rng = random.Random(12)
     rows = [rng.getrandbits(64) for _ in range(28)]
     tracemalloc.start()
