@@ -7,7 +7,9 @@ Each code length n has one cached table (``_length_table``): the cyclotomic
 coset of every residue, and the units that are least in their coset under
 doubling.  Zero sets are unions of cosets, so relabelling the roots by u or
 by 2u gives the same scaled zero set, and window searches scan one unit per
-coset.
+coset.  ``best_windows`` scans the windows of a whole batch of zero sets in
+numpy chunks; ``best_window`` is its one-set call, and the self-orthogonal
+search makes one call for its code zero sets and one for their duals.
 """
 from __future__ import annotations
 
@@ -258,6 +260,7 @@ class _LengthTable:
     coset_of: tuple[tuple[int, ...], ...]  # cyclotomic coset of each residue
     coset_units: tuple[int, ...]  # units least in their coset, increasing
     inverses: np.ndarray  # inverses[r] * coset_units[r] = 1 mod n
+    doubles: np.ndarray  # doubles[i] = 2i mod n
 
 
 def units(n: int) -> list[int]:
@@ -274,8 +277,10 @@ def _length_table(n: int) -> _LengthTable:
                 coset_of[j] = coset
     reps = tuple(u for u in units(n) if coset_of[u][0] == u)
     inverses = np.array([pow(u, -1, n) for u in reps], dtype=np.int64)
-    inverses.flags.writeable = False
-    return _LengthTable(tuple(coset_of), reps, inverses)
+    doubles = 2 * np.arange(n) % n
+    for a in (inverses, doubles):
+        a.flags.writeable = False
+    return _LengthTable(tuple(coset_of), reps, inverses, doubles)
 
 
 def _closure(exponents, n: int) -> tuple[int, ...]:
@@ -286,22 +291,81 @@ def _closure(exponents, n: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
+def _coset_minpoly(n: int, e: int, fld: Gf2mField, minpolys: dict[int, int]) -> int:
+    """Minimal polynomial of beta^e.  ``minpolys`` caches them by least coset
+    element, for callers that build many generators in one field."""
+    rep = _length_table(n).coset_of[e % n][0]
+    if rep not in minpolys:
+        minpolys[rep] = minimal_polynomial(fld, (fld.order // n * rep) % fld.order)
+    return minpolys[rep]
+
+
 def _generator_from_zeros(n: int, zeros, fld: Gf2mField, minpolys: dict[int, int]) -> int:
-    """Product of the minimal polynomials of the cosets in a closed zero set.
-    ``minpolys`` caches them by least coset element, for callers that build
-    many generators in one field."""
+    """Product of the minimal polynomials of the cosets in a closed zero set."""
     coset_of = _length_table(n).coset_of
-    s = fld.order // n
     g = 1
     for rep in {coset_of[e][0] for e in zeros}:
-        if rep not in minpolys:
-            minpolys[rep] = minimal_polynomial(fld, (s * rep) % fld.order)
-        g = poly_mul(minpolys[rep], g)  # walks the few bits of the factor
+        # walks the few bits of the factor
+        g = poly_mul(_coset_minpoly(n, rep, fld, minpolys), g)
     return g
 
 
-# cells of one (units, 2n) block in best_window; larger lengths take chunks
+# cells of one (sets, units, 2n) block of best_windows; larger batches and
+# lengths are scanned in chunks of at most this many cells
 _WINDOW_CELLS = 1 << 16
+
+
+@lru_cache(maxsize=16)
+def _unit_positions(n: int, r0: int, units: int) -> np.ndarray:
+    """positions[r, j] = inverses[r0 + r] * j mod n for j < 2n: exponent j of
+    the scaled set u*Z is in it iff exponent inv*j is in Z."""
+    positions = _length_table(n).inverses[r0 : r0 + units, None] * np.arange(2 * n) % n
+    positions.flags.writeable = False
+    return positions
+
+
+def best_windows(masks: np.ndarray, n: int) -> np.ndarray:
+    """``best_window`` of every row of an (H, n) boolean array of zero sets,
+    as an (H, 3) int64 array of (step, start, length) rows.
+
+    Each chunk gathers the scaled sets u*Z of up to ``_WINDOW_CELLS`` // 2n
+    (set, unit) pairs, each over two periods so that no run wraps.  The run
+    ending at position j has length j + 1 minus the running maximum of k + 1
+    over the missing positions k <= j (int16 while 2n fits).  A set's winner
+    is its first unit with the longest run, and the first longest run of
+    that unit in the doubled row starts at the smallest start, which lies in
+    0..n-1.  A full set gets the window (1, 0, n) and an empty one (1, 0, 0).
+    """
+    masks = np.asarray(masks, dtype=bool)
+    table = _length_table(n)
+    if (masks & ~masks[:, table.doubles]).any():
+        raise InvalidInput(f"zero set is not closed under doubling mod {n}")
+    missing = ~masks
+    ends = np.arange(1, 2 * n + 1, dtype=np.int16 if 2 * n < 1 << 15 else np.int32)
+    pairs = max(1, _WINDOW_CELLS // (2 * n))  # (set, unit) pairs in one chunk
+    units = max(1, min(len(table.inverses), pairs))
+    sets = max(1, pairs // units)
+    # n = 1 has no units, and its empty set keeps the window (1, 0, 0)
+    longest = np.zeros((len(masks), max(1, len(table.inverses))), dtype=ends.dtype)
+    first_end = np.zeros_like(longest)
+    for r0 in range(0, len(table.inverses), units):
+        positions = _unit_positions(n, r0, units)
+        for h0 in range(0, len(masks), sets):
+            cut = missing[h0 : h0 + sets].take(positions, axis=1) * ends  # (sets, units, 2n)
+            runs = ends - np.maximum.accumulate(cut, axis=2)
+            most = runs.max(axis=2)
+            longest[h0 : h0 + sets, r0 : r0 + units] = most
+            first_end[h0 : h0 + sets, r0 : r0 + units] = (runs == most[..., None]).argmax(axis=2)
+    rows = np.arange(len(masks))
+    r = longest.argmax(axis=1)
+    most = longest[rows, r]
+    out = np.ones((len(masks), 3), dtype=np.int64)
+    if len(table.inverses):
+        out[:, 0] = table.inverses[r]
+    out[:, 1] = np.where(most, first_end[rows, r] + 1 - most, 0)
+    out[:, 2] = most
+    out[masks.all(axis=1)] = (1, 0, n)
+    return out
 
 
 def best_window(zero_set, n: int) -> tuple[int, int, int]:
@@ -313,30 +377,12 @@ def best_window(zero_set, n: int) -> tuple[int, int, int]:
     first unit u = step^-1, in increasing order, whose scaled set u*Z has the
     longest run, and ``start`` is the smallest start among the longest runs
     of u*Z.  Since u*Z = 2u*Z, that unit is least in its doubling coset, so
-    only those units are scanned.
+    only those units are scanned.  This is the one-set call of
+    ``best_windows``, which scans a batch of zero sets at once.
     """
     mask = np.zeros(n, dtype=bool)
     mask[np.fromiter(zero_set, dtype=np.int64) % n] = True
-    if (mask & ~mask[2 * np.arange(n) % n]).any():
-        raise InvalidInput(f"zero set is not closed under doubling mod {n}")
-    if mask.all():
-        return 1, 0, n
-    inverses = _length_table(n).inverses
-    chunk = max(1, _WINDOW_CELLS // (2 * n))
-    best = (1, 0, 0)
-    for lo in range(0, len(inverses), chunk):
-        inv = inverses[lo : lo + chunk]
-        block = mask[inv[:, None] * np.arange(n) % n]  # block[r, j]: j in u_r * Z
-        block = np.concatenate((block, block), axis=1)  # no run wraps in two periods
-        count = np.cumsum(block, axis=1)
-        runs = count - np.maximum.accumulate(np.where(block, 0, count), axis=1)
-        longest = runs.max(axis=1)
-        r = int(longest.argmax())
-        length = int(longest[r])
-        if length > best[2]:
-            ends = np.flatnonzero(runs[r] == length)
-            best = (int(inv[r]), int(((ends - length + 1) % n).min()), length)
-    return best
+    return tuple(best_windows(mask[None], n)[0].tolist())
 
 
 def bch_bound(zero_set, n: int) -> int:
@@ -348,14 +394,14 @@ def bch_bound(zero_set, n: int) -> int:
 def spec_from_zero_set(n: int, zero_set, fld: Gf2mField | None = None) -> CyclicCodeSpec:
     if fld is None:
         fld = default_field(multiplicative_order_of_two(n))
-    return _closed_spec(n, _closure(zero_set, n), fld, {})
+    zeros = _closure(zero_set, n)
+    return _spec(n, fld, zeros, _generator_from_zeros(n, zeros, fld, {}), best_window(zeros, n))
 
 
-def _closed_spec(
-    n: int, zero_set: tuple[int, ...], fld: Gf2mField, minpolys: dict[int, int]
+def _spec(
+    n: int, fld: Gf2mField, zero_set: tuple[int, ...], g: int, window
 ) -> CyclicCodeSpec:
-    g = _generator_from_zeros(n, zero_set, fld, minpolys)
-    step, start, length = best_window(zero_set, n)
+    step, start, length = window
     return CyclicCodeSpec(
         n=n, m=fld.m, b=start, delta=length + 1, zero_set=zero_set, generator=g,
         step=step, field=fld,
@@ -722,17 +768,38 @@ class BchSearchHit:
 
 def search_self_orthogonal_bch(n: int) -> list[BchSearchHit]:
     """All (b, delta) BCH windows whose dual is self-orthogonal, deduplicated
-    by zero set and sorted by (dimension, zero set)."""
+    by zero set and sorted by (dimension, zero set).
+
+    The search runs in two phases.  The walk goes through delta = 2, 3, ...
+    for each b and keeps the dual's zero set (the closure of the window) and
+    its negation; it stops at the first delta where the two meet, and each
+    closure is kept once.  A step that changes the closure adds the
+    cyclotomic coset of the window's new exponent e, which is disjoint from
+    the closure (a union of cosets without e), so the step adds exactly one
+    coset to the dual's zeros and takes exactly the coset of -e from the
+    code's zeros, the complement of the negation.  The build phase then
+    forms every generator along the chain of its b with one ``poly_mul`` a
+    step: the dual's forwards, the code's backwards from the chain's last
+    kept state, because the code's zero set grows as delta falls.  Minimal
+    polynomials are computed only for the cosets the products use, and all
+    windows come from one ``best_windows`` call for the code zero sets and
+    one for the dual zero sets.
+    """
     if n < 3 or n % 2 == 0:
         raise InvalidInput(f"length must be odd and >= 3, got {n}")
     fld = default_field(multiplicative_order_of_two(n))
-    masks = [sum(1 << j for j in coset) for coset in _length_table(n).coset_of]
-    minpolys: dict[int, int] = {}
+    coset_of = _length_table(n).coset_of
+    masks = [sum(1 << j for j in coset) for coset in coset_of]
+
+    # walk: per b, the states (e, closure, negated, new) up to its last new
+    # closure
+    chains: list[list[tuple[int, int, int, bool]]] = []
     seen: set[int] = set()
-    hits = []
     for b in range(n):
         # the dual's zero set (the window's closure) and its negation, as masks
         closure = negated = 0
+        chain: list[tuple[int, int, int, bool]] = []
+        kept = 0
         for delta in range(2, n + 1):
             e = (b + delta - 2) % n
             if closure >> e & 1:
@@ -743,21 +810,58 @@ def search_self_orthogonal_bch(n: int) -> list[BchSearchHit]:
                 # some i and -i are both dual zeros, so the dual is not a
                 # superset code, here or for any larger delta
                 break
-            if closure in seen:
-                continue
+            new = closure not in seen
             seen.add(closure)
-            code_zeros = tuple(i for i in range(n) if not negated >> i & 1)
-            dual_zeros = tuple(i for i in range(n) if closure >> i & 1)
-            code_spec = _closed_spec(n, code_zeros, fld, minpolys)
-            dual_spec = _closed_spec(n, dual_zeros, fld, minpolys)
-            k = code_spec.dimension
-            hits.append(BchSearchHit(
-                code_spec=code_spec,
-                dual_spec=dual_spec,
-                quantum_n=n,
-                quantum_k=n - 2 * k,
-                designed_distance=dual_spec.delta,
-            ))
+            chain.append((e, closure, negated, new))
+            if new:
+                kept = len(chain)
+        if kept:
+            chains.append(chain[:kept])
+
+    # build: the generators along each chain, then the windows of all sets
+    minpolys: dict[int, int] = {}
+    states = []  # (closure, negated, dual generator, code generator)
+    for chain in chains:
+        duals, g = [], 1
+        for e, _, _, _ in chain:
+            g = poly_mul(_coset_minpoly(n, e, fld, minpolys), g)
+            duals.append(g)
+        negated = chain[-1][2]
+        g = _generator_from_zeros(n, (i for i in range(n) if not negated >> i & 1), fld, minpolys)
+        for i in range(len(chain) - 1, -1, -1):
+            e, closure, negated, new = chain[i]
+            if new:
+                states.append((closure, negated, duals[i], g))
+            if i:
+                g = poly_mul(_coset_minpoly(n, -e, fld, minpolys), g)
+
+    nbytes = (n + 7) // 8
+
+    def rows(bitmasks) -> np.ndarray:
+        buf = np.frombuffer(b"".join(x.to_bytes(nbytes, "little") for x in bitmasks), np.uint8)
+        return np.unpackbits(
+            buf.reshape(-1, nbytes), axis=1, count=n, bitorder="little"
+        ).view(bool)
+
+    def zero_sets(zeros: np.ndarray) -> list[tuple[int, ...]]:
+        return [tuple(row.nonzero()[0].tolist()) for row in zeros]
+
+    code_masks = ~rows(negated for _, negated, _, _ in states)
+    dual_masks = rows(closure for closure, _, _, _ in states)
+    hits = []
+    for (_, _, dual_g, code_g), code_window, dual_window, code_zeros, dual_zeros in zip(
+        states, best_windows(code_masks, n).tolist(), best_windows(dual_masks, n).tolist(),
+        zero_sets(code_masks), zero_sets(dual_masks),
+    ):
+        code_spec = _spec(n, fld, code_zeros, code_g, code_window)
+        dual_spec = _spec(n, fld, dual_zeros, dual_g, dual_window)
+        hits.append(BchSearchHit(
+            code_spec=code_spec,
+            dual_spec=dual_spec,
+            quantum_n=n,
+            quantum_k=n - 2 * code_spec.dimension,
+            designed_distance=dual_spec.delta,
+        ))
     return sorted(hits, key=lambda h: (h.code_spec.dimension, h.code_spec.zero_set))
 
 

@@ -1,10 +1,12 @@
 import dataclasses
+import hashlib
 import itertools
 import os
 import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from qcss import bch
@@ -17,6 +19,7 @@ from qcss.bch import (
     bch_bound,
     bch_generator,
     best_window,
+    best_windows,
     bm_decode,
     cyclic_weight_counts,
     cyclotomic_coset,
@@ -348,9 +351,49 @@ def _oracle_search(n):
     return sorted(seen.values(), key=lambda h: (h.code_spec.dimension, h.code_spec.zero_set))
 
 
-@pytest.mark.parametrize("n", [15, 21, 31, 45, 51, 63, 85, 93])
+@pytest.mark.parametrize("n", [15, 21, 31, 45, 51, 55, 63, 73, 85, 89, 93, 105])
 def test_search_equals_all_units_oracle(n):
     assert search_self_orthogonal_bch(n) == _oracle_search(n)
+
+
+# sha256 of repr([per-hit tuple]) at the benchmark lengths, taken from the
+# search before its batched windows and chained generators
+SEARCH_DIGESTS = {
+    63: "6c69e80f12234955a4a70140fe55dcec21f72292669403d17e9010678355e306",
+    85: "f76ee0371d68b8059dff7d152dd1835f2c3048965e50c8b85acaecb567553ac3",
+    93: "addd086d0870f8b8cab11afd8658a6828a47089ddbb9fcfce1709ee633d16ef7",
+    127: "912a5bbc38afc7c54cf8b8bd25176654ab5e06ab2c0260f976e1a10f172ef43e",
+    255: "548de1e1e98c55e556710cea800585cadd9ed8827a5f6ace6d2b6875e99d3b97",
+}
+
+
+@pytest.mark.parametrize("n", sorted(SEARCH_DIGESTS))
+def test_search_digest_at_benchmark_lengths(n):
+    hits = search_self_orthogonal_bch(n)
+    rows = [
+        (c.zero_set, c.generator, c.b, c.delta, c.step,
+         d.zero_set, d.generator, d.b, d.delta, d.step, h.quantum_k, h.designed_distance)
+        for h in hits for c, d in [(h.code_spec, h.dual_spec)]
+    ]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == SEARCH_DIGESTS[n]
+    if n in (127, 255):
+        # the roots of each generator, however its product was formed
+        for h in hits:
+            for spec in (h.code_spec, h.dual_spec):
+                assert zero_set_of_polynomial(n, spec.generator) == spec.zero_set
+
+
+@pytest.mark.parametrize("n", [2, 10, 69])
+def test_search_refuses_before_any_work(n, monkeypatch):
+    # 69 has m = 22, for which no primitive polynomial is on record
+    def no_work(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(bch, "_length_table", no_work)
+    monkeypatch.setattr(bch, "best_windows", no_work)
+    monkeypatch.setattr(bch, "minimal_polynomial", no_work)
+    with pytest.raises(InvalidInput):
+        search_self_orthogonal_bch(n)
 
 
 @pytest.mark.parametrize("n,count", [(63, 62), (85, 42), (93, 124), (127, 360), (255, 852)])
@@ -360,24 +403,56 @@ def test_search_hit_counts(n, count):
     assert len({h.code_spec.zero_set for h in hits}) == count
 
 
+def _closed_set_batch(n, rng, count):
+    cosets = sorted({cyclotomic_coset(e, n) for e in range(n)})
+    samples = [(), tuple(range(1, n)), tuple(range(n))]
+    for _ in range(count):
+        picked = [c for c in cosets if rng.random() < rng.random()]
+        samples.append(tuple(sorted(i for c in picked for i in c)))
+    rng.shuffle(samples)
+    return samples
+
+
 @pytest.mark.parametrize("one_unit_per_chunk", [False, True])
 @pytest.mark.parametrize("n", [21, 45, 51, 73, 85, 89, 93])
 def test_best_window_matches_brute_force_on_closed_sets(n, one_unit_per_chunk, monkeypatch):
     if one_unit_per_chunk:
         monkeypatch.setattr(bch, "_WINDOW_CELLS", 1)
-    rng = random.Random(n)
-    cosets = sorted({cyclotomic_coset(e, n) for e in range(n)})
-    samples = [(), tuple(range(1, n)), tuple(range(n))]
-    for _ in range(25):
-        picked = [c for c in cosets if rng.random() < rng.random()]
-        samples.append(tuple(sorted(i for c in picked for i in c)))
-    for zs in samples:
+    for zs in _closed_set_batch(n, random.Random(n), 25):
         want = _oracle_best_window(zs, n)
         assert best_window(zs, n) == want
         assert best_window(zs[::-1], n) == want  # iteration order does not matter
         assert bch_bound(set(zs), n) == want[2] + 1
         step, start, length = want
         assert all(step * (start + j) % n in set(zs) for j in range(length))
+
+
+@pytest.mark.parametrize("pairs", [None, 1, 3, "five_sets"])
+@pytest.mark.parametrize("n", [15, 21, 45, 51, 63, 73, 85, 89, 93, 127])
+def test_batched_windows_match_oracle(n, pairs, monkeypatch):
+    """Chunks of the default size, of one (set, unit) pair, of 3 pairs (a
+    set's units split across chunks for most n) and of 5 sets with all their
+    units (the 43 sets end in a part chunk)."""
+    samples = _closed_set_batch(n, random.Random(1000 + n), 40)
+    if pairs == "five_sets":
+        pairs = 5 * len(bch._length_table(n).coset_units) + 1
+    if pairs is not None:
+        monkeypatch.setattr(bch, "_WINDOW_CELLS", pairs * 2 * n)
+    masks = np.zeros((len(samples), n), dtype=bool)
+    for row, zs in zip(masks, samples):
+        row[list(zs)] = True
+    got = best_windows(masks, n)
+    assert got.shape == (len(samples), 3) and got.dtype == np.int64
+    assert [tuple(w) for w in got.tolist()] == [_oracle_best_window(zs, n) for zs in samples]
+    assert best_windows(masks[:0], n).shape == (0, 3)
+
+
+def test_batched_windows_refuse_a_batch_with_one_open_set():
+    masks = np.zeros((3, 7), dtype=bool)
+    masks[0, [1, 2, 4]] = True
+    masks[2, [3]] = True  # misses 6 = 2 * 3
+    with pytest.raises(InvalidInput):
+        best_windows(masks, 7)
 
 
 def test_window_refuses_sets_not_closed_under_doubling():
