@@ -10,6 +10,10 @@ by 2u gives the same scaled zero set, and window searches scan one unit per
 coset.  ``best_windows`` scans the windows of a whole batch of zero sets in
 numpy chunks; ``best_window`` is its one-set call, and the self-orthogonal
 search makes one call for its code zero sets and one for their duals.
+
+A binary word's values at field elements are GF(2)-linear in its bits:
+``_value_tables`` builds that map as a ``gf2.ParityMap``, once per length
+and field for zero sets and once per spec for the decoder.
 """
 from __future__ import annotations
 
@@ -151,15 +155,6 @@ class Gf2mField:
         if a == 0:
             raise InvalidInput("log of zero")
         return self._log[a]
-
-    def eval_poly(self, p: int, x: int) -> int:
-        """Evaluate a GF(2)-coefficient polynomial at a field element."""
-        acc = 0
-        for d in range(p.bit_length() - 1, -1, -1):
-            acc = self.mul(acc, x)
-            if p >> d & 1:
-                acc ^= 1
-        return acc
 
     def __repr__(self) -> str:
         return f"Gf2mField(m={self.m}, poly=0x{self.poly:x})"
@@ -447,15 +442,29 @@ def is_self_orthogonal_cyclic(spec: CyclicCodeSpec) -> bool:
     )
 
 
+@lru_cache(maxsize=16)
+def _coset_values(n: int, fld: Gf2mField) -> tuple[tuple[tuple[int, ...], ...], ParityMap]:
+    """The cosets mod n by least element c, and a word's values at each
+    beta^c; keyed by the field, not its m, as polynomials differ."""
+    if fld.order % n:
+        raise InvalidInput(f"{n} does not divide 2^{fld.m}-1")
+    cosets = tuple(sorted(set(_length_table(n).coset_of)))
+    return cosets, _value_tables(fld, [fld.order // n * c[0] for c in cosets], n)[1]
+
+
 def zero_set_of_polynomial(n: int, g: int, fld: Gf2mField | None = None) -> tuple[int, ...]:
     """Exponents i with g(beta^i) = 0.  g is binary, so g(beta^2i) =
-    g(beta^i)^2 and g is evaluated at one residue per cyclotomic coset."""
+    g(beta^i)^2 and g is evaluated at one residue per cyclotomic coset,
+    after folding it modulo x^n + 1, which vanishes at every beta^i."""
+    if g < 0:
+        raise InvalidInput(f"polynomial {g} is negative")
     if fld is None:
         fld = default_field(multiplicative_order_of_two(n))
-    s = fld.order // n
+    cosets, values = _coset_values(n, fld)
+    packed = values(poly_mod(g, 1 << n | 1))
     zeros: list[int] = []
-    for coset in set(_length_table(n).coset_of):
-        if fld.eval_poly(g, fld.alpha_pow(s * coset[0])) == 0:
+    for f, coset in enumerate(cosets):
+        if not packed >> (fld.m * f) & fld.order:
             zeros += coset
     return tuple(sorted(zeros))
 
@@ -596,6 +605,16 @@ def cyclic_weight_counts(spec: CyclicCodeSpec, budget: int = DEFAULT_BUDGET) -> 
 # exp/log arrays.
 
 
+def _value_tables(fld: Gf2mField, points, n: int) -> tuple[list[int], ParityMap]:
+    """Entry p: the values of x^p at alpha^e for e in ``points``, m bits a
+    field; and the map from an n-bit word to its packed values."""
+    exp, m, order = fld._exp, fld.m, fld.order
+    position_values = [
+        sum(exp[e * p % order] << (m * f) for f, e in enumerate(points)) for p in range(n)
+    ]
+    return position_values, ParityMap(position_values)
+
+
 @dataclass(frozen=True)
 class _DecoderTables:
     """Tables of ``bm_decode`` for one spec over one field.
@@ -631,9 +650,7 @@ def _decoder_tables(spec: CyclicCodeSpec, poly: int) -> _DecoderTables:
     # c(beta^2z) = c(beta^z)^2 for a binary word c, so one zero per coset
     # tests the whole zero set
     points += [s0 * z for z in sorted({_length_table(n).coset_of[z][0] for z in spec.zero_set})]
-    position_values = [
-        sum(exp[e * p % order] << (m * f) for f, e in enumerate(points)) for p in range(n)
-    ]
+    position_values, values = _value_tables(fld, points, n)
     chien = []
     for i in range((spec.delta - 1) // 2 + 1):
         row = []
@@ -645,7 +662,7 @@ def _decoder_tables(spec: CyclicCodeSpec, poly: int) -> _DecoderTables:
                     planes |= (value >> b & 1) << (b * n + p)
             row.append(planes)
         chien.append(row)
-    return _DecoderTables(exp, log, position_values, ParityMap(position_values), chien)
+    return _DecoderTables(exp, log, position_values, values, chien)
 
 
 def bm_decode(spec: CyclicCodeSpec, received: BitVector) -> set[int]:

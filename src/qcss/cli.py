@@ -182,8 +182,11 @@ def _cmd_pg(args) -> int:
 
 
 def _bch_css(n: str, ghex: str) -> CssCode:
-    n_int = _int(n)
-    spec = spec_from_zero_set(n_int, zero_set_of_polynomial(n_int, _int(ghex, 16)))
+    n_int, g = _int(n), _int(ghex, 16)
+    spec = spec_from_zero_set(n_int, zero_set_of_polynomial(n_int, g))
+    if spec.generator != g:
+        # the generator of g's zero set is g only when g divides x^n + 1
+        raise InvalidInput(f"0x{g:X} is not the generator of a cyclic code of length {n_int}")
     return css_from_self_orthogonal_cyclic(spec)
 
 

@@ -39,9 +39,11 @@ from .gf2 import (
     BitMatrix,
     BitVector,
     in_rowspace,
+    insert_rows,
     kernel_from_rref,
     pack_rows,
     parities,
+    preimages,
     rref,
 )
 
@@ -478,20 +480,10 @@ def _min_distance_split(code: LinearCode, bound: int) -> SplitDistanceResult:
     a_mat = BitMatrix(n_np, a_rows)
     ra, ra_pivots = rref(a_mat)
     ra_rows = ra.row_bits()
-    rank = len(ra_rows)
 
-    # One rref of [U^T | I] gives the kernel of U^T and, in its identity
-    # part T, a preimage m_j of every RA row j: U^T m_j = e_j is solved by
-    # m_j = sum_i T_i[j] e_{c_i} over the pivots c_i of rref(U^T) = T U^T.
-    u_rows = [a_mat.column_bits(q) for q in ra_pivots]  # columns of A at RA pivots
-    aug = [u | 1 << (k + j) for j, u in enumerate(u_rows)]
-    red_u, u_pivots = rref(BitMatrix(k + rank, aug))
-    red_u_rows = red_u.row_bits()
-    kernel = kernel_from_rref(red_u_rows, u_pivots, k)
-    solvers = [
-        sum(1 << c for row, c in zip(red_u_rows, u_pivots) if row >> (k + j) & 1)
-        for j in range(rank)
-    ]
+    # The columns of A at RA's pivots are the rows of U^T, so m_j with
+    # U^T m_j = e_j has m_j . A = RA row j, and ker U^T = ker(m -> m . A).
+    solvers, kernel = preimages([a_mat.column_bits(q) for q in ra_pivots], k)
 
     # ``_low_weight_min`` adds |S| to the popcount of a support S; on both
     # sides that sum is the weight of the codeword S stands for.
@@ -591,9 +583,8 @@ def random_linear_code(n: int, k: int, rng) -> LinearCode:
         raise InvalidInput(f"bad dimensions [{n},{k}]")
     while True:
         rows = [int(rng.getrandbits(n)) for _ in range(k)]
-        m = BitMatrix(n, rows)
-        if rref(m)[0].rows == k:
-            return LinearCode(m)
+        if len(insert_rows({}, rows)) == k:
+            return LinearCode(BitMatrix(n, rows))
 
 
 def random_self_orthogonal_code(n: int, k: int, rng, max_tries: int = 4000) -> LinearCode:
@@ -602,6 +593,7 @@ def random_self_orthogonal_code(n: int, k: int, rng, max_tries: int = 4000) -> L
         raise PreconditionError(f"self-orthogonal codes need k <= n/2, got [{n},{k}]")
     for _ in range(max_tries):
         rows: list[int] = []
+        basis: dict[int, int] = {}  # the span of rows, for independence
         tries = 0
         while len(rows) < k and tries < 60 * (k + 1):
             tries += 1
@@ -610,8 +602,7 @@ def random_self_orthogonal_code(n: int, k: int, rng, max_tries: int = 4000) -> L
                 continue
             if parities(rows, cand):
                 continue
-            m = BitMatrix(n, rows + [cand])
-            if rref(m)[0].rows == len(rows) + 1:
+            if insert_rows(basis, [cand]):
                 rows.append(cand)
         if len(rows) == k:
             return LinearCode(BitMatrix(n, rows))

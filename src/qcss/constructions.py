@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .bch import Gf2mField
 from .codes import DEFAULT_BUDGET, LinearCode, dual_distance_via_transform, extend_with_parity
 from .errors import InvalidInput, PreconditionError, ResourceLimit
-from .gf2 import BitMatrix, BitVector, parities, rref
+from .gf2 import BitMatrix, BitVector, insert_rows, parities, rref
 
 _PREDICT_BUDGET = 1 << 24
 
@@ -99,25 +99,9 @@ def _coset_leader_basis(sub: LinearCode, sup: LinearCode) -> list[int]:
         raise PreconditionError(f"length mismatch: {sub.n} != {sup.n}")
     if not sub.is_subcode_of(sup):
         raise PreconditionError("first code is not a subcode of the second")
-    table: dict[int, int] = {}  # lowest set bit -> reduced row
-
-    def reduce(v: int) -> int:
-        while v:
-            low = v & -v
-            if low not in table:
-                return v
-            v ^= table[low]
-        return 0
-
-    for row in sub.rref_matrix.row_bits():
-        v = reduce(row)
-        table[v & -v] = v
-    leaders: list[int] = []
-    for row in sup.rref_matrix.row_bits():
-        v = reduce(row)
-        if v:
-            leaders.append(v)
-            table[v & -v] = v
+    basis: dict[int, int] = {}
+    insert_rows(basis, sub.rref_matrix.row_bits())
+    leaders = insert_rows(basis, sup.rref_matrix.row_bits())
     if len(leaders) != sup.k - sub.k:
         raise PreconditionError("coset reduction lost rank")
     return leaders

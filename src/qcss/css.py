@@ -28,7 +28,7 @@ from .errors import (
     PreconditionError,
     ResourceLimit,
 )
-from .gf2 import BitMatrix, BitVector, ParityMap, parities, rref
+from .gf2 import BitVector, ParityMap, parities, preimages
 
 # largest parity-check count a LookupDecoder accepts: its table has 2^k entries
 LOOKUP_MAX_ROWS = 16
@@ -262,20 +262,9 @@ def _check_map(syndrome_code: LinearCode, stabilizer_code: LinearCode) -> Parity
 
 
 def _preimage_map(code: LinearCode) -> ParityMap:
-    """The map s -> w with G w = s, from one rref of [G | I_k].
-
-    The rref gives rows T_i and pivots p_i with rref(G) = T G.  The word
-    w = sum_i y_i e_{p_i} has rref(G) w = y, so G w = s holds for y = T s:
-    the image of bit j of s is the sum of e_{p_i} over the T_i with bit j set.
-    """
-    n, k = code.n, code.k
-    aug = [g | 1 << (n + j) for j, g in enumerate(code.generator.row_bits())]
-    red, pivots = rref(BitMatrix(n + k, aug))
-    images = [0] * k
-    for row, p in zip(red.row_bits(), pivots):
-        for j in range(k):
-            images[j] |= (row >> (n + j) & 1) << p
-    return ParityMap(images)
+    """The map s -> w with G w = s: bit j of s maps to ``gf2.preimages``'s
+    word for e_j."""
+    return ParityMap(preimages(code.generator.row_bits(), code.n)[0])
 
 
 # -- assembly helpers ----------------------------------------------------------

@@ -1,8 +1,10 @@
 """Bit-packed GF(2) vectors and matrices.
 
 A vector of length ``n`` is a Python int whose bit ``i`` is the value at
-column ``i``; bits at or above ``n`` are always zero.  All row reduction,
-nullspace and inner-product work in the package is built on these two types.
+column ``i``; bits at or above ``n`` are always zero.  Each GF(2)-linear job
+of the package has one routine here: ``insert_rows`` (basis insertion, the
+first phase of ``rref``), ``preimages`` (words with given parities, and a
+kernel) and ``ParityMap`` (a fixed matrix applied to many words).
 """
 from __future__ import annotations
 
@@ -55,20 +57,8 @@ class BitVector:
                 bits |= 1 << j
         return cls(len(text), bits)
 
-    @classmethod
-    def from_support(cls, n: int, support: Iterable[int]) -> "BitVector":
-        bits = 0
-        for j in support:
-            if not 0 <= j < n:
-                raise InvalidInput(f"coordinate {j} out of range for length {n}")
-            bits |= 1 << j
-        return cls(n, bits)
-
     def to_string(self) -> str:
         return "".join("1" if self.bits >> j & 1 else "0" for j in range(self.n))
-
-    def to_hex(self) -> str:
-        return hex(self.bits)
 
     def weight(self) -> int:
         return self.bits.bit_count()
@@ -96,10 +86,6 @@ class BitVector:
     def __or__(self, other: "BitVector") -> "BitVector":
         self._same_length(other)
         return BitVector(self.n, self.bits | other.bits)
-
-    def dot(self, other: "BitVector") -> int:
-        self._same_length(other)
-        return (self.bits & other.bits).bit_count() & 1
 
     def concat(self, other: "BitVector") -> "BitVector":
         return BitVector(self.n + other.n, self.bits | other.bits << self.n)
@@ -193,12 +179,6 @@ class BitMatrix:
         columns = np.packbits(bits.T, axis=1, bitorder="little")
         return BitMatrix(self.rows, [int.from_bytes(c.tobytes(), "little") for c in columns])
 
-    def mul_vector(self, v: BitVector) -> BitVector:
-        """M @ v over GF(2); result length = number of rows."""
-        if v.n != self.cols:
-            raise InvalidInput(f"length mismatch: {v.n} != {self.cols}")
-        return BitVector(self.rows, parities(self._data, v.bits))
-
     def to_text(self) -> str:
         """Repo matrix format: 'rows cols' header then one 0/1 string per row."""
         lines = [f"{self.rows} {self.cols}"]
@@ -229,26 +209,34 @@ class BitMatrix:
         return f"BitMatrix({self.rows}x{self.cols})"
 
 
-def rref(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
-    """Reduced row echelon form over GF(2), zero rows dropped.
-
-    Each row is reduced against a basis keyed by lowest set bit and joins it
-    under a new key if anything is left; back-substitution from the highest
-    pivot down then clears every other pivot column.  The RREF of a row
-    space is unique, so rows and pivots are those of a sweep that pivots on
-    the leftmost nonzero column, with no column permutation and whatever the
-    row order; this fixes the pivot/non-pivot column split used by the
-    meet-in-the-middle distance search.
-    """
-    basis: dict[int, int] = {}
-    for v in m.row_bits():
+def insert_rows(basis: dict[int, int], rows: Iterable[int]) -> list[int]:
+    """Reduce each row against ``basis``, keyed by lowest set bit, and add
+    what is left under its new key; returns those residues in row order."""
+    added = []
+    for v in rows:
         while v:
             p = (v & -v).bit_length() - 1
             b = basis.get(p)
             if b is None:
                 basis[p] = v
+                added.append(v)
                 break
             v ^= b
+    return added
+
+
+def rref(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
+    """Reduced row echelon form over GF(2), zero rows dropped.
+
+    The rows go into a basis by ``insert_rows``; back-substitution from the
+    highest pivot down then clears every other pivot column.  The RREF of a
+    row space is unique, so rows and pivots are those of a sweep that pivots
+    on the leftmost nonzero column, with no column permutation and whatever
+    the row order; this fixes the pivot/non-pivot column split used by the
+    meet-in-the-middle distance search.
+    """
+    basis: dict[int, int] = {}
+    insert_rows(basis, m.row_bits())
     pivots = sorted(basis)
     mask = 0  # the pivot columns above the current one
     for p in reversed(pivots):
@@ -288,23 +276,21 @@ def kernel_from_rref(rows: Sequence[int], pivots: Sequence[int], cols: int) -> l
     return basis
 
 
-def solve(m: BitMatrix, rhs: BitVector) -> BitVector | None:
-    """One solution x of M x = rhs, or None if the system is inconsistent.
-
-    Reduces [M | rhs]: a pivot in the rhs column is an equation 0 = 1, and
-    otherwise row i fixes the pivot variable p_i to its rhs bit.
-    """
-    if rhs.n != m.rows:
-        raise InvalidInput(f"rhs length {rhs.n} != row count {m.rows}")
-    c = m.cols
-    aug = [r | (rhs.bits >> i & 1) << c for i, r in enumerate(m.row_bits())]
-    red, pivots = rref(BitMatrix(c + 1, aug))
-    if pivots and pivots[-1] == c:
-        return None
-    x = 0
-    for row, p in zip(red.row_bits(), pivots):
-        x |= (row >> c & 1) << p
-    return BitVector(c, x)
+def preimages(rows: Sequence[int], cols: int) -> tuple[list[int], list[int]]:
+    """Words w_j with ``parities(rows, w_j)`` = e_j for k independent rows R
+    of ``cols`` bits, and a kernel basis of R, from one rref of [R | I_k]:
+    its rows are T_i R with pivots p_i, and R w = s for w the sum of e_{p_i}
+    over the i with T_i . s = 1."""
+    k = len(rows)
+    red, pivots = rref(BitMatrix(cols + k, [r | 1 << (cols + j) for j, r in enumerate(rows)]))
+    if pivots and pivots[-1] >= cols:
+        raise InvalidInput(f"the {k} rows have rank below {k}")
+    red_rows = red.row_bits()
+    images = [
+        sum(1 << p for row, p in zip(red_rows, pivots) if row >> (cols + j) & 1)
+        for j in range(k)
+    ]
+    return images, kernel_from_rref(red_rows, pivots, cols)
 
 
 def parities(rows: Sequence[int], word: int) -> int:

@@ -186,7 +186,7 @@ def test_bm_decode_beyond_radius_fails_or_miscorrects_to_codeword():
     code = spec.to_code()
     rng = random.Random(9)
     for _ in range(200):
-        err = BitVector.from_support(15, rng.sample(range(15), 3))
+        err = BitVector(15, sum(1 << j for j in rng.sample(range(15), 3)))
         try:
             positions = bm_decode(spec, err)
         except DecodingFailure:
@@ -207,7 +207,7 @@ def test_bch_decoder_adapter_returns_codewords():
         for r in code.generator.row_bits():
             if rng.random() < 0.5:
                 cw ^= r
-        noise = BitVector.from_support(31, rng.sample(range(31), 2))
+        noise = BitVector(31, sum(1 << j for j in rng.sample(range(31), 2)))
         out = dec.decode_word(cw ^ noise.bits)
         assert out == cw
 
@@ -710,11 +710,20 @@ def test_compact_field_matches_list_oracle(m):
             assert fld.log(fld.alpha_pow(e)) == e
 
 
-def _direct_zero_set(n, g):
-    """zero_set_of_polynomial as it was: g evaluated at every residue."""
-    fld = default_field(multiplicative_order_of_two(n))
+def _direct_zero_set(n, g, fld=None):
+    """g evaluated at every residue by Horner's rule, one field
+    multiplication per coefficient."""
+    if fld is None:
+        fld = default_field(multiplicative_order_of_two(n))
     s = fld.order // n
-    return tuple(i for i in range(n) if fld.eval_poly(g, fld.alpha_pow(s * i)) == 0)
+
+    def value(x):
+        acc = 0
+        for d in range(g.bit_length() - 1, -1, -1):
+            acc = fld.mul(acc, x) ^ (g >> d & 1)
+        return acc
+
+    return tuple(i for i in range(n) if value(fld.alpha_pow(s * i)) == 0)
 
 
 @pytest.mark.parametrize("row", TABLE1_ROWS, ids=lambda row: f"n{row[0]}k{row[1]}d{row[2]}")
@@ -728,6 +737,27 @@ def test_coset_zero_sets_match_direct_evaluation(row):
     # a polynomial with no zero among the n-th roots of unity, and x^n + 1
     assert zero_set_of_polynomial(n, 0b10) == _direct_zero_set(n, 0b10) == ()
     assert zero_set_of_polynomial(n, 1 << n | 1) == tuple(range(n))
+    # the zero polynomial, and g with random bits at and above degree n
+    assert zero_set_of_polynomial(n, 0) == _direct_zero_set(n, 0) == tuple(range(n))
+    rng = random.Random(n)
+    same = g ^ poly_mul(rng.getrandbits(2 * n), 1 << n | 1)
+    assert zero_set_of_polynomial(n, same) == _direct_zero_set(n, same) == zeros
+    high = g ^ rng.getrandbits(2 * n) << n
+    assert zero_set_of_polynomial(n, high) == _direct_zero_set(n, high)
+    # GF(32) by 0x3B against the default 0x25, each after the other
+    alt = Gf2mField(5, 0x3B)
+    for h in (0x25, 0x3B, 0x32E8AB):
+        assert zero_set_of_polynomial(31, h) == _direct_zero_set(31, h)
+        assert zero_set_of_polynomial(31, h, alt) == _direct_zero_set(31, h, alt)
+        assert zero_set_of_polynomial(31, h) == _direct_zero_set(31, h)
+
+
+def test_zero_set_refuses_bad_input():
+    with pytest.raises(InvalidInput):
+        zero_set_of_polynomial(15, -0x9AF)
+    # 15 does not divide 2^5 - 1
+    with pytest.raises(InvalidInput):
+        zero_set_of_polynomial(15, 0x9AF, Gf2mField(5))
 
 
 # -- shift-orbit spectra ---------------------------------------------------

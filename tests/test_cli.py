@@ -115,6 +115,16 @@ def test_css_build_and_simulate(tmp_path, capsys):
     assert int(fields["x_failures"]) + int(fields["z_failures"]) == int(fields["decode_failures"])
 
 
+def test_css_build_bch_of_a_generator(tmp_path, capsys):
+    css_path = tmp_path / "bch.css"
+    code, out = run(
+        capsys, "css-build", "--decoder", "bch", "--decoder-args", "15", "0x9AF",
+        "--out", str(css_path),
+    )
+    assert code == 0 and "[[15,7,3]]" in out
+    assert load_css(str(css_path)).parameters() == (15, 7, 3)
+
+
 def test_css_build_lookup_roundtrip(tmp_path, capsys):
     from qcss.named import steane_component
 
@@ -152,6 +162,20 @@ def _bch_of_length_one(tmp):
             "--out", str(tmp / "x.css")]
 
 
+def _bch_of(ghex):
+    # 0x135E = x * 0x9AF does not divide x^15 + 1, and neither does 0
+    def argv(tmp):
+        return ["css-build", "--decoder", "bch", "--decoder-args", "15", ghex,
+                "--out", str(tmp / "x.css")]
+    return argv
+
+
+def _bch_negative_in_css_file(tmp):
+    path = tmp / "neg.css"
+    path.write_text("decoder: bch 15 -0x9AF\n")
+    return ["simulate", "--css", str(path), "--p", "0.01", "--trials", "10"]
+
+
 def _missing_input(tmp):
     return ["min-distance", "--code", str(tmp / "absent.code")]
 
@@ -187,13 +211,17 @@ def _simulate_negative_seed(tmp):
     _css_without_g1,
     _bch_with_one_argument,
     _bch_of_length_one,
+    _bch_of("0x135E"),
+    _bch_of("0x0"),
+    _bch_negative_in_css_file,
     _missing_input,
     _concat_with_outer("3 1\n1 1 zz\n"),
     _concat_with_outer("3\n1 1 1\n"),
     _pg_too_large,
     _pg_huge_prime,
     _simulate_negative_seed,
-], ids=["css-no-g1", "bch-one-arg", "bch-length-one", "missing-file", "outer-non-hex",
+], ids=["css-no-g1", "bch-one-arg", "bch-length-one", "bch-not-generator", "bch-zero",
+        "bch-negative", "missing-file", "outer-non-hex",
         "outer-short-header", "pg-too-large", "pg-huge-prime", "negative-seed"])
 def test_malformed_input_is_an_error_line(tmp_path, capsys, make_argv):
     code = main(make_argv(tmp_path))

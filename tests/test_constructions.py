@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -229,8 +230,8 @@ def test_concatenate_repetition_outer():
     assert rep.predicted_dual_distance == 4
     assert rep.dual_distance_relation == "<="
     assert dual_min_distance(rep.code) == 2
-    two = BitVector.from_support(24, [0, 8])
-    assert all(two.dot(row) == 0 for row in rep.code.generator)
+    two = BitVector(24, sum(1 << j for j in [0, 8]))
+    assert all((two & row).weight() % 2 == 0 for row in rep.code.generator)
 
 
 def test_concatenate_identity_outer_is_inner():
@@ -487,9 +488,23 @@ def test_random_concatenate_instances():
         assert not rep.verify()
 
 
+# sha256 of repr(generator rows) of every instance below: they pin the
+# random samplers and the coset leaders that the constructions glue on
+CONSTRUCTION_DIGESTS = {
+    "x": "2cb4ed24353ed95d56a563cbad8c051759657b66a01c638798c93fde75eb4f69",
+    "x3": "02a546fd53aa79e871ce40d8dc43ecbdd0f4816a620cb129e9f6e4d250323e55",
+    "x4": "1c9cf16be3a80ff0c4bce8255c80412db7c83fa6de887c35197f0e928e9c18cb",
+}
+
+
+def _digest(rows) -> str:
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
 def test_random_construction_x_instances():
     rng = random.Random(108)
     done = 0
+    built = []
     while done < 100:
         c1, c2 = rand_chain(rng)
         delta = c2.k - c1.k
@@ -501,12 +516,15 @@ def test_random_construction_x_instances():
         c3 = rand_so(n3, delta, rng)
         rep = construction_x(c1, c2, c3)
         assert not rep.verify(), rep
+        built.append(rep.code.generator.row_bits())
         done += 1
+    assert _digest(built) == CONSTRUCTION_DIGESTS["x"]
 
 
 def test_random_construction_x3_instances():
     rng = random.Random(109)
     done = 0
+    built = []
     while done < 100:
         n = rng.choice([10, 12, 14])
         k3 = rng.randrange(3, n // 2 + 1)
@@ -524,12 +542,15 @@ def test_random_construction_x3_instances():
         c5 = rand_so(n5, d53, rng)
         rep = construction_x3(c1, c2, c3, c4, c5)
         assert not rep.verify(), rep
+        built.append(rep.code.generator.row_bits())
         done += 1
+    assert _digest(built) == CONSTRUCTION_DIGESTS["x3"]
 
 
 def test_random_construction_x4_instances():
     rng = random.Random(110)
     done = 0
+    built = []
     while done < 100:
         c1, c2 = rand_chain(rng)
         delta = c2.k - c1.k
@@ -547,7 +568,9 @@ def test_random_construction_x4_instances():
             c3 = rand_so_subcode(c4, k4 - delta, rng)
         rep = construction_x4(c1, c2, c3, c4)
         assert not rep.verify(), rep
+        built.append(rep.code.generator.row_bits())
         done += 1
+    assert _digest(built) == CONSTRUCTION_DIGESTS["x4"]
 
 
 def test_random_y1_instances():

@@ -11,11 +11,12 @@ from qcss.gf2 import (
     BitMatrix,
     BitVector,
     ParityMap,
+    insert_rows,
     nullspace_basis,
     parities,
+    preimages,
     rank,
     rref,
-    solve,
 )
 
 # extended incidence matrix of the 7-point plane, spanning the [8,4,4] code
@@ -30,13 +31,18 @@ PLANE_ROWS = [
 ]
 
 
+def dot(u, v):
+    """The inner product over GF(2): the parity of the ANDed bits."""
+    return (u & v).weight() & 1
+
+
 def test_dot_single_overlap():
-    assert BitVector.from_string("1100").dot(BitVector.from_string("1010")) == 1
+    assert dot(BitVector.from_string("1100"), BitVector.from_string("1010")) == 1
 
 
 def test_dot_even_weight_self():
     v = BitVector.from_string("110110")
-    assert v.dot(v) == 0
+    assert dot(v, v) == 0
 
 
 def test_dot_cyclic_shift_of_table_polynomial():
@@ -47,12 +53,12 @@ def test_dot_cyclic_shift_of_table_polynomial():
     shifted = BitVector(15, ((bits << 1) | (bits >> 14)) & ((1 << 15) - 1))
     overlap = len(set(v.support()) & set(shifted.support()))
     assert overlap % 2 == 0
-    assert v.dot(shifted) == 0
+    assert dot(v, shifted) == 0
 
 
 def test_dot_length_mismatch():
     with pytest.raises(InvalidInput):
-        BitVector.from_string("101").dot(BitVector.from_string("1011"))
+        dot(BitVector.from_string("101"), BitVector.from_string("1011"))
 
 
 def test_rref_identity():
@@ -134,7 +140,7 @@ def test_nullspace_of_all_ones_row():
     assert basis.rows == 3
     for row in basis:
         assert row.weight() % 2 == 0
-        assert row.dot(BitVector.from_string("1111")) == 0
+        assert dot(row, BitVector.from_string("1111")) == 0
 
 
 def test_nullspace_of_self_dual_code_spans_same_space():
@@ -158,7 +164,7 @@ def test_rank_nullity_and_orthogonality_random():
         assert rank(m) + basis.rows == n
         for b in basis:
             for r in m:
-                assert b.dot(r) == 0
+                assert dot(b, r) == 0
 
 
 def test_dot_symmetric_bilinear():
@@ -168,17 +174,8 @@ def test_dot_symmetric_bilinear():
         u = BitVector(n, rng.getrandbits(n))
         v = BitVector(n, rng.getrandbits(n))
         w = BitVector(n, rng.getrandbits(n))
-        assert u.dot(v) == v.dot(u)
-        assert (u ^ v).dot(w) == u.dot(w) ^ v.dot(w)
-
-
-def test_solve_consistent_and_inconsistent():
-    m = BitMatrix.from_strings(["1100", "0110"])
-    x = solve(m, BitVector.from_string("10"))
-    assert x is not None
-    assert m.mul_vector(x) == BitVector.from_string("10")
-    unsat = BitMatrix.from_strings(["1100", "1100"])
-    assert solve(unsat, BitVector.from_string("10")) is None
+        assert dot(u, v) == dot(v, u)
+        assert dot(u ^ v, w) == dot(u, w) ^ dot(v, w)
 
 
 def test_matrix_text_roundtrip():
@@ -192,7 +189,6 @@ def test_vector_string_and_hex_conventions():
     # first character of the string is column 0; hex packs bit i = column i
     v = BitVector.from_string("1101")
     assert v.bits == 0b1011
-    assert v.to_hex() == "0xb"
     assert v.to_string() == "1101"
 
 
@@ -203,24 +199,39 @@ def test_delete_and_concat():
     assert v.concat(u).to_string() == "1011001"
 
 
-def test_solve_agrees_with_exhaustive_search():
-    # oracle: try every x; inconsistent systems must come back as None
+def test_preimages_agree_with_exhaustive_search():
+    # every word of up to 10 bits is tried; k = 0 and k = cols are included
     rng = random.Random(41)
-    inconsistent = 0
-    for _ in range(300):
-        cols = rng.randrange(1, 11)
-        m = BitMatrix(cols, [rng.getrandbits(cols) for _ in range(rng.randrange(0, 9))])
-        rhs = BitVector(m.rows, rng.getrandbits(m.rows))
-        solutions = {
-            x for x in range(1 << cols) if m.mul_vector(BitVector(cols, x)) == rhs
-        }
-        x = solve(m, rhs)
-        if not solutions:
-            inconsistent += 1
-            assert x is None
-        else:
-            assert x is not None and x.bits in solutions
-    assert inconsistent > 20
+    for cols in range(0, 11):
+        for k in sorted({0, cols, *(rng.randrange(cols + 1) for _ in range(6))}):
+            basis: dict[int, int] = {}
+            rows = []
+            while len(rows) < k:  # independent rows, drawn at random
+                r = rng.getrandbits(cols)
+                if insert_rows(basis, [r]):
+                    rows.append(r)
+            images, kernel = preimages(rows, cols)
+            assert [parities(rows, w) for w in images] == [1 << j for j in range(k)]
+            assert all(w >> cols == 0 for w in images + kernel)
+            span = {0}
+            for w in kernel:
+                span |= {x ^ w for x in span}
+            assert span == {w for w in range(1 << cols) if not parities(rows, w)}
+            assert len(kernel) == cols - k and len(span) == 1 << (cols - k)
+
+
+def test_preimages_refuse_dependent_rows():
+    with pytest.raises(InvalidInput):
+        preimages([0b0110, 0b1010, 0b1100], 4)
+
+
+def test_insert_rows_returns_the_residues_added():
+    basis: dict[int, int] = {}
+    assert insert_rows(basis, [0b0110, 0b0011, 0b0101, 0]) == [0b0110, 0b0011]
+    assert basis == {1: 0b0110, 0: 0b0011}
+    # 0b1110 reduces by the row under bit 1 to 0b1000, a new key
+    assert insert_rows(basis, [0b1110]) == [0b1000]
+    assert basis[3] == 0b1000
 
 
 @settings(max_examples=200, deadline=None)
