@@ -220,6 +220,46 @@ def test_preimages_agree_with_exhaustive_search():
             assert len(kernel) == cols - k and len(span) == 1 << (cols - k)
 
 
+def _solve(rows, cols, rhs):
+    """One w with ``parities(rows, w) == rhs``, or None: preimages of a row
+    basis of M, then a check of the dependent rows' equations."""
+    basis: dict[int, int] = {}
+    pick = [i for i, r in enumerate(rows) if insert_rows(basis, [r])]
+    images, _ = preimages([rows[i] for i in pick], cols)
+    w = functools.reduce(operator.xor, (x for x, i in zip(images, pick) if rhs >> i & 1), 0)
+    return w if parities(rows, w) == rhs else None
+
+
+def test_solve_consistent_and_inconsistent():
+    rows = BitMatrix.from_strings(["1100", "0110"]).row_bits()
+    images, kernel = preimages(rows, 4)
+    assert parities(rows, images[0]) == 0b01 and parities(rows, images[1]) == 0b10
+    assert _solve(rows, 4, 0b01) == images[0] and len(kernel) == 2
+    unsat = BitMatrix.from_strings(["1100", "1100"]).row_bits()
+    assert _solve(unsat, 4, 0b01) is None
+    with pytest.raises(InvalidInput):
+        preimages(unsat, 4)
+
+
+def test_solve_agrees_with_exhaustive_search():
+    # oracle: try every x, for any M (dependent rows too); inconsistent
+    # systems must come back as None
+    rng = random.Random(41)
+    inconsistent = 0
+    for _ in range(300):
+        cols = rng.randrange(1, 11)
+        rows = [rng.getrandbits(cols) for _ in range(rng.randrange(0, 9))]
+        rhs = rng.getrandbits(len(rows))
+        solutions = {x for x in range(1 << cols) if parities(rows, x) == rhs}
+        x = _solve(rows, cols, rhs)
+        if not solutions:
+            inconsistent += 1
+            assert x is None
+        else:
+            assert x is not None and x in solutions
+    assert inconsistent > 20
+
+
 def test_preimages_refuse_dependent_rows():
     with pytest.raises(InvalidInput):
         preimages([0b0110, 0b1010, 0b1100], 4)
