@@ -3,7 +3,9 @@
 Trials are grouped into blocks of ``_BLOCK`` consecutive indices; block b
 draws its errors in order from one generator keyed by (seed, b).  The stream
 is a function of the seed alone, so the first t errors of any run are those
-of a t-trial run.
+of a t-trial run.  A block is drawn as one ``(trials, n)`` array, which
+equals the same number of successive ``rng.random(n)`` draws; only its
+non-identity rows become `PauliError` objects.
 """
 from __future__ import annotations
 
@@ -47,21 +49,37 @@ class ChannelSpec:
         return (self.p_i, self.p_i + self.p_x, self.p_i + self.p_x + self.p_y)
 
 
+def _sample_rows(
+    channel: ChannelSpec, n: int, rng: np.random.Generator, count: int
+) -> tuple[list[int], list[PauliError]]:
+    """Draw `count` errors at once; return the rows that are not the identity.
+
+    Row r is the error of the r-th successive ``rng.random(n)`` draw.  Qubit j
+    of a row with draw v is I if v < t1, else X if v < t2, else Y if v < t3,
+    else Z, with (t1, t2, t3) the channel's cumulative thresholds.
+    """
+    t1, t2, t3 = channel.thresholds()
+    v = rng.random((count, n))
+    # the comparisons follow the branch order above, so they agree with it
+    # also when a component within _PROB_TOL below zero unsorts t1, t2, t3
+    hit = v >= t1
+    rows = np.flatnonzero(hit.any(axis=1))
+    v, hit = v[rows], hit[rows]
+    x = np.packbits(hit & ((v < t2) | (v < t3)), axis=1, bitorder="little").tobytes()
+    z = np.packbits(hit & (v >= t2), axis=1, bitorder="little").tobytes()
+    width = (n + 7) // 8 or 1  # n = 0 packs to no bytes at all
+    errors = [
+        PauliError(n, int.from_bytes(x[i : i + width], "little"),
+                   int.from_bytes(z[i : i + width], "little"))
+        for i in range(0, len(x), width)
+    ]
+    return rows.tolist(), errors
+
+
 def sample_error(channel: ChannelSpec, n: int, rng: np.random.Generator) -> PauliError:
     """Independent per-qubit draw: I, X, Y, Z by cumulative threshold."""
-    t1, t2, t3 = channel.thresholds()
-    x_bits = z_bits = 0
-    for j, v in enumerate(rng.random(n).tolist()):
-        if v < t1:
-            continue
-        if v < t2:
-            x_bits |= 1 << j
-        elif v < t3:
-            x_bits |= 1 << j
-            z_bits |= 1 << j
-        else:
-            z_bits |= 1 << j
-    return PauliError(n, x_bits, z_bits)
+    _, errors = _sample_rows(channel, n, rng, 1)
+    return errors[0] if errors else PauliError.identity(n)
 
 
 @dataclass(frozen=True)
@@ -108,15 +126,16 @@ class TrialReport:
 
 
 def _trial_errors(channel: ChannelSpec, n: int, seed: int, trials: int):
-    """Yield the sampled error of each trial 0..trials-1, in order.
+    """Yield (t, error) for each trial t in 0..trials-1 whose error is not
+    the identity, in order; every other trial's error is the identity.
 
-    Each trial is one `sample_error` call on its block's generator, so a
-    wrapper around `sample_error` sees every trial.
+    Each block is one `_sample_rows` call on its block's generator, so no
+    per-trial function call is made for an identity trial.
     """
     for block, lo in enumerate(range(0, trials, _BLOCK)):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
-        for _ in range(min(_BLOCK, trials - lo)):
-            yield sample_error(channel, n, rng)
+        rows, errors = _sample_rows(channel, n, rng, min(_BLOCK, trials - lo))
+        yield from zip([lo + r for r in rows], errors)
 
 
 def monte_carlo(
@@ -131,18 +150,16 @@ def monte_carlo(
     Every trial runs on the calling thread.  ``workers`` is accepted for
     callers that pass it and changes nothing: the report depends only on the
     code, the channel, `trials` and `seed`.  An identity error is counted as a
-    success without decoding; its syndrome is zero, which decodes to the
-    identity, and the zero residual lies in the stabilizer.
+    success without decoding or building it; its syndrome is zero, which
+    decodes to the identity, and the zero residual lies in the stabilizer.
     """
     if trials < 1:
         raise InvalidInput(f"need at least one trial, got {trials}")
     if seed < 0:
         raise InvalidInput(f"seed must be non-negative, got {seed}")
-    successes = x_failures = z_failures = logicals = 0
-    for err in _trial_errors(channel, code.n, seed, trials):
-        if not (err.x_bits or err.z_bits):
-            successes += 1
-            continue
+    sampled = successes = x_failures = z_failures = logicals = 0
+    for _, err in _trial_errors(channel, code.n, seed, trials):
+        sampled += 1
         try:
             estimate = code.decode(code.syndrome(err))
         except DecodingFailure as exc:
@@ -157,7 +174,7 @@ def monte_carlo(
             successes += 1
     return TrialReport(
         trials=trials,
-        successes=successes,
+        successes=successes + trials - sampled,
         decode_failures=x_failures + z_failures,
         logical_errors=logicals,
         seed=seed,

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from qcss.channel import (
+    _BLOCK,
     ChannelSpec,
     TrialReport,
+    _sample_rows,
     _trial_errors,
     component_weight_bound,
     monte_carlo,
@@ -32,22 +34,24 @@ def test_sample_error_extremes():
     full = ChannelSpec.depolarizing(1.0)
     err = sample_error(full, 12, rng)
     assert err.weight() == 12
+    assert sample_error(full, 0, rng) == PauliError.identity(0)
 
 
 def test_sample_error_marginals_within_three_sigma():
-    # per-position frequency of each Pauli over many draws
+    # per-position frequency of each Pauli over many draws; the 200k draws
+    # of rng.random(4) go through the block sampler as one (200k, 4) array
     p = 0.3
     channel = ChannelSpec.depolarizing(p)
     rng = np.random.default_rng(7)
     n = 4
     draws = 200_000
+    _, errors = _sample_rows(channel, n, rng, draws)
     counts = {"X": 0, "Y": 0, "Z": 0}
-    for _ in range(draws):
-        err = sample_error(channel, n, rng)
-        for q in range(n):
-            kind = err.kind(q)
-            if kind != "I":
-                counts[kind] += 1
+    for err in errors:
+        x, z = err.x_bits, err.z_bits
+        counts["X"] += (x & ~z).bit_count()
+        counts["Y"] += (x & z).bit_count()
+        counts["Z"] += (z & ~x).bit_count()
     total_positions = draws * n
     expect = p / 3
     sigma = math.sqrt(expect * (1 - expect) / total_positions)
@@ -57,8 +61,8 @@ def test_sample_error_marginals_within_three_sigma():
 
 
 def _reference_sample_error(channel, n, rng):
-    # per-qubit loop over numpy scalars: sample_error, which walks a Python
-    # list of the same draws, must match it bit for bit
+    # per-qubit loop over numpy scalars: sample_error and the block sampler,
+    # which compare whole arrays of the same draws, must match it bit for bit
     t1, t2, t3 = channel.thresholds()
     u = rng.random(n)
     x_bits = z_bits = 0
@@ -76,48 +80,116 @@ def _reference_sample_error(channel, n, rng):
     return PauliError(n, x_bits, z_bits)
 
 
-@pytest.mark.parametrize("n", [1, 7, 16, 64, 65, 127])
-@pytest.mark.parametrize("channel", [
+_CHANNELS = [
     ChannelSpec.depolarizing(0.0),
     ChannelSpec.depolarizing(0.01),
     ChannelSpec.depolarizing(0.3),
     ChannelSpec.depolarizing(1.0),
     ChannelSpec.pauli(0.05, 0.15, 0.3),
-], ids=["p0", "p0.01", "p0.3", "p1", "biased"])
+    # one component about -5e-10, inside the tolerance of ChannelSpec: t1 is
+    # below 0, t2 < t1, t3 < t2 or t3 exceeds 1
+    ChannelSpec(-5e-10, 0.3, 0.3, 0.4 + 5e-10),
+    ChannelSpec(0.7, -5e-10, 0.15, 0.15 + 5e-10),
+    ChannelSpec(0.7, 0.15, -5e-10, 0.15 + 5e-10),
+    ChannelSpec(0.7 + 5e-10, 0.15, 0.15, -5e-10),
+]
+_CHANNEL_IDS = ["p0", "p0.01", "p0.3", "p1", "biased", "neg-i", "neg-x", "neg-y", "neg-z"]
+
+
+def _with_identities(n, count, rows, errors):
+    """The full list of `count` errors, identity rows filled in."""
+    full = [PauliError.identity(n)] * count
+    for r, err in zip(rows, errors):
+        full[r] = err
+    return full
+
+
+# the lengths cover the byte edges of the packed rows
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 63, 64, 65, 127, 128])
+@pytest.mark.parametrize("channel", _CHANNELS, ids=_CHANNEL_IDS)
 def test_sample_error_matches_per_qubit_oracle(n, channel):
     for seed in range(40):
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(3):
             assert sample_error(channel, n, fast) == _reference_sample_error(channel, n, slow)
+    # the block sampler: successive calls of several sizes continue one
+    # generator's stream, and only the non-identity rows come back
+    fast, slow = np.random.default_rng(n), np.random.default_rng(n)
+    for count in (1, 2, 45, 200):
+        rows, errors = _sample_rows(channel, n, fast, count)
+        assert rows == sorted(rows) and all(e.x_bits | e.z_bits for e in errors)
+        full = _with_identities(n, count, rows, errors)
+        assert full == [_reference_sample_error(channel, n, slow) for _ in range(count)]
+
+
+class _Scripted:
+    """A generator stand-in whose draws cycle through fixed values."""
+
+    def __init__(self, values):
+        self.values, self.pos = np.asarray(values, dtype=np.float64), 0
+
+    def random(self, size):
+        count = int(np.prod(size))
+        idx = (self.pos + np.arange(count)) % len(self.values)
+        self.pos += count
+        return self.values[idx].reshape(size)
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 65])
+@pytest.mark.parametrize("channel", _CHANNELS, ids=_CHANNEL_IDS)
+def test_sample_rows_at_the_thresholds(n, channel):
+    # draws at, just below and just above each threshold and between each
+    # pair of thresholds, where random draws would almost never land
+    t = sorted({0.0, *channel.thresholds(), 1.0})
+    values = {0.0, np.nextafter(1.0, 0.0)}
+    for a, b in zip(t, t[1:]):
+        values.add((a + b) / 2)
+    for a in channel.thresholds():
+        values.update((np.nextafter(a, -1.0), a, np.nextafter(a, 2.0)))
+    values = [v for v in sorted(values) if 0.0 <= v < 1.0]
+    count = 3 * len(values)
+    rows, errors = _sample_rows(channel, n, _Scripted(values), count)
+    full = _with_identities(n, count, rows, errors)
+    slow = _Scripted(values)
+    assert full == [_reference_sample_error(channel, n, slow) for _ in range(count)]
 
 
 def _block_rng(seed, block):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
 
 
+def _stream(channel, n, seed, trials):
+    """Every trial's error, identities included."""
+    pairs = list(_trial_errors(channel, n, seed, trials))
+    return _with_identities(n, trials, [t for t, _ in pairs], [e for _, e in pairs])
+
+
 def test_trial_errors_stream_is_keyed_by_seed_and_block():
-    # blocks of 1024 trials are part of the stream's definition
+    # blocks of 1024 trials are part of the stream's definition; the last
+    # block is partial
+    assert _BLOCK == 1024
     channel = ChannelSpec.depolarizing(0.3)
-    errors = list(_trial_errors(channel, 9, 17, 2 * 1024 + 5))
-    for block in range(3):
-        rng = _block_rng(17, block)
-        chunk = errors[block * 1024 : (block + 1) * 1024]
-        assert chunk == [sample_error(channel, 9, rng) for _ in chunk]
+    for n in (9, 64, 128):
+        errors = _stream(channel, n, 17, 2 * 1024 + 5)
+        for block in range(3):
+            rng = _block_rng(17, block)
+            chunk = errors[block * 1024 : (block + 1) * 1024]
+            assert chunk == [_reference_sample_error(channel, n, rng) for _ in chunk]
 
 
 def test_trial_errors_prefix_property():
     channel = ChannelSpec.depolarizing(0.2)
     for seed in (0, 5, 2**40):
-        full = list(_trial_errors(channel, 11, seed, 2500))
+        full = _stream(channel, 11, seed, 2500)
         assert len(full) == 2500
         for t in (1, 1023, 1024, 1025, 2500):
-            assert list(_trial_errors(channel, 11, seed, t)) == full[:t]
+            assert _stream(channel, 11, seed, t) == full[:t]
 
 
 def _reference_report(css, channel, trials, seed):
     # decodes every sampled error, the identity included
     counts = {"s": 0, "x": 0, "z": 0, "l": 0}
-    for err in _trial_errors(channel, css.n, seed, trials):
+    for err in _stream(channel, css.n, seed, trials):
         try:
             estimate = css.decode(css.syndrome(err))
         except DecodingFailure as exc:
@@ -221,7 +293,7 @@ def test_monte_carlo_splits_failures_by_side(z_fails, x_fails):
     report = monte_carlo(css, channel, trials=300, seed=4, workers=1)
     assert report == monte_carlo(css, channel, trials=300, seed=4, workers=3)
     expect = {"x": 0, "z": 0}
-    for err in _trial_errors(channel, 7, 4, 300):
+    for err in _stream(channel, 7, 4, 300):
         syndrome = css.syndrome(err)
         if z_fails and syndrome.s_x.bits:
             expect["z"] += 1
@@ -261,7 +333,7 @@ def test_monte_carlo_weight_one_errors_always_corrected():
     # successes must dominate by far
     assert report.successes > 2900
     # and every observed failure must come from a component weight above 1
-    for err in _trial_errors(channel, 7, 3, 3000):
+    for err in _stream(channel, 7, 3, 3000):
         if max(err.x_bits.bit_count(), err.z_bits.bit_count()) <= 1:
             syndrome = css.syndrome(err)
             est = css.decode(syndrome)
@@ -317,6 +389,8 @@ _PINNED_REPORTS = {
     ("rm16", 0.03, 3, 2000): (1863, 55, 79, 3),
     ("rm16", 0.03, 11, 2000): (1882, 47, 66, 5),
     ("rm16", 0.03, 2026, 1100): (1013, 38, 44, 5),
+    # the CLI's `simulate --p 0.1 --trials 5000 --seed 1` line, five blocks
+    ("rm16", 0.1, 1, 5000): (2899, 703, 1078, 320),
     ("lookup47", 0.01, 3, 1500): (1471, 0, 0, 29),
     ("lookup47", 0.01, 11, 1500): (1461, 0, 0, 39),
     ("lookup47", 0.03, 3, 1500): (1221, 0, 0, 279),
