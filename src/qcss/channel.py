@@ -64,6 +64,8 @@ def _sample_rows(
     # also when a component within _PROB_TOL below zero unsorts t1, t2, t3
     hit = v >= t1
     rows = np.flatnonzero(hit.any(axis=1))
+    if not rows.size:
+        return [], []
     v, hit = v[rows], hit[rows]
     x = np.packbits(hit & ((v < t2) | (v < t3)), axis=1, bitorder="little").tobytes()
     z = np.packbits(hit & (v >= t2), axis=1, bitorder="little").tobytes()

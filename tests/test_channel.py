@@ -38,8 +38,11 @@ def test_sample_error_extremes():
 
 
 def test_sample_error_marginals_within_three_sigma():
-    # per-position frequency of each Pauli over many draws; the 200k draws
-    # of rng.random(4) go through the block sampler as one (200k, 4) array
+    # per-position frequency of each Pauli over many draws.  sample_error is
+    # the one-row call of _sample_rows, so the routine under test here is
+    # _sample_rows: the 200k draws of rng.random(4) go through it as one
+    # (200k, 4) array (sample_error's own rows are checked bit for bit
+    # against the per-qubit oracle below)
     p = 0.3
     channel = ChannelSpec.depolarizing(p)
     rng = np.random.default_rng(7)
