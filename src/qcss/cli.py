@@ -17,7 +17,7 @@ from .bch import (
     zero_set_of_polynomial,
 )
 from .channel import ChannelSpec, monte_carlo
-from .codes import DEFAULT_BUDGET, LinearCode, predicted_split_patterns
+from .codes import DEFAULT_BUDGET, LinearCode, dual_min_distance, predicted_split_patterns
 from .constructions import (
     OuterCode,
     augment,
@@ -41,7 +41,7 @@ from .css import (
     css_from_reed_muller,
     css_from_self_orthogonal_cyclic,
 )
-from .errors import InternalConsistencyError, InvalidInput, QcssError
+from .errors import InternalConsistencyError, InvalidInput, QcssError, ResourceLimit
 from .gf2 import BitMatrix
 from .projgeom import ProjGeometry, build_so_code, enumerate_spaces
 from .reedmuller import rm_generator
@@ -170,14 +170,11 @@ def _cmd_pg(args) -> int:
     if args.emit == "code":
         sys.stdout.write(code.to_text())
         return 0
-    d = code.min_distance() if code.k <= 24 else None
-    label = f"[[{code.n},{code.n - 2 * code.k},?]]" if d is None else None
-    if d is not None:
-        from .codes import macwilliams
-
-        dual_d = macwilliams(code.weight_enumerator(), code.n, code.k).min_distance()
-        label = f"[[{code.n},{code.n - 2 * code.k},{dual_d}]]"
-    print(label)
+    try:
+        dual_d = dual_min_distance(code, 1 << 24)
+    except ResourceLimit:
+        dual_d = "?"
+    print(f"[[{code.n},{code.n - 2 * code.k},{dual_d}]]")
     return 0
 
 
@@ -272,7 +269,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_min_distance(args) -> int:
     code = _load_code(args.code)
     if args.split:
-        res = code.min_distance_split(args.bound)
+        res = code.min_distance_split(args.bound, args.budget)
         if res.found:
             print(f"minimum distance {res.value}")
         else:
@@ -315,7 +312,7 @@ def _cmd_verify_tables(args) -> int:
         print(tables.format_reports("table 2 (projective geometries)", reps))
         ok &= all(r.passed for r in reps)
     if args.table is None:
-        reps = tables.verify_extended_table1(budget=min(args.budget or DEFAULT_BUDGET, 1 << 22))
+        reps = tables.verify_extended_table1(**budget)
         sections["table1_extended"] = reps
         print(tables.format_reports("table 1 parity-extended family", reps))
         ok &= all(r.passed for r in reps)

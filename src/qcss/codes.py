@@ -205,8 +205,8 @@ class LinearCode:
             return 4
         return 2
 
-    def min_distance_split(self, bound: int) -> SplitDistanceResult:
-        return _min_distance_split(self, bound)
+    def min_distance_split(self, bound: int, budget: int = DEFAULT_BUDGET) -> SplitDistanceResult:
+        return _min_distance_split(self, bound, budget)
 
 
 # -- word-major enumeration ------------------------------------------------
@@ -446,7 +446,7 @@ def predicted_split_patterns(code: LinearCode, bound: int) -> int:
     return split_patterns(code.k, len(rref(part)[1]), *depths)
 
 
-def _min_distance_split(code: LinearCode, bound: int) -> SplitDistanceResult:
+def _min_distance_split(code: LinearCode, bound: int, budget: int) -> SplitDistanceResult:
     n, k = code.n, code.k
     if k == 0:
         return SplitDistanceResult(False, bound + 1, None, 0)
@@ -465,10 +465,10 @@ def _min_distance_split(code: LinearCode, bound: int) -> SplitDistanceResult:
         return SplitDistanceResult(False, bound + 1, row_witness, 0)
     h1, h2 = depths
     predicted = predicted_split_patterns(code, bound)
-    if predicted > DEFAULT_BUDGET:
+    if predicted > budget:
         raise ResourceLimit(
             f"the split search would scan {predicted:.3g} patterns, beyond the "
-            f"budget of {DEFAULT_BUDGET}"
+            f"budget of {budget}"
         )
 
     # restriction of each rref row to the non-pivot columns, compacted
@@ -571,10 +571,13 @@ def extend_with_parity(code: LinearCode) -> LinearCode:
     return LinearCode(BitMatrix(code.n + 1, rows))
 
 
-def dual_distance_via_transform(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
-    """d_min of the dual, via the primal spectrum and the transform."""
-    enum = code.weight_enumerator(budget)
-    return macwilliams(enum, code.n, code.k).min_distance()
+def dual_min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
+    """d_min of the dual from the smaller spectrum: the dual's own 2^(n-k)
+    words, or the code's 2^k words and the MacWilliams transform.  Raises
+    ``ResourceLimit`` when that spectrum exceeds ``budget``."""
+    if code.n - code.k <= code.k:
+        return code.dual().min_distance(budget)
+    return macwilliams(code.weight_enumerator(budget), code.n, code.k).min_distance()
 
 
 def random_linear_code(n: int, k: int, rng) -> LinearCode:

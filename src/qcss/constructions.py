@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bch import Gf2mField
-from .codes import DEFAULT_BUDGET, LinearCode, dual_distance_via_transform, extend_with_parity
+from .codes import DEFAULT_BUDGET, LinearCode, dual_min_distance, extend_with_parity
 from .errors import InvalidInput, PreconditionError, ResourceLimit
 from .gf2 import BitMatrix, BitVector, insert_rows, parities, rref
 
@@ -37,11 +37,8 @@ class ConstructionReport:
             problems.append(f"dimension {self.code.k} != predicted {self.predicted_k}")
         if not self.code.is_self_orthogonal():
             problems.append("result is not self-orthogonal")
-        if self.predicted_dual_distance is not None and self.code.k < self.code.n:
-            try:
-                d = dual_min_distance(self.code, budget)
-            except ResourceLimit:
-                d = None
+        if self.predicted_dual_distance is not None:
+            d = _dual_distance(self.code, budget)
             if d is not None:
                 p = self.predicted_dual_distance
                 if self.dual_distance_relation == "==" and d != p:
@@ -56,25 +53,17 @@ class ConstructionReport:
         """[[n, n-2k, d]] of the CSS code built from the result with C1 = C2."""
         d = self.predicted_dual_distance
         if d is None:
-            try:
-                d = dual_min_distance(self.code, budget)
-            except ResourceLimit:
-                d = None
+            d = _dual_distance(self.code, budget)
         return self.code.n, self.code.n - 2 * self.code.k, d
 
 
-def dual_min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
-    """d_min of the dual, enumerating whichever side is smaller."""
-    if code.n - code.k <= code.k:
-        return code.dual().min_distance(budget)
-    return dual_distance_via_transform(code, budget)
-
-
-def _predicted_dual(code: LinearCode) -> int | None:
-    if code.k == code.n:  # the dual is zero-dimensional
+def _dual_distance(code: LinearCode, budget: int = _PREDICT_BUDGET) -> int | None:
+    """``dual_min_distance``, or None when the dual is zero-dimensional or its
+    spectrum exceeds ``budget``."""
+    if code.k == code.n:
         return None
     try:
-        return dual_min_distance(code, _PREDICT_BUDGET)
+        return dual_min_distance(code, budget)
     except ResourceLimit:
         return None
 
@@ -124,7 +113,7 @@ def augment(code: LinearCode) -> ConstructionReport:
         code=out,
         predicted_n=code.n,
         predicted_k=code.k + 1,
-        predicted_dual_distance=_predicted_dual(code),
+        predicted_dual_distance=_dual_distance(code),
         dual_distance_relation=">=",
     )
 
@@ -139,7 +128,7 @@ def shorten(code: LinearCode, i: int) -> ConstructionReport:
     if zero_column:
         warning = f"column {i} is identically zero; dimension does not drop"
     out = _remove_support(code, (i,))
-    d = _predicted_dual(code)
+    d = _dual_distance(code)
     return ConstructionReport(
         code=out,
         predicted_n=code.n - 1,
@@ -158,8 +147,8 @@ def plotkin(c1: LinearCode, c2: LinearCode) -> ConstructionReport:
     rows = [g | g << n for g in c1.generator.row_bits()]
     rows += [h << n for h in c2.generator.row_bits()]
     out = LinearCode(BitMatrix(2 * n, rows))
-    d1 = _predicted_dual(c1)
-    d2 = _predicted_dual(c2)
+    d1 = _dual_distance(c1)
+    d2 = _dual_distance(c2)
     predicted = min(2 * d2, d1) if (d1 is not None and d2 is not None) else None
     return ConstructionReport(
         code=out,
@@ -239,8 +228,8 @@ def product(c1: LinearCode, c2: LinearCode) -> ConstructionReport:
         for h in c2.generator.row_bits()
     ]
     out = LinearCode(BitMatrix(c1.n * c2.n, rows))
-    d1 = _predicted_dual(c1)
-    d2 = _predicted_dual(c2)
+    d1 = _dual_distance(c1)
+    d2 = _dual_distance(c2)
     predicted = min(d1, d2) if (d1 is not None and d2 is not None) else None
     return ConstructionReport(
         code=out,
@@ -331,7 +320,7 @@ def concatenate(inner: LinearCode, outer: OuterCode) -> ConstructionReport:
         code=out,
         predicted_n=inner.n * outer.n,
         predicted_k=k1 * outer.k,
-        predicted_dual_distance=_predicted_dual(inner),
+        predicted_dual_distance=_dual_distance(inner),
         dual_distance_relation="<=",
     )
 
@@ -358,13 +347,13 @@ def construction_x(c1: LinearCode, c2: LinearCode, c3: LinearCode) -> Constructi
     rows = [g for g in c1.generator.row_bits()]
     rows += [lead | c3_rows[i] << c2.n for i, lead in enumerate(leaders)]
     out = LinearCode(BitMatrix(c2.n + c3.n, rows))
-    d2 = _predicted_dual(c2)
-    d3 = _predicted_dual(c3)
+    d2 = _dual_distance(c2)
+    d3 = _dual_distance(c3)
     predicted = min(d2, d3) if (d2 is not None and d3 is not None) else None
     relation = "=="
     warning = None
     if predicted is not None:
-        d1 = _predicted_dual(c1)
+        d1 = _dual_distance(c1)
         if d1 is None or predicted > d1 + 1:
             relation = "<="
             warning = (
@@ -403,12 +392,12 @@ def construction_x3(
     rows += [lead | c4_rows[i] << n1 for i, lead in enumerate(leaders2)]
     rows += [lead | c5_rows[i] << (n1 + n4) for i, lead in enumerate(leaders3)]
     out = LinearCode(BitMatrix(n1 + n4 + n5, rows))
-    ds = [_predicted_dual(c3), _predicted_dual(c4), _predicted_dual(c5)]
+    ds = [_dual_distance(c3), _dual_distance(c4), _dual_distance(c5)]
     predicted = min(ds) if all(d is not None for d in ds) else None
     relation = "=="
     warning = None
     if predicted is not None:
-        d1 = _predicted_dual(c1)  # mixed dual words weigh at least d1 + 1
+        d1 = _dual_distance(c1)  # mixed dual words weigh at least d1 + 1
         if d1 is None or predicted > d1 + 1:
             relation = "<="
             warning = "min(d3, d4, d5) exceeds the mixed-word floor: upper bound only"
@@ -438,16 +427,16 @@ def construction_x4(
     rows += [lead | leaders4[i] << n1 for i, lead in enumerate(leaders2)]
     rows += [h << n1 for h in c3.generator.row_bits()]
     out = LinearCode(BitMatrix(n1 + n3, rows))
-    d2 = _predicted_dual(c2)
-    d4 = _predicted_dual(c4)
+    d2 = _dual_distance(c2)
+    d4 = _dual_distance(c4)
     predicted = min(d2, d4) if (d2 is not None and d4 is not None) else None
     relation = "=="
     warning = None
     if predicted is not None:
         # mixed dual words pair something in dual(c1) \ dual(c2) with
         # something in dual(c3) \ dual(c4)
-        d1 = _predicted_dual(c1)
-        d3 = _predicted_dual(c3)
+        d1 = _dual_distance(c1)
+        d3 = _dual_distance(c3)
         floor = None if (d1 is None or d3 is None) else d1 + d3
         if floor is None or predicted > floor:
             relation = "<="

@@ -1,12 +1,13 @@
 import random
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcss import bch, cli, constructions, reedmuller
+from qcss import bch, cli, codes, constructions, reedmuller
 from qcss.cli import _load_outer, load_css, main
 from qcss.codes import LinearCode, random_self_orthogonal_code
 from qcss.gf2 import BitMatrix
@@ -95,6 +96,33 @@ def test_min_distance_and_spectrum(tmp_path, capsys):
     code, _ = run(capsys, "spectrum", "--code", str(src), "--out", str(csv))
     assert code == 0
     assert "4,14" in csv.read_text()
+
+
+def test_split_search_refuses_above_the_budget_flag(tmp_path, capsys, monkeypatch):
+    code, out = run(capsys, "pg", "--k", "6", "--q", "2", "--l", "3", "--emit", "code")
+    assert code == 0
+    src = tmp_path / "pg63.code"
+    src.write_text(out)
+
+    def no_scan(*args):
+        raise AssertionError("the split search scanned")
+
+    monkeypatch.setattr(codes, "_low_weight_min", no_scan)
+    t0 = time.perf_counter()
+    code = main(["min-distance", "--code", str(src), "--split", "--bound", "15",
+                 "--budget", "2^20"])
+    assert time.perf_counter() - t0 < 1
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: the split search would scan 9.16e+07 patterns, beyond the budget of 1048576\n"
+    )
+
+
+def test_pg_prints_the_dual_distance_within_2_24_words(capsys):
+    code, out = run(capsys, "pg", "--k", "4", "--q", "2", "--l", "3")
+    assert code == 0 and out == "[[32,20,4]]\n"
+    code, out = run(capsys, "pg", "--k", "6", "--q", "2", "--l", "4")
+    assert code == 0 and out == "[[128,70,?]]\n"
 
 
 def test_css_build_and_simulate(tmp_path, capsys):
@@ -310,4 +338,13 @@ def test_verify_tables_budget_reaches_both_tables(monkeypatch, capsys):
         ("verify_table1", {"budget": 1 << 29}),
         ("verify_table2", {}),
         ("verify_table2", {"budget": 1 << 29}),
+    ]
+    # the parity-extended family takes the same budget as the tables
+    monkeypatch.setattr(tables, "verify_extended_table1", fake("verify_extended_table1"))
+    calls.clear()
+    assert main(["verify-tables", "--budget", "2^20"]) == 0
+    assert calls == [
+        ("verify_table1", {"budget": 1 << 20}),
+        ("verify_table2", {"budget": 1 << 20}),
+        ("verify_extended_table1", {"budget": 1 << 20}),
     ]

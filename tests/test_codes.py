@@ -5,6 +5,7 @@ import operator
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from qcss import codes, gf2, tables
@@ -12,7 +13,7 @@ from qcss.bch import spec_from_zero_set, zero_set_of_polynomial
 from qcss.codes import (
     LinearCode,
     WeightEnumerator,
-    dual_distance_via_transform,
+    dual_min_distance,
     extend_with_parity,
     macwilliams,
     predicted_split_patterns,
@@ -438,8 +439,27 @@ def test_extend_with_parity():
     assert c.generator.row(0).to_string() == "1111"
 
 
-def test_dual_distance_via_transform():
-    assert dual_distance_via_transform(first_order_rm(4)) == 4
+def _brute_dual_distance(code):
+    """Lightest nonzero word orthogonal to every generator row, over all 2^n words."""
+    words = np.arange(1, 1 << code.n, dtype=np.uint64)
+    in_dual = np.ones(len(words), dtype=bool)
+    for r in code.generator.row_bits():
+        in_dual &= np.bitwise_count(words & np.uint64(r)) % 2 == 0
+    return int(np.bitwise_count(words[in_dual]).min())
+
+
+def test_dual_min_distance_on_both_sides():
+    # every k runs the dual's own spectrum (n - k <= k) or the code's
+    # spectrum and the transform (n - k > k), whichever is smaller
+    rng = random.Random(14)
+    for n in range(2, 15):
+        for k in range(1, n):
+            c = random_linear_code(n, k, rng)
+            side = min(k, n - k)
+            with pytest.raises(ResourceLimit):  # before a scan caches a spectrum
+                dual_min_distance(c, budget=(1 << side) - 1)
+            assert dual_min_distance(c, budget=1 << side) == _brute_dual_distance(c), (n, k)
+    assert dual_min_distance(first_order_rm(4)) == 4
 
 
 def test_code_text_roundtrip():

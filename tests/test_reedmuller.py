@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qcss.codes import LinearCode
+from qcss.codes import LinearCode, dual_min_distance
 from qcss.errors import DecodingFailure, InvalidInput
 from qcss.gf2 import BitMatrix, BitVector
 from qcss.reedmuller import ReedDecoder, _vote_masks, rm_generator
@@ -43,8 +43,6 @@ def test_invalid_order():
 
 
 def test_min_distance_is_power_of_two():
-    from qcss.codes import dual_distance_via_transform
-
     for m in range(2, 7):
         for r in range(0, m):
             rm = rm_generator(m, r)
@@ -52,7 +50,7 @@ def test_min_distance_is_power_of_two():
                 d = rm.code.min_distance()
             else:
                 # the dual is small; transform its spectrum instead
-                d = dual_distance_via_transform(rm_generator(m, m - r - 1).code)
+                d = dual_min_distance(rm_generator(m, m - r - 1).code)
             assert d == 1 << (m - r)
 
 

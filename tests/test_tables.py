@@ -4,11 +4,18 @@ import sys
 import time
 
 import qcss
-from qcss.bch import search_self_orthogonal_bch
+from qcss.bch import (
+    cyclic_weight_counts,
+    search_self_orthogonal_bch,
+    spec_from_zero_set,
+    zero_set_of_polynomial,
+)
+from qcss.constructions import extend_parity_dual
 from qcss.tables import (
     RM_EXPECTED,
     TABLE1_ROWS,
     TABLE2_ROWS,
+    extended_weight_counts,
     format_reports,
     reports_to_json,
     rm_scan,
@@ -102,6 +109,55 @@ def test_extended_family_self_orthogonal():
     checked = [r for r in reports if r.checks["dual_distance_at_least_d"] is not None]
     assert checked  # at least the small rows get their parity-extended distance
     assert all(r.passed for r in reports)
+
+
+def test_extended_spectrum_equals_the_direct_scan():
+    checked = 0
+    for n, kq, d, g in TABLE1_ROWS:
+        spec = spec_from_zero_set(n, zero_set_of_polynomial(n, g))
+        if spec.dimension + 1 > 16:
+            continue
+        direct = extend_parity_dual(spec.to_code()).code.weight_enumerator()
+        assert extended_weight_counts(cyclic_weight_counts(spec)) == direct, (n, kq, d)
+        checked += 1
+    assert checked == 14
+
+
+def test_extended_family_shares_table1_budget():
+    reports = {r.label: r for r in verify_extended_table1()}
+    exact = {label: r.values["dual_distance"] for label, r in reports.items()
+             if r.checks["dual_distance_at_least_d"]}
+    assert len(exact) == 21
+    assert exact["extended [[93,43,7]] -> n=94"] == 8
+    assert exact["extended [[127,71,9]] -> n=128"] == 10
+    skipped = reports["extended [[127,57,11]] -> n=128"]
+    assert skipped.checks["dual_distance_at_least_d"] is None
+    assert "270,565,376 words" in skipped.notes[0]
+
+
+def _table2_row(prefix):
+    return [row for row in TABLE2_ROWS if row[0].startswith(prefix)]
+
+
+def test_table2_split_route_runs_under_the_callers_budget():
+    # 2^16 words exceed 2^10, so the self-dual [32,16,8] row goes to the
+    # split search at bound 7, which fits
+    rep = verify_table2(budget=1 << 10, rows=_table2_row("PG(4,2) 2-sp."))[0]
+    assert rep.passed and rep.checks["distance"] and rep.checks["dual_distance"]
+    assert rep.values["split_patterns"] == 152
+    assert rep.values["split_witness"] == 8
+    # the [128,64,16] row's split search predicts 9.16e7 patterns: refused
+    t0 = time.perf_counter()
+    rep = verify_table2(budget=1 << 20, rows=_table2_row("PG(6,2) 3-sp."))[0]
+    assert time.perf_counter() - t0 < 2
+    assert rep.checks["distance"] is None and rep.checks["dual_distance"] is None
+    assert rep.checks["self_dual"] is True
+    assert "split_patterns" not in rep.values
+    assert any("9.16e+07 patterns" in note for note in rep.notes), rep.notes
+    # a code that is not self-dual has no split route
+    rep = verify_table2(budget=1 << 4, rows=_table2_row("PG(3,2) 2-sp."))[0]
+    assert rep.checks["distance"] is None and rep.checks["dual_distance"] is None
+    assert "not self-dual" in rep.notes[0]
 
 
 def test_verify_table2_small_rows():
