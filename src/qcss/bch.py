@@ -32,7 +32,7 @@ from .errors import (
     PreconditionError,
     ResourceLimit,
 )
-from .gf2 import BitMatrix, BitVector, ParityMap
+from .gf2 import BitMatrix, ParityMap
 
 # One fixed primitive polynomial per extension degree (lowest-weight standard
 # choices).  Primitivity is re-verified at table construction time.
@@ -665,20 +665,22 @@ def _decoder_tables(spec: CyclicCodeSpec, poly: int) -> _DecoderTables:
     return _DecoderTables(exp, log, position_values, values, chien)
 
 
-def bm_decode(spec: CyclicCodeSpec, received: BitVector) -> set[int]:
-    """Error positions for up to floor((delta-1)/2) errors, via syndromes,
-    Berlekamp-Massey and a Chien search.  Raises DecodingFailure beyond that.
+def bm_decode(spec: CyclicCodeSpec, received: int) -> int:
+    """The error pattern, as an n-bit word, of a received n-bit word with up
+    to floor((delta-1)/2) errors, via syndromes, Berlekamp-Massey and a Chien
+    search.  Raises DecodingFailure beyond that, and InvalidInput for a word
+    that is negative or has a bit at or above n.
     """
-    if received.n != spec.n:
-        raise InvalidInput(f"received length {received.n} != n = {spec.n}")
+    if received >> spec.n:
+        raise InvalidInput(f"received word has bits beyond length {spec.n}")
     tables = _decoder_tables(spec, spec.field.poly)
     exp, log = tables.exp, tables.log
     m, order, n = spec.field.m, spec.field.order, spec.n
     nsyn = spec.delta - 1
-    packed = tables.values(received.bits)
+    packed = tables.values(received)
     syndromes = [packed >> (m * j) & order for j in range(nsyn)]
     if not any(syndromes):
-        return set()
+        return 0
 
     # Berlekamp-Massey over GF(2^m); coefficient lists are low-degree-first
     lam = [1]
@@ -736,21 +738,19 @@ def bm_decode(spec: CyclicCodeSpec, received: BitVector) -> set[int]:
     for b in range(m):
         nonzero |= planes >> (b * n)
     roots = ~nonzero & ((1 << n) - 1)
-    positions = set()
-    while roots:
-        low = roots & -roots
-        positions.add(low.bit_length() - 1)
-        roots ^= low
-    if len(positions) != lfsr_len:
+    if roots.bit_count() != lfsr_len:
         raise DecodingFailure(
-            f"locator of degree {lfsr_len} has {len(positions)} roots"
+            f"locator of degree {lfsr_len} has {roots.bit_count()} roots"
         )
     # the corrected word's values are the received word's plus the error's
-    for p in positions:
-        packed ^= tables.position_values[p]
+    error = roots
+    while roots:
+        low = roots & -roots
+        packed ^= tables.position_values[low.bit_length() - 1]
+        roots ^= low
     if packed >> (m * nsyn):
         raise DecodingFailure("corrected word fails the zero-set check")
-    return positions
+    return error
 
 
 class BchDecoder:
@@ -761,12 +761,7 @@ class BchDecoder:
         self.radius = (spec.delta - 1) // 2
 
     def decode_word(self, bits: int) -> int:
-        received = BitVector(self.spec.n, bits)
-        positions = bm_decode(self.spec, received)
-        out = bits
-        for p in positions:
-            out ^= 1 << p
-        return out
+        return bits ^ bm_decode(self.spec, bits)
 
 
 # -- search over designed windows -------------------------------------------

@@ -108,7 +108,10 @@ class Syndrome:
 
 
 class WordDecoder(Protocol):
-    """Classical decoder interface: nearest codeword for a received word."""
+    """Classical decoder interface: ``decode_word`` maps a received n-bit
+    word to a codeword, raises DecodingFailure when the word is beyond the
+    decoder's reach and InvalidInput when it is negative or has a bit at or
+    above n.  Every error of weight at most ``radius`` is corrected."""
 
     radius: int
 
@@ -121,6 +124,9 @@ class LookupDecoder:
     ``parity`` is a generator matrix of the dual of the decoded code (its rows
     are the parity checks).  Leaders are filled in order of increasing weight,
     ties resolved by enumeration order, so the table is deterministic.
+    ``radius`` is the largest t such that all patterns of weight at most t
+    have distinct syndromes: one less than the first weight at which a
+    pattern's syndrome is already taken.
     """
 
     def __init__(self, parity: LinearCode, max_weight: int | None = None):
@@ -136,18 +142,23 @@ class LookupDecoder:
         table: dict[int, int] = {0: 0}
         cap = max_weight if max_weight is not None else n
         weight = 1
+        collision = None  # the first weight at which a syndrome repeats
         while len(table) < size and weight <= cap:
             for support in itertools.combinations(range(n), weight):
                 e = sum(1 << p for p in support)
                 s = syndromes(e)
                 if s not in table:
                     table[s] = e
+                elif collision is None:
+                    collision = weight
             weight += 1
         self._table = table
         self.n = n
-        self.radius = max((e.bit_count() for e in table.values()), default=0)
+        self.radius = (weight if collision is None else collision) - 1
 
     def decode_word(self, bits: int) -> int:
+        if bits >> self.n:
+            raise InvalidInput(f"received word has bits beyond length {self.n}")
         e = self._table.get(self._syndromes(bits))
         if e is None:
             raise DecodingFailure("syndrome outside the coset-leader table")

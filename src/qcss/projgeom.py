@@ -26,7 +26,7 @@ from .errors import (
     ResourceLimit,
     UnsupportedConfiguration,
 )
-from .gf2 import BitMatrix, BitVector, ParityMap
+from .gf2 import BitMatrix, ParityMap
 
 # Most coordinates a geometry may list (q^(k+1) vectors of k+1 each) and most
 # span coordinates or incidence entries one space enumeration may build.
@@ -315,7 +315,8 @@ class RudolphDecoder:
     Each incidence row is an orthogonal parity check; a bit is flipped when a
     strict majority of the r checks through it are violated.  With the
     all-ones extension the value of the appended bit is unknown to the checks,
-    so both hypotheses are decoded and the consistent one wins.
+    so both hypotheses are decoded and the consistent one wins; without it
+    only hypothesis 0 is.
 
     ``code`` is the span of the incidence rows that the caller has built:
     ``build_so_code(cfg)``, or the plain span of ``cfg.incidence``.  It is
@@ -345,9 +346,6 @@ class RudolphDecoder:
             radius = self.two_pass_bound if extended else self.one_step_bound
         self.radius = radius
 
-    def _is_codeword(self, bits: int) -> bool:
-        return not self._syndrome(bits)
-
     def _majority_pass(self, violated: int) -> tuple[int, int]:
         """Points through which a strict majority of the r checks are
         violated, for the appended bit 0 and for 1; bit i of ``violated`` is
@@ -364,31 +362,24 @@ class RudolphDecoder:
                 flips1 |= 1 << j
         return flips0, flips1
 
-    def decode(self, received: BitVector) -> BitVector:
-        if received.n != self.n:
-            raise InvalidInput(f"received length {received.n} != {self.n}")
-        bits = received.bits
-        if not self.extended:
-            flips = self._majority_pass(self._violated(bits))[0]
-            out = bits ^ flips
-            if flips.bit_count() > self.radius or not self._is_codeword(out):
-                raise DecodingFailure("majority vote did not reach a codeword")
-            return BitVector(self.n, out)
-
+    def decode_word(self, bits: int) -> int:
+        if bits >> self.n:
+            raise InvalidInput(f"received word has bits beyond length {self.n}")
         points = bits & ((1 << self.v) - 1)
+        passes = self._majority_pass(self._violated(points))
         candidates = []
-        for hypothesis, flips in enumerate(self._majority_pass(self._violated(points))):
+        for hypothesis, flips in enumerate(passes if self.extended else passes[:1]):
             out = points ^ flips | hypothesis << self.v
             weight = (out ^ bits).bit_count()
-            if weight <= self.radius and self._is_codeword(out):
+            if weight <= self.radius and not self._syndrome(out):
                 candidates.append((weight, out))
         if not candidates:
-            raise DecodingFailure("neither hypothesis for the appended bit decodes")
+            raise DecodingFailure(
+                "neither hypothesis for the appended bit decodes" if self.extended
+                else "majority vote did not reach a codeword"
+            )
         candidates.sort()
         if len(candidates) == 2 and candidates[0][0] == candidates[1][0] \
                 and candidates[0][1] != candidates[1][1]:
             raise DecodingFailure("both appended-bit hypotheses decode equally well")
-        return BitVector(self.n, candidates[0][1])
-
-    def decode_word(self, bits: int) -> int:
-        return self.decode(BitVector(self.n, bits)).bits
+        return candidates[0][1]

@@ -12,7 +12,7 @@ from itertools import combinations
 
 from .codes import LinearCode
 from .errors import DecodingFailure, InvalidInput
-from .gf2 import BitMatrix, BitVector
+from .gf2 import BitMatrix
 
 
 def _monomial_row(m: int, variables: tuple[int, ...]) -> int:
@@ -80,13 +80,6 @@ def _vote_masks(m: int, variables: tuple[int, ...]) -> list[int]:
     return [base << a for a in _subsets(((1 << m) - 1) ^ inside)]
 
 
-@dataclass(frozen=True)
-class ReedDecodeResult:
-    coefficients: tuple[int, ...]  # one per monomial, matching RmCode order
-    codeword: BitVector
-    error_estimate: BitVector
-
-
 class ReedDecoder:
     """Majority-vote decoder; corrects up to (2^(m-r) - 1) // 2 errors."""
 
@@ -101,14 +94,14 @@ class ReedDecoder:
             for deg in range(rm.r, -1, -1)
         ]
 
-    def decode(self, received: BitVector) -> ReedDecodeResult:
-        rm = self.rm
-        if received.n != rm.n:
-            raise InvalidInput(f"received length {received.n} != {rm.n}")
+    def decode_word(self, bits: int) -> int:
+        """The codeword whose monomial coefficients win each majority vote,
+        highest degree first, each layer's codeword part peeled off before
+        the next."""
+        if bits >> self.rm.n:
+            raise InvalidInput(f"received word has bits beyond length {self.rm.n}")
         rows = self._rows
-        residual = received.bits
-        codeword = 0
-        coeffs = [0] * len(rm.monomials)
+        residual = bits
         for deg, indices in self._layers:
             layer = 0
             for idx in indices:
@@ -121,15 +114,6 @@ class ReedDecoder:
                         f"tied majority vote on a degree-{deg} coefficient"
                     )
                 if 2 * ones > len(masks):
-                    coeffs[idx] = 1
                     layer ^= rows[idx]
             residual ^= layer
-            codeword ^= layer
-        return ReedDecodeResult(
-            coefficients=tuple(coeffs),
-            codeword=BitVector(rm.n, codeword),
-            error_estimate=BitVector(rm.n, residual),
-        )
-
-    def decode_word(self, bits: int) -> int:
-        return self.decode(BitVector(self.rm.n, bits)).codeword.bits
+        return bits ^ residual

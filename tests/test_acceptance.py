@@ -147,7 +147,7 @@ def test_criterion_5_decoder_guarantees():
     for name, decoder, code, radius in _classical_decoder_pairs():
         n = code.n
         checked = 0
-        ok = True
+        ok = decoder.radius == radius  # the radius the decoder states
         # exhaustive up to weight min(2, radius)
         for wt in range(1, min(2, radius) + 1):
             for support in itertools.combinations(range(n), wt):

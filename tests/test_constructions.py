@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -22,7 +23,7 @@ from qcss.constructions import (
     triple_sum,
 )
 from qcss.bch import bch_generator, default_field
-from qcss.errors import InvalidInput, PreconditionError
+from qcss.errors import InvalidInput, PreconditionError, ResourceLimit
 from qcss.gf2 import BitMatrix, BitVector
 from qcss.named import extended_hamming_8, golay_24, simplex_dual_7_3, steane_component
 from qcss.reedmuller import rm_generator
@@ -146,6 +147,15 @@ def test_plotkin_builds_rm41():
     # the [16,11,4] code
     assert rep.predicted_dual_distance == 4
     assert rep.code.dual().min_distance() == 4
+
+
+def test_verify_reports_an_unchecked_dual_distance_claim():
+    rep = plotkin(simplex_dual_7_3(), simplex_dual_7_3())
+    assert rep.predicted_dual_distance is not None
+    problems = rep.verify(budget=1)  # before a measurement is cached
+    assert len(problems) == 1 and "not checked" in problems[0]
+    assert "budget of 1" in problems[0]
+    assert not rep.verify()
 
 
 def test_plotkin_zero_dimensional_inputs():
@@ -358,6 +368,19 @@ def test_construction_y4_min_or_weight_oracle():
         )
         rep = construction_y4(c)
         assert rep.code.n == c.n - best
+
+
+def test_construction_y4_refuses_before_it_enumerates():
+    # [22, 2] with two disjoint weight-2 rows: a dual of 2^20 words
+    code = LinearCode(BitMatrix(22, [0b11, 0b1100]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit):
+            construction_y4(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"traced peak {peak} bytes"
 
 
 def test_extend_parity_dual_builds_8_4_4():

@@ -536,3 +536,57 @@ def test_lookup_outcomes_pinned(case, digest):
     outcomes = _lookup_outcomes(*case)
     assert len({type(o) for o in outcomes}) == (2 if case[1] else 1)
     assert hashlib.sha256(repr(outcomes).encode()).hexdigest()[:16] == digest
+
+
+def _oracle_lookup_radius(parity):
+    """Largest t such that all patterns of weight <= t have distinct
+    syndromes, from one parity per row."""
+    rows = parity.generator.row_bits()
+    seen = set()
+    for t in range(parity.n + 1):
+        for support in itertools.combinations(range(parity.n), t):
+            s = parities(rows, sum(1 << p for p in support))
+            if s in seen:
+                return t - 1
+            seen.add(s)
+    return parity.n
+
+
+def test_lookup_radius_is_the_guaranteed_radius():
+    x47 = LookupDecoder(_x47_component())
+    assert x47.radius == _oracle_lookup_radius(x47.parity) == 1
+    rng = random.Random(18)
+    radii = set()
+    for _ in range(60):
+        n = rng.randrange(2, 13)
+        parity = random_linear_code(n, rng.randrange(1, n + 1), rng)
+        dec = LookupDecoder(parity)
+        assert dec.radius == _oracle_lookup_radius(parity), parity
+        radii.add(dec.radius)
+        # every pattern within the radius decodes to the zero codeword
+        for t in range(1, dec.radius + 1):
+            for support in itertools.combinations(range(n), t):
+                assert dec.decode_word(sum(1 << p for p in support)) == 0
+    assert {0, 1, 2} <= radii
+
+
+def test_every_decoder_rejects_words_outside_its_length():
+    from qcss.bch import BchDecoder, bch_generator, bm_decode
+    from qcss.projgeom import ProjGeometry, RudolphDecoder, build_so_code, enumerate_spaces
+    from qcss.reedmuller import ReedDecoder, rm_generator
+
+    fano = enumerate_spaces(ProjGeometry(2, 2), 1)
+    spec = bch_generator(15, 1, 5)
+    decoders = [
+        (LookupDecoder(steane_component()).decode_word, 7),
+        (BchDecoder(spec).decode_word, 15),
+        (lambda bits: bm_decode(spec, bits), 15),
+        (ReedDecoder(rm_generator(4, 1)).decode_word, 16),
+        (RudolphDecoder(fano, build_so_code(fano)).decode_word, 8),
+        (RudolphDecoder(fano, LinearCode.from_spanning(fano.incidence)).decode_word, 7),
+    ]
+    for decode, n in decoders:
+        assert decode(0) == 0
+        for bits in (1 << n, (1 << n) | 1, -1, -(1 << n)):
+            with pytest.raises(InvalidInput):
+                decode(bits)

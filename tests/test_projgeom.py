@@ -196,7 +196,7 @@ def test_rudolph_zero_error_fano():
     code = build_so_code(cfg)
     dec = RudolphDecoder(cfg, code, radius=1)
     for word in (0, code.generator.row_bits()[0]):
-        assert dec.decode(BitVector(8, word)).bits == word
+        assert dec.decode_word(word) == word
 
 
 def test_rudolph_corrects_single_errors_fano():
@@ -211,8 +211,8 @@ def test_rudolph_corrects_single_errors_fano():
             if rng.random() < 0.5:
                 cw ^= r
         for p in range(8):  # includes the appended coordinate 7
-            out = dec.decode(BitVector(8, cw ^ (1 << p)))
-            assert out.bits == cw
+            out = dec.decode_word(cw ^ (1 << p))
+            assert out == cw
 
 
 def test_rudolph_bounds_reported():
@@ -239,8 +239,8 @@ def test_rudolph_pg32_single_errors():
             if rng.random() < 0.5:
                 cw ^= r
         for p in range(16):
-            out = dec.decode(BitVector(16, cw ^ (1 << p)))
-            assert out.bits == cw
+            out = dec.decode_word(cw ^ (1 << p))
+            assert out == cw
 
 
 def test_rudolph_pg28_radius_four():
@@ -257,16 +257,16 @@ def test_rudolph_pg28_radius_four():
             cw ^= r
     # exhaustive weight 1 and 2
     for p in range(74):
-        assert dec.decode(BitVector(74, cw ^ (1 << p))).bits == cw
+        assert dec.decode_word(cw ^ (1 << p)) == cw
     for a, b in itertools.combinations(rng.sample(range(74), 30), 2):
-        assert dec.decode(BitVector(74, cw ^ (1 << a) ^ (1 << b))).bits == cw
+        assert dec.decode_word(cw ^ (1 << a) ^ (1 << b)) == cw
     # sampled weight 3 and 4
     for wt in (3, 4):
         for _ in range(300):
             noisy = cw
             for p in rng.sample(range(74), wt):
                 noisy ^= 1 << p
-            assert dec.decode(BitVector(74, noisy)).bits == cw
+            assert dec.decode_word(noisy) == cw
 
 
 def test_rudolph_unextended_even_even_configuration():
@@ -291,10 +291,10 @@ def test_rudolph_unextended_even_even_configuration():
         for r in dual.generator.row_bits():
             if rng.random() < 0.5:
                 cw ^= r
-        assert dec.decode(BitVector(7, cw)).bits == cw
+        assert dec.decode_word(cw) == cw
         if radius >= 1:
             for p in range(7):
-                assert dec.decode(BitVector(7, cw ^ (1 << p))).bits == cw
+                assert dec.decode_word(cw ^ (1 << p)) == cw
 
 
 def test_rudolph_failure_beyond_radius():
@@ -315,12 +315,12 @@ def test_rudolph_failure_beyond_radius():
         for p in rng.sample(range(8), 2):
             noisy ^= 1 << p
         try:
-            out = dec.decode(BitVector(8, noisy))
+            out = dec.decode_word(noisy)
         except DecodingFailure:
             failures += 1
             continue
         corrections += 1
-        assert code.contains(BitVector(8, out.bits))  # always a codeword
+        assert code.contains(BitVector(8, out))  # always a codeword
     assert failures > 0  # weight-2 errors exceed the radius of this code
 
 
@@ -328,8 +328,8 @@ def test_rudolph_decoder_extended_corrects_one_flip():
     cfg = enumerate_spaces(ProjGeometry(2, 2), 1)
     code = build_so_code(cfg)
     cw = code.generator.row_bits()[1]
-    out = RudolphDecoder(cfg, code).decode(BitVector(8, cw ^ 1))
-    assert out.bits == cw
+    out = RudolphDecoder(cfg, code).decode_word(cw ^ 1)
+    assert out == cw
 
 
 def test_hyperplane_oracle_for_space_enumeration():
