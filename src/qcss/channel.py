@@ -4,8 +4,16 @@ Trials are grouped into blocks of ``_BLOCK`` consecutive indices; block b
 draws its errors in order from one generator keyed by (seed, b).  The stream
 is a function of the seed alone, so the first t errors of any run are those
 of a t-trial run.  A block is drawn as one ``(trials, n)`` array, which
-equals the same number of successive ``rng.random(n)`` draws; only its
-non-identity rows become `PauliError` objects.
+equals the same number of successive ``rng.random(n)`` draws.  Its
+non-identity rows stay packed in numpy and are classified together by
+`CssCode.classify_block`, which decodes each distinct syndrome of the block
+once.
+
+Every trial runs on the calling thread.  `monte_carlo` still takes a
+``workers`` keyword because callers pass it (among them the benchmark's
+simulate gate, which checks that ``workers=1`` and ``workers=2`` agree);
+a thread pool measured no faster under the GIL and was removed, so the
+keyword changes nothing.
 """
 from __future__ import annotations
 
@@ -13,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .css import CssCode, PauliError
-from .errors import DecodingFailure, InvalidInput
+from .css import LOGICAL, X_FAILURE, Z_FAILURE, CssCode, PauliError
+from .errors import InvalidInput
 
 _PROB_TOL = 1e-9
 # trials per generator; part of the stream's definition, not a tuning knob
@@ -51,12 +59,14 @@ class ChannelSpec:
 
 def _sample_rows(
     channel: ChannelSpec, n: int, rng: np.random.Generator, count: int
-) -> tuple[list[int], list[PauliError]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw `count` errors at once; return the rows that are not the identity.
 
     Row r is the error of the r-th successive ``rng.random(n)`` draw.  Qubit j
     of a row with draw v is I if v < t1, else X if v < t2, else Y if v < t3,
-    else Z, with (t1, t2, t3) the channel's cumulative thresholds.
+    else Z, with (t1, t2, t3) the channel's cumulative thresholds.  The
+    result is the increasing indices of the non-identity rows and their x
+    and z bits, packed little-endian into (rows, ceil(n/8)) uint8 arrays.
     """
     t1, t2, t3 = channel.thresholds()
     v = rng.random((count, n))
@@ -65,23 +75,26 @@ def _sample_rows(
     hit = v >= t1
     rows = np.flatnonzero(hit.any(axis=1))
     if not rows.size:
-        return [], []
+        empty = np.zeros((0, (n + 7) // 8), dtype=np.uint8)
+        return rows, empty, empty
     v, hit = v[rows], hit[rows]
-    x = np.packbits(hit & ((v < t2) | (v < t3)), axis=1, bitorder="little").tobytes()
-    z = np.packbits(hit & (v >= t2), axis=1, bitorder="little").tobytes()
-    width = (n + 7) // 8 or 1  # n = 0 packs to no bytes at all
-    errors = [
-        PauliError(n, int.from_bytes(x[i : i + width], "little"),
-                   int.from_bytes(z[i : i + width], "little"))
-        for i in range(0, len(x), width)
+    x = np.packbits(hit & ((v < t2) | (v < t3)), axis=1, bitorder="little")
+    z = np.packbits(hit & (v >= t2), axis=1, bitorder="little")
+    return rows, x, z
+
+
+def _pauli_errors(n: int, x: np.ndarray, z: np.ndarray) -> list[PauliError]:
+    """The rows of packed x and z bits as `PauliError`s."""
+    return [
+        PauliError(n, int.from_bytes(a.tobytes(), "little"), int.from_bytes(b.tobytes(), "little"))
+        for a, b in zip(x, z)
     ]
-    return rows.tolist(), errors
 
 
 def sample_error(channel: ChannelSpec, n: int, rng: np.random.Generator) -> PauliError:
     """Independent per-qubit draw: I, X, Y, Z by cumulative threshold."""
-    _, errors = _sample_rows(channel, n, rng, 1)
-    return errors[0] if errors else PauliError.identity(n)
+    _, x, z = _sample_rows(channel, n, rng, 1)
+    return _pauli_errors(n, x, z)[0] if len(x) else PauliError.identity(n)
 
 
 @dataclass(frozen=True)
@@ -128,16 +141,18 @@ class TrialReport:
 
 
 def _trial_errors(channel: ChannelSpec, n: int, seed: int, trials: int):
-    """Yield (t, error) for each trial t in 0..trials-1 whose error is not
-    the identity, in order; every other trial's error is the identity.
+    """Yield (t, x, z) for each block of trials 0..trials-1, in order: t the
+    increasing indices of the block's trials whose error is not the
+    identity, and x and z their packed bits, as `_sample_rows` gives them.
+    Every other trial's error is the identity.
 
     Each block is one `_sample_rows` call on its block's generator, so no
     per-trial function call is made for an identity trial.
     """
     for block, lo in enumerate(range(0, trials, _BLOCK)):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
-        rows, errors = _sample_rows(channel, n, rng, min(_BLOCK, trials - lo))
-        yield from zip([lo + r for r in rows], errors)
+        rows, x, z = _sample_rows(channel, n, rng, min(_BLOCK, trials - lo))
+        yield lo + rows, x, z
 
 
 def monte_carlo(
@@ -149,34 +164,29 @@ def monte_carlo(
 ) -> TrialReport:
     """Sample, decode and classify `trials` errors; deterministic in `seed`.
 
+    Each block of trials is classified at once by `CssCode.classify_block`,
+    one decode per distinct syndrome of a side in the block; the decoders
+    are deterministic, so the report equals that of decoding every trial
+    through `CssCode.decode`.  An identity error is counted as a success
+    without decoding it; its syndrome is zero, which decodes to the
+    identity, and the zero residual lies in the stabilizer.
+
     Every trial runs on the calling thread.  ``workers`` is accepted for
-    callers that pass it and changes nothing: the report depends only on the
-    code, the channel, `trials` and `seed`.  An identity error is counted as a
-    success without decoding or building it; its syndrome is zero, which
-    decodes to the identity, and the zero residual lies in the stabilizer.
+    callers that pass it, such as the benchmark's check that ``workers=1``
+    and ``workers=2`` agree, and changes nothing: the report depends only on
+    the code, the channel, `trials` and `seed`.
     """
     if trials < 1:
         raise InvalidInput(f"need at least one trial, got {trials}")
     if seed < 0:
         raise InvalidInput(f"seed must be non-negative, got {seed}")
-    sampled = successes = x_failures = z_failures = logicals = 0
-    for _, err in _trial_errors(channel, code.n, seed, trials):
-        sampled += 1
-        try:
-            estimate = code.decode(code.syndrome(err))
-        except DecodingFailure as exc:
-            if exc.side == "x":
-                x_failures += 1
-            else:
-                z_failures += 1
-            continue
-        if code.residual_is_logical(err, estimate):
-            logicals += 1
-        else:
-            successes += 1
+    counts = np.zeros(4, dtype=np.int64)
+    for _, x, z in _trial_errors(channel, code.n, seed, trials):
+        counts += np.bincount(code.classify_block(x, z), minlength=4)
+    logicals, x_failures, z_failures = (int(counts[i]) for i in (LOGICAL, X_FAILURE, Z_FAILURE))
     return TrialReport(
         trials=trials,
-        successes=successes + trials - sampled,
+        successes=trials - logicals - x_failures - z_failures,
         decode_failures=x_failures + z_failures,
         logical_errors=logicals,
         seed=seed,

@@ -54,6 +54,13 @@ def _read(path: str) -> str:
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InvalidInput(f"cannot write {path}: {exc}") from exc
+
+
 def _int(text: str, base: int = 10) -> int:
     try:
         return int(text, base)
@@ -66,7 +73,7 @@ def _load_code(path: str) -> LinearCode:
 
 
 def _save_code(code: LinearCode, path: str) -> None:
-    Path(path).write_text(code.to_text())
+    _write(path, code.to_text())
 
 
 def _concat(args, inner: LinearCode):
@@ -225,30 +232,41 @@ def _cmd_css_build(args) -> int:
     else:
         spec = [args.decoder, *args.decoder_args]
         css = _css_from_spec(spec)
-    out = Path(args.out)
     blocks = [f"n: {css.n}", f"quantum-k: {css.quantum_k}", f"decoder: {' '.join(spec)}"]
     blocks.append("G1")
     blocks.append(css.c1.generator.to_text().rstrip("\n"))
     blocks.append("G2")
     blocks.append(css.c2.generator.to_text().rstrip("\n"))
-    out.write_text("\n".join(blocks) + "\n")
-    print(f"[[{css.n},{css.quantum_k},{css.distance or '?'}]] written to {out}")
+    _write(args.out, "\n".join(blocks) + "\n")
+    print(f"[[{css.n},{css.quantum_k},{css.distance or '?'}]] written to {args.out}")
     return 0
 
 
 def load_css(path: str) -> CssCode:
-    """Rebuild a CSS code (with its decoder) from a .css file."""
+    """Rebuild a CSS code (with its decoder) from a .css file.
+
+    A file names a decoder spec, or ``lookup`` with G1 and G2 matrix
+    blocks.  Its ``n:`` and ``quantum-k:`` headers, and a spec file's
+    G1 and G2 blocks, must describe the code that is rebuilt.
+    """
     lines = _read(path).splitlines()
     header = {k.strip(): v.strip() for k, v in (ln.split(":", 1) for ln in lines if ":" in ln)}
     spec = header.get("decoder", "lookup").split()
-    if spec != ["lookup"]:
-        return _css_from_spec(spec)
-    if "G1" not in lines or "G2" not in lines:
-        raise InvalidInput(f"{path}: a lookup-decoded file needs G1 and G2 matrix blocks")
-    i, j = lines.index("G1"), lines.index("G2")
-    g1 = BitMatrix.from_text("\n".join(lines[i + 1 : j]))
-    g2 = BitMatrix.from_text("\n".join(lines[j + 1 :]))
-    return _lookup_css(LinearCode(g1), LinearCode(g2))
+    if "G1" in lines and "G2" in lines:
+        i, j = lines.index("G1"), lines.index("G2")
+        codes = (LinearCode(BitMatrix.from_text("\n".join(lines[i + 1 : j]))),
+                 LinearCode(BitMatrix.from_text("\n".join(lines[j + 1 :]))))
+    elif spec == ["lookup"] or "G1" in lines or "G2" in lines:
+        raise InvalidInput(f"{path}: needs both a G1 and a G2 matrix block")
+    else:
+        codes = None
+    css = _lookup_css(*codes) if spec == ["lookup"] else _css_from_spec(spec)
+    if codes and not (css.c1.same_code(codes[0]) and css.c2.same_code(codes[1])):
+        raise InvalidInput(f"{path}: the G1 and G2 blocks are not the codes of {' '.join(spec)}")
+    for key, value in (("n", css.n), ("quantum-k", css.quantum_k)):
+        if key in header and _int(header[key]) != value:
+            raise InvalidInput(f"{path}: header {key}: {header[key]}, but the code has {value}")
+    return css
 
 
 def _cmd_simulate(args) -> int:
@@ -262,7 +280,7 @@ def _cmd_simulate(args) -> int:
         f"logical_rate={report.logical_rate:.3e}"
     )
     if args.csv:
-        Path(args.csv).write_text(report.to_csv())
+        _write(args.csv, report.to_csv())
     return 0
 
 
@@ -290,7 +308,7 @@ def _cmd_spectrum(args) -> int:
     enum = code.weight_enumerator(budget=args.budget)
     text = enum.to_csv()
     if args.out:
-        Path(args.out).write_text(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -322,7 +340,7 @@ def _cmd_verify_tables(args) -> int:
         print("  matches expected set:", "yes" if match else "NO")
         ok &= match
     if args.json:
-        Path(args.json).write_text(tables.reports_to_json(sections))
+        _write(args.json, tables.reports_to_json(sections))
     return 0 if ok else 1
 
 

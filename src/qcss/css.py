@@ -11,13 +11,17 @@ the side's error bits, whose low bits are the syndrome and whose high bits,
 the checks of the other code's dual, vanish exactly on the stabilizer part;
 and a preimage map from a syndrome to a word that has it.  Their ceil(n/8)
 and ceil(k/8) tables of 256 n-bit ints take 0.23 MB for [[127,57,11]]; the
-sides share them when C1 and C2 have one generator.
+sides share them when C1 and C2 have one generator.  Each check map is also
+kept as one numpy array (64 KB for [[127,57,11]]), through which
+`CssCode.classify_block` applies it to a whole Monte Carlo block at once.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from typing import Protocol
+
+import numpy as np
 
 from .bch import BchDecoder, CyclicCodeSpec, spec_from_zero_set, zero_set_of_polynomial
 from .codes import LinearCode
@@ -28,10 +32,13 @@ from .errors import (
     PreconditionError,
     ResourceLimit,
 )
-from .gf2 import BitVector, ParityMap, parities, preimages
+from .gf2 import BitVector, ParityMap, apply_packed, pack_rows, parities, preimages
 
 # largest parity-check count a LookupDecoder accepts: its table has 2^k entries
 LOOKUP_MAX_ROWS = 16
+
+# outcomes of one error under `CssCode.classify_block`
+SUCCESS, LOGICAL, X_FAILURE, Z_FAILURE = range(4)
 
 _PAULI_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
@@ -200,6 +207,11 @@ class CssCode:
             self._x_checks, self._preimage2 = self._z_checks, self._preimage1
         else:
             self._x_checks, self._preimage2 = _check_map(c2, c1), _preimage_map(c2)
+        # the check maps as numpy tables, for classify_block
+        self._z_table = self._z_checks.packed_table()
+        self._x_table = (
+            self._z_table if self._x_checks is self._z_checks else self._x_checks.packed_table()
+        )
 
     @classmethod
     def from_self_orthogonal(
@@ -263,6 +275,70 @@ class CssCode:
         if z_checks & self._mask1 or x_checks & self._mask2:
             raise InternalConsistencyError("estimate does not match the observed syndrome")
         return bool(z_checks >> self.c1.k or x_checks >> self.c2.k)
+
+    def classify_block(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """The outcome of each error of a block: SUCCESS, LOGICAL, X_FAILURE
+        or Z_FAILURE, as `syndrome`, `decode` and `residual_is_logical`
+        give it.
+
+        Row r of ``x`` and of ``z``, (count, ceil(n/8)) uint8 arrays, holds
+        the little-endian bytes of error r's x and z bits.  As in `decode`
+        the z side comes first: a row on which both sides fail is a z
+        failure, and the x side of a z failure is not decoded.  Each side
+        decodes each distinct syndrome of the block once.
+        """
+        width = (self.n + 7) // 8
+        for bits in (x, z):
+            if bits.dtype != np.uint8 or bits.shape != (len(x), width):
+                raise InvalidInput(f"a block must be two ({len(x)}, {width}) uint8 arrays")
+        z_failed, z_bad, z_logical = self._classify_side(
+            z, self._z_table, self.c1.k, self._preimage1, self.decoder1, "z"
+        )
+        rest = ~z_failed
+        x_failed, x_bad, x_logical = (np.zeros_like(z_failed) for _ in range(3))
+        x_failed[rest], x_bad[rest], x_logical[rest] = self._classify_side(
+            x[rest], self._x_table, self.c2.k, self._preimage2, self.decoder2, "x"
+        )
+        if (rest & ~x_failed & (z_bad | x_bad)).any():
+            raise InternalConsistencyError("estimate does not match the observed syndrome")
+        return np.select(
+            [z_failed, x_failed, z_logical | x_logical], [Z_FAILURE, X_FAILURE, LOGICAL], SUCCESS
+        )
+
+    def _classify_side(self, packed, table, k, preimage, decoder, side):
+        """Per row of one side: (decoding failed, residual syndrome nonzero,
+        residual outside the stabilizer).  The checks are linear, so a
+        row's residual checks are its own XOR those of its estimate, and
+        the estimate depends on the syndrome alone."""
+        checks = apply_packed(table, packed)
+        low = pack_rows([(1 << k) - 1], 64 * table.shape[2])
+        # only the syndrome's own words, so that k <= 64 sorts one word a row
+        syndromes, inverse = _unique_rows((checks & low)[:, : max(1, -(-k // 64))])
+        failed = np.zeros(len(syndromes), dtype=bool)
+        estimates = []
+        for j, row in enumerate(syndromes):
+            s = int.from_bytes(row.tobytes(), "little")
+            try:
+                e = self._decode_side(s, preimage, decoder, side)
+            except DecodingFailure:
+                failed[j], e = True, 0
+            estimates.append(e)
+        width = packed.shape[1]
+        raw = b"".join(e.to_bytes(width, "little") for e in estimates)
+        est = np.frombuffer(raw, dtype=np.uint8).reshape(len(estimates), width)
+        residual = checks ^ apply_packed(table, est)[inverse]
+        return failed[inverse], (residual & low).any(axis=1), (residual & ~low).any(axis=1)
+
+
+def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a (count, words) uint64 array, and the index of
+    each row among them."""
+    if a.shape[1] == 1:
+        distinct, inverse = np.unique(a[:, 0], return_inverse=True)
+        return distinct[:, None], inverse
+    keys = np.ascontiguousarray(a).view(np.dtype((np.void, a.itemsize * a.shape[1])))
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    return a[first], inverse
 
 
 def _check_map(syndrome_code: LinearCode, stabilizer_code: LinearCode) -> ParityMap:

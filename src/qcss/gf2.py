@@ -4,7 +4,8 @@ A vector of length ``n`` is a Python int whose bit ``i`` is the value at
 column ``i``; bits at or above ``n`` are always zero.  Each GF(2)-linear job
 of the package has one routine here: ``insert_rows`` (basis insertion, the
 first phase of ``rref``), ``preimages`` (words with given parities, and a
-kernel) and ``ParityMap`` (a fixed matrix applied to many words).
+kernel) and ``ParityMap`` (a fixed matrix applied to many words, one at a
+time or, through ``apply_packed``, a numpy block at once).
 """
 from __future__ import annotations
 
@@ -330,6 +331,26 @@ class ParityMap:
     def __call__(self, word: int) -> int:
         tables = self.tables
         return reduce(xor, map(getitem, tables, word.to_bytes(len(tables), "little")), 0)
+
+    def packed_table(self) -> np.ndarray:
+        """The tables as one (bytes, 256, words) uint64 array for
+        ``apply_packed``: entry [k, v] is table k's image of byte v, split
+        into 64-bit words, low word first.  It is built on request, so maps
+        that are only applied one word at a time never pay for it."""
+        width = max((max(t).bit_length() for t in self.tables), default=0)
+        packed = pack_rows([v for t in self.tables for v in t], width)
+        return packed.reshape(len(self.tables), 256, packed.shape[1])
+
+
+def apply_packed(table: np.ndarray, packed: np.ndarray) -> np.ndarray:
+    """The images of many words under one map, ``table`` being its
+    ``ParityMap.packed_table()``.  Row r of ``packed``, a (count, bytes)
+    uint8 array, is a word's little-endian bytes; row r of the (count,
+    words) uint64 result is its image.  One gather and one XOR per byte."""
+    out = np.zeros((packed.shape[0], table.shape[2]), dtype=table.dtype)
+    for k, byte_table in enumerate(table):
+        out ^= byte_table.take(packed[:, k], axis=0)
+    return out
 
 
 def in_rowspace(m_rref: BitMatrix, pivots: Sequence[int], v: BitVector) -> bool:

@@ -7,6 +7,7 @@ from qcss.channel import (
     _BLOCK,
     ChannelSpec,
     TrialReport,
+    _pauli_errors,
     _sample_rows,
     _trial_errors,
     component_weight_bound,
@@ -14,7 +15,7 @@ from qcss.channel import (
     sample_error,
 )
 from qcss.css import CssCode, LookupDecoder, PauliError, css_from_reed_muller, css_with_lookup
-from qcss.errors import DecodingFailure, InvalidInput
+from qcss.errors import DecodingFailure, InternalConsistencyError, InvalidInput
 from qcss.named import steane_component
 
 
@@ -48,7 +49,7 @@ def test_sample_error_marginals_within_three_sigma():
     rng = np.random.default_rng(7)
     n = 4
     draws = 200_000
-    _, errors = _sample_rows(channel, n, rng, draws)
+    _, errors = _rows_and_errors(channel, n, rng, draws)
     counts = {"X": 0, "Y": 0, "Z": 0}
     for err in errors:
         x, z = err.x_bits, err.z_bits
@@ -99,6 +100,13 @@ _CHANNELS = [
 _CHANNEL_IDS = ["p0", "p0.01", "p0.3", "p1", "biased", "neg-i", "neg-x", "neg-y", "neg-z"]
 
 
+def _rows_and_errors(channel, n, rng, count):
+    """`_sample_rows` with its rows as a list and its packed bits as errors."""
+    rows, x, z = _sample_rows(channel, n, rng, count)
+    assert x.shape == z.shape == (len(rows), (n + 7) // 8) and x.dtype == z.dtype == np.uint8
+    return rows.tolist(), _pauli_errors(n, x, z)
+
+
 def _with_identities(n, count, rows, errors):
     """The full list of `count` errors, identity rows filled in."""
     full = [PauliError.identity(n)] * count
@@ -119,7 +127,7 @@ def test_sample_error_matches_per_qubit_oracle(n, channel):
     # generator's stream, and only the non-identity rows come back
     fast, slow = np.random.default_rng(n), np.random.default_rng(n)
     for count in (1, 2, 45, 200):
-        rows, errors = _sample_rows(channel, n, fast, count)
+        rows, errors = _rows_and_errors(channel, n, fast, count)
         assert rows == sorted(rows) and all(e.x_bits | e.z_bits for e in errors)
         full = _with_identities(n, count, rows, errors)
         assert full == [_reference_sample_error(channel, n, slow) for _ in range(count)]
@@ -151,7 +159,7 @@ def test_sample_rows_at_the_thresholds(n, channel):
         values.update((np.nextafter(a, -1.0), a, np.nextafter(a, 2.0)))
     values = [v for v in sorted(values) if 0.0 <= v < 1.0]
     count = 3 * len(values)
-    rows, errors = _sample_rows(channel, n, _Scripted(values), count)
+    rows, errors = _rows_and_errors(channel, n, _Scripted(values), count)
     full = _with_identities(n, count, rows, errors)
     slow = _Scripted(values)
     assert full == [_reference_sample_error(channel, n, slow) for _ in range(count)]
@@ -163,8 +171,12 @@ def _block_rng(seed, block):
 
 def _stream(channel, n, seed, trials):
     """Every trial's error, identities included."""
-    pairs = list(_trial_errors(channel, n, seed, trials))
-    return _with_identities(n, trials, [t for t, _ in pairs], [e for _, e in pairs])
+    rows, errors = [], []
+    for t, x, z in _trial_errors(channel, n, seed, trials):
+        rows += t.tolist()
+        errors += _pauli_errors(n, x, z)
+    assert rows == sorted(rows)
+    return _with_identities(n, trials, rows, errors)
 
 
 def test_trial_errors_stream_is_keyed_by_seed_and_block():
@@ -280,6 +292,28 @@ class _Refuses:
 
     def decode_word(self, bits):
         raise DecodingFailure("refused")
+
+
+class _ReturnsTheWord:
+    """A broken decoder: the received word, which is not a codeword."""
+
+    radius = 0
+
+    def decode_word(self, bits):
+        return bits
+
+
+@pytest.mark.parametrize("broken", ["x", "z"])
+def test_monte_carlo_refuses_a_decoder_that_returns_a_non_codeword(broken):
+    code = steane_component()
+    good, bad = LookupDecoder(code), _ReturnsTheWord()
+    css = CssCode(code, code, decoder1=bad if broken == "z" else good,
+                  decoder2=bad if broken == "x" else good)
+    channel = ChannelSpec.depolarizing(0.05)
+    with pytest.raises(InternalConsistencyError):
+        _reference_report(css, channel, 300, 4)
+    with pytest.raises(InternalConsistencyError):
+        monte_carlo(css, channel, trials=300, seed=4)
 
 
 @pytest.mark.parametrize("z_fails, x_fails", [(True, False), (False, True), (True, True)])

@@ -348,3 +348,109 @@ def test_verify_tables_budget_reaches_both_tables(monkeypatch, capsys):
         ("verify_table2", {"budget": 1 << 20}),
         ("verify_extended_table1", {"budget": 1 << 20}),
     ]
+
+
+def _css_file(tmp, argv):
+    path = tmp / "made.css"
+    assert main(["css-build", *argv, "--out", str(path)]) == 0
+    return path
+
+
+def _reed_file(tmp):
+    return _css_file(tmp, ["--decoder", "reed", "--decoder-args", "4", "1"])
+
+
+def _steane_file(tmp):
+    from qcss.named import steane_component
+
+    src = tmp / "steane.code"
+    src.write_text(steane_component().to_text())
+    return _css_file(tmp, ["--decoder", "lookup", "--c1", str(src)])
+
+
+def _with_block(path, label, code):
+    """The file with the matrix block after `label` replaced by `code`'s."""
+    lines = path.read_text().splitlines()
+    i = lines.index(label)
+    end = i + 2 + int(lines[i + 1].split()[0])
+    lines[i + 1 : end] = code.generator.to_text().splitlines()
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _replaced(make, old, new):
+    def tamper(tmp):
+        path = make(tmp)
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+        return path
+    return tamper
+
+
+def _reed_with_other_g1(tmp):
+    return _with_block(_reed_file(tmp), "G1", reedmuller.rm_generator(4, 0).code)
+
+
+def _reed_without_g2(tmp):
+    path = _reed_file(tmp)
+    text = path.read_text()
+    path.write_text(text[: text.index("G2\n")])
+    return path
+
+
+@pytest.mark.parametrize("tamper", [
+    _replaced(_reed_file, "n: 16\n", "n: 99\n"),
+    _replaced(_reed_file, "quantum-k: 6\n", "quantum-k: 7\n"),
+    _reed_with_other_g1,
+    _reed_without_g2,
+    _replaced(_steane_file, "n: 7\n", "n: 9\n"),
+    _replaced(_steane_file, "quantum-k: 1\n", "quantum-k: 3\n"),
+], ids=["reed-n", "reed-quantum-k", "reed-other-g1", "reed-g1-without-g2", "lookup-n",
+        "lookup-quantum-k"])
+def test_css_file_that_describes_another_code_is_an_error_line(tmp_path, capsys, tamper):
+    path = tamper(tmp_path)
+    capsys.readouterr()
+    code = main(["simulate", "--css", str(path), "--p", "0.01", "--trials", "10"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and "Traceback" not in captured.err
+
+
+def test_css_file_may_give_another_basis_of_its_codes(tmp_path):
+    path = _reed_file(tmp_path)
+    rows = reedmuller.rm_generator(4, 1).code.generator.row_bits()
+    other = LinearCode(BitMatrix(16, [rows[0] ^ rows[1], *rows[1:]][::-1]))
+    _with_block(_with_block(path, "G1", other), "G2", other)
+    assert load_css(str(path)).parameters() == (16, 6, 4)
+    assert load_css(str(_steane_file(tmp_path))).parameters()[:2] == (7, 1)
+
+
+def _writes(tmp, monkeypatch):
+    """One command per CLI write, each with the output under a missing directory."""
+    from qcss import tables
+
+    src = tmp / "ext.code"
+    src.write_text(extended_hamming_8().to_text())
+    css = _reed_file(tmp)
+    monkeypatch.setattr(tables, "verify_table1", lambda **kw: [])
+    bad = str(tmp / "absent" / "out")
+    return {
+        "construct": ["construct", "shorten", "--in", str(src), "--out", bad],
+        "css-build": ["css-build", "--decoder", "reed", "--decoder-args", "4", "1", "--out", bad],
+        "simulate": ["simulate", "--css", str(css), "--p", "0.01", "--trials", "10", "--csv", bad],
+        "spectrum": ["spectrum", "--code", str(src), "--out", bad],
+        "verify-tables": ["verify-tables", "--table", "1", "--json", bad],
+    }
+
+
+@pytest.mark.parametrize("command", ["construct", "css-build", "simulate", "spectrum",
+                                     "verify-tables"])
+def test_write_to_a_missing_directory_is_an_error_line(tmp_path, capsys, monkeypatch, command):
+    argv = _writes(tmp_path, monkeypatch)[command]
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: cannot write {tmp_path / 'absent' / 'out'}: ")
+    assert "Traceback" not in err

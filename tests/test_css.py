@@ -2,11 +2,16 @@ import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from qcss.bch import search_self_orthogonal_bch
 from qcss.css import (
+    LOGICAL,
     LOOKUP_MAX_ROWS,
+    SUCCESS,
+    X_FAILURE,
+    Z_FAILURE,
     CssCode,
     LookupDecoder,
     PauliError,
@@ -590,3 +595,171 @@ def test_every_decoder_rejects_words_outside_its_length():
         for bits in (1 << n, (1 << n) | 1, -1, -(1 << n)):
             with pytest.raises(InvalidInput):
                 decode(bits)
+
+
+# -- the block classification against the one-error path ----------------------
+
+
+def _packed(words, n):
+    width = (n + 7) // 8
+    raw = b"".join(w.to_bytes(width, "little") for w in words)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(len(words), width)
+
+
+def _classify(css, errors):
+    return css.classify_block(
+        _packed([e.x_bits for e in errors], css.n), _packed([e.z_bits for e in errors], css.n)
+    ).tolist()
+
+
+def _scalar_outcome(css, err):
+    """The outcome of one error through syndrome, decode and residual_is_logical."""
+    try:
+        est = css.decode(css.syndrome(err))
+    except DecodingFailure as exc:
+        return X_FAILURE if exc.side == "x" else Z_FAILURE
+    return LOGICAL if css.residual_is_logical(err, est) else SUCCESS
+
+
+def _sparse(n, rng, most):
+    return sum(1 << p for p in rng.sample(range(n), rng.randrange(most + 1)))
+
+
+def _block_of_errors(n, rng, count):
+    """Uniform errors, and sparse ones drawn from a small pool, so that
+    syndromes repeat within the block; identities included."""
+    pool = [PauliError(n, _sparse(n, rng, 2), _sparse(n, rng, 2)) for _ in range(count // 4)]
+    errors = [PauliError(n, rng.getrandbits(n), rng.getrandbits(n)) for _ in range(count // 2)]
+    errors += [rng.choice(pool) for _ in range(count - len(errors) - 1)]
+    errors.append(PauliError.identity(n))
+    rng.shuffle(errors)
+    return errors
+
+
+class _RefusesOddWords:
+    """Fails on a preimage of odd weight, else decodes to the zero codeword:
+    deterministic in the syndrome, and defined at any length."""
+
+    radius = 0
+
+    def decode_word(self, bits: int) -> int:
+        if bits.bit_count() & 1:
+            raise DecodingFailure("odd word")
+        return 0
+
+
+def test_classify_block_matches_the_one_error_path_on_unequal_pairs():
+    # C1 and C2 differ in dimension, so taking one side's syndrome, preimage
+    # or decoder for the other shows as a changed outcome
+    seen = set()
+    for n in (7, 8, 9, 13, 16, 17, 23):
+        rng = random.Random(n)
+        for _ in range(6):
+            c1, c2 = _random_css_pair(n, rng)
+            while max(c1.k, c2.k) > LOOKUP_MAX_ROWS:
+                c1, c2 = _random_css_pair(n, rng)
+            for d1, d2 in ((LookupDecoder(c1, max_weight=1), LookupDecoder(c2, max_weight=1)),
+                           (LookupDecoder(c1), _RefusesOddWords()),
+                           (_RefusesOddWords(), LookupDecoder(c2))):
+                css = CssCode(c1, c2, decoder1=d1, decoder2=d2)
+                errors = _block_of_errors(n, rng, 120)
+                want = [_scalar_outcome(css, e) for e in errors]
+                assert _classify(css, errors) == want, (n, c1, c2)
+                seen.update(want)
+    assert seen == {SUCCESS, LOGICAL, X_FAILURE, Z_FAILURE}
+
+
+@pytest.mark.parametrize("k1, k2", [(64, 30), (65, 30), (30, 70), (70, 66)])
+def test_classify_block_on_syndromes_wider_than_a_word(k1, k2):
+    n = 140
+    rng = random.Random(k1 * 1000 + k2)
+    c1 = random_linear_code(n, k1, rng)
+    dual_rows = c1.dual().generator.row_bits()
+    c2 = LinearCode(BitMatrix(n, dual_rows[:k2]))
+    css = CssCode(c1, c2, decoder1=_RefusesOddWords(), decoder2=_RefusesOddWords())
+    errors = _block_of_errors(n, rng, 200)
+    want = [_scalar_outcome(css, e) for e in errors]
+    assert _classify(css, errors) == want
+    assert len(set(want)) > 1
+
+
+class _Recording:
+    """Passes words on to a decoder and keeps each one it was given."""
+
+    def __init__(self, decoder):
+        self.decoder, self.words, self.radius = decoder, [], decoder.radius
+
+    def decode_word(self, bits: int) -> int:
+        self.words.append(bits)
+        return self.decoder.decode_word(bits)
+
+
+class _Refuses:
+    radius = 0
+
+    def decode_word(self, bits):
+        raise DecodingFailure("refused")
+
+
+def test_classify_block_decodes_each_syndrome_once_and_z_first():
+    code = steane_component()
+    rng = random.Random(11)
+    errors = _block_of_errors(7, rng, 300)
+    for z_refuses in (False, True):
+        x_side = _Recording(LookupDecoder(code))
+        z_side = _Refuses() if z_refuses else _Recording(LookupDecoder(code))
+        css = CssCode(code, code, decoder1=z_side, decoder2=x_side)
+        want = [_scalar_outcome(css, e) for e in errors]
+        x_side.words.clear()
+        if not z_refuses:
+            z_side.words.clear()
+        assert _classify(css, errors) == want
+        syndromes = [css.syndrome(e) for e in errors]
+        # the x side of a z failure is not decoded
+        x_words = {css._preimage2(s.s_z.bits) for s, w in zip(syndromes, want)
+                   if s.s_z.bits and w != Z_FAILURE}
+        assert len(x_side.words) == len(set(x_side.words))
+        assert set(x_side.words) == x_words
+        if z_refuses:
+            assert all((w == Z_FAILURE) == bool(s.s_x.bits) for s, w in zip(syndromes, want))
+        else:
+            assert sorted(z_side.words) == sorted(
+                {css._preimage1(s.s_x.bits) for s in syndromes if s.s_x.bits}
+            )
+
+
+class _ReturnsTheWord:
+    """A broken decoder: the received word, which is not a codeword."""
+
+    radius = 0
+
+    def decode_word(self, bits: int) -> int:
+        return bits
+
+
+@pytest.mark.parametrize("broken", ["x", "z"])
+def test_classify_block_refuses_an_estimate_off_the_syndrome(broken):
+    code = steane_component()
+    good, bad = LookupDecoder(code), _ReturnsTheWord()
+    css = CssCode(code, code, decoder1=bad if broken == "z" else good,
+                  decoder2=bad if broken == "x" else good)
+    single = [PauliError.single(7, 0, "X" if broken == "x" else "Z")]
+    with pytest.raises(InternalConsistencyError):
+        _scalar_outcome(css, single[0])
+    with pytest.raises(InternalConsistencyError):
+        _classify(css, [PauliError.identity(7)] + single)
+    # the other side alone and the identity never reach the broken decoder
+    other = PauliError.single(7, 0, "Z" if broken == "x" else "X")
+    assert _classify(css, [PauliError.identity(7), other]) == [SUCCESS, SUCCESS]
+
+
+def test_classify_block_refuses_a_block_of_another_shape():
+    css = steane_css()
+    good = np.zeros((3, 1), dtype=np.uint8)
+    for x, z in ((np.zeros((3, 2), dtype=np.uint8), good),
+                 (good, np.zeros((2, 1), dtype=np.uint8)),
+                 (good, good.astype(np.uint64)),
+                 (np.zeros(3, dtype=np.uint8), good)):
+        with pytest.raises(InvalidInput):
+            css.classify_block(x, z)
+    assert css.classify_block(good, good).tolist() == [SUCCESS] * 3

@@ -2,6 +2,7 @@ import functools
 import operator
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from qcss.gf2 import (
     BitMatrix,
     BitVector,
     ParityMap,
+    apply_packed,
     insert_rows,
     nullspace_basis,
     parities,
@@ -308,6 +310,37 @@ def test_parity_map_images_are_its_columns(cols):
     assert pmap(0) == 0
     rows = BitMatrix(70, images).transpose().row_bits()  # the matrix whose columns these are
     assert ParityMap.from_rows(rows, cols).tables == pmap.tables
+
+
+def _packed_words(words, cols):
+    width = (cols + 7) // 8
+    raw = b"".join(w.to_bytes(width, "little") for w in words)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(len(words), width)
+
+
+# input lengths on either side of the byte and word edges; output widths of
+# one, two and three 64-bit words
+@pytest.mark.parametrize("cols", [1, 7, 8, 9, 63, 64, 65, 127, 128])
+@pytest.mark.parametrize("width", [5, 64, 65, 127, 129])
+def test_packed_table_applies_the_map_to_a_block(cols, width):
+    rng = random.Random(cols * 1000 + width)
+    images = [rng.getrandbits(width) for _ in range(cols)]
+    images[-1] |= 1 << (width - 1)  # the widest image fixes the word count
+    pmap = ParityMap(images)
+    table = pmap.packed_table()
+    assert table.shape == (len(pmap.tables), 256, (width + 63) // 64)
+    assert table.dtype == np.uint64
+    words = [rng.getrandbits(cols) for _ in range(60)] + [0, (1 << cols) - 1, 1 << (cols - 1)]
+    out = apply_packed(table, _packed_words(words, cols))
+    assert out.shape == (len(words), table.shape[2]) and out.dtype == np.uint64
+    assert [int.from_bytes(row.tobytes(), "little") for row in out] == [pmap(w) for w in words]
+    assert apply_packed(table, _packed_words([], cols)).shape == (0, table.shape[2])
+
+
+def test_packed_table_of_no_columns_maps_to_zero():
+    table = ParityMap([]).packed_table()
+    assert table.shape == (0, 256, 1)
+    assert not apply_packed(table, np.zeros((3, 0), dtype=np.uint8)).any()
 
 
 def test_parity_map_of_no_rows_or_no_columns_is_zero():
