@@ -32,7 +32,7 @@ from .errors import (
     PreconditionError,
     ResourceLimit,
 )
-from .gf2 import BitMatrix, ParityMap
+from .gf2 import BitMatrix, ParityMap, bytes_as_bools, ints_as_bytes
 
 # One fixed primitive polynomial per extension degree (lowest-weight standard
 # choices).  Primitivity is re-verified at table construction time.
@@ -163,6 +163,17 @@ class Gf2mField:
 @lru_cache(maxsize=None)
 def default_field(m: int) -> Gf2mField:
     return Gf2mField(m)
+
+
+def cyclic_field(n: int) -> Gf2mField:
+    """The field of the cyclic codes of length n: GF(2^m) for the least m
+    with n | 2^m - 1, searched up to the largest degree in ``PRIMITIVE_POLYS``."""
+    if n < 1 or n % 2 == 0:
+        raise InvalidInput(f"length must be odd and positive, got {n}")
+    for m in range(1, max(PRIMITIVE_POLYS) + 1):
+        if pow(2, m, n) == 1 % n:
+            return default_field(m)
+    raise InvalidInput(f"length {n} needs GF(2^m) with m > {max(PRIMITIVE_POLYS)}, none on record")
 
 
 def multiplicative_order_of_two(n: int) -> int:
@@ -387,8 +398,7 @@ def bch_bound(zero_set, n: int) -> int:
 
 
 def spec_from_zero_set(n: int, zero_set, fld: Gf2mField | None = None) -> CyclicCodeSpec:
-    if fld is None:
-        fld = default_field(multiplicative_order_of_two(n))
+    fld = fld or cyclic_field(n)
     zeros = _closure(zero_set, n)
     return _spec(n, fld, zeros, _generator_from_zeros(n, zeros, fld, {}), best_window(zeros, n))
 
@@ -409,8 +419,7 @@ def bch_generator(n: int, b: int, delta: int, fld: Gf2mField | None = None) -> C
         raise InvalidInput(f"BCH length must be odd, got {n}")
     if delta < 2:
         raise InvalidInput(f"designed distance must be >= 2, got {delta}")
-    if fld is None:
-        fld = default_field(multiplicative_order_of_two(n))
+    fld = fld or cyclic_field(n)
     if fld.order % n:
         raise InvalidInput(f"{n} does not divide 2^{fld.m}-1")
     window = range(b, b + delta - 1)
@@ -458,8 +467,7 @@ def zero_set_of_polynomial(n: int, g: int, fld: Gf2mField | None = None) -> tupl
     after folding it modulo x^n + 1, which vanishes at every beta^i."""
     if g < 0:
         raise InvalidInput(f"polynomial {g} is negative")
-    if fld is None:
-        fld = default_field(multiplicative_order_of_two(n))
+    fld = fld or cyclic_field(n)
     cosets, values = _coset_values(n, fld)
     packed = values(poly_mod(g, 1 << n | 1))
     zeros: list[int] = []
@@ -799,7 +807,7 @@ def search_self_orthogonal_bch(n: int) -> list[BchSearchHit]:
     """
     if n < 3 or n % 2 == 0:
         raise InvalidInput(f"length must be odd and >= 3, got {n}")
-    fld = default_field(multiplicative_order_of_two(n))
+    fld = cyclic_field(n)
     coset_of = _length_table(n).coset_of
     masks = [sum(1 << j for j in coset) for coset in coset_of]
 
@@ -847,19 +855,14 @@ def search_self_orthogonal_bch(n: int) -> list[BchSearchHit]:
             if i:
                 g = poly_mul(_coset_minpoly(n, -e, fld, minpolys), g)
 
-    nbytes = (n + 7) // 8
-
-    def rows(bitmasks) -> np.ndarray:
-        buf = np.frombuffer(b"".join(x.to_bytes(nbytes, "little") for x in bitmasks), np.uint8)
-        return np.unpackbits(
-            buf.reshape(-1, nbytes), axis=1, count=n, bitorder="little"
-        ).view(bool)
+    def rows(bitmasks: list[int]) -> np.ndarray:
+        return bytes_as_bools(ints_as_bytes(bitmasks, (n + 7) // 8), n)
 
     def zero_sets(zeros: np.ndarray) -> list[tuple[int, ...]]:
         return [tuple(row.nonzero()[0].tolist()) for row in zeros]
 
-    code_masks = ~rows(negated for _, negated, _, _ in states)
-    dual_masks = rows(closure for closure, _, _, _ in states)
+    code_masks = ~rows([negated for _, negated, _, _ in states])
+    dual_masks = rows([closure for closure, _, _, _ in states])
     hits = []
     for (_, _, dual_g, code_g), code_window, dual_window, code_zeros, dual_zeros in zip(
         states, best_windows(code_masks, n).tolist(), best_windows(dual_masks, n).tolist(),
@@ -894,7 +897,7 @@ def match_polynomial_against_search(
     prime-order lengths the primitive polynomial that reproduces g exactly is
     also returned (the minimal polynomial of the relabeled root).
     """
-    fld = default_field(multiplicative_order_of_two(n))
+    fld = cyclic_field(n)
     zeros = set(zero_set_of_polynomial(n, g, fld))
     if len(zeros) != poly_deg(g):
         return None

@@ -23,6 +23,7 @@ import numpy as np
 
 from .css import LOGICAL, X_FAILURE, Z_FAILURE, CssCode, PauliError
 from .errors import InvalidInput
+from .gf2 import bools_as_bytes, bytes_as_ints
 
 _PROB_TOL = 1e-9
 # trials per generator; part of the stream's definition, not a tuning knob
@@ -78,17 +79,14 @@ def _sample_rows(
         empty = np.zeros((0, (n + 7) // 8), dtype=np.uint8)
         return rows, empty, empty
     v, hit = v[rows], hit[rows]
-    x = np.packbits(hit & ((v < t2) | (v < t3)), axis=1, bitorder="little")
-    z = np.packbits(hit & (v >= t2), axis=1, bitorder="little")
+    x = bools_as_bytes(hit & ((v < t2) | (v < t3)))
+    z = bools_as_bytes(hit & (v >= t2))
     return rows, x, z
 
 
 def _pauli_errors(n: int, x: np.ndarray, z: np.ndarray) -> list[PauliError]:
     """The rows of packed x and z bits as `PauliError`s."""
-    return [
-        PauliError(n, int.from_bytes(a.tobytes(), "little"), int.from_bytes(b.tobytes(), "little"))
-        for a, b in zip(x, z)
-    ]
+    return [PauliError(n, a, b) for a, b in zip(bytes_as_ints(x), bytes_as_ints(z))]
 
 
 def sample_error(channel: ChannelSpec, n: int, rng: np.random.Generator) -> PauliError:

@@ -17,9 +17,10 @@ from .bch import (
     zero_set_of_polynomial,
 )
 from .channel import ChannelSpec, monte_carlo
-from .codes import DEFAULT_BUDGET, LinearCode, dual_min_distance, predicted_split_patterns
+from .codes import DEFAULT_BUDGET, LinearCode, predicted_split_patterns
 from .constructions import (
     OuterCode,
+    _dual_distance,
     augment,
     concatenate,
     construction_x,
@@ -36,12 +37,12 @@ from .constructions import (
 )
 from .css import (
     CssCode,
-    LookupDecoder,
     css_from_projective_geometry,
     css_from_reed_muller,
     css_from_self_orthogonal_cyclic,
+    css_with_lookup,
 )
-from .errors import InternalConsistencyError, InvalidInput, QcssError, ResourceLimit
+from .errors import InternalConsistencyError, InvalidInput, QcssError
 from .gf2 import BitMatrix
 from .projgeom import ProjGeometry, build_so_code, enumerate_spaces
 from .reedmuller import rm_generator
@@ -177,11 +178,8 @@ def _cmd_pg(args) -> int:
     if args.emit == "code":
         sys.stdout.write(code.to_text())
         return 0
-    try:
-        dual_d = dual_min_distance(code, 1 << 24)
-    except ResourceLimit:
-        dual_d = "?"
-    print(f"[[{code.n},{code.n - 2 * code.k},{dual_d}]]")
+    dual_d = _dual_distance(code)  # None beyond the budget of a side computation
+    print(f"[[{code.n},{code.n - 2 * code.k},{'?' if dual_d is None else dual_d}]]")
     return 0
 
 
@@ -214,20 +212,12 @@ def _css_from_spec(spec: list[str]) -> CssCode:
     return build(*spec[1:])
 
 
-def _lookup_css(c1: LinearCode, c2: LinearCode) -> CssCode:
-    """One coset-leader table per distinct code: a leader is the first
-    pattern of its coset in a fixed order, whatever basis spans the code."""
-    decoder1 = LookupDecoder(c1)
-    decoder2 = decoder1 if c1.same_code(c2) else LookupDecoder(c2)
-    return CssCode(c1, c2, decoder1=decoder1, decoder2=decoder2)
-
-
 def _cmd_css_build(args) -> int:
     if args.decoder == "lookup":
         if not args.c1:
             raise InvalidInput("the lookup decoder needs --c1 FILE")
         c1 = _load_code(args.c1)
-        css = _lookup_css(c1, _load_code(args.c2) if args.c2 else c1)
+        css = css_with_lookup(c1, _load_code(args.c2) if args.c2 else c1)
         spec = ["lookup"]
     else:
         spec = [args.decoder, *args.decoder_args]
@@ -260,7 +250,7 @@ def load_css(path: str) -> CssCode:
         raise InvalidInput(f"{path}: needs both a G1 and a G2 matrix block")
     else:
         codes = None
-    css = _lookup_css(*codes) if spec == ["lookup"] else _css_from_spec(spec)
+    css = css_with_lookup(*codes) if spec == ["lookup"] else _css_from_spec(spec)
     if codes and not (css.c1.same_code(codes[0]) and css.c2.same_code(codes[1])):
         raise InvalidInput(f"{path}: the G1 and G2 blocks are not the codes of {' '.join(spec)}")
     for key, value in (("n", css.n), ("quantum-k", css.quantum_k)):

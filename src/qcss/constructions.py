@@ -9,12 +9,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bch import Gf2mField
-from .codes import DEFAULT_BUDGET, LinearCode, dual_min_distance
-from .errors import InvalidInput, PreconditionError, ResourceLimit
-from .gf2 import BitMatrix, BitVector, insert_rows, parities, rref
+import numpy as np
 
-_PREDICT_BUDGET = 1 << 24
+from .bch import Gf2mField
+from .codes import DEFAULT_BUDGET, LinearCode, _span_block, _weights, dual_min_distance
+from .errors import InvalidInput, PreconditionError, ResourceLimit
+from .gf2 import BitMatrix, BitVector, bytes_as_ints, insert_rows, pack_rows, parities, rref
+
+# words a side computation may enumerate: a predicted dual distance, the dual
+# words of construction Y1, the distance `qcss pg` prints
+PREDICT_BUDGET = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,7 @@ class ConstructionReport:
         return self.code.n, self.code.n - 2 * self.code.k, d
 
 
-def _dual_distance(code: LinearCode, budget: int = _PREDICT_BUDGET) -> int | None:
+def _dual_distance(code: LinearCode, budget: int = PREDICT_BUDGET) -> int | None:
     """``dual_min_distance``, or None when the dual is zero-dimensional or its
     spectrum exceeds ``budget``."""
     if code.k == code.n:
@@ -457,16 +461,20 @@ def construction_x4(
 # -- Y-family (shortening on dual supports) -----------------------------------
 
 
-def _dual_words(code: LinearCode, budget: int) -> list[int]:
+def _dual_span(code: LinearCode, budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """The dual's nonzero words as a word-major block, and their weights;
+    ``ResourceLimit`` before any enumeration when its 2^k words exceed ``budget``."""
     dual = code.dual()
     if 1 << dual.k > budget:
-        raise ResourceLimit(
-            f"dual has 2^{dual.k} words, beyond the search budget of {budget}"
-        )
-    words = [0]
-    for g in dual.generator.row_bits():
-        words += [w ^ g for w in words]
-    return words
+        raise ResourceLimit(f"dual has 2^{dual.k} words, beyond the search budget of {budget}")
+    packed = pack_rows(dual.generator.row_bits(), code.n)
+    block = _span_block(packed[:, :, None], packed.shape[1])[:, 1:]
+    return block, _weights(block, code.n)
+
+
+def _least_support(block: np.ndarray, n: int) -> tuple[int, ...]:
+    """The lexicographically least support of the words of a word-major block."""
+    return min(BitVector(n, w).support() for w in set(bytes_as_ints(block.T)))
 
 
 def _remove_support(code: LinearCode, support: tuple[int, ...]) -> LinearCode:
@@ -489,24 +497,15 @@ def _remove_support(code: LinearCode, support: tuple[int, ...]) -> LinearCode:
     return LinearCode.from_spanning(BitMatrix(code.n - w, kept))
 
 
-def construction_y1(code: LinearCode, budget: int = 1 << 24) -> ConstructionReport:
-    """Shorten on the support of a minimum-weight dual word."""
+def construction_y1(code: LinearCode, budget: int = PREDICT_BUDGET) -> ConstructionReport:
+    """Shorten on the support of a minimum-weight dual word; of several, the
+    lexicographically least support."""
     _require_self_orthogonal(code)
-    words = _dual_words(code, budget)
-    best_w = code.n + 1
-    best_support: tuple[int, ...] | None = None
-    for w in words:
-        if not w:
-            continue
-        ww = w.bit_count()
-        if ww > best_w:
-            continue
-        support = BitVector(code.n, w).support()
-        if ww < best_w or support < best_support:
-            best_w, best_support = ww, support
-    if best_support is None:
+    words, weights = _dual_span(code, budget)
+    if not weights.size:
         raise PreconditionError("dual code is zero-dimensional")
-    out = _remove_support(code, best_support)
+    best_w = int(weights.min())
+    out = _remove_support(code, _least_support(words[:, weights == best_w], code.n))
     return ConstructionReport(
         code=out,
         predicted_n=code.n - best_w,
@@ -515,27 +514,25 @@ def construction_y1(code: LinearCode, budget: int = 1 << 24) -> ConstructionRepo
 
 
 def construction_y4(code: LinearCode, max_dual_words: int = 1 << 13) -> ConstructionReport:
-    """Shorten on the union support of the best pair of distinct dual words.
+    """Shorten on the union support of the best pair of distinct dual words:
+    the lightest union, and of several, the lexicographically least support.
 
     The pair search is quadratic in the dual size, hence the tighter budget.
     """
     _require_self_orthogonal(code)
-    words = _dual_words(code, max_dual_words)
-    nonzero = [w for w in words if w]
-    if len(nonzero) < 2:
+    words, weights = _dual_span(code, max_dual_words)
+    if weights.size < 2:
         raise PreconditionError("dual code has fewer than two nonzero words")
-    best_w = code.n + 1
-    best_support: tuple[int, ...] | None = None
-    for i, u in enumerate(nonzero):
-        for v in nonzero[i + 1 :]:
-            both = u | v
-            bw = both.bit_count()
-            if bw > best_w:
-                continue
-            support = BitVector(code.n, both).support()
-            if bw < best_w or support < best_support:
-                best_w, best_support = bw, support
-    out = _remove_support(code, best_support)
+    best_w, best = code.n + 1, []
+    for i in range(weights.size - 1):
+        unions = words[:, i + 1 :] | words[:, i, None]
+        union_weights = _weights(unions, code.n)
+        w = int(union_weights.min())
+        if w < best_w:
+            best_w, best = w, []
+        if w == best_w:
+            best.append(unions[:, union_weights == w])
+    out = _remove_support(code, _least_support(np.concatenate(best, axis=1), code.n))
     return ConstructionReport(
         code=out,
         predicted_n=code.n - best_w,

@@ -23,7 +23,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .bch import BchDecoder, CyclicCodeSpec, spec_from_zero_set, zero_set_of_polynomial
+from .bch import BchDecoder, CyclicCodeSpec
 from .codes import LinearCode
 from .errors import (
     DecodingFailure,
@@ -33,6 +33,7 @@ from .errors import (
     ResourceLimit,
 )
 from .gf2 import BitVector, ParityMap, apply_packed, pack_rows, parities, preimages
+from .gf2 import bytes_as_ints, ints_as_bytes
 
 # largest parity-check count a LookupDecoder accepts: its table has 2^k entries
 LOOKUP_MAX_ROWS = 16
@@ -316,16 +317,13 @@ class CssCode:
         syndromes, inverse = _unique_rows((checks & low)[:, : max(1, -(-k // 64))])
         failed = np.zeros(len(syndromes), dtype=bool)
         estimates = []
-        for j, row in enumerate(syndromes):
-            s = int.from_bytes(row.tobytes(), "little")
+        for j, s in enumerate(bytes_as_ints(syndromes)):
             try:
                 e = self._decode_side(s, preimage, decoder, side)
             except DecodingFailure:
                 failed[j], e = True, 0
             estimates.append(e)
-        width = packed.shape[1]
-        raw = b"".join(e.to_bytes(width, "little") for e in estimates)
-        est = np.frombuffer(raw, dtype=np.uint8).reshape(len(estimates), width)
+        est = ints_as_bytes(estimates, packed.shape[1])
         residual = checks ^ apply_packed(table, est)[inverse]
         return failed[inverse], (residual & low).any(axis=1), (residual & ~low).any(axis=1)
 
@@ -395,6 +393,9 @@ def css_from_projective_geometry(
     return CssCode.from_self_orthogonal(code, decoder=decoder, distance=distance)
 
 
-def css_with_lookup(code: LinearCode, distance: int | None = None) -> CssCode:
-    """CSS code of a small self-orthogonal code with table-lookup decoding."""
-    return CssCode.from_self_orthogonal(code, decoder=LookupDecoder(code), distance=distance)
+def css_with_lookup(c1: LinearCode, c2: LinearCode, distance: int | None = None) -> CssCode:
+    """CSS code of two small codes, table-lookup decoded.  One code's sides share
+    one table: a leader is the first pattern of its coset, whatever the basis."""
+    decoder1 = LookupDecoder(c1)
+    decoder2 = decoder1 if c1.same_code(c2) else LookupDecoder(c2)
+    return CssCode(c1, c2, decoder1=decoder1, decoder2=decoder2, distance=distance)

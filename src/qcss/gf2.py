@@ -1,7 +1,11 @@
 """Bit-packed GF(2) vectors and matrices.
 
 A vector of length ``n`` is a Python int whose bit ``i`` is the value at
-column ``i``; bits at or above ``n`` are always zero.  Each GF(2)-linear job
+column ``i``; bits at or above ``n`` are always zero.  Packed for numpy, bit
+i is bit i % 8 of byte i // 8, and 64-bit words (``pack_rows``) are stored
+low word first.  One codec converts: ``ints_as_bytes`` and ``bytes_as_ints``
+between ints and rows of bytes, ``bools_as_bytes`` and ``bytes_as_bools``
+between rows of bools and those bytes.  Each GF(2)-linear job
 of the package has one routine here: ``insert_rows`` (basis insertion, the
 first phase of ``rref``), ``preimages`` (words with given parities, and a
 kernel) and ``ParityMap`` (a fixed matrix applied to many words, one at a
@@ -17,8 +21,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import InvalidInput
-
-_WORD_MASK = (1 << 64) - 1
 
 
 def _check_bits(n: int, bits: int) -> int:
@@ -171,14 +173,8 @@ class BitMatrix:
 
     def transpose(self) -> "BitMatrix":
         """All columns at once, unpacked to a byte per bit and packed back."""
-        nbytes = (self.cols + 7) // 8
-        if not self._data or not nbytes:
-            return BitMatrix(self.rows, [0] * self.cols)
-        raw = b"".join(r.to_bytes(nbytes, "little") for r in self._data)
-        packed = np.frombuffer(raw, dtype=np.uint8).reshape(self.rows, nbytes)
-        bits = np.unpackbits(packed, axis=1, count=self.cols, bitorder="little")
-        columns = np.packbits(bits.T, axis=1, bitorder="little")
-        return BitMatrix(self.rows, [int.from_bytes(c.tobytes(), "little") for c in columns])
+        bits = bytes_as_bools(ints_as_bytes(self._data, (self.cols + 7) // 8), self.cols)
+        return BitMatrix(self.rows, bytes_as_ints(bools_as_bytes(bits.T)))
 
     def to_text(self) -> str:
         """Repo matrix format: 'rows cols' header then one 0/1 string per row."""
@@ -365,11 +361,27 @@ def in_rowspace(m_rref: BitMatrix, pivots: Sequence[int], v: BitVector) -> bool:
     return acc == 0
 
 
+def ints_as_bytes(values: Sequence[int], nbytes: int) -> np.ndarray:
+    """A writable (len, nbytes) uint8 array whose row i is ``values[i]``."""
+    raw = bytearray().join(v.to_bytes(nbytes, "little") for v in values)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(len(values), nbytes)
+
+
+def bytes_as_ints(rows: np.ndarray) -> list[int]:
+    """The int of each row of uint8 bytes, or of 64-bit words low word first."""
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+
+def bools_as_bytes(bits: np.ndarray) -> np.ndarray:
+    """A (count, n) bool array packed to (count, ceil(n/8)) uint8 bytes."""
+    return np.packbits(bits, axis=1, bitorder="little")
+
+
+def bytes_as_bools(rows: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` bits of each row of a uint8 array, as a bool array."""
+    return np.unpackbits(rows, axis=1, count=n, bitorder="little").view(bool)
+
+
 def pack_rows(row_bits: Sequence[int], cols: int) -> np.ndarray:
-    """Rows as a (len, words) uint64 array, 64 columns per word, little-endian."""
-    words = max(1, (cols + 63) // 64)
-    arr = np.zeros((len(row_bits), words), dtype=np.uint64)
-    for i, r in enumerate(row_bits):
-        for w in range(words):
-            arr[i, w] = (r >> (64 * w)) & _WORD_MASK
-    return arr
+    """Rows as a (len, words) uint64 array: ``ints_as_bytes`` seen as words."""
+    return ints_as_bytes(row_bits, 8 * max(1, (cols + 63) // 64)).view(np.uint64)

@@ -4,7 +4,6 @@ from __future__ import annotations
 from .bch import bch_generator
 from .codes import LinearCode, extend_with_parity
 from .constructions import extend_parity_dual, shorten
-from .gf2 import BitMatrix
 
 
 def hamming_7_4() -> LinearCode:

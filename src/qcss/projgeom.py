@@ -26,12 +26,14 @@ from .errors import (
     ResourceLimit,
     UnsupportedConfiguration,
 )
-from .gf2 import BitMatrix, ParityMap
+from .gf2 import BitMatrix, ParityMap, bools_as_bytes, bytes_as_ints
 
 # Most coordinates a geometry may list (q^(k+1) vectors of k+1 each) and most
 # span coordinates or incidence entries one space enumeration may build.
 # Every Table-2 geometry stays under 2^21; PG(3,8) fits as well.
 GEOMETRY_BUDGET = 1 << 22
+# Most generator bits (k rows of 2^m) `reedmuller.rm_generator` builds; RM(7, r) takes 2^14.
+REED_MULLER_BUDGET = 1 << 22
 
 # span coordinates of one block of bases in enumerate_spaces
 _SPAN_CELLS = 1 << 16
@@ -268,8 +270,7 @@ def enumerate_spaces(geom: ProjGeometry, l: int) -> Configuration:
         points = geom.lookup[_numbers(span[:, 1:], q)]  # the zero vector is first
         incidence = np.zeros((count, v), dtype=bool)
         incidence[np.arange(count)[:, None], points] = True
-        packed = np.packbits(incidence, axis=1, bitorder="little")
-        rows += [int.from_bytes(row.tobytes(), "little") for row in packed]
+        rows += bytes_as_ints(bools_as_bytes(incidence))
     if len(rows) != b:
         raise InternalConsistencyError(f"enumerated {len(rows)} spaces, expected {b}")
     cfg = Configuration(

@@ -9,19 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
+
+import numpy as np
 
 from .codes import LinearCode
-from .errors import DecodingFailure, InvalidInput
-from .gf2 import BitMatrix
-
-
-def _monomial_row(m: int, variables: tuple[int, ...]) -> int:
-    n = 1 << m
-    bits = 0
-    for j in range(n):
-        if all(j >> i & 1 for i in variables):
-            bits |= 1 << j
-    return bits
+from .errors import DecodingFailure, InvalidInput, ResourceLimit
+from .gf2 import BitMatrix, bools_as_bytes, bytes_as_ints
+from .projgeom import REED_MULLER_BUDGET
 
 
 @dataclass(frozen=True)
@@ -44,19 +39,22 @@ class RmCode:
 
 
 def rm_generator(m: int, r: int) -> RmCode:
-    """The order-r Reed-Muller code over 2^m points."""
+    """The order-r Reed-Muller code over 2^m points; the row of a monomial
+    holds the points that set all of its variables."""
     if m < 1:
         raise InvalidInput(f"need m >= 1, got {m}")
     if not 0 <= r < m:
         raise InvalidInput(f"order must satisfy 0 <= r < m, got r={r}, m={m}")
-    monomials: list[tuple[int, ...]] = []
-    rows: list[int] = []
-    for deg in range(r + 1):
-        for variables in combinations(range(m), deg):
-            monomials.append(variables)
-            rows.append(_monomial_row(m, variables))
-    code = LinearCode(BitMatrix(1 << m, rows))
-    return RmCode(m=m, r=r, code=code, monomials=tuple(monomials))
+    # k rows of n = 2^m bits, k summed only for an n within the budget
+    n = 1 << min(m, REED_MULLER_BUDGET.bit_length())
+    if n > REED_MULLER_BUDGET or n * sum(comb(m, i) for i in range(r + 1)) > REED_MULLER_BUDGET:
+        raise ResourceLimit(
+            f"the generator of RM({m},{r}) exceeds the budget of {REED_MULLER_BUDGET} bits"
+        )
+    monomials = tuple(v for deg in range(r + 1) for v in combinations(range(m), deg))
+    masks = np.array([sum(1 << i for i in v) for v in monomials])[:, None]
+    rows = bytes_as_ints(bools_as_bytes(np.arange(n) & masks == masks))
+    return RmCode(m=m, r=r, code=LinearCode(BitMatrix(n, rows)), monomials=monomials)
 
 
 def _subsets(mask: int):

@@ -18,7 +18,6 @@ from .bch import (
     dual_zero_set,
     is_self_orthogonal_cyclic,
     match_polynomial_against_search,
-    multiplicative_order_of_two,
     poly_deg,
     poly_divides,
     search_self_orthogonal_bch,
@@ -222,7 +221,8 @@ def verify_table2(budget: int = DEFAULT_BUDGET, rows=None) -> list[RowReport]:
     ``budget``, else for a self-dual code the split search at bound d - 1
     under the same budget (d_perp = d), else is skipped with a note."""
     reports = []
-    for label, gk, q, l, n, k, d, d_perp, kq, t_printed in (rows or TABLE2_ROWS):
+    rows = TABLE2_ROWS if rows is None else rows
+    for label, gk, q, l, n, k, d, d_perp, kq, t_printed in rows:
         t0 = time.time()
         rep = RowReport(label=f"{label} [[{n},{kq},{d_perp}]]")
         geom = ProjGeometry(gk, q)

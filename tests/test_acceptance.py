@@ -94,7 +94,7 @@ def test_criterion_4_worked_examples():
     # shortened [8,4,4] gives the [[7,1,3]] code
     ext = extended_hamming_8()
     st = shorten(ext, 0).code
-    css = css_with_lookup(st, distance=3)
+    css = css_with_lookup(st, st, distance=3)
     ok = css.parameters() == (7, 1, 3) and st.min_distance() == 4
 
     # Y1 of the [24,12,8] code gives [16,5,8] and the [[16,6,4]] code
@@ -174,7 +174,7 @@ def test_criterion_5_decoder_guarantees():
     hits15 = search_self_orthogonal_bch(15)
     spec15 = next(h.code_spec for h in hits15 if h.code_spec.generator == 0x9AF)
     css_codes = [
-        ("[[7,1,3]]", css_with_lookup(steane_component(), distance=3)),
+        ("[[7,1,3]]", css_with_lookup(steane_component(), steane_component(), distance=3)),
         ("[[15,7,3]]", css_from_self_orthogonal_cyclic(spec15, distance=3)),
         ("[[16,6,4]]", css_from_reed_muller(4, 1)),
         ("[[32,20,4]]", css_from_reed_muller(5, 1)),

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from qcss.bch import (
     best_window,
     best_windows,
     bm_decode,
+    cyclic_field,
     cyclic_weight_counts,
     cyclotomic_coset,
     default_field,
@@ -256,6 +258,25 @@ def test_multiplicative_order():
     assert multiplicative_order_of_two(55) == 20
     assert multiplicative_order_of_two(89) == 11
     assert multiplicative_order_of_two(1) == 1
+
+
+# 2 has order 21 modulo 2^21 - 1, and order at least 60 modulo 10^18 + 3
+@pytest.mark.parametrize("n", [2**21 - 1, 10**18 + 3])
+def test_lengths_beyond_the_recorded_fields_are_refused_at_once(n):
+    assert cyclic_field(55) is default_field(20)  # the largest degree on record
+    assert cyclic_field(7) is default_field(3)
+    for call in (
+        cyclic_field,
+        lambda n: spec_from_zero_set(n, (1,)),
+        lambda n: bch_generator(n, 1, 3),
+        lambda n: zero_set_of_polynomial(n, 0x3),
+        search_self_orthogonal_bch,
+        lambda n: match_polynomial_against_search(n, 0x3),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(InvalidInput, match="m > 20"):
+            call(n)
+        assert time.perf_counter() - start < 1
 
 
 def test_bch_bound_invariant_under_scaling():

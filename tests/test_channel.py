@@ -224,7 +224,7 @@ _TRIAL_COUNTS = (1, 1023, 1024, 1025, 2500)
 @pytest.mark.parametrize("p", [0.05, 0.3])
 @pytest.mark.parametrize("make_code", [
     lambda: css_from_reed_muller(4, 1),
-    lambda: css_with_lookup(steane_component(), distance=3),
+    lambda: css_with_lookup(steane_component(), steane_component(), distance=3),
 ], ids=["rm16", "steane"])
 def test_monte_carlo_equals_decoding_every_trial(make_code, p):
     css = make_code()
@@ -254,7 +254,7 @@ def test_monte_carlo_equals_decoding_every_trial_with_refusing_decoders(z_fails,
 
 
 def test_monte_carlo_rejects_bad_trials_and_seed():
-    css = css_with_lookup(steane_component(), distance=3)
+    css = css_with_lookup(steane_component(), steane_component(), distance=3)
     channel = ChannelSpec.depolarizing(0.1)
     with pytest.raises(InvalidInput):
         monte_carlo(css, channel, trials=0, seed=1)
@@ -344,7 +344,7 @@ def test_monte_carlo_splits_failures_by_side(z_fails, x_fails):
 
 
 def test_monte_carlo_p_zero():
-    css = css_with_lookup(steane_component(), distance=3)
+    css = css_with_lookup(steane_component(), steane_component(), distance=3)
     report = monte_carlo(css, ChannelSpec.depolarizing(0.0), trials=500, seed=1)
     assert report.logical_errors == 0
     assert report.decode_failures == 0
@@ -352,7 +352,7 @@ def test_monte_carlo_p_zero():
 
 
 def test_monte_carlo_reproducible_and_worker_invariant():
-    css = css_with_lookup(steane_component(), distance=3)
+    css = css_with_lookup(steane_component(), steane_component(), distance=3)
     channel = ChannelSpec.depolarizing(0.05)
     a = monte_carlo(css, channel, trials=400, seed=9, workers=1)
     b = monte_carlo(css, channel, trials=400, seed=9, workers=1)
@@ -363,7 +363,7 @@ def test_monte_carlo_reproducible_and_worker_invariant():
 def test_monte_carlo_weight_one_errors_always_corrected():
     # distance-3 code: every trial whose error has component weights <= 1
     # must be a success; simulate at small p and cross-check the classifier
-    css = css_with_lookup(steane_component(), distance=3)
+    css = css_with_lookup(steane_component(), steane_component(), distance=3)
     channel = ChannelSpec.depolarizing(0.01)
     report = monte_carlo(css, channel, trials=3000, seed=3)
     # with p = .01 on 7 qubits double component errors are rare but possible;
@@ -410,7 +410,7 @@ def _simulate_codes():
     x47 = constructions.construction_x(c1, c2, reedmuller.rm_generator(4, 1).code).code
     return {
         "rm16": css_from_reed_muller(4, 1),
-        "lookup47": css_with_lookup(x47),
+        "lookup47": css_with_lookup(x47, x47),
         "pg74": css_from_projective_geometry(2, 8, 1, distance=10),
         "bch127": css_from_self_orthogonal_cyclic(spec, distance=11),
     }

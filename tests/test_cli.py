@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qcss import bch, cli, codes, constructions, reedmuller
 from qcss.cli import _load_outer, load_css, main
 from qcss.codes import LinearCode, random_self_orthogonal_code
+from qcss.css import LookupDecoder
 from qcss.gf2 import BitMatrix
 from qcss.named import extended_hamming_8
 
@@ -306,9 +307,9 @@ def test_lookup_file_with_one_code_builds_one_table(tmp_path, monkeypatch):
     path = tmp_path / "lookup47.css"
     path.write_text(f"n: 47\nquantum-k: 27\ndecoder: lookup\nG1\n{matrix}\nG2\n{matrix}\n")
     built = []
-    real = cli.LookupDecoder
+    real = LookupDecoder
     monkeypatch.setattr(
-        cli, "LookupDecoder", lambda parity, *args: built.append(parity) or real(parity, *args)
+        "qcss.css.LookupDecoder", lambda parity, *args: built.append(parity) or real(parity, *args)
     )
     css = load_css(str(path))
     assert len(built) == 1
@@ -454,3 +455,24 @@ def test_write_to_a_missing_directory_is_an_error_line(tmp_path, capsys, monkeyp
     assert code == 1
     assert err.startswith(f"error: cannot write {tmp_path / 'absent' / 'out'}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bch-search", "--n", "1000000000000000003"],
+        ["css-build", "--decoder", "bch", "--decoder-args", "1000000000000000003", "0x3"],
+        ["rm", "--m", "40", "--r", "1"],
+        ["css-build", "--decoder", "reed", "--decoder-args", "40", "1"],
+    ],
+    ids=["bch-search", "css-build-bch", "rm", "css-build-reed"],
+)
+def test_infeasible_requests_are_refused_at_once(argv, tmp_path, capsys):
+    if argv[0] == "css-build":
+        argv = [*argv, "--out", str(tmp_path / "x.css")]
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not captured.out and not (tmp_path / "x.css").exists()

@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from qcss import constructions
 from qcss.codes import LinearCode, random_self_orthogonal_code
 from qcss.constructions import (
     OuterCode,
@@ -614,6 +615,72 @@ def test_random_y4_instances():
         assert rep.code.is_self_orthogonal()
         assert rep.code.n == rep.predicted_n
         assert rep.code.k == rep.predicted_k, rep
+
+
+def _python_dual_words(code):
+    """The dual's 2^k words by doubling, as the Python enumeration that Y1
+    and Y4 ran before they read the span kernel."""
+    words = [0]
+    for g in code.dual().generator.row_bits():
+        words += [w ^ g for w in words]
+    return words
+
+
+def _python_y1_support(code):
+    best_w, best_support = code.n + 1, None
+    for w in _python_dual_words(code):
+        if not w or w.bit_count() > best_w:
+            continue
+        support = BitVector(code.n, w).support()
+        if w.bit_count() < best_w or support < best_support:
+            best_w, best_support = w.bit_count(), support
+    return best_support
+
+
+def _python_y4_support(code):
+    nonzero = [w for w in _python_dual_words(code) if w]
+    best_w, best_support = code.n + 1, None
+    for i, u in enumerate(nonzero):
+        for v in nonzero[i + 1 :]:
+            both = u | v
+            if both.bit_count() > best_w:
+                continue
+            support = BitVector(code.n, both).support()
+            if both.bit_count() < best_w or support < best_support:
+                best_w, best_support = both.bit_count(), support
+    return best_support
+
+
+def _chosen_support(monkeypatch, build, code):
+    """The support that ``build`` shortens ``code`` on."""
+    seen = []
+    real = constructions._remove_support
+    with monkeypatch.context() as patch:
+        patch.setattr(constructions, "_remove_support", lambda c, s: seen.append(s) or real(c, s))
+        build(code)
+    assert len(seen) == 1
+    return seen[0]
+
+
+@pytest.mark.parametrize(
+    "build, oracle, lengths, least_k",
+    [
+        (construction_y1, _python_y1_support, (8, 10, 12, 14, 16), 1),
+        (construction_y4, _python_y4_support, (6, 8, 10), 2),
+    ],
+    ids=["y1", "y4"],
+)
+def test_y_supports_match_the_python_enumeration(monkeypatch, build, oracle, lengths, least_k):
+    """Both pick the lightest support and, of several, the lexicographically
+    least, as the Python enumeration did: on 200 random self-orthogonal
+    codes, many with ties, and on the Golay code."""
+    rng = random.Random(2020)
+    codes = [golay_24()]
+    while len(codes) < 201:
+        n = rng.choice(lengths)
+        codes.append(rand_so(n, rng.randrange(least_k, n // 2 + 1), rng))
+    for code in codes:
+        assert _chosen_support(monkeypatch, build, code) == oracle(code)
 
 
 def test_random_extend_parity_dual_instances():

@@ -35,7 +35,7 @@ from qcss.named import steane_component
 
 
 def steane_css():
-    return css_with_lookup(steane_component(), distance=3)
+    return css_with_lookup(steane_component(), steane_component(), distance=3)
 
 
 def bch_15_css():

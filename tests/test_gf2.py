@@ -13,8 +13,13 @@ from qcss.gf2 import (
     BitVector,
     ParityMap,
     apply_packed,
+    bools_as_bytes,
+    bytes_as_bools,
+    bytes_as_ints,
     insert_rows,
+    ints_as_bytes,
     nullspace_basis,
+    pack_rows,
     parities,
     preimages,
     rank,
@@ -373,3 +378,36 @@ def test_transpose_matches_column_bits_hypothesis(m):
     t = m.transpose()
     assert (t.rows, t.cols) == (m.cols, m.rows)
     assert t.row_bits() == [m.column_bits(j) for j in range(m.cols)]
+
+
+_CODEC_LENGTHS = [0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129]
+
+
+def _loop_pack_rows(row_bits, cols):
+    """The word-by-word loop that pack_rows replaced, kept as its oracle."""
+    words = max(1, (cols + 63) // 64)
+    arr = np.zeros((len(row_bits), words), dtype=np.uint64)
+    for i, r in enumerate(row_bits):
+        for w in range(words):
+            arr[i, w] = (r >> (64 * w)) & ((1 << 64) - 1)
+    return arr
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_CODEC_LENGTHS).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=12))
+))
+def test_packed_bit_codec_roundtrips_hypothesis(case):
+    n, values = case
+    nbytes = (n + 7) // 8
+    packed = ints_as_bytes(values, nbytes)
+    assert packed.shape == (len(values), nbytes) and packed.dtype == np.uint8
+    assert bytes_as_ints(packed) == values
+    bits = bytes_as_bools(packed, n)
+    assert bits.shape == (len(values), n) and bits.dtype == bool
+    assert [[bool(v >> j & 1) for j in range(n)] for v in values] == bits.tolist()
+    assert np.array_equal(bools_as_bytes(bits), packed)
+    words = pack_rows(values, n)
+    assert np.array_equal(words, _loop_pack_rows(values, n)) and words.dtype == np.uint64
+    assert bytes_as_ints(words) == values
+    packed[:] = 0  # the codec's arrays are writable

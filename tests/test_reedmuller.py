@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from qcss import reedmuller
 from qcss.codes import LinearCode, dual_min_distance
-from qcss.errors import DecodingFailure, InvalidInput
+from qcss.css import css_from_reed_muller
+from qcss.errors import DecodingFailure, InvalidInput, ResourceLimit
 from qcss.gf2 import BitMatrix, BitVector, parities, preimages
 from qcss.reedmuller import ReedDecoder, _vote_masks, rm_generator
 
@@ -40,6 +42,27 @@ def test_rm_top_order_is_even_weight_code():
 def test_invalid_order():
     with pytest.raises(InvalidInput):
         rm_generator(4, 4)
+
+
+@pytest.mark.parametrize("m, r", [(40, 1), (23, 0), (18, 1), (10**9, 3)])
+def test_oversized_generator_refused_before_any_work(m, r, monkeypatch):
+    # k * 2^m generator bits beyond the budget: 19 * 2^18 > 2^22 for RM(18, 1)
+    def no_work(*args):
+        raise AssertionError("the generator build started")
+
+    monkeypatch.setattr(reedmuller, "combinations", no_work)
+    with pytest.raises(ResourceLimit, match="exceeds the budget"):
+        rm_generator(m, r)
+    with pytest.raises(ResourceLimit):
+        css_from_reed_muller(m, r)
+
+
+@pytest.mark.parametrize("m, r", [(22, 0), (17, 1)])
+def test_generator_at_the_budget_is_built(m, r):
+    # 2^22 and 18 * 2^17 bits, within the budget of 2^22
+    rm = rm_generator(m, r)
+    assert (rm.n, rm.k) == (1 << m, sum(math.comb(m, i) for i in range(r + 1)))
+    assert rm.code.generator.row(0) == BitVector.ones(1 << m)
 
 
 def test_min_distance_is_power_of_two():

@@ -202,3 +202,7 @@ def test_gf2_20_row_memory_stays_small():
     ).stdout.split()
     assert out[0] == "True"
     assert float(out[1]) < 25, f"ru_maxrss grew by {out[1]} MB"
+
+
+def test_verify_table2_of_no_rows_verifies_none():
+    assert verify_table2(rows=[]) == []
