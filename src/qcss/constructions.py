@@ -14,7 +14,8 @@ import numpy as np
 from .bch import Gf2mField
 from .codes import DEFAULT_BUDGET, LinearCode, _span_block, _weights, dual_min_distance
 from .errors import InvalidInput, PreconditionError, ResourceLimit
-from .gf2 import BitMatrix, BitVector, bytes_as_ints, insert_rows, pack_rows, parities, rref
+from .gf2 import BitMatrix, BitVector, ParityMap, bytes_as_ints, insert_rows, pack_rows
+from .gf2 import parities, rref
 
 # words a side computation may enumerate: a predicted dual distance, the dual
 # words of construction Y1, the distance `qcss pg` prints
@@ -57,8 +58,9 @@ class ConstructionReport:
         return problems
 
     def quantum_parameters(self, budget: int = DEFAULT_BUDGET) -> tuple[int, int, int | None]:
-        """[[n, n-2k, d]] of the CSS code built from the result with C1 = C2."""
-        d = self.predicted_dual_distance
+        """[[n, n-2k, d]] of the CSS code built from the result with C1 = C2;
+        d is the prediction under "==", else measured (None beyond ``budget``)."""
+        d = self.predicted_dual_distance if self.dual_distance_relation == "==" else None
         if d is None:
             d = _dual_distance(self.code, budget)
         return self.code.n, self.code.n - 2 * self.code.k, d
@@ -73,6 +75,12 @@ def _dual_distance(code: LinearCode, budget: int = PREDICT_BUDGET) -> int | None
         return dual_min_distance(code, budget)
     except ResourceLimit:
         return None
+
+
+def _pure_min(*ds: int | None) -> int | None:
+    """The least of some dual distances, None if any is unknown: the
+    prediction of every construction whose dual words each lie in one block."""
+    return None if None in ds else min(ds)
 
 
 def _require_self_orthogonal(*codes: LinearCode) -> None:
@@ -154,14 +162,12 @@ def plotkin(c1: LinearCode, c2: LinearCode) -> ConstructionReport:
     rows = [g | g << n for g in c1.generator.row_bits()]
     rows += [h << n for h in c2.generator.row_bits()]
     out = LinearCode(BitMatrix(2 * n, rows))
-    d1 = _dual_distance(c1)
     d2 = _dual_distance(c2)
-    predicted = min(2 * d2, d1) if (d1 is not None and d2 is not None) else None
     return ConstructionReport(
         code=out,
         predicted_n=2 * n,
         predicted_k=c1.k + c2.k,
-        predicted_dual_distance=predicted,
+        predicted_dual_distance=_pure_min(_dual_distance(c1), None if d2 is None else 2 * d2),
         dual_distance_relation="==",
     )
 
@@ -178,7 +184,7 @@ def triple_sum(c1: LinearCode, c2: LinearCode) -> ConstructionReport:
     return ConstructionReport(code=out, predicted_n=3 * n, predicted_k=2 * c1.k + c2.k)
 
 
-def _kron(a: int, na: int, b: int, nb: int) -> int:
+def _kron(a: int, b: int, nb: int) -> int:
     out = 0
     aa = a
     while aa:
@@ -203,12 +209,12 @@ def nebe(c: LinearCode, d: LinearCode, e: LinearCode) -> ConstructionReport:
     m = e.n
     e_dual = e.dual()
     rows = [
-        _kron(g, c.n, h, m)
+        _kron(g, h, m)
         for g in c.generator.row_bits()
         for h in e.generator.row_bits()
     ]
     rows += [
-        _kron(g, d.n, h, m)
+        _kron(g, h, m)
         for g in d.generator.row_bits()
         for h in e_dual.generator.row_bits()
     ]
@@ -230,19 +236,16 @@ def product(c1: LinearCode, c2: LinearCode) -> ConstructionReport:
     if not (c1.is_self_orthogonal() or c2.is_self_orthogonal()):
         raise PreconditionError("neither factor is self-orthogonal")
     rows = [
-        _kron(g, c1.n, h, c2.n)
+        _kron(g, h, c2.n)
         for g in c1.generator.row_bits()
         for h in c2.generator.row_bits()
     ]
     out = LinearCode(BitMatrix(c1.n * c2.n, rows))
-    d1 = _dual_distance(c1)
-    d2 = _dual_distance(c2)
-    predicted = min(d1, d2) if (d1 is not None and d2 is not None) else None
     return ConstructionReport(
         code=out,
         predicted_n=c1.n * c2.n,
         predicted_k=c1.k * c2.k,
-        predicted_dual_distance=predicted,
+        predicted_dual_distance=_pure_min(_dual_distance(c1), _dual_distance(c2)),
         dual_distance_relation="==",
     )
 
@@ -308,20 +311,13 @@ def concatenate(inner: LinearCode, outer: OuterCode) -> ConstructionReport:
         raise PreconditionError(
             f"outer symbols are GF(2^{outer.field.m}) but the inner dimension is {k1}"
         )
-    inner_rows = inner.rref_matrix.row_bits()
-    rows = []
-    for j in range(outer.k):
-        for i in range(k1):
-            message = tuple(1 << i if jj == j else 0 for jj in range(outer.k))
-            symbols = outer.encode(message)
-            bits = 0
-            for col, sym in enumerate(symbols):
-                word = 0
-                for bit in range(k1):
-                    if sym >> bit & 1:
-                        word ^= inner_rows[bit]
-                bits |= word << (col * inner.n)
-            rows.append(bits)
+    to_bits = ParityMap(inner.rref_matrix.row_bits())
+    mul = outer.field.mul
+    rows = [
+        sum(to_bits(mul(1 << i, coef)) << (col * inner.n) for col, coef in enumerate(row))
+        for row in outer.rows
+        for i in range(k1)
+    ]
     out = LinearCode(BitMatrix(inner.n * outer.n, rows))
     return ConstructionReport(
         code=out,
@@ -335,46 +331,58 @@ def concatenate(inner: LinearCode, outer: OuterCode) -> ConstructionReport:
 # -- X-family ------------------------------------------------------------------
 
 
-def construction_x(c1: LinearCode, c2: LinearCode, c3: LinearCode) -> ConstructionReport:
-    """(c2 | image of its coset) for a chain c1 < c2; dual d = min(d2, d3).
-
-    Besides words of the two pure forms (u|0), u in the dual of c2, and (0|v),
-    v in the dual of c3, the dual contains mixed words whose left part lies in
-    dual(c1) \\ dual(c2); their weight is at least d(dual(c1)) + 1.  The
-    min(d2, d3) claim is therefore an equality whenever it does not exceed
-    that floor, and only an upper bound otherwise.
-    """
-    _require_self_orthogonal(c1, c2, c3)
-    leaders = _coset_leader_basis(c1, c2)
-    if c3.k != c2.k - c1.k:
-        raise PreconditionError(
-            f"tail dimension {c3.k} != coset count {c2.k - c1.k}"
-        )
-    c3_rows = c3.generator.row_bits()
-    rows = [g for g in c1.generator.row_bits()]
-    rows += [lead | c3_rows[i] << c2.n for i, lead in enumerate(leaders)]
-    out = LinearCode(BitMatrix(c2.n + c3.n, rows))
-    d2 = _dual_distance(c2)
-    d3 = _dual_distance(c3)
-    predicted = min(d2, d3) if (d2 is not None and d3 is not None) else None
-    relation = "=="
-    warning = None
+def _mixed_word_report(
+    out: LinearCode, k: int, pure: tuple, mixed: tuple, extra: int
+) -> ConstructionReport:
+    """The X-family rule.  The dual holds pure words, a dual word of one code
+    of ``pure`` in its own column block, and mixed words across blocks.  The
+    prediction, ``_pure_min`` of the duals of ``pure``, is "==" while it does
+    not exceed the floor that every mixed word weighs at least, the dual
+    distances of ``mixed`` plus ``extra``, and "<=" with a warning beyond it
+    or when the floor is unknown.  The floor is computed only for a prediction."""
+    predicted = _pure_min(*(_dual_distance(c) for c in pure))
+    relation, warning = "==", None
     if predicted is not None:
-        d1 = _dual_distance(c1)
-        if d1 is None or predicted > d1 + 1:
+        ds = [_dual_distance(c) for c in mixed]
+        floor = None if None in ds else sum(ds) + extra
+        if floor is None or predicted > floor:
             relation = "<="
-            warning = (
-                f"mixed dual words may weigh as little as {None if d1 is None else d1 + 1};"
-                " the min(d2, d3) value is only an upper bound here"
-            )
+            least = "an unknown weight" if floor is None else f"as little as {floor}"
+            warning = f"mixed dual words may weigh {least}; {predicted} is only an upper bound"
     return ConstructionReport(
         code=out,
-        predicted_n=c2.n + c3.n,
-        predicted_k=c2.k,
+        predicted_n=out.n,
+        predicted_k=k,
         predicted_dual_distance=predicted,
         dual_distance_relation=relation,
         warning=warning,
     )
+
+
+def _chain_with_tails(
+    chain: tuple[LinearCode, ...], tails: tuple[LinearCode, ...]
+) -> ConstructionReport:
+    """c_0 < ... < c_s glued to tails: c_0's rows, then for each step the coset
+    leaders of c_t over c_{t-1}, each glued to one row of tail t in its own
+    column block after c_s's columns.  A mixed dual word is nonzero on the
+    chain block, inside dual(c_0), and on some tail: floor d(dual(c_0)) + 1."""
+    _require_self_orthogonal(*chain, *tails)
+    rows = list(chain[0].generator.row_bits())
+    offset = chain[-1].n
+    for t, (sub, sup, tail) in enumerate(zip(chain, chain[1:], tails), 1):
+        leaders = _coset_leader_basis(sub, sup)
+        if tail.k != len(leaders):
+            raise PreconditionError(f"tail {t} dimension {tail.k} != coset count {len(leaders)}")
+        rows += [lead | g << offset for lead, g in zip(leaders, tail.generator.row_bits())]
+        offset += tail.n
+    out = LinearCode(BitMatrix(offset, rows))
+    return _mixed_word_report(out, chain[-1].k, (chain[-1], *tails), chain[:1], 1)
+
+
+def construction_x(c1: LinearCode, c2: LinearCode, c3: LinearCode) -> ConstructionReport:
+    """(c2 | image of its coset) for a chain c1 < c2 with tail c3.  Dual
+    distance min(d2, d3) by the X-family rule, floor d(dual(c1)) + 1."""
+    return _chain_with_tails((c1, c2), (c3,))
 
 
 def construction_x3(
@@ -384,44 +392,17 @@ def construction_x3(
     c4: LinearCode,
     c5: LinearCode,
 ) -> ConstructionReport:
-    """(c3 | coset of c2 over c1 | coset of c3 over c2); dual d = min(d3,d4,d5)."""
-    _require_self_orthogonal(c1, c2, c3, c4, c5)
-    leaders2 = _coset_leader_basis(c1, c2)
-    leaders3 = _coset_leader_basis(c2, c3)
-    if c4.k != c2.k - c1.k:
-        raise PreconditionError(f"first tail dimension {c4.k} != {c2.k - c1.k}")
-    if c5.k != c3.k - c2.k:
-        raise PreconditionError(f"second tail dimension {c5.k} != {c3.k - c2.k}")
-    n1, n4, n5 = c3.n, c4.n, c5.n
-    c4_rows = c4.generator.row_bits()
-    c5_rows = c5.generator.row_bits()
-    rows = [g for g in c1.generator.row_bits()]
-    rows += [lead | c4_rows[i] << n1 for i, lead in enumerate(leaders2)]
-    rows += [lead | c5_rows[i] << (n1 + n4) for i, lead in enumerate(leaders3)]
-    out = LinearCode(BitMatrix(n1 + n4 + n5, rows))
-    ds = [_dual_distance(c3), _dual_distance(c4), _dual_distance(c5)]
-    predicted = min(ds) if all(d is not None for d in ds) else None
-    relation = "=="
-    warning = None
-    if predicted is not None:
-        d1 = _dual_distance(c1)  # mixed dual words weigh at least d1 + 1
-        if d1 is None or predicted > d1 + 1:
-            relation = "<="
-            warning = "min(d3, d4, d5) exceeds the mixed-word floor: upper bound only"
-    return ConstructionReport(
-        code=out,
-        predicted_n=n1 + n4 + n5,
-        predicted_k=c3.k,
-        predicted_dual_distance=predicted,
-        dual_distance_relation=relation,
-        warning=warning,
-    )
+    """(c3 | coset of c2 over c1 | coset of c3 over c2), tails c4 and c5.  Dual
+    distance min(d3, d4, d5) by the X-family rule, floor d(dual(c1)) + 1."""
+    return _chain_with_tails((c1, c2, c3), (c4, c5))
 
 
 def construction_x4(
     c1: LinearCode, c2: LinearCode, c3: LinearCode, c4: LinearCode
 ) -> ConstructionReport:
-    """(c2 | coset image + c3) gluing two chains; dual d = min(d2, d4)."""
+    """(c2 | coset image + c3) gluing two chains c1 < c2 and c3 < c4.  Dual
+    distance min(d2, d4) by the X-family rule, floor d1 + d3: a mixed word
+    pairs a word of dual(c1) \\ dual(c2) with one of dual(c3) \\ dual(c4)."""
     _require_self_orthogonal(c1, c2, c3, c4)
     leaders2 = _coset_leader_basis(c1, c2)
     leaders4 = _coset_leader_basis(c3, c4)
@@ -429,33 +410,12 @@ def construction_x4(
         raise PreconditionError(
             f"coset counts differ: {len(leaders2)} != {len(leaders4)}"
         )
-    n1, n3 = c2.n, c4.n
-    rows = [g for g in c1.generator.row_bits()]
-    rows += [lead | leaders4[i] << n1 for i, lead in enumerate(leaders2)]
+    n1 = c2.n
+    rows = list(c1.generator.row_bits())
+    rows += [lead | other << n1 for lead, other in zip(leaders2, leaders4)]
     rows += [h << n1 for h in c3.generator.row_bits()]
-    out = LinearCode(BitMatrix(n1 + n3, rows))
-    d2 = _dual_distance(c2)
-    d4 = _dual_distance(c4)
-    predicted = min(d2, d4) if (d2 is not None and d4 is not None) else None
-    relation = "=="
-    warning = None
-    if predicted is not None:
-        # mixed dual words pair something in dual(c1) \ dual(c2) with
-        # something in dual(c3) \ dual(c4)
-        d1 = _dual_distance(c1)
-        d3 = _dual_distance(c3)
-        floor = None if (d1 is None or d3 is None) else d1 + d3
-        if floor is None or predicted > floor:
-            relation = "<="
-            warning = "min(d2, d4) exceeds the mixed-word floor: upper bound only"
-    return ConstructionReport(
-        code=out,
-        predicted_n=n1 + n3,
-        predicted_k=c2.k + c3.k,
-        predicted_dual_distance=predicted,
-        dual_distance_relation=relation,
-        warning=warning,
-    )
+    out = LinearCode(BitMatrix(n1 + c4.n, rows))
+    return _mixed_word_report(out, c2.k + c3.k, (c2, c4), (c1, c3), 0)
 
 
 # -- Y-family (shortening on dual supports) -----------------------------------

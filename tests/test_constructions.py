@@ -315,6 +315,66 @@ def test_construction_x4_direct_sum_case():
         assert (left == 0) or (right == 0)
 
 
+def _rm(m, r):
+    return rm_generator(m, r).code
+
+
+# X, X3 and X4 instances whose prediction 4 exceeds a mixed-word floor of 3
+# that a mixed dual word reaches
+UPPER_BOUND_CASES = {
+    "x": lambda: construction_x(_rm(4, 0), _rm(4, 1), _rm(3, 1)),
+    "x3": lambda: construction_x3(
+        _rm(5, 0), _rm(5, 1), _rm(5, 2), _rm(4, 1), plotkin(_rm(4, 1), _rm(4, 1)).code
+    ),
+    "x4": lambda: construction_x4(
+        _rm(4, 0), _rm(4, 1), LinearCode(BitMatrix(8, [])), _rm(3, 1)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", UPPER_BOUND_CASES)
+def test_x_family_upper_bound_branch(name):
+    rep = UPPER_BOUND_CASES[name]()
+    assert rep.dual_distance_relation == "<="
+    assert rep.warning.startswith("mixed dual words may weigh as little as 3;")
+    # floor 3 <= measured 3 < predicted 4
+    assert dual_min_distance(rep.code) == 3 < rep.predicted_dual_distance == 4
+    assert not rep.verify()
+
+
+def test_x4_at_its_floor_is_exact():
+    # floor d1 + d3 = 2 + 2 equals min(d2, d4) = 4: still an equality
+    rep = construction_x4(_rm(4, 0), _rm(4, 1), _rm(4, 0), _rm(4, 1))
+    assert (rep.predicted_dual_distance, rep.dual_distance_relation) == (4, "==")
+    assert rep.warning is None
+    assert dual_min_distance(rep.code) == 4
+
+
+def test_x_family_unknown_floor_is_an_upper_bound(monkeypatch):
+    # a floor term beyond the budget leaves the floor unknown
+    c1 = _rm(4, 0)
+    measure = constructions._dual_distance
+    monkeypatch.setattr(
+        constructions, "_dual_distance", lambda c: None if c is c1 else measure(c)
+    )
+    rep = construction_x4(c1, _rm(4, 1), _rm(4, 0), _rm(4, 1))
+    assert (rep.predicted_dual_distance, rep.dual_distance_relation) == (4, "<=")
+    assert rep.warning.startswith("mixed dual words may weigh an unknown weight;")
+
+
+def test_quantum_parameters_return_only_exact_distances():
+    ext = extended_hamming_8()
+    reports = [UPPER_BOUND_CASES["x"](), UPPER_BOUND_CASES["x3"]()]
+    reports.append(concatenate(ext, OuterCode.repetition(default_field(4), 3)))
+    got = [rep.quantum_parameters() for rep in reports]
+    assert got == [(24, 14, 3), (80, 48, 3), (24, 16, 2)]
+    # an exact prediction is returned as it is
+    exact = construction_x4(_rm(4, 0), _rm(4, 1), _rm(4, 0), _rm(4, 1))
+    assert exact.quantum_parameters() == (32, 20, 4)
+    # beyond the budget the distance is unknown, not the upper bound
+    assert UPPER_BOUND_CASES["x"]().quantum_parameters(budget=4) == (24, 14, None)
+
+
 def test_construction_y1_golay_gives_16_5_8():
     golay = golay_24()
     assert (golay.n, golay.k) == (24, 12)
@@ -492,6 +552,7 @@ def test_random_product_instances():
 
 def test_random_concatenate_instances():
     rng = random.Random(107)
+    built = []
     for _ in range(100):
         k1 = rng.choice([2, 3])
         n1 = rng.choice([6, 8, 10])
@@ -510,14 +571,18 @@ def test_random_concatenate_instances():
         outer = OuterCode(field=fld, n=n2, rows=tuple(rows))
         rep = concatenate(inner, outer)
         assert not rep.verify()
+        built.append(rep.code.generator.row_bits())
+    assert _digest(built) == CONSTRUCTION_DIGESTS["concat"]
 
 
-# sha256 of repr(generator rows) of every instance below: they pin the
-# random samplers and the coset leaders that the constructions glue on
+# sha256 of repr(generator rows) of every random instance of these
+# constructions: they pin the random samplers, the coset leaders that the
+# X family glues on and the symbol-to-bits map of concatenation
 CONSTRUCTION_DIGESTS = {
     "x": "2cb4ed24353ed95d56a563cbad8c051759657b66a01c638798c93fde75eb4f69",
     "x3": "02a546fd53aa79e871ce40d8dc43ecbdd0f4816a620cb129e9f6e4d250323e55",
     "x4": "1c9cf16be3a80ff0c4bce8255c80412db7c83fa6de887c35197f0e928e9c18cb",
+    "concat": "6c806d6a9533e742cff402ce7922fbac18d247530f60c9a613142eb7c398930f",
 }
 
 
