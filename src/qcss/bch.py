@@ -75,20 +75,13 @@ def poly_mul(a: int, b: int) -> int:
     return out
 
 
-def poly_divmod(a: int, b: int) -> tuple[int, int]:
+def poly_mod(a: int, b: int) -> int:
     if b == 0:
         raise InvalidInput("division by the zero polynomial")
     db = poly_deg(b)
-    q = 0
     while a.bit_length() - 1 >= db and a:
-        shift = a.bit_length() - 1 - db
-        q |= 1 << shift
-        a ^= b << shift
-    return q, a
-
-
-def poly_mod(a: int, b: int) -> int:
-    return poly_divmod(a, b)[1]
+        a ^= b << (a.bit_length() - 1 - db)
+    return a
 
 
 def poly_divides(a: int, b: int) -> bool:
@@ -297,22 +290,25 @@ def _closure(exponents, n: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def _coset_minpoly(n: int, e: int, fld: Gf2mField, minpolys: dict[int, int]) -> int:
-    """Minimal polynomial of beta^e.  ``minpolys`` caches them by least coset
-    element, for callers that build many generators in one field."""
-    rep = _length_table(n).coset_of[e % n][0]
-    if rep not in minpolys:
-        minpolys[rep] = minimal_polynomial(fld, (fld.order // n * rep) % fld.order)
-    return minpolys[rep]
+# minimal polynomial of beta^rep, by (field polynomial, n, least coset element rep)
+_MINPOLYS: dict[tuple[int, int, int], int] = {}
 
 
-def _generator_from_zeros(n: int, zeros, fld: Gf2mField, minpolys: dict[int, int]) -> int:
+def _coset_minpoly(n: int, e: int, fld: Gf2mField) -> int:
+    """Minimal polynomial of beta^e, computed once per field, length and coset."""
+    key = (fld.poly, n, _length_table(n).coset_of[e % n][0])
+    if key not in _MINPOLYS:
+        _MINPOLYS[key] = minimal_polynomial(fld, fld.order // n * key[2])
+    return _MINPOLYS[key]
+
+
+def _generator_from_zeros(n: int, zeros, fld: Gf2mField) -> int:
     """Product of the minimal polynomials of the cosets in a closed zero set."""
     coset_of = _length_table(n).coset_of
     g = 1
     for rep in {coset_of[e][0] for e in zeros}:
         # walks the few bits of the factor
-        g = poly_mul(_coset_minpoly(n, rep, fld, minpolys), g)
+        g = poly_mul(_coset_minpoly(n, rep, fld), g)
     return g
 
 
@@ -400,7 +396,7 @@ def bch_bound(zero_set, n: int) -> int:
 def spec_from_zero_set(n: int, zero_set, fld: Gf2mField | None = None) -> CyclicCodeSpec:
     fld = fld or cyclic_field(n)
     zeros = _closure(zero_set, n)
-    return _spec(n, fld, zeros, _generator_from_zeros(n, zeros, fld, {}), best_window(zeros, n))
+    return _spec(n, fld, zeros, _generator_from_zeros(n, zeros, fld), best_window(zeros, n))
 
 
 def _spec(
@@ -428,7 +424,7 @@ def bch_generator(n: int, b: int, delta: int, fld: Gf2mField | None = None) -> C
         raise PreconditionError(
             f"window (b={b}, delta={delta}) closes over all residues: empty code"
         )
-    g = _generator_from_zeros(n, zero_set, fld, {})
+    g = _generator_from_zeros(n, zero_set, fld)
     spec = CyclicCodeSpec(
         n=n, m=fld.m, b=b, delta=delta, zero_set=zero_set, generator=g, field=fld
     )
@@ -444,11 +440,8 @@ def dual_zero_set(spec: CyclicCodeSpec) -> tuple[int, ...]:
 
 
 def is_self_orthogonal_cyclic(spec: CyclicCodeSpec) -> bool:
-    """g(beta^(n-i)) != 0 implies g(beta^i) = 0, for every exponent i."""
-    zeros = set(spec.zero_set)
-    return all(
-        i in zeros for i in range(spec.n) if (spec.n - i) % spec.n not in zeros
-    )
+    """The code lies in its dual: the dual's zeros are among its own."""
+    return set(dual_zero_set(spec)) <= set(spec.zero_set)
 
 
 @lru_cache(maxsize=16)
@@ -555,7 +548,6 @@ def orbit_scan(spec: CyclicCodeSpec) -> OrbitScan:
     element; the coset {0} (o = 1) is never taken."""
     n = spec.n
     fld = spec.field or default_field(spec.m)
-    s = fld.order // n
     zeros = set(spec.zero_set)
     cosets = sorted(
         (
@@ -570,7 +562,7 @@ def orbit_scan(spec: CyclicCodeSpec) -> OrbitScan:
             break
         j, m = coset[0], len(coset)
         order = n // math.gcd(n, j)
-        mj = minimal_polynomial(fld, s * j)
+        mj = _coset_minpoly(n, j, fld)
         reps = _orbit_representatives(mj, m, order)
         g_sub = poly_mul(mj, g)
         levels.append(OrbitLevel(g_sub, k - m, order, tuple(poly_mul(a, g) for a in reps)))
@@ -839,21 +831,20 @@ def search_self_orthogonal_bch(n: int) -> list[BchSearchHit]:
             chains.append(chain[:kept])
 
     # build: the generators along each chain, then the windows of all sets
-    minpolys: dict[int, int] = {}
     states = []  # (closure, negated, dual generator, code generator)
     for chain in chains:
         duals, g = [], 1
         for e, _, _, _ in chain:
-            g = poly_mul(_coset_minpoly(n, e, fld, minpolys), g)
+            g = poly_mul(_coset_minpoly(n, e, fld), g)
             duals.append(g)
         negated = chain[-1][2]
-        g = _generator_from_zeros(n, (i for i in range(n) if not negated >> i & 1), fld, minpolys)
+        g = _generator_from_zeros(n, (i for i in range(n) if not negated >> i & 1), fld)
         for i in range(len(chain) - 1, -1, -1):
             e, closure, negated, new = chain[i]
             if new:
                 states.append((closure, negated, duals[i], g))
             if i:
-                g = poly_mul(_coset_minpoly(n, -e, fld, minpolys), g)
+                g = poly_mul(_coset_minpoly(n, -e, fld), g)
 
     def rows(bitmasks: list[int]) -> np.ndarray:
         return bytes_as_bools(ints_as_bytes(bitmasks, (n + 7) // 8), n)

@@ -17,10 +17,10 @@ from .bch import (
     zero_set_of_polynomial,
 )
 from .channel import ChannelSpec, monte_carlo
-from .codes import DEFAULT_BUDGET, LinearCode, predicted_split_patterns
+from .codes import DEFAULT_BUDGET, LinearCode, dual_min_distance, predicted_split_patterns
 from .constructions import (
+    PREDICT_BUDGET,
     OuterCode,
-    _dual_distance,
     augment,
     concatenate,
     construction_x,
@@ -42,7 +42,7 @@ from .css import (
     css_from_self_orthogonal_cyclic,
     css_with_lookup,
 )
-from .errors import InternalConsistencyError, InvalidInput, QcssError
+from .errors import InternalConsistencyError, InvalidInput, PreconditionError, QcssError
 from .gf2 import BitMatrix
 from .projgeom import ProjGeometry, build_so_code, enumerate_spaces
 from .reedmuller import rm_generator
@@ -105,8 +105,7 @@ def _cmd_construct(args) -> int:
     codes = [_load_code(p) for p in args.inputs]
     arity, build = _CONSTRUCTIONS[args.name]
     if len(codes) != arity:
-        print(f"{args.name} needs {arity} input code(s), got {len(codes)}", file=sys.stderr)
-        return 2
+        raise InvalidInput(f"{args.name} needs {arity} input code(s), got {len(codes)}")
     report = build(args, *codes)
     _save_code(report.code, args.out)
     rel = report.dual_distance_relation
@@ -161,8 +160,7 @@ def _cmd_rm(args) -> int:
         sys.stdout.write(rm.code.to_text())
     else:
         if not rm.code.is_self_orthogonal():
-            print(f"RM({args.m},{args.r}) is not self-orthogonal", file=sys.stderr)
-            return 1
+            raise PreconditionError(f"RM({args.m},{args.r}) is not self-orthogonal")
         n = rm.n
         print(f"[[{n},{n - 2 * rm.k},{1 << (args.r + 1)}]]")
     return 0
@@ -178,7 +176,7 @@ def _cmd_pg(args) -> int:
     if args.emit == "code":
         sys.stdout.write(code.to_text())
         return 0
-    dual_d = _dual_distance(code)  # None beyond the budget of a side computation
+    dual_d = dual_min_distance(code, PREDICT_BUDGET)  # None beyond a side computation's budget
     print(f"[[{code.n},{code.n - 2 * code.k},{'?' if dual_d is None else dual_d}]]")
     return 0
 

@@ -180,19 +180,18 @@ class LinearCode:
     # -- enumeration ----------------------------------------------------
 
     def weight_enumerator(self, budget: int = DEFAULT_BUDGET) -> WeightEnumerator:
+        """The spectrum; ``ResourceLimit`` beyond ``budget``, cached or not."""
+        if 1 << self.k > budget:
+            raise ResourceLimit(
+                f"2^{self.k} codewords exceed the budget of {budget}; "
+                "use min_distance_split for distance bounds"
+            )
         if self._enumerator is None:
-            if 1 << self.k > budget:
-                raise ResourceLimit(
-                    f"2^{self.k} codewords exceed the budget of {budget}; "
-                    "use min_distance_split for distance bounds"
-                )
             counts = _weight_counts(self.generator.row_bits(), self.n)
             self._enumerator = WeightEnumerator(tuple(int(c) for c in counts))
         return self._enumerator
 
     def min_distance(self, budget: int = DEFAULT_BUDGET) -> int:
-        if self.k == 0:
-            raise InvalidInput("zero-dimensional code has no minimum distance")
         return self.weight_enumerator(budget).min_distance()
 
     def weight_modulus(self) -> int:
@@ -571,13 +570,18 @@ def extend_with_parity(code: LinearCode) -> LinearCode:
     return LinearCode(BitMatrix(code.n + 1, rows))
 
 
-def dual_min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
+def dual_min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int | None:
     """d_min of the dual from the smaller spectrum: the dual's own 2^(n-k)
-    words, or the code's 2^k words and the MacWilliams transform.  Raises
-    ``ResourceLimit`` when that spectrum exceeds ``budget``."""
-    if code.n - code.k <= code.k:
-        return code.dual().min_distance(budget)
-    return macwilliams(code.weight_enumerator(budget), code.n, code.k).min_distance()
+    words, or the code's 2^k words and the MacWilliams transform.  None when
+    the dual is zero-dimensional or that spectrum exceeds ``budget``."""
+    if code.k == code.n:
+        return None
+    try:
+        if code.n - code.k <= code.k:
+            return code.dual().min_distance(budget)
+        return macwilliams(code.weight_enumerator(budget), code.n, code.k).min_distance()
+    except ResourceLimit:
+        return None
 
 
 def random_linear_code(n: int, k: int, rng) -> LinearCode:

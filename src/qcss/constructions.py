@@ -42,19 +42,17 @@ class ConstructionReport:
             problems.append(f"dimension {self.code.k} != predicted {self.predicted_k}")
         if not self.code.is_self_orthogonal():
             problems.append("result is not self-orthogonal")
-        if self.predicted_dual_distance is not None:
-            try:
-                d = dual_min_distance(self.code, budget)
-            except (ResourceLimit, InvalidInput) as exc:  # too large, or no dual
-                problems.append(f"dual distance claim not checked: {exc}")
-            else:
-                p = self.predicted_dual_distance
-                if self.dual_distance_relation == "==" and d != p:
-                    problems.append(f"dual distance {d} != predicted {p}")
-                elif self.dual_distance_relation == ">=" and d < p:
-                    problems.append(f"dual distance {d} below bound {p}")
-                elif self.dual_distance_relation == "<=" and d > p:
-                    problems.append(f"dual distance {d} above bound {p}")
+        p = self.predicted_dual_distance
+        if p is not None:
+            d = dual_min_distance(self.code, budget)
+            if d is None:
+                problems.append(f"dual distance claim not checked within the budget of {budget}")
+            elif self.dual_distance_relation == "==" and d != p:
+                problems.append(f"dual distance {d} != predicted {p}")
+            elif self.dual_distance_relation == ">=" and d < p:
+                problems.append(f"dual distance {d} below bound {p}")
+            elif self.dual_distance_relation == "<=" and d > p:
+                problems.append(f"dual distance {d} above bound {p}")
         return problems
 
     def quantum_parameters(self, budget: int = DEFAULT_BUDGET) -> tuple[int, int, int | None]:
@@ -62,19 +60,8 @@ class ConstructionReport:
         d is the prediction under "==", else measured (None beyond ``budget``)."""
         d = self.predicted_dual_distance if self.dual_distance_relation == "==" else None
         if d is None:
-            d = _dual_distance(self.code, budget)
+            d = dual_min_distance(self.code, budget)
         return self.code.n, self.code.n - 2 * self.code.k, d
-
-
-def _dual_distance(code: LinearCode, budget: int = PREDICT_BUDGET) -> int | None:
-    """``dual_min_distance``, or None when the dual is zero-dimensional or its
-    spectrum exceeds ``budget``."""
-    if code.k == code.n:
-        return None
-    try:
-        return dual_min_distance(code, budget)
-    except ResourceLimit:
-        return None
 
 
 def _pure_min(*ds: int | None) -> int | None:
@@ -128,7 +115,7 @@ def augment(code: LinearCode) -> ConstructionReport:
         code=out,
         predicted_n=code.n,
         predicted_k=code.k + 1,
-        predicted_dual_distance=_dual_distance(code),
+        predicted_dual_distance=dual_min_distance(code, PREDICT_BUDGET),
         dual_distance_relation=">=",
     )
 
@@ -143,7 +130,7 @@ def shorten(code: LinearCode, i: int) -> ConstructionReport:
     if zero_column:
         warning = f"column {i} is identically zero; dimension does not drop"
     out = _remove_support(code, (i,))
-    d = _dual_distance(code)
+    d = dual_min_distance(code, PREDICT_BUDGET)
     return ConstructionReport(
         code=out,
         predicted_n=code.n - 1,
@@ -162,12 +149,12 @@ def plotkin(c1: LinearCode, c2: LinearCode) -> ConstructionReport:
     rows = [g | g << n for g in c1.generator.row_bits()]
     rows += [h << n for h in c2.generator.row_bits()]
     out = LinearCode(BitMatrix(2 * n, rows))
-    d2 = _dual_distance(c2)
+    d1, d2 = (dual_min_distance(c, PREDICT_BUDGET) for c in (c1, c2))
     return ConstructionReport(
         code=out,
         predicted_n=2 * n,
         predicted_k=c1.k + c2.k,
-        predicted_dual_distance=_pure_min(_dual_distance(c1), None if d2 is None else 2 * d2),
+        predicted_dual_distance=_pure_min(d1, None if d2 is None else 2 * d2),
         dual_distance_relation="==",
     )
 
@@ -241,11 +228,12 @@ def product(c1: LinearCode, c2: LinearCode) -> ConstructionReport:
         for h in c2.generator.row_bits()
     ]
     out = LinearCode(BitMatrix(c1.n * c2.n, rows))
+    d1, d2 = (dual_min_distance(c, PREDICT_BUDGET) for c in (c1, c2))
     return ConstructionReport(
         code=out,
         predicted_n=c1.n * c2.n,
         predicted_k=c1.k * c2.k,
-        predicted_dual_distance=_pure_min(_dual_distance(c1), _dual_distance(c2)),
+        predicted_dual_distance=_pure_min(d1, d2),
         dual_distance_relation="==",
     )
 
@@ -281,16 +269,6 @@ class OuterCode:
         rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
         return cls(field=field, n=n, rows=rows)
 
-    def encode(self, message: tuple[int, ...]) -> tuple[int, ...]:
-        if len(message) != self.k:
-            raise InvalidInput(f"message length {len(message)} != k = {self.k}")
-        out = [0] * self.n
-        for sym, row in zip(message, self.rows):
-            if sym:
-                for j, coef in enumerate(row):
-                    out[j] ^= self.field.mul(sym, coef)
-        return tuple(out)
-
 
 def concatenate(inner: LinearCode, outer: OuterCode) -> ConstructionReport:
     """Concatenation: outer symbols live in GF(2^k1) and expand to inner words.
@@ -323,7 +301,7 @@ def concatenate(inner: LinearCode, outer: OuterCode) -> ConstructionReport:
         code=out,
         predicted_n=inner.n * outer.n,
         predicted_k=k1 * outer.k,
-        predicted_dual_distance=_dual_distance(inner),
+        predicted_dual_distance=dual_min_distance(inner, PREDICT_BUDGET),
         dual_distance_relation="<=",
     )
 
@@ -340,10 +318,10 @@ def _mixed_word_report(
     not exceed the floor that every mixed word weighs at least, the dual
     distances of ``mixed`` plus ``extra``, and "<=" with a warning beyond it
     or when the floor is unknown.  The floor is computed only for a prediction."""
-    predicted = _pure_min(*(_dual_distance(c) for c in pure))
+    predicted = _pure_min(*(dual_min_distance(c, PREDICT_BUDGET) for c in pure))
     relation, warning = "==", None
     if predicted is not None:
-        ds = [_dual_distance(c) for c in mixed]
+        ds = [dual_min_distance(c, PREDICT_BUDGET) for c in mixed]
         floor = None if None in ds else sum(ds) + extra
         if floor is None or predicted > floor:
             relation = "<="

@@ -32,8 +32,6 @@ from .gf2 import BitMatrix, ParityMap, bools_as_bytes, bytes_as_ints
 # span coordinates or incidence entries one space enumeration may build.
 # Every Table-2 geometry stays under 2^21; PG(3,8) fits as well.
 GEOMETRY_BUDGET = 1 << 22
-# Most generator bits (k rows of 2^m) `reedmuller.rm_generator` builds; RM(7, r) takes 2^14.
-REED_MULLER_BUDGET = 1 << 22
 
 # span coordinates of one block of bases in enumerate_spaces
 _SPAN_CELLS = 1 << 16

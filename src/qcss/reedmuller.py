@@ -16,7 +16,9 @@ import numpy as np
 from .codes import LinearCode
 from .errors import DecodingFailure, InvalidInput, ResourceLimit
 from .gf2 import BitMatrix, bools_as_bytes, bytes_as_ints
-from .projgeom import REED_MULLER_BUDGET
+
+# Most generator bits (k rows of 2^m) `rm_generator` builds; RM(7, r) takes 2^14.
+REED_MULLER_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True)

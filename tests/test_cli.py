@@ -78,7 +78,16 @@ def test_construct_arity_error(tmp_path, capsys):
     src = tmp_path / "ext.code"
     src.write_text(extended_hamming_8().to_text())
     code = main(["construct", "plotkin", "--in", str(src), "--out", str(tmp_path / "x")])
-    assert code == 2
+    assert code == 1
+    assert capsys.readouterr().err == "error: plotkin needs 2 input code(s), got 1\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_rm_of_an_order_that_is_not_self_orthogonal(capsys):
+    code = main(["rm", "--m", "3", "--r", "2"])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err == "error: RM(3,2) is not self-orthogonal\n"
 
 
 def test_min_distance_and_spectrum(tmp_path, capsys):

@@ -142,11 +142,15 @@ def test_min_distance_budget():
     c = random_linear_code(40, 21, random.Random(1))
     with pytest.raises(ResourceLimit):
         c.min_distance(budget=1 << 20)
+    rm = first_order_rm(4)
+    assert rm.min_distance() == 8
+    with pytest.raises(ResourceLimit):  # a cached spectrum is refused too
+        rm.min_distance(budget=4)
 
 
 def test_min_distance_of_zero_dimensional_code():
     c = LinearCode(BitMatrix(4, []))
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match="^zero-dimensional code has no minimum distance$"):
         c.min_distance()
 
 
@@ -450,16 +454,18 @@ def _brute_dual_distance(code):
 
 def test_dual_min_distance_on_both_sides():
     # every k runs the dual's own spectrum (n - k <= k) or the code's
-    # spectrum and the transform (n - k > k), whichever is smaller
+    # spectrum and the transform (n - k > k), whichever is smaller; below
+    # that spectrum's size the answer is None, before and after a scan
     rng = random.Random(14)
     for n in range(2, 15):
         for k in range(1, n):
             c = random_linear_code(n, k, rng)
             side = min(k, n - k)
-            with pytest.raises(ResourceLimit):  # before a scan caches a spectrum
-                dual_min_distance(c, budget=(1 << side) - 1)
+            assert dual_min_distance(c, budget=(1 << side) - 1) is None, (n, k)
             assert dual_min_distance(c, budget=1 << side) == _brute_dual_distance(c), (n, k)
+            assert dual_min_distance(c, budget=(1 << side) - 1) is None, (n, k)
     assert dual_min_distance(first_order_rm(4)) == 4
+    assert dual_min_distance(LinearCode(BitMatrix(3, [1, 2, 4]))) is None  # zero-dimensional dual
 
 
 def test_code_text_roundtrip():

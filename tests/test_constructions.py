@@ -153,10 +153,11 @@ def test_plotkin_builds_rm41():
 def test_verify_reports_an_unchecked_dual_distance_claim():
     rep = plotkin(simplex_dual_7_3(), simplex_dual_7_3())
     assert rep.predicted_dual_distance is not None
-    problems = rep.verify(budget=1)  # before a measurement is cached
-    assert len(problems) == 1 and "not checked" in problems[0]
-    assert "budget of 1" in problems[0]
+    problems = rep.verify(budget=1)
+    assert problems == ["dual distance claim not checked within the budget of 1"]
     assert not rep.verify()
+    # a spectrum measured since does not answer beyond the budget
+    assert rep.verify(budget=1) == problems
 
 
 def test_plotkin_zero_dimensional_inputs():
@@ -353,9 +354,9 @@ def test_x4_at_its_floor_is_exact():
 def test_x_family_unknown_floor_is_an_upper_bound(monkeypatch):
     # a floor term beyond the budget leaves the floor unknown
     c1 = _rm(4, 0)
-    measure = constructions._dual_distance
+    measure = constructions.dual_min_distance
     monkeypatch.setattr(
-        constructions, "_dual_distance", lambda c: None if c is c1 else measure(c)
+        constructions, "dual_min_distance", lambda c, b: None if c is c1 else measure(c, b)
     )
     rep = construction_x4(c1, _rm(4, 1), _rm(4, 0), _rm(4, 1))
     assert (rep.predicted_dual_distance, rep.dual_distance_relation) == (4, "<=")
@@ -371,8 +372,14 @@ def test_quantum_parameters_return_only_exact_distances():
     # an exact prediction is returned as it is
     exact = construction_x4(_rm(4, 0), _rm(4, 1), _rm(4, 0), _rm(4, 1))
     assert exact.quantum_parameters() == (32, 20, 4)
-    # beyond the budget the distance is unknown, not the upper bound
-    assert UPPER_BOUND_CASES["x"]().quantum_parameters(budget=4) == (24, 14, None)
+    # beyond the budget the distance is unknown, not the upper bound, and
+    # stays unknown after the [24, 5] code's 2^5 words were scanned
+    rep = UPPER_BOUND_CASES["x"]()
+    assert rep.quantum_parameters(budget=4) == (24, 14, None)
+    assert dual_min_distance(rep.code) == 3
+    with pytest.raises(ResourceLimit):
+        rep.code.weight_enumerator(budget=4)
+    assert rep.quantum_parameters(budget=4) == (24, 14, None)
 
 
 def test_construction_y1_golay_gives_16_5_8():
