@@ -75,18 +75,30 @@ def poly_mul(a: int, b: int) -> int:
     return out
 
 
-def poly_mod(a: int, b: int) -> int:
+def poly_divmod(a: int, b: int) -> tuple[int, int]:
+    """(q, r) with a = q*b + r and deg r < deg b."""
     if b == 0:
         raise InvalidInput("division by the zero polynomial")
     db = poly_deg(b)
-    while a.bit_length() - 1 >= db and a:
-        a ^= b << (a.bit_length() - 1 - db)
-    return a
+    q = 0
+    while (shift := poly_deg(a) - db) >= 0:
+        q |= 1 << shift
+        a ^= b << shift
+    return q, a
+
+
+def poly_mod(a: int, b: int) -> int:
+    return poly_divmod(a, b)[1]
 
 
 def poly_divides(a: int, b: int) -> bool:
     """True when a | b."""
-    return poly_mod(b, a) == 0
+    return poly_divmod(b, a)[1] == 0
+
+
+def poly_reverse(p: int) -> int:
+    """The reciprocal x^deg(p) p(1/x): the coefficients in reverse order."""
+    return int(f"{p:b}"[::-1], 2)
 
 
 # -- GF(2^m) ---------------------------------------------------------------
@@ -167,16 +179,6 @@ def cyclic_field(n: int) -> Gf2mField:
         if pow(2, m, n) == 1 % n:
             return default_field(m)
     raise InvalidInput(f"length {n} needs GF(2^m) with m > {max(PRIMITIVE_POLYS)}, none on record")
-
-
-def multiplicative_order_of_two(n: int) -> int:
-    if n < 1 or n % 2 == 0:
-        raise InvalidInput(f"length must be odd and positive, got {n}")
-    m, x = 1, 2 % n
-    while x != 1 % n:
-        x = (x * 2) % n
-        m += 1
-    return m
 
 
 def cyclotomic_coset(e: int, n: int) -> tuple[int, ...]:
@@ -418,17 +420,13 @@ def bch_generator(n: int, b: int, delta: int, fld: Gf2mField | None = None) -> C
     fld = fld or cyclic_field(n)
     if fld.order % n:
         raise InvalidInput(f"{n} does not divide 2^{fld.m}-1")
-    window = range(b, b + delta - 1)
-    zero_set = _closure(window, n)
+    zero_set = _closure(range(b, b + delta - 1), n)
     if len(zero_set) >= n:
         raise PreconditionError(
             f"window (b={b}, delta={delta}) closes over all residues: empty code"
         )
-    g = _generator_from_zeros(n, zero_set, fld)
-    spec = CyclicCodeSpec(
-        n=n, m=fld.m, b=b, delta=delta, zero_set=zero_set, generator=g, field=fld
-    )
-    if not poly_divides(g, (1 << n) | 1):
+    spec = _spec(n, fld, zero_set, _generator_from_zeros(n, zero_set, fld), (1, b, delta - 1))
+    if not poly_divides(spec.generator, (1 << n) | 1):
         raise InvalidInput("generator does not divide x^n + 1")
     return spec
 
@@ -782,20 +780,19 @@ def search_self_orthogonal_bch(n: int) -> list[BchSearchHit]:
     """All (b, delta) BCH windows whose dual is self-orthogonal, deduplicated
     by zero set and sorted by (dimension, zero set).
 
-    The search runs in two phases.  The walk goes through delta = 2, 3, ...
-    for each b and keeps the dual's zero set (the closure of the window) and
-    its negation; it stops at the first delta where the two meet, and each
-    closure is kept once.  A step that changes the closure adds the
+    One loop over the window starts b walks delta = 2, 3, ... and keeps the
+    dual's zero set (the closure of the window), its negation and its
+    generator; it stops at the first delta where the two sets meet, and
+    each closure is kept once.  A step that changes the closure adds the
     cyclotomic coset of the window's new exponent e, which is disjoint from
-    the closure (a union of cosets without e), so the step adds exactly one
-    coset to the dual's zeros and takes exactly the coset of -e from the
-    code's zeros, the complement of the negation.  The build phase then
-    forms every generator along the chain of its b with one ``poly_mul`` a
-    step: the dual's forwards, the code's backwards from the chain's last
-    kept state, because the code's zero set grows as delta falls.  Minimal
-    polynomials are computed only for the cosets the products use, and all
-    windows come from one ``best_windows`` call for the code zero sets and
-    one for the dual zero sets.
+    the closure (a union of cosets without e), so the dual's generator gains
+    the minimal polynomial of beta^e and the code's zeros, the complement of
+    the negation, lose exactly the coset of -e.  The code's generator at the
+    last step of b that kept a closure is x^n + 1 over the reciprocal of the
+    dual's generator (the code's check polynomial), one exact division; back
+    over the earlier steps it gains the minimal polynomial of beta^-e a step.
+    All windows come from one ``best_windows`` call for the code zero sets
+    and one for the dual zero sets.
     """
     if n < 3 or n % 2 == 0:
         raise InvalidInput(f"length must be odd and >= 3, got {n}")
@@ -803,15 +800,13 @@ def search_self_orthogonal_bch(n: int) -> list[BchSearchHit]:
     coset_of = _length_table(n).coset_of
     masks = [sum(1 << j for j in coset) for coset in coset_of]
 
-    # walk: per b, the states (e, closure, negated, new) up to its last new
-    # closure
-    chains: list[list[tuple[int, int, int, bool]]] = []
+    states = []  # (closure, negated, dual generator, code generator) per kept closure
     seen: set[int] = set()
     for b in range(n):
         # the dual's zero set (the window's closure) and its negation, as masks
         closure = negated = 0
-        chain: list[tuple[int, int, int, bool]] = []
-        kept = 0
+        dual_g = 1  # the dual's generator
+        steps = []  # (e, closure, negated, dual generator, new) per changed closure
         for delta in range(2, n + 1):
             e = (b + delta - 2) % n
             if closure >> e & 1:
@@ -822,29 +817,22 @@ def search_self_orthogonal_bch(n: int) -> list[BchSearchHit]:
                 # some i and -i are both dual zeros, so the dual is not a
                 # superset code, here or for any larger delta
                 break
-            new = closure not in seen
+            dual_g = poly_mul(_coset_minpoly(n, e, fld), dual_g)
+            steps.append((e, closure, negated, dual_g, closure not in seen))
             seen.add(closure)
-            chain.append((e, closure, negated, new))
+        while steps and not steps[-1][4]:
+            steps.pop()
+        if not steps:
+            continue
+        code_g, rest = poly_divmod(1 << n | 1, poly_reverse(steps[-1][3]))
+        if rest:
+            raise InternalConsistencyError(f"x^{n} + 1 over a check polynomial leaves 0x{rest:X}")
+        for i in range(len(steps) - 1, -1, -1):
+            e, closure, negated, dual_g, new = steps[i]
             if new:
-                kept = len(chain)
-        if kept:
-            chains.append(chain[:kept])
-
-    # build: the generators along each chain, then the windows of all sets
-    states = []  # (closure, negated, dual generator, code generator)
-    for chain in chains:
-        duals, g = [], 1
-        for e, _, _, _ in chain:
-            g = poly_mul(_coset_minpoly(n, e, fld), g)
-            duals.append(g)
-        negated = chain[-1][2]
-        g = _generator_from_zeros(n, (i for i in range(n) if not negated >> i & 1), fld)
-        for i in range(len(chain) - 1, -1, -1):
-            e, closure, negated, new = chain[i]
-            if new:
-                states.append((closure, negated, duals[i], g))
+                states.append((closure, negated, dual_g, code_g))
             if i:
-                g = poly_mul(_coset_minpoly(n, -e, fld), g)
+                code_g = poly_mul(_coset_minpoly(n, -e, fld), code_g)
 
     def rows(bitmasks: list[int]) -> np.ndarray:
         return bytes_as_bools(ints_as_bytes(bitmasks, (n + 7) // 8), n)

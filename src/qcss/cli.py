@@ -333,9 +333,14 @@ def _cmd_verify_tables(args) -> int:
 
 
 def _parse_budget(text: str) -> int:
-    if text.startswith("2^"):
-        return 1 << int(text[2:])
-    return int(text)
+    """A word budget: a non-negative integer, or 2^e with 0 <= e <= 1024."""
+    power = text.startswith("2^")
+    digits = text[2:] if power else text
+    if not (digits.isascii() and digits.isdigit()) or power and int(digits) > 1024:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer or 2^e with 0 <= e <= 1024, got {text!r}"
+        )
+    return 1 << int(digits) if power else int(digits)
 
 
 def main(argv=None) -> int:

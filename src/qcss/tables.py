@@ -198,6 +198,7 @@ def verify_extended_table1(budget: int = TABLE1_BUDGET) -> list[RowReport]:
         t0 = time.time()
         rep = RowReport(label=f"extended [[{n},{kq},{d}]] -> n={n + 1}")
         spec = spec_from_zero_set(n, zero_set_of_polynomial(n, g))
+        rep.checks["generator"] = spec.generator == g
         code = spec.to_code()
         ext = extend_parity_dual(code)
         rep.checks["dimensions"] = (ext.code.n, ext.code.k) == (n + 1, code.k + 1)

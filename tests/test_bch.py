@@ -9,6 +9,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcss import bch
 from qcss.bch import (
@@ -30,18 +32,25 @@ from qcss.bch import (
     is_self_orthogonal_cyclic,
     match_polynomial_against_search,
     minimal_polynomial,
-    multiplicative_order_of_two,
     orbit_scan,
     poly_deg,
     poly_divides,
+    poly_divmod,
     poly_mod,
     poly_mul,
+    poly_reverse,
     search_self_orthogonal_bch,
     spec_from_zero_set,
     units,
     zero_set_of_polynomial,
 )
-from qcss.errors import DecodingFailure, InvalidInput, PreconditionError, ResourceLimit
+from qcss.errors import (
+    DecodingFailure,
+    InternalConsistencyError,
+    InvalidInput,
+    PreconditionError,
+    ResourceLimit,
+)
 from qcss.gf2 import BitVector
 from qcss.tables import TABLE1_ROWS
 
@@ -51,6 +60,33 @@ def test_poly_arithmetic():
     assert poly_mul(0b11, 0b111) == 0b1001
     assert poly_mod(0b1001, 0b11) == 0
     assert poly_divides(0x13, (1 << 15) | 1)
+    assert poly_reverse(0b1101) == 0b1011
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, (1 << 300) - 1), st.integers(0, (1 << 80) - 1))
+@example(0, 1)
+@example(0b1001, 0b11)
+@example(0b11, 0b1001)
+@example(5, 0)
+def test_poly_divmod_identity(a, b):
+    if b == 0:
+        with pytest.raises(InvalidInput):
+            poly_divmod(a, b)
+        return
+    q, r = poly_divmod(a, b)
+    assert poly_mul(q, b) ^ r == a
+    assert poly_deg(r) < poly_deg(b)
+    assert poly_mod(a, b) == r
+    assert poly_divides(b, a) == (r == 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, (1 << 200) - 1))
+def test_poly_reverse_is_an_involution_with_constant_term_one(p):
+    p = p << 1 | 1
+    assert poly_deg(poly_reverse(p)) == poly_deg(p)
+    assert poly_reverse(poly_reverse(p)) == p
 
 
 def test_field_rejects_non_primitive():
@@ -145,11 +181,7 @@ def test_generator_times_check_polynomial():
             spec = bch_generator(n, 1, delta)
             check = spec.dual_spec()
             # reciprocal of the dual generator is the check polynomial
-            recip = 0
-            for d in range(check.generator.bit_length()):
-                if check.generator >> d & 1:
-                    recip |= 1 << (poly_deg(check.generator) - d)
-            assert poly_mul(spec.generator, recip) == (1 << n) | 1
+            assert poly_mul(spec.generator, poly_reverse(check.generator)) == (1 << n) | 1
 
 
 def test_bm_decode_zero_syndrome():
@@ -253,11 +285,11 @@ def test_match_polynomial_relabeling():
 
 
 def test_multiplicative_order():
-    assert multiplicative_order_of_two(7) == 3
-    assert multiplicative_order_of_two(45) == 12
-    assert multiplicative_order_of_two(55) == 20
-    assert multiplicative_order_of_two(89) == 11
-    assert multiplicative_order_of_two(1) == 1
+    # the field degree of a length is the multiplicative order of 2 mod n
+    assert cyclic_field(7).m == 3
+    assert cyclic_field(45).m == 12
+    assert cyclic_field(55).m == 20
+    assert cyclic_field(89).m == 11
 
 
 # 2 has order 21 modulo 2^21 - 1, and order at least 60 modulo 10^18 + 3
@@ -344,7 +376,7 @@ def _oracle_generator(n, zeros, fld):
 
 
 def _oracle_search(n):
-    fld = default_field(multiplicative_order_of_two(n))
+    fld = cyclic_field(n)
 
     def spec(zeros):
         step, start, length = _oracle_best_window(zeros, n)
@@ -399,6 +431,9 @@ def test_search_digest_at_benchmark_lengths(n):
         for h in hits:
             for spec in (h.code_spec, h.dual_spec):
                 assert zero_set_of_polynomial(n, spec.generator) == spec.zero_set
+            # the dual's generator is the reciprocal of the code's check polynomial
+            check = poly_reverse(h.dual_spec.generator)
+            assert poly_mul(h.code_spec.generator, check) == 1 << n | 1
 
 
 @pytest.mark.parametrize("n", [2, 10, 69])
@@ -412,6 +447,20 @@ def test_search_refuses_before_any_work(n, monkeypatch):
     monkeypatch.setattr(bch, "minimal_polynomial", no_work)
     with pytest.raises(InvalidInput):
         search_self_orthogonal_bch(n)
+
+
+def test_search_refuses_a_dual_generator_that_is_not_a_divisor(monkeypatch):
+    # x^2 + 1 = (x + 1)^2 in place of the coset {1, 2, 4, 8}: x^15 + 1 has
+    # no square factor, so the division that seeds the code generators of
+    # b = 1 leaves a remainder
+    real = bch._coset_minpoly
+
+    def wrong(n, e, fld):
+        return 0b101 if bch._length_table(n).coset_of[e % n][0] == 1 else real(n, e, fld)
+
+    monkeypatch.setattr(bch, "_coset_minpoly", wrong)
+    with pytest.raises(InternalConsistencyError, match=r"x\^15 \+ 1 over a check polynomial"):
+        search_self_orthogonal_bch(15)
 
 
 @pytest.mark.parametrize("n,count", [(63, 62), (85, 42), (93, 124), (127, 360), (255, 852)])
@@ -731,7 +780,7 @@ def _direct_zero_set(n, g, fld=None):
     """g evaluated at every residue by Horner's rule, one field
     multiplication per coefficient."""
     if fld is None:
-        fld = default_field(multiplicative_order_of_two(n))
+        fld = cyclic_field(n)
     s = fld.order // n
 
     def value(x):
@@ -780,7 +829,9 @@ def test_zero_set_refuses_bad_input():
 # -- shift-orbit spectra ---------------------------------------------------
 
 # odd lengths whose field GF(2^m) has a primitive polynomial on record
-ORBIT_LENGTHS = [n for n in [*range(7, 67, 2), 73] if multiplicative_order_of_two(n) <= 20]
+ORBIT_LENGTHS = [
+    n for n in [*range(7, 67, 2), 73] if any(pow(2, m, n) == 1 for m in PRIMITIVE_POLYS)
+]
 
 
 def _random_cyclic_specs(n, rng, count, max_dim=14):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcss import bch, cli, codes, constructions, reedmuller
-from qcss.cli import _load_outer, load_css, main
+from qcss.cli import _load_outer, _parse_budget, load_css, main
 from qcss.codes import LinearCode, random_self_orthogonal_code
 from qcss.css import LookupDecoder
 from qcss.gf2 import BitMatrix
@@ -358,6 +358,33 @@ def test_verify_tables_budget_reaches_both_tables(monkeypatch, capsys):
         ("verify_table2", {"budget": 1 << 20}),
         ("verify_extended_table1", {"budget": 1 << 20}),
     ]
+
+
+@pytest.mark.parametrize(
+    "budget", ["-3", "2^100000000000000000000", "2^1025", "2^-1", "2^x", "1.5", ""]
+)
+def test_budget_refuses_anything_but_a_count_or_a_power_of_two(budget, monkeypatch, capsys):
+    from qcss import tables
+
+    calls = []
+    for name in ("verify_table1", "verify_table2", "verify_extended_table1"):
+        monkeypatch.setattr(tables, name, lambda **kw: calls.append(kw) or [])
+    for argv in (["verify-tables", "--table", "1"], ["spectrum", "--code", "missing.code"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--budget", budget])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert "non-negative integer or 2^e" in err
+    assert calls == []
+
+
+def test_budget_parses_counts_and_powers_of_two():
+    assert _parse_budget("0") == 0
+    assert _parse_budget("1234") == 1234
+    assert _parse_budget("2^0") == 1
+    assert _parse_budget("2^29") == 1 << 29
+    assert _parse_budget("2^1024") == 1 << 1024
 
 
 def _css_file(tmp, argv):

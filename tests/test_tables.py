@@ -4,6 +4,7 @@ import sys
 import time
 
 import qcss
+from qcss import tables
 from qcss.bch import (
     cyclic_weight_counts,
     search_self_orthogonal_bch,
@@ -133,6 +134,22 @@ def test_extended_family_shares_table1_budget():
     skipped = reports["extended [[127,57,11]] -> n=128"]
     assert skipped.checks["dual_distance_at_least_d"] is None
     assert "270,565,376 words" in skipped.notes[0]
+
+
+def test_extended_family_refuses_a_row_whose_hex_is_not_a_generator(monkeypatch):
+    # x * g for the first row: the same zero set, but not a generator of the code
+    row = (15, 7, 3, 0x135E)
+    assert TABLE1_ROWS[0] == (15, 7, 3, 0x9AF)
+    assert verify_table1_row(row).checks["divides_xn_plus_1"] is False
+    monkeypatch.setattr(tables, "TABLE1_ROWS", (row,))
+    [rep] = verify_extended_table1()
+    assert rep.label == "extended [[15,7,3]] -> n=16"
+    assert rep.checks["generator"] is False
+    assert not rep.passed
+    # the true generator passes the same check
+    monkeypatch.setattr(tables, "TABLE1_ROWS", TABLE1_ROWS[:1])
+    [rep] = verify_extended_table1()
+    assert rep.checks["generator"] is True and rep.passed
 
 
 def _table2_row(prefix):
