@@ -12,8 +12,9 @@ numpy chunks; ``best_window`` is its one-set call, and the self-orthogonal
 search makes one call for its code zero sets and one for their duals.
 
 A binary word's values at field elements are GF(2)-linear in its bits:
-``_value_tables`` builds that map as a ``gf2.ParityMap``, once per length
-and field for zero sets and once per spec for the decoder.
+``_position_values`` gives that map's columns, from which a ``gf2.ParityMap``
+is built once per length and field for zero sets, and a ``gf2.packed_table``
+once per spec for the decoder.
 """
 from __future__ import annotations
 
@@ -32,7 +33,20 @@ from .errors import (
     PreconditionError,
     ResourceLimit,
 )
-from .gf2 import BitMatrix, ParityMap, bytes_as_bools, ints_as_bytes
+from .gf2 import (
+    BitMatrix,
+    ParityMap,
+    apply_packed,
+    bools_as_bytes,
+    bytes_as_bools,
+    bytes_as_ints,
+    check_block,
+    ints_as_bytes,
+    pack_rows,
+    packed_table,
+    word_block,
+    words_as_bytes,
+)
 
 # One fixed primitive polynomial per extension degree (lowest-weight standard
 # choices).  Primitivity is re-verified at table construction time.
@@ -449,7 +463,8 @@ def _coset_values(n: int, fld: Gf2mField) -> tuple[tuple[tuple[int, ...], ...], 
     if fld.order % n:
         raise InvalidInput(f"{n} does not divide 2^{fld.m}-1")
     cosets = tuple(sorted(set(_length_table(n).coset_of)))
-    return cosets, _value_tables(fld, [fld.order // n * c[0] for c in cosets], n)[1]
+    points = [fld.order // n * c[0] for c in cosets]
+    return cosets, ParityMap(_position_values(fld, points, n, fld.m))
 
 
 def zero_set_of_polynomial(n: int, g: int, fld: Gf2mField | None = None) -> tuple[int, ...]:
@@ -595,168 +610,207 @@ def cyclic_weight_counts(spec: CyclicCodeSpec, budget: int = DEFAULT_BUDGET) -> 
 #
 # The value of a binary word at a field element is GF(2)-linear in the
 # word's bits, and so is the value of a locator polynomial in the bits of its
-# coefficients.  The tables below hold those linear maps, built once per spec
-# and field, so a decode takes every syndrome and zero-set value with one
-# lookup per byte of the received word (and one XOR per corrected position),
-# and the Chien search with one XOR per set bit of the locator's
-# coefficients.  Berlekamp-Massey multiplies inline through the field's own
-# exp/log arrays.
+# coefficients.  The tables below hold those linear maps as
+# ``gf2.apply_packed`` tables, built once per spec and field, so a block of
+# words takes every syndrome and zero-set value with one gather per byte of
+# the words, and the Chien search with one gather per byte of the locators'
+# coefficients.  Berlekamp-Massey runs across the block's words at once, one
+# step at a time, multiplying through log and exp arrays of the field.
+#
+# A field element sits in a lane: the least unsigned numpy type that holds m
+# bits.  Values and locator coefficients are packed lane by lane, so a
+# gather's result, seen as that type, is an array of field elements, and a
+# locator array, seen as bytes, is the Chien map's input.
+
+_RADIUS, _ROOTS, _ZERO_SET = 1, 2, 3  # failure codes of a decode
 
 
-def _value_tables(fld: Gf2mField, points, n: int) -> tuple[list[int], ParityMap]:
-    """Entry p: the values of x^p at alpha^e for e in ``points``, m bits a
-    field; and the map from an n-bit word to its packed values."""
-    exp, m, order = fld._exp, fld.m, fld.order
-    position_values = [
-        sum(exp[e * p % order] << (m * f) for f, e in enumerate(points)) for p in range(n)
-    ]
-    return position_values, ParityMap(position_values)
+def _lane(m: int) -> np.dtype:
+    """The least unsigned numpy type that holds an m-bit field element."""
+    return np.dtype(np.uint8 if m <= 8 else np.uint16 if m <= 16 else np.uint32)
+
+
+def _position_values(fld: Gf2mField, points, n: int, lane: int) -> list[int]:
+    """The columns of the map from an n-bit word to its values at alpha^e
+    for e in ``points``, field f at bits lane*f up: entry p holds the
+    values of x^p."""
+    exp, order = fld._exp, fld.order
+    return [sum(exp[e * p % order] << (lane * f) for f, e in enumerate(points)) for p in range(n)]
+
+
+@lru_cache(maxsize=8)
+def _log_exp(fld: Gf2mField) -> tuple[np.ndarray, np.ndarray]:
+    """log and exp as numpy arrays with a zero sentinel Z = 3 * order - 1:
+    ``log[0]`` is Z and ``exp`` has 3 * order entries, alpha^(i mod order)
+    below Z and 0 at Z.  A decoder's sums have at most three terms, logs of
+    nonzero elements (0..order-1) and at most one order - log (1..order),
+    so they stay below Z; a sum with Z among its terms is at least Z, so
+    ``exp.take(sum, mode="clip")`` is the product, zero included."""
+    order = fld.order
+    exp = np.frombuffer(fld._exp, dtype=np.uint32)[:order]
+    exp = np.concatenate([exp, exp, exp[:-1], [0]]).astype(_lane(fld.m))
+    log = np.frombuffer(fld._log, dtype=np.uint32).astype(np.int32)
+    log[0] = 3 * order - 1
+    for a in (exp, log):
+        a.flags.writeable = False
+    return log, exp
 
 
 @dataclass(frozen=True)
 class _DecoderTables:
-    """Tables of ``bm_decode`` for one spec over one field.
+    """Tables of ``_bm_block`` for one spec over one field.
 
-    A packed value holds m-bit field elements side by side: field j < delta-1
-    is the value at beta^(step*(b+j)) (syndrome j), and the fields after them
-    the values at one zero per cyclotomic coset of the zero set.
+    A word's values hold one lane per field element: lane j < delta-1 is
+    the value at beta^(step*(b+j)) (syndrome j), and the lanes after them
+    the values at one zero per cyclotomic coset of the zero set.  The Chien
+    map takes the lanes of the locator's coefficients 0..t to the m bit
+    planes of lambda(beta^(-step*p)) over the positions p, plane b at bit
+    b*W of the image, W = 64 ceil(n/64): one 64-bit word boundary a plane.
     """
 
-    exp: array  # the field's own arrays, not copies
-    log: array
-    position_values: list[int]  # entry p: the packed values of x^p
-    values: ParityMap  # a word's packed values, one table per byte of it
-    chien: list[list[int]]  # [i][c]: bit b*n + p is bit b of x^c * beta^(-i*step*p)
+    log: np.ndarray  # see _log_exp
+    exp: np.ndarray
+    values: np.ndarray  # apply_packed table: a word -> its values
+    chien: np.ndarray  # apply_packed table: a locator -> its bit planes
+    positions: np.ndarray  # (W/64,) uint64: the n position bits
 
 
 @lru_cache(maxsize=64)
 def _decoder_tables(spec: CyclicCodeSpec, poly: int) -> _DecoderTables:
     """Keyed by the field polynomial too: specs compare without their field,
-    and equal specs over different fields have different tables.
-
-    ``exp`` and ``log`` are the field's own arrays: list copies would cost 36
-    bytes an entry more (80 MB for m = 20) for no measurable gain in the few
-    dozen multiplications of a decode.
-    """
+    and equal specs over different fields have different tables."""
     fld = spec.field
     m, order, n = fld.m, fld.order, spec.n
-    exp, log = fld._exp, fld._log
+    log, exp = _log_exp(fld)
+    lane = 8 * _lane(m).itemsize
     s0 = order // n  # beta = alpha^s0
     s = s0 * spec.step % order  # the decoding root beta^step
-    # the exponents of alpha at which words are evaluated, one per packed field
+    # the exponents of alpha at which words are evaluated, one per lane
     points = [s * (spec.b + j) for j in range(spec.delta - 1)]
     # c(beta^2z) = c(beta^z)^2 for a binary word c, so one zero per coset
     # tests the whole zero set
     points += [s0 * z for z in sorted({_length_table(n).coset_of[z][0] for z in spec.zero_set})]
-    position_values, values = _value_tables(fld, points, n)
-    chien = []
-    for i in range((spec.delta - 1) // 2 + 1):
-        row = []
-        for c in range(m):
-            planes = 0
-            for p in range(n):
-                value = exp[(log[1 << c] - i * s * p) % order]
-                for b in range(m):
-                    planes |= (value >> b & 1) << (b * n + p)
-            row.append(planes)
-        chien.append(row)
-    return _DecoderTables(exp, log, position_values, values, chien)
+    values = packed_table(_position_values(fld, points, n, lane), lane * len(points))
+    # term (i, c): bit b of x^c * beta^(-i*step*p) at bit b*W + p
+    t = (spec.delta - 1) // 2
+    width = 64 * -(-n // 64)
+    i = np.arange(t + 1, dtype=np.int64)[:, None, None]
+    c = np.arange(m, dtype=np.int64)[None, :, None]
+    terms = exp[(log[1 << c] - i * s * np.arange(n)) % order]
+    planes = np.zeros((t + 1, m, m, width), dtype=bool)
+    planes[..., :n] = terms[:, :, None, :] >> np.arange(m, dtype=exp.dtype)[:, None] & 1
+    images = bytes_as_ints(bools_as_bytes(planes.reshape((t + 1) * m, m * width)))
+    # the bits of a lane above m are zero in every locator
+    lanes = [images[k * m : (k + 1) * m] + [0] * (lane - m) for k in range(t + 1)]
+    chien = packed_table([x for k in lanes for x in k], m * width)
+    positions = pack_rows([(1 << n) - 1], n)[0]
+    return _DecoderTables(log, exp, values, chien, positions)
+
+
+def _bm_block(spec: CyclicCodeSpec, words: np.ndarray):
+    """Per row of a (count, ceil(n/8)) block of received words: the error
+    pattern, in the same layout, zero where the decode fails; the failure
+    code, 0 or one of _RADIUS, _ROOTS and _ZERO_SET; the LFSR length; and
+    the number of roots of the locator.
+
+    A row whose syndromes are all zero has no error.  Every other row runs
+    Berlekamp-Massey (E. R. Berlekamp, 1968; J. L. Massey, IEEE Trans. IT
+    15, 1969), all rows at each step: the locator lambda and x^shift times
+    the previous locator (kept as logs, shifted one column a step) are
+    (rows, delta) arrays, since deg lambda <= L <= delta - 1 throughout.
+    Then one Chien gather, whose planes OR to the nonzero positions, and one
+    zero-set gather on the error pattern."""
+    tables = _decoder_tables(spec, spec.field.poly)
+    log, exp = tables.log, tables.exp
+    order, n, nsyn = spec.field.order, spec.n, spec.delta - 1
+    count = len(words)
+    values = apply_packed(tables.values, words).view(exp.dtype)
+    errors = np.zeros((count, (n + 7) // 8), dtype=np.uint8)
+    failure = np.zeros(count, dtype=np.uint8)
+    lengths = np.zeros(count, dtype=np.int64)
+    found = np.zeros(count, dtype=np.int64)
+    live = np.flatnonzero(values[:, :nsyn].any(axis=1))
+    if not len(live):
+        return errors, failure, lengths, found
+    values = values[live]
+    rows = len(live)
+    syn = values[:, :nsyn]
+    log_syn = log[syn]
+    lam = np.zeros((rows, nsyn + 1), dtype=exp.dtype)
+    lam[:, 0] = 1
+    zero = log[0]
+    # log of x^shift times the previous locator: x at the start
+    shifted = np.full((rows, nsyn + 1), zero, dtype=log.dtype)
+    shifted[:, 1] = 0
+    length = np.zeros(rows, dtype=np.int32)
+    inverse = np.full(rows, order, dtype=log.dtype)  # order - log prev_disc
+    for step in range(1, nsyn + 1):
+        log_lam = log.take(lam)
+        # the discrepancy: S_(step-1) + sum over i >= 1 of lambda_i S_(step-1-i)
+        disc = syn[:, step - 1]
+        if step > 1:
+            terms = exp.take(log_lam[:, 1:step] + log_syn[:, step - 2 :: -1], mode="clip")
+            disc = disc ^ np.bitwise_xor.reduce(terms, axis=1)
+        log_disc = log.take(disc)
+        # lambda - (disc / prev_disc) x^shift prev; a zero disc adds nothing
+        lam = lam ^ exp.take((log_disc + inverse)[:, None] + shifted, mode="clip")
+        grow = (disc != 0) & (length <= (step - 1) // 2)
+        length = np.where(grow, step - length, length)
+        if step < nsyn:
+            # the next step's x^shift prev: x lambda where the length grows,
+            # else x times this step's; deg stays <= delta - 1 where it is read
+            shifted[:, 1:] = np.where(grow[:, None], log_lam[:, :-1], shifted[:, :-1])
+            inverse = np.where(grow, order - log_disc, inverse)
+    degree = nsyn - np.argmax(lam[:, ::-1] != 0, axis=1)
+    t_max = nsyn // 2
+    # Chien search: position p is in error iff lambda(beta^-p) = 0
+    coefficients = np.ascontiguousarray(lam[:, : t_max + 1]).view(np.uint8)
+    planes = apply_packed(tables.chien, coefficients).reshape(rows, spec.field.m, -1)
+    roots = ~np.bitwise_or.reduce(planes, axis=1) & tables.positions
+    error = words_as_bytes(roots, n)
+    # the corrected word's values are the received word's plus the error's
+    corrected = values ^ apply_packed(tables.values, error).view(exp.dtype)
+    root_count = np.bitwise_count(roots).sum(axis=1, dtype=np.int64)
+    code = np.where(
+        (length > t_max) | (degree != length), _RADIUS,
+        np.where(root_count != length, _ROOTS, _ZERO_SET * corrected[:, nsyn:].any(axis=1)),
+    ).astype(np.uint8)
+    failure[live], lengths[live], found[live] = code, length, root_count
+    errors[live] = np.where(code[:, None] == 0, error, 0)
+    return errors, failure, lengths, found
 
 
 def bm_decode(spec: CyclicCodeSpec, received: int) -> int:
     """The error pattern, as an n-bit word, of a received n-bit word with up
     to floor((delta-1)/2) errors, via syndromes, Berlekamp-Massey and a Chien
-    search.  Raises DecodingFailure beyond that, and InvalidInput for a word
-    that is negative or has a bit at or above n.
+    search: the one-row call of the block decode.  Raises DecodingFailure
+    beyond that, and InvalidInput for a word that is negative or has a bit
+    at or above n.
     """
-    if received >> spec.n:
-        raise InvalidInput(f"received word has bits beyond length {spec.n}")
-    tables = _decoder_tables(spec, spec.field.poly)
-    exp, log = tables.exp, tables.log
-    m, order, n = spec.field.m, spec.field.order, spec.n
-    nsyn = spec.delta - 1
-    packed = tables.values(received)
-    syndromes = [packed >> (m * j) & order for j in range(nsyn)]
-    if not any(syndromes):
-        return 0
-
-    # Berlekamp-Massey over GF(2^m); coefficient lists are low-degree-first
-    lam = [1]
-    prev = [1]
-    lfsr_len = 0
-    shift = 1
-    prev_disc = 1
-    for step in range(1, nsyn + 1):
-        disc = syndromes[step - 1]
-        for i in range(1, min(lfsr_len + 1, len(lam))):
-            c, syn = lam[i], syndromes[step - 1 - i]
-            if c and syn:
-                disc ^= exp[(log[c] + log[syn]) % order]
-        if disc == 0:
-            shift += 1
-            continue
-        scale = log[disc] - log[prev_disc]  # log of disc / prev_disc
-        update = lam.copy()
-        grow = len(prev) + shift - len(update)
-        if grow > 0:
-            update += [0] * grow
-        for i, c in enumerate(prev):
-            if c:
-                update[i + shift] ^= exp[(scale + log[c]) % order]
-        if 2 * lfsr_len <= step - 1:
-            prev = lam
-            lfsr_len = step - lfsr_len
-            prev_disc = disc
-            shift = 1
-        else:
-            shift += 1
-        lam = update
-
-    degree = len(lam) - 1
-    while degree > 0 and lam[degree] == 0:
-        degree -= 1
-    t_max = (spec.delta - 1) // 2
-    if lfsr_len > t_max or degree != lfsr_len:
-        raise DecodingFailure(
-            f"error weight exceeds the designed radius {t_max}"
-        )
-
-    # Chien search: position p is in error iff lambda(beta^-p) = 0.  The m
-    # bit planes of lambda(beta^-p) over all p are the XOR of one table entry
-    # per set bit of the coefficients.
-    planes = 0
-    for i in range(lfsr_len + 1):
-        row = tables.chien[i]
-        c = lam[i]
-        while c:
-            low = c & -c
-            planes ^= row[low.bit_length() - 1]
-            c ^= low
-    nonzero = 0
-    for b in range(m):
-        nonzero |= planes >> (b * n)
-    roots = ~nonzero & ((1 << n) - 1)
-    if roots.bit_count() != lfsr_len:
-        raise DecodingFailure(
-            f"locator of degree {lfsr_len} has {roots.bit_count()} roots"
-        )
-    # the corrected word's values are the received word's plus the error's
-    error = roots
-    while roots:
-        low = roots & -roots
-        packed ^= tables.position_values[low.bit_length() - 1]
-        roots ^= low
-    if packed >> (m * nsyn):
+    errors, failure, length, roots = _bm_block(spec, word_block(received, spec.n))
+    if failure[0] == _RADIUS:
+        raise DecodingFailure(f"error weight exceeds the designed radius {(spec.delta - 1) // 2}")
+    if failure[0] == _ROOTS:
+        raise DecodingFailure(f"locator of degree {length[0]} has {roots[0]} roots")
+    if failure[0] == _ZERO_SET:
         raise DecodingFailure("corrected word fails the zero-set check")
-    return error
+    return bytes_as_ints(errors)[0]
 
 
 class BchDecoder:
-    """Word decoder for a cyclic code, pluggable into the CSS pipeline."""
+    """Word decoder for a cyclic code, pluggable into the CSS pipeline.
+    Failure codes: 1, the error weight exceeds the designed radius; 2, the
+    locator has fewer roots than its degree; 3, the corrected word fails
+    the zero-set check."""
 
     def __init__(self, spec: CyclicCodeSpec):
         self.spec = spec
         self.radius = (spec.delta - 1) // 2
+
+    def decode_block(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        check_block(words, self.spec.n)
+        errors, failure, _, _ = _bm_block(self.spec, words)
+        return words ^ errors, failure
 
     def decode_word(self, bits: int) -> int:
         return bits ^ bm_decode(self.spec, bits)
@@ -781,13 +835,15 @@ def search_self_orthogonal_bch(n: int) -> list[BchSearchHit]:
     by zero set and sorted by (dimension, zero set).
 
     One loop over the window starts b walks delta = 2, 3, ... and keeps the
-    dual's zero set (the closure of the window), its negation and its
-    generator; it stops at the first delta where the two sets meet, and
-    each closure is kept once.  A step that changes the closure adds the
-    cyclotomic coset of the window's new exponent e, which is disjoint from
-    the closure (a union of cosets without e), so the dual's generator gains
-    the minimal polynomial of beta^e and the code's zeros, the complement of
-    the negation, lose exactly the coset of -e.  The code's generator at the
+    dual's zero set (the closure of the window), its negation and the new
+    exponent e of each step that changes the closure; it stops at the first
+    delta where the two sets meet, and each closure is kept once.  A step
+    that changes the closure adds the cyclotomic coset of e, which is
+    disjoint from the closure (a union of cosets without e), so the dual's
+    generator gains the minimal polynomial of beta^e and the code's zeros,
+    the complement of the negation, lose exactly the coset of -e.  The dual
+    generators are formed after the walk, up to b's last new closure only,
+    since the steps after it are dropped.  The code's generator at the
     last step of b that kept a closure is x^n + 1 over the reciprocal of the
     dual's generator (the code's check polynomial), one exact division; back
     over the earlier steps it gains the minimal polynomial of beta^-e a step.
@@ -805,8 +861,7 @@ def search_self_orthogonal_bch(n: int) -> list[BchSearchHit]:
     for b in range(n):
         # the dual's zero set (the window's closure) and its negation, as masks
         closure = negated = 0
-        dual_g = 1  # the dual's generator
-        steps = []  # (e, closure, negated, dual generator, new) per changed closure
+        steps = []  # (e, closure, negated, new) per changed closure
         for delta in range(2, n + 1):
             e = (b + delta - 2) % n
             if closure >> e & 1:
@@ -817,20 +872,25 @@ def search_self_orthogonal_bch(n: int) -> list[BchSearchHit]:
                 # some i and -i are both dual zeros, so the dual is not a
                 # superset code, here or for any larger delta
                 break
-            dual_g = poly_mul(_coset_minpoly(n, e, fld), dual_g)
-            steps.append((e, closure, negated, dual_g, closure not in seen))
+            steps.append((e, closure, negated, closure not in seen))
             seen.add(closure)
-        while steps and not steps[-1][4]:
+        while steps and not steps[-1][3]:
             steps.pop()
         if not steps:
             continue
-        code_g, rest = poly_divmod(1 << n | 1, poly_reverse(steps[-1][3]))
+        # the dual's generators, up to the last new closure only
+        dual_gs = []
+        dual_g = 1
+        for e, _, _, _ in steps:
+            dual_g = poly_mul(_coset_minpoly(n, e, fld), dual_g)
+            dual_gs.append(dual_g)
+        code_g, rest = poly_divmod(1 << n | 1, poly_reverse(dual_g))
         if rest:
             raise InternalConsistencyError(f"x^{n} + 1 over a check polynomial leaves 0x{rest:X}")
         for i in range(len(steps) - 1, -1, -1):
-            e, closure, negated, dual_g, new = steps[i]
+            e, closure, negated, new = steps[i]
             if new:
-                states.append((closure, negated, dual_g, code_g))
+                states.append((closure, negated, dual_gs[i], code_g))
             if i:
                 code_g = poly_mul(_coset_minpoly(n, -e, fld), code_g)
 

@@ -6,8 +6,9 @@ is a function of the seed alone, so the first t errors of any run are those
 of a t-trial run.  A block is drawn as one ``(trials, n)`` array, which
 equals the same number of successive ``rng.random(n)`` draws.  Its
 non-identity rows stay packed in numpy and are classified together by
-`CssCode.classify_block`, which decodes each distinct syndrome of the block
-once.
+`CssCode.classify_block`, which hands each side's distinct syndromes to
+that side's decoder as one ``decode_block`` call.  `sample_error` is the
+one-row call of the block sampler.
 
 Every trial runs on the calling thread.  `monte_carlo` still takes a
 ``workers`` keyword because callers pass it (among them the benchmark's
@@ -163,11 +164,11 @@ def monte_carlo(
     """Sample, decode and classify `trials` errors; deterministic in `seed`.
 
     Each block of trials is classified at once by `CssCode.classify_block`,
-    one decode per distinct syndrome of a side in the block; the decoders
-    are deterministic, so the report equals that of decoding every trial
-    through `CssCode.decode`.  An identity error is counted as a success
-    without decoding it; its syndrome is zero, which decodes to the
-    identity, and the zero residual lies in the stabilizer.
+    one ``decode_block`` call per side over the block's distinct syndromes;
+    the decoders are deterministic, so the report equals that of decoding
+    every trial through `CssCode.decode`.  An identity error is counted as
+    a success without decoding it; its syndrome is zero, which decodes to
+    the identity, and the zero residual lies in the stabilizer.
 
     Every trial runs on the calling thread.  ``workers`` is accepted for
     callers that pass it, such as the benchmark's check that ``workers=1``

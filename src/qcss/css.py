@@ -9,11 +9,15 @@ component and vice versa.
 Each side of a code has two ``gf2.ParityMap``s, built once: a check map on
 the side's error bits, whose low bits are the syndrome and whose high bits,
 the checks of the other code's dual, vanish exactly on the stabilizer part;
-and a preimage map from a syndrome to a word that has it.  Their ceil(n/8)
-and ceil(k/8) tables of 256 n-bit ints take 0.23 MB for [[127,57,11]]; the
-sides share them when C1 and C2 have one generator.  Each check map is also
-kept as one numpy array (64 KB for [[127,57,11]]), through which
-`CssCode.classify_block` applies it to a whole Monte Carlo block at once.
+and a preimage map from a syndrome to a word that has it.  The sides share
+them when C1 and C2 have one generator.  Each check map is kept both as
+ceil(n/8) tables of 256 ints, for `syndrome` and `residual_is_logical`, and
+as one numpy array (64 KB for [[127,57,11]]); the preimage map only as a
+numpy array.  Through those arrays `CssCode.classify_block` decodes a whole
+Monte Carlo block at once: per side, one gather of the check map, one of
+the preimage map over the block's distinct syndromes, one ``decode_block``
+call of the side's decoder and one XOR for the estimates.  `CssCode.decode`
+is that path on one syndrome, through the decoder's one-row ``decode_word``.
 """
 from __future__ import annotations
 
@@ -32,8 +36,22 @@ from .errors import (
     PreconditionError,
     ResourceLimit,
 )
-from .gf2 import BitVector, ParityMap, apply_packed, pack_rows, parities, preimages
-from .gf2 import bytes_as_ints, ints_as_bytes
+from .gf2 import (
+    BitVector,
+    ParityMap,
+    apply_packed,
+    bools_as_bytes,
+    bytes_as_ints,
+    check_block,
+    ints_as_bytes,
+    pack_rows,
+    packed_parities,
+    packed_table,
+    parities,
+    preimages,
+    word_block,
+    words_as_bytes,
+)
 
 # largest parity-check count a LookupDecoder accepts: its table has 2^k entries
 LOOKUP_MAX_ROWS = 16
@@ -115,15 +133,40 @@ class Syndrome:
         return self.s_x.bits == 0 and self.s_z.bits == 0
 
 
-class WordDecoder(Protocol):
-    """Classical decoder interface: ``decode_word`` maps a received n-bit
-    word to a codeword, raises DecodingFailure when the word is beyond the
-    decoder's reach and InvalidInput when it is negative or has a bit at or
-    above n.  Every error of weight at most ``radius`` is corrected."""
+class BlockDecoder(Protocol):
+    """Classical decoder interface.
+
+    ``decode_block`` takes a (count, ceil(n/8)) uint8 block, row r the
+    little-endian bytes of a received n-bit word (``gf2.check_block``'s
+    layout), and returns the decoded block in the same layout and a (count,)
+    uint8 failure code: 0 where the row decoded to a codeword, a nonzero
+    decoder-specific code where it is beyond the decoder's reach, and there
+    the row is the received word.  It raises InvalidInput on a block of
+    another shape or dtype or with a bit at or above n.  ``decode_word`` is
+    its one-row call: it maps an int to a codeword int and raises
+    DecodingFailure, with the message of the row's failure code, or
+    InvalidInput for a word that is negative or has a bit at or above n.
+    Every error of weight at most ``radius`` is corrected.  A decoder with
+    only ``decode_word`` also plugs into `CssCode`, which then decodes a
+    block row by row."""
 
     radius: int
 
+    def decode_block(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]: ...
+
     def decode_word(self, bits: int) -> int: ...
+
+
+# patterns of one weight that LookupDecoder takes the syndromes of at once
+_LEADER_CHUNK = 1 << 12
+
+
+def _supports(n: int, weight: int):
+    """The supports of the given weight in ``itertools.combinations`` order,
+    as (count, weight) index arrays of at most _LEADER_CHUNK rows."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), weight))
+    while (chunk := np.fromiter(itertools.islice(flat, _LEADER_CHUNK * weight), np.intp)).size:
+        yield chunk.reshape(-1, weight)
 
 
 class LookupDecoder:
@@ -134,7 +177,10 @@ class LookupDecoder:
     ties resolved by enumeration order, so the table is deterministic.
     ``radius`` is the largest t such that all patterns of weight at most t
     have distinct syndromes: one less than the first weight at which a
-    pattern's syndrome is already taken.
+    pattern's syndrome is already taken.  The table is a (2^k, ceil(n/8))
+    uint8 array of leaders indexed by syndrome, so a block decodes with one
+    gather; a syndrome that no pattern within ``max_weight`` reaches has no
+    leader, failure code 1.
     """
 
     def __init__(self, parity: LinearCode, max_weight: int | None = None):
@@ -144,33 +190,40 @@ class LookupDecoder:
                 f"of 2^{LOOKUP_MAX_ROWS}"
             )
         self.parity = parity
-        n = parity.n
-        self._syndromes = syndromes = ParityMap.from_rows(parity.generator.row_bits(), n)
-        size = 1 << parity.k
-        table: dict[int, int] = {0: 0}
+        self.n = n = parity.n
+        self._syndromes = packed_parities(parity.generator.row_bits(), n)
+        self._leaders = np.zeros((1 << parity.k, (n + 7) // 8), dtype=np.uint8)
+        self._known = known = np.zeros(1 << parity.k, dtype=bool)
+        known[0] = True
         cap = max_weight if max_weight is not None else n
+        units = bools_as_bytes(np.eye(n, dtype=bool))  # row p: the word with bit p
         weight = 1
         collision = None  # the first weight at which a syndrome repeats
-        while len(table) < size and weight <= cap:
-            for support in itertools.combinations(range(n), weight):
-                e = sum(1 << p for p in support)
-                s = syndromes(e)
-                if s not in table:
-                    table[s] = e
-                elif collision is None:
+        while not known.all() and weight <= cap:
+            for chunk in _supports(n, weight):
+                patterns = np.bitwise_or.reduce(units[chunk], axis=1)
+                s = apply_packed(self._syndromes, patterns)[:, 0]
+                # the first pattern of each syndrome, in enumeration order
+                distinct, first = np.unique(s, return_index=True)
+                fresh = ~known[distinct]
+                if collision is None and (len(distinct) < len(s) or not fresh.all()):
                     collision = weight
+                self._leaders[distinct[fresh]] = patterns[first[fresh]]
+                known[distinct[fresh]] = True
             weight += 1
-        self._table = table
-        self.n = n
         self.radius = (weight if collision is None else collision) - 1
 
+    def decode_block(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        check_block(words, self.n)
+        s = apply_packed(self._syndromes, words)[:, 0]
+        known = self._known[s]
+        return words ^ self._leaders[s], (~known).view(np.uint8)
+
     def decode_word(self, bits: int) -> int:
-        if bits >> self.n:
-            raise InvalidInput(f"received word has bits beyond length {self.n}")
-        e = self._table.get(self._syndromes(bits))
-        if e is None:
+        decoded, failure = self.decode_block(word_block(bits, self.n))
+        if failure[0]:
             raise DecodingFailure("syndrome outside the coset-leader table")
-        return bits ^ e
+        return bytes_as_ints(decoded)[0]
 
 
 class CssCode:
@@ -185,8 +238,8 @@ class CssCode:
         self,
         c1: LinearCode,
         c2: LinearCode,
-        decoder1: WordDecoder | None = None,
-        decoder2: WordDecoder | None = None,
+        decoder1: BlockDecoder | None = None,
+        decoder2: BlockDecoder | None = None,
         distance: int | None = None,
     ):
         if c1.n != c2.n:
@@ -203,22 +256,20 @@ class CssCode:
         self.distance = distance
         self._mask1, self._mask2 = (1 << c1.k) - 1, (1 << c2.k) - 1
         # z bits -> s_x, then the checks of C2's dual; x bits likewise
-        self._z_checks, self._preimage1 = _check_map(c1, c2), _preimage_map(c1)
+        self._z_checks, self._z_table = _check_maps(c1, c2)
+        self._preimage1 = _preimage_table(c1)
         if c1.generator == c2.generator:
-            self._x_checks, self._preimage2 = self._z_checks, self._preimage1
+            self._x_checks, self._x_table = self._z_checks, self._z_table
+            self._preimage2 = self._preimage1
         else:
-            self._x_checks, self._preimage2 = _check_map(c2, c1), _preimage_map(c2)
-        # the check maps as numpy tables, for classify_block
-        self._z_table = self._z_checks.packed_table()
-        self._x_table = (
-            self._z_table if self._x_checks is self._z_checks else self._x_checks.packed_table()
-        )
+            self._x_checks, self._x_table = _check_maps(c2, c1)
+            self._preimage2 = _preimage_table(c2)
 
     @classmethod
     def from_self_orthogonal(
         cls,
         code: LinearCode,
-        decoder: WordDecoder | None = None,
+        decoder: BlockDecoder | None = None,
         distance: int | None = None,
     ) -> "CssCode":
         if not code.is_self_orthogonal():
@@ -243,23 +294,31 @@ class CssCode:
         return Syndrome(s_x=BitVector(self.c1.k, s_x), s_z=BitVector(self.c2.k, s_z))
 
     def decode(self, syndrome: Syndrome) -> PauliError:
+        """The estimate of a syndrome, z side first: the side path of
+        `classify_block` on one syndrome, with the decoder's one-row
+        ``decode_word`` so that a failure carries its message."""
         if syndrome.s_x.n != self.c1.k or syndrome.s_z.n != self.c2.k:
             raise InvalidInput(f"syndrome lengths {syndrome.s_x.n}, {syndrome.s_z.n} do not fit")
-        z_hat = self._decode_side(syndrome.s_x.bits, self._preimage1, self.decoder1, "z")
-        x_hat = self._decode_side(syndrome.s_z.bits, self._preimage2, self.decoder2, "x")
+        z_hat = self._decode_one(syndrome.s_x, self._preimage1, self.decoder1, "z")
+        x_hat = self._decode_one(syndrome.s_z, self._preimage2, self.decoder2, "x")
         return PauliError(self.n, x_hat, z_hat)
 
-    def _decode_side(self, s: int, preimage: ParityMap, decoder, side: str) -> int:
-        if s == 0:
+    def _decode_one(self, s: BitVector, preimage: np.ndarray, decoder, side: str) -> int:
+        if s.bits == 0:
             return 0
         if decoder is None:
             raise DecodingFailure(f"no decoder attached for the {side} component", side=side)
-        word = preimage(s)
+        word = bytes_as_ints(self._preimages(word_block(s.bits, s.n), preimage))[0]
         try:
             codeword = decoder.decode_word(word)
         except DecodingFailure as exc:
             raise DecodingFailure(f"{side}-component decoding failed: {exc}", side=side) from exc
         return word ^ codeword
+
+    def _preimages(self, syndromes: np.ndarray, preimage: np.ndarray) -> np.ndarray:
+        """Words with the syndromes of a (count, ceil(k/8)) uint8 block, as a
+        (count, ceil(n/8)) block."""
+        return words_as_bytes(apply_packed(preimage, syndromes), self.n)
 
     def residual_is_logical(self, error: PauliError, estimate: PauliError) -> bool:
         """True when error and estimate differ by more than a stabilizer.
@@ -286,19 +345,20 @@ class CssCode:
         the little-endian bytes of error r's x and z bits.  As in `decode`
         the z side comes first: a row on which both sides fail is a z
         failure, and the x side of a z failure is not decoded.  Each side
-        decodes each distinct syndrome of the block once.
+        decodes the block's distinct syndromes with one ``decode_block``
+        call of its decoder.
         """
         width = (self.n + 7) // 8
         for bits in (x, z):
             if bits.dtype != np.uint8 or bits.shape != (len(x), width):
                 raise InvalidInput(f"a block must be two ({len(x)}, {width}) uint8 arrays")
         z_failed, z_bad, z_logical = self._classify_side(
-            z, self._z_table, self.c1.k, self._preimage1, self.decoder1, "z"
+            z, self._z_table, self.c1.k, self._preimage1, self.decoder1
         )
         rest = ~z_failed
         x_failed, x_bad, x_logical = (np.zeros_like(z_failed) for _ in range(3))
         x_failed[rest], x_bad[rest], x_logical[rest] = self._classify_side(
-            x[rest], self._x_table, self.c2.k, self._preimage2, self.decoder2, "x"
+            x[rest], self._x_table, self.c2.k, self._preimage2, self.decoder2
         )
         if (rest & ~x_failed & (z_bad | x_bad)).any():
             raise InternalConsistencyError("estimate does not match the observed syndrome")
@@ -306,26 +366,46 @@ class CssCode:
             [z_failed, x_failed, z_logical | x_logical], [Z_FAILURE, X_FAILURE, LOGICAL], SUCCESS
         )
 
-    def _classify_side(self, packed, table, k, preimage, decoder, side):
+    def _classify_side(self, packed, table, k, preimage, decoder):
         """Per row of one side: (decoding failed, residual syndrome nonzero,
         residual outside the stabilizer).  The checks are linear, so a
         row's residual checks are its own XOR those of its estimate, and
-        the estimate depends on the syndrome alone."""
+        the estimate depends on the syndrome alone.  The distinct nonzero
+        syndromes go to the decoder as one block; a zero syndrome's estimate
+        is zero and reaches no decoder."""
         checks = apply_packed(table, packed)
         low = pack_rows([(1 << k) - 1], 64 * table.shape[2])
         # only the syndrome's own words, so that k <= 64 sorts one word a row
         syndromes, inverse = _unique_rows((checks & low)[:, : max(1, -(-k // 64))])
+        live = syndromes.any(axis=1)
+        words = self._preimages(words_as_bytes(syndromes[live], k), preimage)
         failed = np.zeros(len(syndromes), dtype=bool)
-        estimates = []
-        for j, s in enumerate(bytes_as_ints(syndromes)):
-            try:
-                e = self._decode_side(s, preimage, decoder, side)
-            except DecodingFailure:
-                failed[j], e = True, 0
-            estimates.append(e)
-        est = ints_as_bytes(estimates, packed.shape[1])
-        residual = checks ^ apply_packed(table, est)[inverse]
+        estimates = np.zeros((len(syndromes), packed.shape[1]), dtype=np.uint8)
+        if decoder is None:
+            failed[live] = True
+        elif len(words):
+            decoded, failure = _decode_block(decoder, words)
+            bad = failure.astype(bool)
+            failed[live] = bad
+            estimates[live] = np.where(bad[:, None], 0, words ^ decoded)
+        residual = checks ^ apply_packed(table, estimates)[inverse]
         return failed[inverse], (residual & low).any(axis=1), (residual & ~low).any(axis=1)
+
+
+def _decode_block(decoder, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``decoder.decode_block(words)``; a decoder with only ``decode_word``,
+    the interface before block decoding, decodes row by row, failure code 1
+    where it raises DecodingFailure."""
+    if hasattr(decoder, "decode_block"):
+        return decoder.decode_block(words)
+    decoded, failure = [], np.zeros(len(words), dtype=np.uint8)
+    for j, bits in enumerate(bytes_as_ints(words)):
+        try:
+            decoded.append(decoder.decode_word(bits))
+        except DecodingFailure:
+            decoded.append(bits)
+            failure[j] = 1
+    return ints_as_bytes(decoded, words.shape[1]), failure
 
 
 def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -339,17 +419,19 @@ def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a[first], inverse
 
 
-def _check_map(syndrome_code: LinearCode, stabilizer_code: LinearCode) -> ParityMap:
+def _check_maps(syndrome_code: LinearCode, stabilizer_code: LinearCode):
     """Parities with the rows of ``syndrome_code``, then with the dual of
-    ``stabilizer_code``: those high bits vanish exactly on that code."""
+    ``stabilizer_code``: those high bits vanish exactly on that code.  As a
+    ParityMap, for one error, and as ``apply_packed``'s table, for a block."""
     rows = syndrome_code.generator.row_bits() + stabilizer_code.dual().generator.row_bits()
-    return ParityMap.from_rows(rows, syndrome_code.n)
+    n = syndrome_code.n
+    return ParityMap.from_rows(rows, n), packed_parities(rows, n)
 
 
-def _preimage_map(code: LinearCode) -> ParityMap:
-    """The map s -> w with G w = s: bit j of s maps to ``gf2.preimages``'s
-    word for e_j."""
-    return ParityMap(preimages(code.generator.row_bits(), code.n)[0])
+def _preimage_table(code: LinearCode) -> np.ndarray:
+    """The map s -> w with G w = s, as ``apply_packed``'s table: bit j of s
+    maps to ``gf2.preimages``'s word for e_j."""
+    return packed_table(preimages(code.generator.row_bits(), code.n)[0], code.n)
 
 
 # -- assembly helpers ----------------------------------------------------------

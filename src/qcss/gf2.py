@@ -8,8 +8,11 @@ between ints and rows of bytes, ``bools_as_bytes`` and ``bytes_as_bools``
 between rows of bools and those bytes.  Each GF(2)-linear job
 of the package has one routine here: ``insert_rows`` (basis insertion, the
 first phase of ``rref``), ``preimages`` (words with given parities, and a
-kernel) and ``ParityMap`` (a fixed matrix applied to many words, one at a
-time or, through ``apply_packed``, a numpy block at once).
+kernel) and ``ParityMap`` (a fixed matrix applied to many words one at a
+time) with its numpy twin ``packed_table``, which ``apply_packed`` applies
+to a block of words at once.  A decoder's block is ``check_block``'s
+(count, ceil(n/8)) uint8 array, and ``word_block`` makes the one-row block
+of a single word.
 """
 from __future__ import annotations
 
@@ -328,25 +331,77 @@ class ParityMap:
         tables = self.tables
         return reduce(xor, map(getitem, tables, word.to_bytes(len(tables), "little")), 0)
 
-    def packed_table(self) -> np.ndarray:
-        """The tables as one (bytes, 256, words) uint64 array for
-        ``apply_packed``: entry [k, v] is table k's image of byte v, split
-        into 64-bit words, low word first.  It is built on request, so maps
-        that are only applied one word at a time never pay for it."""
-        width = max((max(t).bit_length() for t in self.tables), default=0)
-        packed = pack_rows([v for t in self.tables for v in t], width)
-        return packed.reshape(len(self.tables), 256, packed.shape[1])
+
+def packed_table(images: Sequence[int], width: int) -> np.ndarray:
+    """The map whose c columns are ``images``, each below 2^``width``, as
+    one (ceil(c/8), 256, ceil(width/64)) uint64 array for ``apply_packed``:
+    entry [k, v] is the XOR of the images of v's set bits at 8k..8k+7,
+    split into 64-bit words, low word first, however narrow the images
+    are.  ``ParityMap``'s tables with numpy words: the entries of a last
+    partial byte with bits beyond c stay zero.  Built in numpy, entries
+    2^j..2^(j+1)-1 from the lower ones, with no Python int per entry."""
+    if any(image < 0 or image >> width for image in images):
+        raise InvalidInput(f"an image has bits beyond the output width {width}")
+    columns = pack_rows(images, width)
+    nbytes = -(-len(images) // 8)
+    bits = np.zeros((8 * nbytes, columns.shape[1]), dtype=np.uint64)
+    bits[: len(images)] = columns
+    bits = bits.reshape(nbytes, 8, columns.shape[1])
+    table = np.zeros((nbytes, 256, columns.shape[1]), dtype=np.uint64)
+    for j in range(8):
+        table[:, 1 << j : 2 << j] = table[:, : 1 << j] ^ bits[:, j, None]
+    if len(images) % 8:
+        table[-1, 1 << len(images) % 8 :] = 0
+    return table
+
+
+def packed_parities(rows: Sequence[int], cols: int) -> np.ndarray:
+    """``packed_table`` of the map ``word -> parities(rows, word)`` on
+    words of ``cols`` bits."""
+    return packed_table(BitMatrix(cols, rows).transpose().row_bits(), len(rows))
 
 
 def apply_packed(table: np.ndarray, packed: np.ndarray) -> np.ndarray:
     """The images of many words under one map, ``table`` being its
-    ``ParityMap.packed_table()``.  Row r of ``packed``, a (count, bytes)
+    ``packed_table``.  Row r of ``packed``, a (count, bytes)
     uint8 array, is a word's little-endian bytes; row r of the (count,
     words) uint64 result is its image.  One gather and one XOR per byte."""
     out = np.zeros((packed.shape[0], table.shape[2]), dtype=table.dtype)
     for k, byte_table in enumerate(table):
         out ^= byte_table.take(packed[:, k], axis=0)
     return out
+
+
+def words_as_bytes(words: np.ndarray, n: int) -> np.ndarray:
+    """The first ceil(n/8) bytes of each row of a (count, words) uint64
+    array, such as ``apply_packed`` returns, as a (count, ceil(n/8)) uint8
+    view: the layout of ``ints_as_bytes``."""
+    return words.view(np.uint8)[:, : (n + 7) // 8]
+
+
+def check_block(words: np.ndarray, n: int) -> None:
+    """Refuse anything but a (count, ceil(n/8)) uint8 block of n-bit words."""
+    width = (n + 7) // 8
+    if words.dtype != np.uint8 or words.ndim != 2 or words.shape[1] != width:
+        raise InvalidInput(f"a block of {n}-bit words is a (count, {width}) uint8 array")
+    if n % 8 and len(words) and (words[:, -1] >> (n % 8)).any():
+        raise InvalidInput(f"received word has bits beyond length {n}")
+
+
+def decode_in_slices(decode_block, words: np.ndarray, rows: int):
+    """``decode_block`` on slices of at most ``rows`` rows of ``words``, its
+    (decoded, failure) results joined: a decoder whose work arrays grow
+    with rows times a large dimension keeps them bounded this way."""
+    parts = [decode_block(words[lo : lo + rows]) for lo in range(0, len(words), rows)]
+    return np.concatenate([d for d, _ in parts]), np.concatenate([f for _, f in parts])
+
+
+def word_block(bits: int, n: int) -> np.ndarray:
+    """One n-bit word as a one-row block, refusing one that is negative or
+    has a bit at or above n."""
+    if bits < 0 or bits >> n:
+        raise InvalidInput(f"received word has bits beyond length {n}")
+    return ints_as_bytes([bits], (n + 7) // 8)
 
 
 def in_rowspace(m_rref: BitMatrix, pivots: Sequence[int], v: BitVector) -> bool:

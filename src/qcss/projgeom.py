@@ -26,7 +26,19 @@ from .errors import (
     ResourceLimit,
     UnsupportedConfiguration,
 )
-from .gf2 import BitMatrix, ParityMap, bools_as_bytes, bytes_as_ints
+from .gf2 import (
+    BitMatrix,
+    apply_packed,
+    bools_as_bytes,
+    bytes_as_bools,
+    bytes_as_ints,
+    check_block,
+    decode_in_slices,
+    ints_as_bytes,
+    packed_parities,
+    packed_table,
+    word_block,
+)
 
 # Most coordinates a geometry may list (q^(k+1) vectors of k+1 each) and most
 # span coordinates or incidence entries one space enumeration may build.
@@ -35,6 +47,10 @@ GEOMETRY_BUDGET = 1 << 22
 
 # span coordinates of one block of bases in enumerate_spaces
 _SPAN_CELLS = 1 << 16
+
+# most violated-check cells (rows x checks) of one RudolphDecoder product; a
+# larger block is decoded in row slices
+_CHECK_CELLS = 1 << 20
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
@@ -320,7 +336,16 @@ class RudolphDecoder:
     ``code`` is the span of the incidence rows that the caller has built:
     ``build_so_code(cfg)``, or the plain span of ``cfg.incidence``.  It is
     extended when it has one coordinate more than the configuration's points.
+
+    A block decodes at once: its violated checks by one gather of a packed
+    table, the violated checks through every point by one float32 product
+    with the incidence matrix, and the radius and syndrome tests of both
+    hypotheses on whole arrays; a block of more than _CHECK_CELLS / b rows
+    goes in row slices.
     """
+
+    NO_CODEWORD = 1  # failure code: no hypothesis reaches a codeword within the radius
+    TIE = 2  # failure code: both hypotheses do, at equal distance
 
     def __init__(self, cfg: Configuration, code: LinearCode, radius: int | None = None):
         if code.n not in (cfg.v, cfg.v + 1):
@@ -329,56 +354,73 @@ class RudolphDecoder:
             )
         self.cfg = cfg
         self.extended = extended = code.n == cfg.v + 1
-        self.checks = cfg.incidence.row_bits()
         self.v = cfg.v
         self.n = code.n
         # bit i of column j is set when check i passes through point j
-        self._columns = cfg.incidence.transpose().row_bits()
-        if any(column.bit_count() != cfg.r for column in self._columns):
+        columns = cfg.incidence.transpose().row_bits()
+        if any(column.bit_count() != cfg.r for column in columns):
             raise InvalidInput("a point does not lie on exactly r checks")
-        # points -> violated checks, and a word -> its syndrome in the code
-        self._violated = ParityMap(self._columns)
-        self._syndrome = ParityMap.from_rows(code.generator.row_bits(), code.n)
+        # points -> violated checks, the checks through each point, and a
+        # word -> its syndrome in the code
+        self._violated = packed_table(columns, cfg.b)
+        self._incidence = bytes_as_bools(
+            ints_as_bytes(cfg.incidence.row_bits(), (cfg.v + 7) // 8), cfg.v
+        ).astype(np.float32)
+        self._syndrome = packed_parities(code.generator.row_bits(), code.n)
         self.one_step_bound = cfg.one_step_bound
         self.two_pass_bound = cfg.two_pass_bound
         if radius is None:
             radius = self.two_pass_bound if extended else self.one_step_bound
         self.radius = radius
 
-    def _majority_pass(self, violated: int) -> tuple[int, int]:
-        """Points through which a strict majority of the r checks are
-        violated, for the appended bit 0 and for 1; bit i of ``violated`` is
-        set when check i is violated with the appended bit 0.  The appended
-        bit 1 flips every check, so c violated checks through a point become
-        r - c."""
-        r = self.cfg.r
-        flips0 = flips1 = 0
-        for j, column in enumerate(self._columns):
-            twice = 2 * (violated & column).bit_count()
-            if twice > r:
-                flips0 |= 1 << j
-            elif twice < r:
-                flips1 |= 1 << j
-        return flips0, flips1
+    def _majority_block(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per row of a (count, ceil(v/8)) block of point words, the points
+        through which a strict majority of the r checks are violated, for
+        the appended bit 0 and for 1, as (count, v) bool arrays.  The
+        appended bit 1 flips every check, so c violated checks through a
+        point become r - c."""
+        violated = bytes_as_bools(apply_packed(self._violated, points).view(np.uint8), self.cfg.b)
+        twice = 2 * (violated.astype(np.float32) @ self._incidence)
+        return twice > self.cfg.r, twice < self.cfg.r
+
+    def decode_block(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        check_block(words, self.n)
+        rows = max(1, _CHECK_CELLS // self.cfg.b)
+        if len(words) > rows:
+            return decode_in_slices(self.decode_block, words, rows)
+        v = self.v
+        bits = bytes_as_bools(words, self.n)
+        points = bits[:, :v]
+        passes = self._majority_block(bools_as_bytes(points))
+        outs, weights, ok = [], [], []
+        for hypothesis, flips in enumerate(passes[: 1 + self.extended]):
+            out = bits.copy()
+            out[:, :v] ^= flips
+            weight = flips.sum(axis=1)
+            if self.extended:
+                out[:, v] = hypothesis
+                weight += bits[:, v] != hypothesis
+            out = bools_as_bytes(out)
+            outs.append(out)
+            weights.append(weight)
+            ok.append((weight <= self.radius) & ~apply_packed(self._syndrome, out).any(axis=1))
+        if not self.extended:
+            failure = np.where(ok[0], 0, self.NO_CODEWORD).astype(np.uint8)
+            return np.where(ok[0][:, None], outs[0], words), failure
+        # the lighter consistent hypothesis wins; two at one weight are a tie
+        pick1 = ok[1] & (~ok[0] | (weights[1] < weights[0]))
+        tie = ok[0] & ok[1] & (weights[0] == weights[1])
+        failure = np.where(ok[0] | ok[1], self.TIE * tie, self.NO_CODEWORD).astype(np.uint8)
+        decoded = np.where(pick1[:, None], outs[1], outs[0])
+        return np.where(failure[:, None] == 0, decoded, words), failure
 
     def decode_word(self, bits: int) -> int:
-        if bits >> self.n:
-            raise InvalidInput(f"received word has bits beyond length {self.n}")
-        points = bits & ((1 << self.v) - 1)
-        passes = self._majority_pass(self._violated(points))
-        candidates = []
-        for hypothesis, flips in enumerate(passes if self.extended else passes[:1]):
-            out = points ^ flips | hypothesis << self.v
-            weight = (out ^ bits).bit_count()
-            if weight <= self.radius and not self._syndrome(out):
-                candidates.append((weight, out))
-        if not candidates:
+        decoded, failure = self.decode_block(word_block(bits, self.n))
+        if failure[0] == self.TIE:
+            raise DecodingFailure("both appended-bit hypotheses decode equally well")
+        if failure[0]:
             raise DecodingFailure(
                 "neither hypothesis for the appended bit decodes" if self.extended
                 else "majority vote did not reach a codeword"
             )
-        candidates.sort()
-        if len(candidates) == 2 and candidates[0][0] == candidates[1][0] \
-                and candidates[0][1] != candidates[1][1]:
-            raise DecodingFailure("both appended-bit hypotheses decode equally well")
-        return candidates[0][1]
+        return bytes_as_ints(decoded)[0]

@@ -15,7 +15,16 @@ import numpy as np
 
 from .codes import LinearCode
 from .errors import DecodingFailure, InvalidInput, ResourceLimit
-from .gf2 import BitMatrix, bools_as_bytes, bytes_as_ints
+from .gf2 import (
+    BitMatrix,
+    bools_as_bytes,
+    bytes_as_bools,
+    bytes_as_ints,
+    check_block,
+    decode_in_slices,
+    ints_as_bytes,
+    word_block,
+)
 
 # Most generator bits (k rows of 2^m) `rm_generator` builds; RM(7, r) takes 2^14.
 REED_MULLER_BUDGET = 1 << 22
@@ -59,61 +68,68 @@ def rm_generator(m: int, r: int) -> RmCode:
     return RmCode(m=m, r=r, code=LinearCode(BitMatrix(n, rows)), monomials=monomials)
 
 
-def _subsets(mask: int):
-    """The submasks of ``mask`` in increasing order."""
-    a = 0
-    while True:
-        yield a
-        if a == mask:
-            return
-        a = (a - mask) & mask
-
-
-def _vote_masks(m: int, variables: tuple[int, ...]) -> list[int]:
-    """Characteristic sets of one monomial: for each assignment of the
-    complementary variables, the 2^deg points where they take that value.
-
-    ``base`` is the subcube on the monomial's variables; an assignment, read
-    as the point with those bits set, shifts it into place."""
-    inside = sum(1 << i for i in variables)
-    base = sum(1 << t for t in _subsets(inside))
-    return [base << a for a in _subsets(((1 << m) - 1) ^ inside)]
+# most cells (rows x characteristic-set points of one layer) that
+# ReedDecoder gathers at once; a larger block is decoded in row slices
+_VOTE_CELLS = 1 << 22
 
 
 class ReedDecoder:
-    """Majority-vote decoder; corrects up to (2^(m-r) - 1) // 2 errors."""
+    """Majority-vote decoder; corrects up to (2^(m-r) - 1) // 2 errors.
+
+    The votes on a monomial's coefficient are the parities of the residual
+    word over its characteristic sets: for each assignment of the other
+    variables, the 2^deg points where they take that value.  A layer of
+    monomials of one degree keeps the points of all their sets as one
+    (monomials, 2^(m-deg), 2^deg) index array, so a block's votes on the
+    whole layer are one gather and one XOR reduction, and the layer's
+    codeword part is one product of the winning coefficients with the
+    layer's generator rows.
+    """
 
     def __init__(self, rm: RmCode):
         self.rm = rm
         self.radius = (rm.design_distance() - 1) // 2
-        self._masks = [_vote_masks(rm.m, s) for s in rm.monomials]
-        self._rows = rm.code.generator.row_bits()
-        # monomial indices by degree, highest degree first
-        self._layers = [
-            (deg, [idx for idx, s in enumerate(rm.monomials) if len(s) == deg])
-            for deg in range(rm.r, -1, -1)
-        ]
+        points = np.arange(rm.n)
+        rows = rm.code.generator.row_bits()
+        nbytes = (rm.n + 7) // 8
+        # per layer, highest degree first: the points of each monomial's
+        # sets, and the monomials' rows as a float32 0/1 matrix
+        self._layers = []
+        for deg in range(rm.r, -1, -1):
+            picked = [i for i, v in enumerate(rm.monomials) if len(v) == deg]
+            sets = []
+            for i in picked:
+                inside = sum(1 << j for j in rm.monomials[i])
+                cube = points[points & ~inside == 0]  # the subsets of the variables
+                offsets = points[points & inside == 0]  # the assignments of the others
+                sets.append(offsets[:, None] | cube[None, :])
+            layer_rows = bytes_as_bools(ints_as_bytes([rows[i] for i in picked], nbytes), rm.n)
+            self._layers.append((deg, np.array(sets), layer_rows.astype(np.float32)))
 
-    def decode_word(self, bits: int) -> int:
+    def decode_block(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The codeword whose monomial coefficients win each majority vote,
         highest degree first, each layer's codeword part peeled off before
-        the next."""
-        if bits >> self.rm.n:
-            raise InvalidInput(f"received word has bits beyond length {self.rm.n}")
-        rows = self._rows
-        residual = bits
-        for deg, indices in self._layers:
-            layer = 0
-            for idx in indices:
-                ones = 0
-                masks = self._masks[idx]
-                for mask in masks:
-                    ones += (residual & mask).bit_count() & 1
-                if 2 * ones == len(masks):
-                    raise DecodingFailure(
-                        f"tied majority vote on a degree-{deg} coefficient"
-                    )
-                if 2 * ones > len(masks):
-                    layer ^= rows[idx]
-            residual ^= layer
-        return bits ^ residual
+        the next.  Failure code deg + 1: a tied vote on a coefficient of
+        degree deg, the first in that order."""
+        check_block(words, self.rm.n)
+        rows = max(1, _VOTE_CELLS // max(sets.size for _, sets, _ in self._layers))
+        if len(words) > rows:
+            return decode_in_slices(self.decode_block, words, rows)
+        residual = bytes_as_bools(words, self.rm.n)
+        # the layers come by decreasing degree, so a row's first tie has
+        # the largest code among its ties
+        failure = np.zeros(len(words), dtype=np.uint8)
+        for deg, sets, rows in self._layers:
+            votes = sets.shape[1]
+            twice = 2 * np.bitwise_xor.reduce(residual[:, sets], axis=3).sum(axis=2)
+            failure = np.maximum(failure, (twice == votes).any(axis=1) * np.uint8(deg + 1))
+            layer = (twice > votes).astype(np.float32) @ rows
+            residual = residual ^ (layer % 2).astype(bool)
+        decoded = words ^ bools_as_bytes(residual)
+        return np.where(failure[:, None] == 0, decoded, words), failure
+
+    def decode_word(self, bits: int) -> int:
+        decoded, failure = self.decode_block(word_block(bits, self.rm.n))
+        if failure[0]:
+            raise DecodingFailure(f"tied majority vote on a degree-{failure[0] - 1} coefficient")
+        return bytes_as_ints(decoded)[0]

@@ -25,7 +25,7 @@ from qcss.css import (
     LookupDecoder,
 )
 from qcss.errors import DecodingFailure
-from qcss.gf2 import BitVector
+from qcss.gf2 import BitVector, bytes_as_ints, ints_as_bytes
 from qcss.named import extended_hamming_8, golay_24, steane_component
 from qcss.projgeom import ProjGeometry, RudolphDecoder, build_so_code, enumerate_spaces
 from qcss.reedmuller import ReedDecoder, rm_generator
@@ -146,26 +146,25 @@ def test_criterion_5_decoder_guarantees():
     all_ok = True
     for name, decoder, code, radius in _classical_decoder_pairs():
         n = code.n
-        checked = 0
-        ok = decoder.radius == radius  # the radius the decoder states
+        codewords, received = [], []
         # exhaustive up to weight min(2, radius)
         for wt in range(1, min(2, radius) + 1):
             for support in itertools.combinations(range(n), wt):
                 cw = _random_codeword(code, rng)
-                noisy = cw
-                for p in support:
-                    noisy ^= 1 << p
-                ok &= decoder.decode_word(noisy) == cw
-                checked += 1
+                codewords.append(cw)
+                received.append(cw ^ sum(1 << p for p in support))
         # sampled patterns at every weight up to the radius
         for wt in range(1, radius + 1):
             for _ in range(RANDOM_TRIALS_PER_WEIGHT):
                 cw = _random_codeword(code, rng)
-                noisy = cw
-                for p in rng.sample(range(n), wt):
-                    noisy ^= 1 << p
-                ok &= decoder.decode_word(noisy) == cw
-                checked += 1
+                codewords.append(cw)
+                received.append(cw ^ sum(1 << p for p in rng.sample(range(n), wt)))
+        # all the words as one block; decode_word is its one-row call
+        decoded, failure = decoder.decode_block(ints_as_bytes(received, (n + 7) // 8))
+        checked = len(received)
+        ok = decoder.radius == radius  # the radius the decoder states
+        ok &= not failure.any() and bytes_as_ints(decoded) == codewords
+        ok &= decoder.decode_word(received[-1]) == codewords[-1]
         print(f"    {name}: {checked} decodes within radius {radius}: {'ok' if ok else 'FAIL'}")
         all_ok &= ok
     _verdict("criterion 5a: classical decoders perfect within radius", all_ok)

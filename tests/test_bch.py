@@ -51,7 +51,7 @@ from qcss.errors import (
     PreconditionError,
     ResourceLimit,
 )
-from qcss.gf2 import BitVector
+from qcss.gf2 import BitVector, bytes_as_ints, ints_as_bytes
 from qcss.tables import TABLE1_ROWS
 
 
@@ -470,6 +470,23 @@ def test_search_hit_counts(n, count):
     assert len({h.code_spec.zero_set for h in hits}) == count
 
 
+def test_search_forms_dual_generators_only_up_to_the_last_new_closure(monkeypatch):
+    # n = 127: 463 forward products, one per kept step up to each start's
+    # last new closure, and 362 backward ones; walking every step that
+    # changes a closure made 141 forward products more (966 in all)
+    calls = []
+    multiply = bch.poly_mul
+
+    def counted(a, b):
+        calls.append((a, b))
+        return multiply(a, b)
+
+    monkeypatch.setattr(bch, "poly_mul", counted)
+    hits = search_self_orthogonal_bch(127)
+    assert len(calls) == 825
+    assert len(hits) == 360
+
+
 def _closed_set_batch(n, rng, count):
     cosets = sorted({cyclotomic_coset(e, n) for e in range(n)})
     samples = [(), tuple(range(1, n)), tuple(range(n))]
@@ -654,6 +671,70 @@ def test_bm_decode_matches_field_oracle(make_spec, per_weight):
     assert outcomes["positions"] and (outcomes["failure"] or spec.delta == 3)
 
 
+# the failure codes of a block decode, by the start of decode_word's message
+_BM_FAILURES = {
+    1: "DecodingFailure: error weight exceeds the designed radius",
+    2: "DecodingFailure: locator of degree",
+    3: "DecodingFailure: corrected word fails the zero-set check",
+}
+
+
+def _bm_block_outcomes(spec, words):
+    """decode_block on all the words at once: each row's error pattern, or
+    its failure code's message start; a failed row is the received word."""
+    decoded, failure = BchDecoder(spec).decode_block(ints_as_bytes(words, (spec.n + 7) // 8))
+    out = []
+    for bits, word, code in zip(words, bytes_as_ints(decoded), failure.tolist()):
+        assert not code or word == bits
+        out.append(_BM_FAILURES[code] if code else bits ^ word)
+    return out
+
+
+def _same_outcome(block, oracle):
+    return block == oracle or isinstance(oracle, str) and oracle.startswith(block)
+
+
+@pytest.mark.parametrize("make_spec", [
+    lambda: bch_generator(15, 1, 7),
+    lambda: bch_generator(31, 3, 7),
+    lambda: bch_generator(63, 1, 9),
+    lambda: bch_generator(63, 5, 7),
+    lambda: spec_from_zero_set(93, zero_set_of_polynomial(93, 0x3E3E4297282E6B)).dual_spec(),
+    _bch127_dual,
+], ids=["15-7", "31-b3-7", "63-9", "63-b5-7", "93-dual", "127-dual"])
+def test_bm_block_matches_field_oracle(make_spec):
+    # the 127 dual is the benchmark's non-narrow-sense window (b = 117,
+    # step = 104); windows of b = 3 and 5 leave zeros beyond their closure,
+    # so their words reach the zero-set check
+    spec = make_spec()
+    rng = random.Random(spec.n * 1000 + spec.delta + 1)
+    words = _decoder_test_words(spec, rng, 20)
+    want = [_outcome(_oracle_bm_decode, spec, bits) for bits in words]
+    got = _bm_block_outcomes(spec, words)
+    assert all(_same_outcome(g, w) for g, w in zip(got, want))
+    # decode_word, the one-row call, rebuilds the oracle's messages exactly
+    assert [_outcome(bm_decode, spec, bits) for bits in words[::7]] == want[::7]
+    codes = {next((c for c, m in _BM_FAILURES.items() if m == g), 0) for g in got}
+    assert {0, 2} <= codes and (3 in codes) == (spec.b in (3, 5))
+
+
+def test_bm_block_of_no_rows_one_row_and_1024_rows():
+    spec = bch_generator(31, 1, 5)
+    dec = BchDecoder(spec)
+    decoded, failure = dec.decode_block(np.zeros((0, 4), dtype=np.uint8))
+    assert decoded.shape == (0, 4) and failure.shape == (0,)
+    rng = random.Random(1024)
+    words = _decoder_test_words(spec, rng, 150)[:1000]
+    words += [rng.getrandbits(31) for _ in range(1024 - len(words))]
+    want = [_outcome(_oracle_bm_decode, spec, bits) for bits in words]
+    got = _bm_block_outcomes(spec, words)
+    assert len(got) == 1024 and all(_same_outcome(g, w) for g, w in zip(got, want))
+    assert _bm_block_outcomes(spec, words[:1]) == got[:1]
+    for bad in (np.zeros((1, 3), dtype=np.uint8), np.full((1, 4), 0x80, dtype=np.uint8)):
+        with pytest.raises(InvalidInput):
+            dec.decode_block(bad)
+
+
 def test_bch127_dual_window_is_relabelled():
     spec = _bch127_dual()
     assert (spec.b, spec.step, spec.delta) == (117, 104, 11)
@@ -687,15 +768,46 @@ def _byte_values_oracle(position_values, n):
     return byte_values
 
 
+def _position_values_oracle(spec):
+    """Entry p: the values of x^p at the decoder's points by field calls,
+    one lane of 8, 16 or 32 bits a point: the syndromes, then one zero per
+    cyclotomic coset of the zero set."""
+    fld, n = spec.field, spec.n
+    s0 = fld.order // n
+    points = [s0 * spec.step * (spec.b + j) for j in range(spec.delta - 1)]
+    points += [s0 * min(cyclotomic_coset(z, n)) for z in sorted(
+        {min(cyclotomic_coset(z, n)) for z in spec.zero_set})]
+    lane = 8 if fld.m <= 8 else 16 if fld.m <= 16 else 32
+    return [sum(fld.alpha_pow(e * p) << (lane * f) for f, e in enumerate(points))
+            for p in range(n)], lane * len(points)
+
+
 @pytest.mark.parametrize("row", TABLE1_ROWS, ids=lambda row: f"n{row[0]}k{row[1]}d{row[2]}")
 def test_decoder_byte_tables_match_their_former_build(row):
     # every Table-1 dual, the bch127 dual among them
     n, _, _, g = row
     spec = spec_from_zero_set(n, zero_set_of_polynomial(n, g)).dual_spec()
     tables = bch._decoder_tables(spec, spec.field.poly)
-    assert tables.values.tables == _byte_values_oracle(tables.position_values, n)
-    # the field's own arrays, not per-spec copies
-    assert tables.exp is spec.field._exp and tables.log is spec.field._log
+    position_values, width = _position_values_oracle(spec)
+    want = [v for t in _byte_values_oracle(position_values, n) for v in t]
+    words = -(-width // 64)
+    assert tables.values.shape == ((n + 7) // 8, 256, words)
+    assert bytes_as_ints(tables.values.reshape(-1, words)) == want
+    log, exp = bch._log_exp(spec.field)
+    assert np.array_equal(tables.log, log) and np.array_equal(tables.exp, exp)
+
+
+@pytest.mark.parametrize("m", [2, 5, 8, 9, 16, 17])
+def test_log_exp_products_with_the_zero_sentinel(m):
+    fld = default_field(m)
+    log, exp = bch._log_exp(fld)
+    rng = random.Random(m)
+    elements = [0, 1, fld.order] + [rng.randrange(1 << m) for _ in range(200)]
+    a = np.array(elements * len(elements))
+    b = np.repeat(np.array(elements), len(elements))
+    got = exp.take(log[a] + log[b], mode="clip").tolist()
+    assert got == [fld.mul(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert exp.dtype.itemsize * 8 == (8 if m <= 8 else 16 if m <= 16 else 32)
 
 
 _DECODE_MEMORY = """

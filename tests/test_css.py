@@ -22,6 +22,7 @@ from qcss.css import (
     css_with_lookup,
     symplectic_dot,
 )
+from qcss import css as css_module
 from qcss.codes import LinearCode, random_linear_code, random_self_orthogonal_code
 from qcss.errors import (
     DecodingFailure,
@@ -30,7 +31,7 @@ from qcss.errors import (
     PreconditionError,
     ResourceLimit,
 )
-from qcss.gf2 import BitMatrix, BitVector, in_rowspace, parities, rref
+from qcss.gf2 import BitMatrix, BitVector, bytes_as_ints, in_rowspace, ints_as_bytes, parities, rref
 from qcss.named import steane_component
 
 
@@ -287,18 +288,21 @@ def test_bch_31_11_5_css_exhaustive_weight_two():
     hits = search_self_orthogonal_bch(31)
     hit = next(h for h in hits if h.quantum_k == 11 and h.designed_distance == 5)
     css = css_from_self_orthogonal_cyclic(hit.code_spec, distance=5)
-    for q1, q2 in itertools.combinations(range(31), 2):
-        for k1 in "XYZ":
-            for k2 in "XYZ":
-                err = PauliError.single(31, q1, k1) * PauliError.single(31, q2, k2)
-                est = css.decode(css.syndrome(err))
-                assert not css.residual_is_logical(err, est), (q1, q2, k1, k2)
+    errors = [PauliError.single(31, q1, k1) * PauliError.single(31, q2, k2)
+              for q1, q2 in itertools.combinations(range(31), 2) for k1 in "XYZ" for k2 in "XYZ"]
+    # all of them as one block, and the one-error path on a sample
+    assert _classify(css, errors) == [SUCCESS] * len(errors)
+    for err in random.Random(31).sample(errors, 100):
+        assert not css.residual_is_logical(err, css.decode(css.syndrome(err))), err
 
 
 class _ZeroCodeword:
     """Decodes every word to the zero codeword, so the estimate is the preimage."""
 
     radius = 0
+
+    def decode_block(self, words):
+        return np.zeros_like(words), np.zeros(len(words), dtype=np.uint8)
 
     def decode_word(self, bits: int) -> int:
         return 0
@@ -543,6 +547,80 @@ def test_lookup_outcomes_pinned(case, digest):
     assert hashlib.sha256(repr(outcomes).encode()).hexdigest()[:16] == digest
 
 
+# -- the syndrome dict as the oracle of the leader array -----------------------
+
+
+def _oracle_lookup_table(parity, max_weight=None):
+    """LookupDecoder's table as it was before its array form: a dict from
+    syndrome to leader, filled by weight in enumeration order."""
+    rows, n = parity.generator.row_bits(), parity.n
+    table = {0: 0}
+    cap = max_weight if max_weight is not None else n
+    weight = 1
+    while len(table) < 1 << parity.k and weight <= cap:
+        for support in itertools.combinations(range(n), weight):
+            e = sum(1 << p for p in support)
+            table.setdefault(parities(rows, e), e)
+        weight += 1
+    return table
+
+
+def _oracle_lookup_outcome(parity, table, bits):
+    e = table.get(parities(parity.generator.row_bits(), bits))
+    return "syndrome outside the coset-leader table" if e is None else bits ^ e
+
+
+def _rm_code(m, r):
+    from qcss.reedmuller import rm_generator
+
+    return rm_generator(m, r).code
+
+
+# lookup47's component; both sides of the two-sided lookup16 code, RM(4,1)
+# and RM(4,0); a random code decoded to weight 1 only
+@pytest.mark.parametrize("make_code, max_weight", [
+    (lambda: _x47_component(), None),
+    (lambda: _rm_code(4, 1), None),
+    (lambda: _rm_code(4, 0), None),
+    (lambda: random_linear_code(20, 9, random.Random(20)), 1),
+], ids=["x47", "rm41", "rm40", "random20-weight1"])
+@pytest.mark.parametrize("chunk", [None, 7], ids=["chunks-of-4096", "chunks-of-7"])
+def test_lookup_block_matches_dict_oracle(make_code, max_weight, chunk, monkeypatch):
+    if chunk:  # supports taken 7 at a time: first patterns and repeats across chunks
+        monkeypatch.setattr(css_module, "_LEADER_CHUNK", chunk)
+    code = make_code()
+    dec = LookupDecoder(code, max_weight=max_weight)
+    table = _oracle_lookup_table(code, max_weight)
+    known = np.flatnonzero(dec._known)
+    assert dict(zip(known.tolist(), bytes_as_ints(dec._leaders[known]))) == table
+    rng = random.Random(code.n + code.k)
+    dual = code.dual().generator.row_bits()
+    words = []
+    for weight in range(dec.radius + 4):
+        for _ in range(100):
+            word = _random_word(dual, rng)
+            for p in rng.sample(range(code.n), weight):
+                word ^= 1 << p
+            words.append(word)
+    words = (words + [rng.getrandbits(code.n) for _ in range(1024)])[:1024]
+    want = [_oracle_lookup_outcome(code, table, bits) for bits in words]
+    decoded, failure = dec.decode_block(ints_as_bytes(words, (code.n + 7) // 8))
+    got = ["syndrome outside the coset-leader table" if f else w
+           for w, f in zip(bytes_as_ints(decoded), failure.tolist())]
+    assert got == want
+    assert all(w == bits for w, bits, f in zip(bytes_as_ints(decoded), words, failure) if f)
+    # decode_word is the one-row call, with the oracle's message
+    for bits, w in zip(words[:40], want):
+        try:
+            assert dec.decode_word(bits) == w
+        except DecodingFailure as exc:
+            assert str(exc) == w
+    empty = dec.decode_block(np.zeros((0, (code.n + 7) // 8), dtype=np.uint8))
+    assert empty[0].shape == (0, (code.n + 7) // 8) and empty[1].shape == (0,)
+    # a full table decodes every word; one cut at weight 1 does not
+    assert ({type(o) for o in want} == {int, str}) == (max_weight is not None)
+
+
 def _oracle_lookup_radius(parity):
     """Largest t such that all patterns of weight <= t have distinct
     syndromes, from one parity per row."""
@@ -642,6 +720,10 @@ class _RefusesOddWords:
 
     radius = 0
 
+    def decode_block(self, words):
+        odd = np.bitwise_count(words).sum(axis=1) & 1
+        return np.where(odd[:, None] == 1, words, 0), odd.astype(np.uint8)
+
     def decode_word(self, bits: int) -> int:
         if bits.bit_count() & 1:
             raise DecodingFailure("odd word")
@@ -689,6 +771,10 @@ class _Recording:
     def __init__(self, decoder):
         self.decoder, self.words, self.radius = decoder, [], decoder.radius
 
+    def decode_block(self, words):
+        self.words += bytes_as_ints(words)
+        return self.decoder.decode_block(words)
+
     def decode_word(self, bits: int) -> int:
         self.words.append(bits)
         return self.decoder.decode_word(bits)
@@ -696,6 +782,9 @@ class _Recording:
 
 class _Refuses:
     radius = 0
+
+    def decode_block(self, words):
+        return words, np.ones(len(words), dtype=np.uint8)
 
     def decode_word(self, bits):
         raise DecodingFailure("refused")
@@ -716,7 +805,7 @@ def test_classify_block_decodes_each_syndrome_once_and_z_first():
         assert _classify(css, errors) == want
         syndromes = [css.syndrome(e) for e in errors]
         # the x side of a z failure is not decoded
-        x_words = {css._preimage2(s.s_z.bits) for s, w in zip(syndromes, want)
+        x_words = {_oracle_preimage(code, s.s_z.bits) for s, w in zip(syndromes, want)
                    if s.s_z.bits and w != Z_FAILURE}
         assert len(x_side.words) == len(set(x_side.words))
         assert set(x_side.words) == x_words
@@ -724,7 +813,7 @@ def test_classify_block_decodes_each_syndrome_once_and_z_first():
             assert all((w == Z_FAILURE) == bool(s.s_x.bits) for s, w in zip(syndromes, want))
         else:
             assert sorted(z_side.words) == sorted(
-                {css._preimage1(s.s_x.bits) for s in syndromes if s.s_x.bits}
+                {_oracle_preimage(code, s.s_x.bits) for s in syndromes if s.s_x.bits}
             )
 
 
@@ -732,6 +821,9 @@ class _ReturnsTheWord:
     """A broken decoder: the received word, which is not a codeword."""
 
     radius = 0
+
+    def decode_block(self, words):
+        return words, np.zeros(len(words), dtype=np.uint8)
 
     def decode_word(self, bits: int) -> int:
         return bits
@@ -751,6 +843,60 @@ def test_classify_block_refuses_an_estimate_off_the_syndrome(broken):
     # the other side alone and the identity never reach the broken decoder
     other = PauliError.single(7, 0, "Z" if broken == "x" else "X")
     assert _classify(css, [PauliError.identity(7), other]) == [SUCCESS, SUCCESS]
+
+
+class _WordOnly:
+    """A decoder with only ``decode_word``: the interface before block
+    decoding, which CssCode decodes row by row."""
+
+    def __init__(self, decoder):
+        self.decoder, self.radius = decoder, decoder.radius
+
+    def decode_word(self, bits: int) -> int:
+        return self.decoder.decode_word(bits)
+
+
+def test_classify_block_with_a_decoder_that_only_decodes_words():
+    rng = random.Random(47)
+    for n in (9, 16, 23):
+        c1, c2 = _random_css_pair(n, rng)
+        while max(c1.k, c2.k) > LOOKUP_MAX_ROWS:
+            c1, c2 = _random_css_pair(n, rng)
+        d1, d2 = LookupDecoder(c1, max_weight=1), LookupDecoder(c2, max_weight=1)
+        errors = _block_of_errors(n, rng, 200)
+        want = _classify(CssCode(c1, c2, decoder1=d1, decoder2=d2), errors)
+        css = CssCode(c1, c2, decoder1=_WordOnly(d1), decoder2=_WordOnly(d2))
+        assert _classify(css, errors) == want == [_scalar_outcome(css, e) for e in errors]
+
+
+@pytest.mark.parametrize("make_css", [
+    lambda: css_from_projective_geometry(2, 8, 1, distance=10),
+    lambda: CssCode(*_narrow_preimage_pair(), decoder1=_RefusesOddWords(),
+                    decoder2=_RefusesOddWords()),
+], ids=["pg74", "random70"])
+def test_classify_block_where_preimages_are_narrower_than_a_row(make_css):
+    # every preimage fits in 64 bits, the rows take two words: the preimage
+    # table still yields ceil(n/8) bytes a word
+    css = make_css()
+    widest = max(int.from_bytes(css._preimage1[k, v].tobytes(), "little").bit_length()
+                 for k in range(css._preimage1.shape[0]) for v in range(256))
+    assert widest <= 64 < css.n and css._preimage1.shape[2] == 2
+    rng = random.Random(css.n)
+    errors = _block_of_errors(css.n, rng, 120)
+    errors += [PauliError(css.n, _sparse(css.n, rng, 3), _sparse(css.n, rng, 3)) for _ in range(80)]
+    want = [_scalar_outcome(css, e) for e in errors]
+    assert _classify(css, errors) == want
+    assert len(set(want)) > 1
+
+
+def _narrow_preimage_pair():
+    """C1 of length 70 whose rref pivots, and so its preimages, lie below
+    bit 64, and C2 a subcode of its dual."""
+    rng = random.Random(70)
+    while True:
+        c1, c2 = _random_css_pair(70, rng)
+        if max(c1.pivots) < 64 and max(c2.pivots) < 64:
+            return c1, c2
 
 
 def test_classify_block_refuses_a_block_of_another_shape():

@@ -16,14 +16,18 @@ from qcss.gf2 import (
     bools_as_bytes,
     bytes_as_bools,
     bytes_as_ints,
+    check_block,
     insert_rows,
     ints_as_bytes,
     nullspace_basis,
     pack_rows,
+    packed_parities,
+    packed_table,
     parities,
     preimages,
     rank,
     rref,
+    word_block,
 )
 
 # extended incidence matrix of the 7-point plane, spanning the [8,4,4] code
@@ -330,10 +334,11 @@ def _packed_words(words, cols):
 def test_packed_table_applies_the_map_to_a_block(cols, width):
     rng = random.Random(cols * 1000 + width)
     images = [rng.getrandbits(width) for _ in range(cols)]
-    images[-1] |= 1 << (width - 1)  # the widest image fixes the word count
     pmap = ParityMap(images)
-    table = pmap.packed_table()
+    table = packed_table(images, width)
     assert table.shape == (len(pmap.tables), 256, (width + 63) // 64)
+    # ParityMap's tables entry for entry, unfilled entries of a partial byte included
+    assert bytes_as_ints(table.reshape(-1, table.shape[2])) == [v for t in pmap.tables for v in t]
     assert table.dtype == np.uint64
     words = [rng.getrandbits(cols) for _ in range(60)] + [0, (1 << cols) - 1, 1 << (cols - 1)]
     out = apply_packed(table, _packed_words(words, cols))
@@ -342,8 +347,52 @@ def test_packed_table_applies_the_map_to_a_block(cols, width):
     assert apply_packed(table, _packed_words([], cols)).shape == (0, table.shape[2])
 
 
+@pytest.mark.parametrize("width", [9, 64, 65, 129])
+def test_packed_table_words_follow_the_output_width_not_the_images(width):
+    # images narrower than the output still give ceil(width/64) words a row
+    images = [1 << (j % 5) for j in range(20)]
+    table = packed_table(images, width)
+    assert table.shape == (3, 256, (width + 63) // 64)
+    out = apply_packed(table, _packed_words([0xFFFFF, 1], 20))
+    assert out.shape == (2, (width + 63) // 64)
+    assert [int.from_bytes(row.tobytes(), "little") for row in out] == [0, 1]
+    assert not packed_table([], width).size
+
+
+def test_packed_table_refuses_an_image_beyond_its_width():
+    with pytest.raises(InvalidInput):
+        packed_table([1, 1 << 5], 5)
+    with pytest.raises(InvalidInput):
+        packed_table([-1], 5)
+    assert packed_table([1, 1 << 4], 5).shape == (1, 256, 1)
+
+
+def test_packed_parities_is_the_table_of_the_row_parities():
+    rng = random.Random(13)
+    for cols, count in ((9, 4), (70, 66), (16, 0)):
+        rows = [rng.getrandbits(cols) for _ in range(count)]
+        table = packed_parities(rows, cols)
+        words = [rng.getrandbits(cols) for _ in range(30)]
+        out = apply_packed(table, _packed_words(words, cols))
+        assert bytes_as_ints(out) == [parities(rows, w) for w in words]
+
+
+def test_check_block_and_word_block():
+    check_block(np.zeros((0, 2), dtype=np.uint8), 9)
+    check_block(np.array([[0xFF, 1]], dtype=np.uint8), 9)
+    for bad in (np.zeros((1, 1), dtype=np.uint8), np.zeros((1, 2), dtype=np.uint16),
+                np.zeros(2, dtype=np.uint8), np.array([[0, 2]], dtype=np.uint8)):
+        with pytest.raises(InvalidInput):
+            check_block(bad, 9)
+    check_block(np.full((3, 2), 0xFF, dtype=np.uint8), 16)
+    assert word_block(0x1FF, 9).tolist() == [[0xFF, 1]]
+    for bits in (1 << 9, -1):
+        with pytest.raises(InvalidInput):
+            word_block(bits, 9)
+
+
 def test_packed_table_of_no_columns_maps_to_zero():
-    table = ParityMap([]).packed_table()
+    table = packed_table([], 0)
     assert table.shape == (0, 256, 1)
     assert not apply_packed(table, np.zeros((3, 0), dtype=np.uint8)).any()
 

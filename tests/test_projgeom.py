@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from qcss.codes import LinearCode
-from qcss import css, tables
+from qcss import css, projgeom, tables
 from qcss.errors import DecodingFailure, InvalidInput, ResourceLimit, UnsupportedConfiguration
-from qcss.gf2 import BitMatrix, BitVector, parities
+from qcss.gf2 import BitMatrix, BitVector, bools_as_bytes, bytes_as_ints, ints_as_bytes, parities
 from qcss.projgeom import (
     Configuration,
     ProjGeometry,
@@ -424,8 +424,9 @@ _RUDOLPH_CASES = [
     (lambda: enumerate_spaces(ProjGeometry(3, 2), 2), True),
     (lambda: enumerate_spaces(ProjGeometry(3, 2), 1), False),
     (_complemented_fano, False),
+    (lambda: enumerate_spaces(ProjGeometry(2, 4), 1), True),
 ]
-_RUDOLPH_IDS = ["pg22", "pg28", "pg32-planes", "pg32-lines", "fano-complement"]
+_RUDOLPH_IDS = ["pg22", "pg28", "pg32-planes", "pg32-lines", "fano-complement", "pg24"]
 
 
 def _rudolph_case(make_cfg, extended):
@@ -456,26 +457,101 @@ def _decode_outcome(dec, bits):
         return str(exc)
 
 
+def _oracle_outcome(dec, code, bits):
+    try:
+        return _oracle_decode(dec, code, bits)
+    except DecodingFailure as exc:
+        return str(exc)
+
+
+def _block_outcomes(dec, words):
+    """decode_block on all the words at once, each failure code as the
+    message decode_word gives it; a failed row is the received word."""
+    decoded, failure = dec.decode_block(ints_as_bytes(words, (dec.n + 7) // 8))
+    messages = {
+        RudolphDecoder.NO_CODEWORD: "neither hypothesis for the appended bit decodes"
+        if dec.extended else "majority vote did not reach a codeword",
+        RudolphDecoder.TIE: "both appended-bit hypotheses decode equally well",
+    }
+    out = bytes_as_ints(decoded)
+    assert all(w == bits for w, bits, f in zip(out, words, failure.tolist()) if f)
+    return [messages[f] if f else w for w, f in zip(out, failure.tolist())]
+
+
 # the two small codes decode every word: their outcomes are all codewords
 @pytest.mark.parametrize("case, outcomes", list(zip(_RUDOLPH_CASES, [
-    {int}, {int, str}, {int, str}, {int, str}, {int},
+    {int}, {int, str}, {int, str}, {int, str}, {int}, {int, str},
 ])), ids=_RUDOLPH_IDS)
 def test_rudolph_matches_per_check_oracle(case, outcomes):
     dec, code, words = _rudolph_case(*case)
     cfg = dec.cfg
-    seen = set()
-    for bits in words:
-        points = bits & ((1 << cfg.v) - 1)
-        passes = dec._majority_pass(parities(dec.checks, points))
-        assert passes == tuple(_oracle_majority_pass(cfg, points, h) for h in (0, 1))
-        fast = _decode_outcome(dec, bits)
-        try:
-            slow = _oracle_decode(dec, code, bits)
-        except DecodingFailure as exc:
-            slow = str(exc)
-        assert fast == slow
-        seen.add(type(fast))
-    assert seen == outcomes
+    points = [bits & ((1 << cfg.v) - 1) for bits in words]
+    passes = dec._majority_block(ints_as_bytes(points, (cfg.v + 7) // 8))
+    for hypothesis, flips in enumerate(passes):
+        assert bytes_as_ints(bools_as_bytes(flips)) == [
+            _oracle_majority_pass(cfg, p, hypothesis) for p in points
+        ]
+    want = [_oracle_outcome(dec, code, bits) for bits in words]
+    assert [_decode_outcome(dec, bits) for bits in words] == want
+    assert _block_outcomes(dec, words) == want
+    assert {type(o) for o in want} == outcomes
+
+
+@pytest.mark.parametrize("q, count, cells", [
+    (4, 1024, projgeom._CHECK_CELLS), (4, 1024, 1000), (8, 200, projgeom._CHECK_CELLS),
+], ids=["pg24", "pg24-slices", "pg28"])
+def test_rudolph_block_picks_both_hypotheses(q, count, cells, monkeypatch):
+    # codewords of the extended dual with either appended bit, and up to
+    # radius + 3 flips anywhere; 1000 cells take PG(2,4)'s rows 47 at a time
+    monkeypatch.setattr(projgeom, "_CHECK_CELLS", cells)
+    cfg = enumerate_spaces(ProjGeometry(2, q), 1)
+    code = build_so_code(cfg)
+    dec = RudolphDecoder(cfg, code)
+    rng = random.Random(q)
+    rows = code.dual().generator.row_bits()
+    words = []
+    for _ in range(count):
+        cw = 0
+        for r in rows:
+            if rng.random() < 0.5:
+                cw ^= r
+        for p in rng.sample(range(dec.n), rng.randrange(dec.radius + 4)):
+            cw ^= 1 << p
+        words.append(cw)
+    want = [_oracle_outcome(dec, code, bits) for bits in words]
+    assert _block_outcomes(dec, words) == want
+    assert {o >> cfg.v for o in want if isinstance(o, int)} == {0, 1}
+    assert any(isinstance(o, str) for o in want)
+
+
+def test_rudolph_block_tie_rule():
+    # r is odd, so the two passes flip complementary points and their
+    # weights add up to v + 1; with no code to miss and the radius at
+    # (v + 1) / 2, the hypotheses of PG(2,8) tie on some words (those of
+    # PG(2,2) and PG(2,4) never reach that weight)
+    cfg = enumerate_spaces(ProjGeometry(2, 8), 1)
+    code = LinearCode(BitMatrix(cfg.v + 1, []))
+    dec = RudolphDecoder(cfg, code, radius=(cfg.v + 1) // 2)
+    rng = random.Random(9)
+    words = [rng.getrandbits(dec.n) for _ in range(300)]
+    want = [_oracle_outcome(dec, code, bits) for bits in words]
+    assert _block_outcomes(dec, words) == want
+    assert "both appended-bit hypotheses decode equally well" in want
+    assert any(isinstance(o, int) for o in want)
+
+
+def test_rudolph_block_of_no_rows_and_one_row():
+    cfg = enumerate_spaces(ProjGeometry(2, 8), 1)
+    code = build_so_code(cfg)
+    dec = RudolphDecoder(cfg, code)
+    decoded, failure = dec.decode_block(np.zeros((0, 10), dtype=np.uint8))
+    assert decoded.shape == (0, 10) and failure.shape == (0,)
+    word = code.dual().generator.row_bits()[0] ^ 1 << 5
+    assert _block_outcomes(dec, [word]) == [_oracle_outcome(dec, code, word)]
+    for bad in (np.zeros((1, 9), dtype=np.uint8), np.zeros((1, 10), dtype=np.uint16),
+                np.full((1, 10), 0xFF, dtype=np.uint8)):
+        with pytest.raises(InvalidInput):
+            dec.decode_block(bad)
 
 
 def _outcome_digest(outcomes):
@@ -486,7 +562,7 @@ def _outcome_digest(outcomes):
 # them when it applied its checks with one parity per row
 @pytest.mark.parametrize("case, digest", list(zip(_RUDOLPH_CASES, [
     "e7001a86711bc065", "0f4f301d5f949c7b", "1723cdfe41d1fe8e", "48372112ad23edf8",
-    "37403ce496349662",
+    "37403ce496349662", "5e0c33dbc809a019",
 ])), ids=_RUDOLPH_IDS)
 def test_rudolph_outcomes_pinned(case, digest):
     dec, _, words = _rudolph_case(*case)

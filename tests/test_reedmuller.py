@@ -2,14 +2,15 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from qcss import reedmuller
 from qcss.codes import LinearCode, dual_min_distance
 from qcss.css import css_from_reed_muller
 from qcss.errors import DecodingFailure, InvalidInput, ResourceLimit
-from qcss.gf2 import BitMatrix, BitVector, parities, preimages
-from qcss.reedmuller import ReedDecoder, _vote_masks, rm_generator
+from qcss.gf2 import BitMatrix, BitVector, bytes_as_ints, ints_as_bytes, parities, preimages
+from qcss.reedmuller import ReedDecoder, rm_generator
 
 
 def test_parameters():
@@ -202,6 +203,128 @@ def test_reed_decode_output_is_always_a_codeword():
         decoded += 1
         assert rm.code.contains(BitVector(16, out))
     assert decoded > 0
+
+
+# -- the per-mask vote loop as the oracle of the block decoder ------------------
+
+
+def _subsets(mask: int):
+    """The submasks of ``mask`` in increasing order."""
+    a = 0
+    while True:
+        yield a
+        if a == mask:
+            return
+        a = (a - mask) & mask
+
+
+def _vote_masks(m: int, variables: tuple[int, ...]) -> list[int]:
+    """Characteristic sets of one monomial: for each assignment of the
+    complementary variables, the 2^deg points where they take that value.
+
+    ``base`` is the subcube on the monomial's variables; an assignment, read
+    as the point with those bits set, shifts it into place."""
+    inside = sum(1 << i for i in variables)
+    base = sum(1 << t for t in _subsets(inside))
+    return [base << a for a in _subsets(((1 << m) - 1) ^ inside)]
+
+
+def _oracle_reed_decode(rm, bits):
+    """ReedDecoder.decode_word as it was before its block form: one parity
+    per characteristic set, one vote at a time, highest degree first."""
+    if bits >> rm.n:
+        raise InvalidInput(f"received word has bits beyond length {rm.n}")
+    rows = rm.code.generator.row_bits()
+    residual = bits
+    for deg in range(rm.r, -1, -1):
+        layer = 0
+        for idx, variables in enumerate(rm.monomials):
+            if len(variables) != deg:
+                continue
+            masks = _vote_masks(rm.m, variables)
+            ones = sum((residual & mask).bit_count() & 1 for mask in masks)
+            if 2 * ones == len(masks):
+                raise DecodingFailure(f"tied majority vote on a degree-{deg} coefficient")
+            if 2 * ones > len(masks):
+                layer ^= rows[idx]
+        residual ^= layer
+    return bits ^ residual
+
+
+def _reed_outcome(decode, bits):
+    try:
+        return decode(bits)
+    except DecodingFailure as exc:
+        return f"DecodingFailure: {exc}"
+
+
+def _reed_test_words(rm, radius, rng, per_weight):
+    """Dual-side codewords plus errors of each weight 0..radius+3, and
+    uniform words."""
+    rows = rm.code.generator.row_bits()
+    words = []
+    for weight in range(radius + 4):
+        for _ in range(per_weight):
+            cw = 0
+            for row in rows:
+                if rng.random() < 0.5:
+                    cw ^= row
+            for p in rng.sample(range(rm.n), weight):
+                cw ^= 1 << p
+            words.append(cw)
+    return words + [rng.getrandbits(rm.n) for _ in range(per_weight)]
+
+
+# the duals that Reed-decode the CSS codes of RM(4,1) and RM(5,1), and RM(5,1)
+@pytest.mark.parametrize("m, r", [(4, 2), (5, 2), (5, 1)])
+def test_reed_block_matches_the_vote_loop_oracle(m, r):
+    rm = rm_generator(m, r)
+    dec = ReedDecoder(rm)
+    rng = random.Random(m * 10 + r)
+    words = _reed_test_words(rm, dec.radius, rng, 120)
+    want = [_reed_outcome(lambda b: _oracle_reed_decode(rm, b), b) for b in words]
+    assert [_reed_outcome(dec.decode_word, b) for b in words[:200]] == want[:200]
+    decoded, failure = dec.decode_block(ints_as_bytes(words, rm.n // 8))
+    got = [f"DecodingFailure: tied majority vote on a degree-{f - 1} coefficient" if f else w
+           for w, f in zip(bytes_as_ints(decoded), failure.tolist())]
+    assert got == want
+    # a failed row is the received word
+    assert all(w == b for w, b, f in zip(bytes_as_ints(decoded), words, failure) if f)
+    kinds = {type(o) for o in want}
+    assert kinds == ({int, str} if r < m - 1 else {int})
+
+
+@pytest.mark.parametrize("m, r", [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+def test_reed_block_on_every_word_of_short_codes(m, r):
+    # n = 2, 4 and 8: words narrower than a byte, and every word of each
+    rm = rm_generator(m, r)
+    dec = ReedDecoder(rm)
+    words = list(range(1 << rm.n))
+    want = [_reed_outcome(lambda b: _oracle_reed_decode(rm, b), b) for b in words]
+    assert [_reed_outcome(dec.decode_word, b) for b in words] == want
+    decoded, failure = dec.decode_block(ints_as_bytes(words, 1))
+    assert [isinstance(o, str) for o in want] == failure.astype(bool).tolist()
+    assert [w for w, f in zip(bytes_as_ints(decoded), failure) if not f] == [
+        o for o in want if not isinstance(o, str)]
+
+
+@pytest.mark.parametrize("cells", [reedmuller._VOTE_CELLS, 1000], ids=["one-gather", "slices"])
+def test_reed_block_of_no_rows_one_row_and_1024_rows(cells, monkeypatch):
+    # 1000 cells take the 1,024 rows in slices of 10
+    monkeypatch.setattr(reedmuller, "_VOTE_CELLS", cells)
+    rm = rm_generator(4, 2)
+    dec = ReedDecoder(rm)
+    decoded, failure = dec.decode_block(np.zeros((0, 2), dtype=np.uint8))
+    assert decoded.shape == (0, 2) and failure.shape == (0,)
+    rng = random.Random(12)
+    words = [rng.getrandbits(16) for _ in range(1024)]
+    decoded, failure = dec.decode_block(ints_as_bytes(words, 2))
+    want = [_reed_outcome(lambda b: _oracle_reed_decode(rm, b), b) for b in words]
+    got = [_reed_outcome(dec.decode_word, b) for b in words[:1]]
+    assert got == want[:1]
+    assert [isinstance(o, str) for o in want] == failure.astype(bool).tolist()
+    assert [w for w, o in zip(bytes_as_ints(decoded), want) if not isinstance(o, str)] == [
+        o for o in want if not isinstance(o, str)]
 
 
 def test_vote_masks_partition_the_points_into_subcubes():
