@@ -713,7 +713,10 @@ def _bm_block(spec: CyclicCodeSpec, words: np.ndarray):
     code, 0 or one of _RADIUS, _ROOTS and _ZERO_SET; the LFSR length; and
     the number of roots of the locator.
 
-    A row whose syndromes are all zero has no error.  Every other row runs
+    A row whose window syndromes are all zero has no error; it fails the
+    zero-set check (_ZERO_SET) unless its values at the rest of the zero set
+    vanish too, since the window's closure can be smaller than the zero
+    set.  Every other row runs
     Berlekamp-Massey (E. R. Berlekamp, 1968; J. L. Massey, IEEE Trans. IT
     15, 1969), all rows at each step: the locator lambda and x^shift times
     the previous locator (kept as logs, shifted one column a step) are
@@ -726,10 +729,11 @@ def _bm_block(spec: CyclicCodeSpec, words: np.ndarray):
     count = len(words)
     values = apply_packed(tables.values, words).view(exp.dtype)
     errors = np.zeros((count, (n + 7) // 8), dtype=np.uint8)
-    failure = np.zeros(count, dtype=np.uint8)
+    window = values[:, :nsyn].any(axis=1)
+    failure = _ZERO_SET * (~window & values[:, nsyn:].any(axis=1)).astype(np.uint8)
     lengths = np.zeros(count, dtype=np.int64)
     found = np.zeros(count, dtype=np.int64)
-    live = np.flatnonzero(values[:, :nsyn].any(axis=1))
+    live = np.flatnonzero(window)
     if not len(live):
         return errors, failure, lengths, found
     values = values[live]

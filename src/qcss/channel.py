@@ -6,9 +6,10 @@ is a function of the seed alone, so the first t errors of any run are those
 of a t-trial run.  A block is drawn as one ``(trials, n)`` array, which
 equals the same number of successive ``rng.random(n)`` draws.  Its
 non-identity rows stay packed in numpy and are classified together by
-`CssCode.classify_block`, which hands each side's distinct syndromes to
-that side's decoder as one ``decode_block`` call.  `sample_error` is the
-one-row call of the block sampler.
+`CssCode.classify_block`, which hands the distinct syndromes of a block to
+the decoders: one ``decode_block`` call for both sides of a code CSS(C, C),
+whose sides share their maps and decoder, and one per side otherwise.
+`sample_error` is the one-row call of the block sampler.
 
 Every trial runs on the calling thread.  `monte_carlo` still takes a
 ``workers`` keyword because callers pass it (among them the benchmark's
@@ -101,8 +102,8 @@ class TrialReport:
     """Counts of one Monte Carlo run.
 
     ``x_failures`` and ``z_failures`` split ``decode_failures`` by the side
-    whose classical decoder gave up.  The z side is decoded first, so a trial
-    on which both sides would fail counts as a z failure.  Both are None on a
+    whose classical decoder gave up.  The z side takes precedence, so a
+    trial on which both sides fail counts as a z failure.  Both are None on a
     report that does not split its failures.
     """
 
@@ -164,7 +165,9 @@ def monte_carlo(
     """Sample, decode and classify `trials` errors; deterministic in `seed`.
 
     Each block of trials is classified at once by `CssCode.classify_block`,
-    one ``decode_block`` call per side over the block's distinct syndromes;
+    one ``decode_block`` call per side over its distinct nonzero syndromes,
+    or one over those of both sides where they share their maps and
+    decoder, as the sides of CSS(C, C) do;
     the decoders are deterministic, so the report equals that of decoding
     every trial through `CssCode.decode`.  An identity error is counted as
     a success without decoding it; its syndrome is zero, which decodes to

@@ -14,10 +14,12 @@ them when C1 and C2 have one generator.  Each check map is kept both as
 ceil(n/8) tables of 256 ints, for `syndrome` and `residual_is_logical`, and
 as one numpy array (64 KB for [[127,57,11]]); the preimage map only as a
 numpy array.  Through those arrays `CssCode.classify_block` decodes a whole
-Monte Carlo block at once: per side, one gather of the check map, one of
-the preimage map over the block's distinct syndromes, one ``decode_block``
-call of the side's decoder and one XOR for the estimates.  `CssCode.decode`
-is that path on one syndrome, through the decoder's one-row ``decode_word``.
+Monte Carlo block at once: per group of sides that share the check map, the
+preimage map and the decoder (one group for CSS(C, C), two otherwise), one
+gather of the check map, one of the preimage map over the distinct nonzero
+syndromes of all the group's rows, one ``decode_block`` call and one XOR for
+the estimates.  `CssCode.decode` is that path on one syndrome, through the
+decoder's one-row ``decode_word``.
 """
 from __future__ import annotations
 
@@ -342,28 +344,31 @@ class CssCode:
         give it.
 
         Row r of ``x`` and of ``z``, (count, ceil(n/8)) uint8 arrays, holds
-        the little-endian bytes of error r's x and z bits.  As in `decode`
-        the z side comes first: a row on which both sides fail is a z
-        failure, and the x side of a z failure is not decoded.  Each side
-        decodes the block's distinct syndromes with one ``decode_block``
-        call of its decoder.
+        the little-endian bytes of error r's x and z bits.  Both sides of
+        every row are decoded.  Sides that share the check map, the preimage
+        map and the decoder, as those of CSS(C, C) do, are classified as one
+        stacked block: one ``decode_block`` call over the distinct nonzero
+        syndromes of both, so a syndrome that both sides show decodes once.
+        Other sides get one call each.  As in `decode` the z side comes
+        first: a row on which both sides fail is a z failure.  Every estimate
+        that was decoded must have the observed syndrome.
         """
         width = (self.n + 7) // 8
         for bits in (x, z):
             if bits.dtype != np.uint8 or bits.shape != (len(x), width):
                 raise InvalidInput(f"a block must be two ({len(x)}, {width}) uint8 arrays")
-        z_failed, z_bad, z_logical = self._classify_side(
-            z, self._z_table, self.c1.k, self._preimage1, self.decoder1
-        )
-        rest = ~z_failed
-        x_failed, x_bad, x_logical = (np.zeros_like(z_failed) for _ in range(3))
-        x_failed[rest], x_bad[rest], x_logical[rest] = self._classify_side(
-            x[rest], self._x_table, self.c2.k, self._preimage2, self.decoder2
-        )
-        if (rest & ~x_failed & (z_bad | x_bad)).any():
+        z_side = (self._z_table, self.c1.k, self._preimage1, self.decoder1)
+        x_side = (self._x_table, self.c2.k, self._preimage2, self.decoder2)
+        if self._z_table is self._x_table and self.decoder1 is self.decoder2:
+            parts = self._classify_side(np.concatenate((z, x)), *z_side)
+        else:
+            parts = map(np.concatenate, zip(self._classify_side(z, *z_side),
+                                            self._classify_side(x, *x_side)))
+        (z_failed, x_failed), (z_bad, x_bad), logical = (a.reshape(2, -1) for a in parts)
+        if ((~z_failed & z_bad) | (~x_failed & x_bad)).any():
             raise InternalConsistencyError("estimate does not match the observed syndrome")
         return np.select(
-            [z_failed, x_failed, z_logical | x_logical], [Z_FAILURE, X_FAILURE, LOGICAL], SUCCESS
+            [z_failed, x_failed, logical.any(axis=0)], [Z_FAILURE, X_FAILURE, LOGICAL], SUCCESS
         )
 
     def _classify_side(self, packed, table, k, preimage, decoder):

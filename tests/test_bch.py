@@ -566,6 +566,8 @@ def _oracle_bm_decode(spec, received):
                 acc ^= fld.alpha_pow(s * e * p)
         syndromes.append(acc)
     if not any(syndromes):
+        # no window syndrome: the word is its own estimate, still checked
+        _oracle_zero_set_check(spec, received)
         return 0
     lam, prev, lfsr_len, shift, prev_disc = [1], [1], 0, 1, 1
     for step in range(1, nsyn + 1):
@@ -608,7 +610,12 @@ def _oracle_bm_decode(spec, received):
     if len(positions) != lfsr_len:
         raise DecodingFailure(f"locator of degree {lfsr_len} has {len(positions)} roots")
     error = sum(1 << p for p in positions)
-    corrected = received ^ error
+    _oracle_zero_set_check(spec, received ^ error)
+    return error
+
+
+def _oracle_zero_set_check(spec, corrected):
+    fld = spec.field
     s0 = fld.order // spec.n
     for i in spec.zero_set:
         acc = 0
@@ -617,7 +624,6 @@ def _oracle_bm_decode(spec, received):
                 acc ^= fld.alpha_pow(s0 * i * p)
         if acc:
             raise DecodingFailure("corrected word fails the zero-set check")
-    return error
 
 
 def _outcome(decode, spec, bits):
@@ -733,6 +739,36 @@ def test_bm_block_of_no_rows_one_row_and_1024_rows():
     for bad in (np.zeros((1, 3), dtype=np.uint8), np.full((1, 4), 0x80, dtype=np.uint8)):
         with pytest.raises(InvalidInput):
             dec.decode_block(bad)
+
+
+def test_bm_checks_the_zero_set_of_a_word_without_window_syndromes():
+    # the zero set {1, 2, 4, 5, 8, 10} is wider than the closure {1, 2, 4, 8}
+    # of its window, so a word of the window's code need not be a codeword
+    spec = spec_from_zero_set(15, (1, 2, 4, 5, 8, 10))
+    window = [spec.step * (spec.b + j) for j in range(spec.delta - 1)]
+    assert set(bch._closure(window, 15)) == {1, 2, 4, 8}
+    # 0x13 = x^4 + x + 1 vanishes at beta, so on the whole window, not at beta^5
+    message = "corrected word fails the zero-set check"
+    for decode in (lambda w: bm_decode(spec, w), BchDecoder(spec).decode_word):
+        with pytest.raises(DecodingFailure, match=message):
+            decode(0x13)
+    assert _outcome(_oracle_bm_decode, spec, 0x13) == f"DecodingFailure: {message}"
+    # every word of the window's code: failure code 3 off the code, else itself
+    window_code = spec_from_zero_set(15, (1, 2, 4, 8))
+    words = [poly_mul(a, window_code.generator) for a in range(1 << window_code.dimension)]
+    decoded, failure = BchDecoder(spec).decode_block(ints_as_bytes(words, 2))
+    assert bytes_as_ints(decoded) == words
+    assert failure.tolist() == [0 if poly_divides(spec.generator, w) else 3 for w in words]
+    assert failure.tolist().count(0) == 1 << spec.dimension
+
+
+def test_every_table1_dual_window_closes_to_its_zero_set():
+    # so on these duals a word without window syndromes is a codeword, and
+    # the zero-set check of such a word changes no Table-1 or pinned result
+    for n, kq, d, g in TABLE1_ROWS:
+        dual = spec_from_zero_set(n, zero_set_of_polynomial(n, g)).dual_spec()
+        window = [dual.step * (dual.b + j) for j in range(dual.delta - 1)]
+        assert set(bch._closure(window, n)) == set(dual.zero_set), (n, kq, d)
 
 
 def test_bch127_dual_window_is_relabelled():

@@ -262,6 +262,24 @@ def test_monte_carlo_equals_decoding_every_trial_with_refusing_decoders(z_fails,
                     assert report.successes > 0 and report.decode_failures > 0
 
 
+def test_monte_carlo_on_a_bch_dual_wider_than_its_window():
+    # `qcss css-build --decoder bch --decoder-args 21 0x1049`: the dual's
+    # zero set has 9 exponents, the closure of its window 6, so Berlekamp-
+    # Massey must refuse a word that vanishes on the window only
+    from qcss.bch import spec_from_zero_set, zero_set_of_polynomial
+    from qcss.css import css_from_self_orthogonal_cyclic
+
+    spec = spec_from_zero_set(21, zero_set_of_polynomial(21, 0x1049))
+    css = css_from_self_orthogonal_cyclic(spec)
+    assert css.parameters() == (21, 3, 3) and len(spec.dual_spec().zero_set) == 9
+    channel = ChannelSpec.depolarizing(0.1)
+    report = monte_carlo(css, channel, trials=5000, seed=1)
+    assert report == _reference_report(css, channel, 5000, 1)
+    # the CLI's `simulate --p 0.1 --trials 5000 --seed 1` line
+    got = (report.successes, report.x_failures, report.z_failures, report.logical_errors)
+    assert got == (2208, 747, 1599, 446)
+
+
 def test_monte_carlo_rejects_bad_trials_and_seed():
     css = css_with_lookup(steane_component(), steane_component(), distance=3)
     channel = ChannelSpec.depolarizing(0.1)
@@ -334,7 +352,7 @@ def test_monte_carlo_refuses_a_decoder_that_returns_a_non_codeword(broken):
 @pytest.mark.parametrize("z_fails, x_fails", [(True, False), (False, True), (True, True)])
 def test_monte_carlo_splits_failures_by_side(z_fails, x_fails):
     # decoder1 recovers the z component, decoder2 the x component; the z side
-    # is decoded first, so a trial on which both fail counts as z
+    # takes precedence, so a trial on which both fail counts as z
     code = steane_component()
     css = CssCode(
         code, code,

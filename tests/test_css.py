@@ -5,7 +5,14 @@ import random
 import numpy as np
 import pytest
 
-from qcss.bch import search_self_orthogonal_bch
+from qcss import bch
+from qcss.bch import (
+    BchDecoder,
+    is_self_orthogonal_cyclic,
+    search_self_orthogonal_bch,
+    spec_from_zero_set,
+)
+from qcss.channel import ChannelSpec, _pauli_errors, _sample_rows
 from qcss.css import (
     LOGICAL,
     LOOKUP_MAX_ROWS,
@@ -766,13 +773,15 @@ def test_classify_block_on_syndromes_wider_than_a_word(k1, k2):
 
 
 class _Recording:
-    """Passes words on to a decoder and keeps each one it was given."""
+    """Passes words on to a decoder and keeps each one it was given, and
+    the words of each ``decode_block`` call apart."""
 
     def __init__(self, decoder):
-        self.decoder, self.words, self.radius = decoder, [], decoder.radius
+        self.decoder, self.words, self.blocks, self.radius = decoder, [], [], decoder.radius
 
     def decode_block(self, words):
-        self.words += bytes_as_ints(words)
+        self.blocks.append(bytes_as_ints(words))
+        self.words += self.blocks[-1]
         return self.decoder.decode_block(words)
 
     def decode_word(self, bits: int) -> int:
@@ -804,9 +813,9 @@ def test_classify_block_decodes_each_syndrome_once_and_z_first():
             z_side.words.clear()
         assert _classify(css, errors) == want
         syndromes = [css.syndrome(e) for e in errors]
-        # the x side of a z failure is not decoded
-        x_words = {_oracle_preimage(code, s.s_z.bits) for s, w in zip(syndromes, want)
-                   if s.s_z.bits and w != Z_FAILURE}
+        # every distinct nonzero x syndrome is decoded, also on a z failure
+        x_words = {_oracle_preimage(code, s.s_z.bits) for s in syndromes if s.s_z.bits}
+        assert len(x_side.blocks) == 1
         assert len(x_side.words) == len(set(x_side.words))
         assert set(x_side.words) == x_words
         if z_refuses:
@@ -815,6 +824,57 @@ def test_classify_block_decodes_each_syndrome_once_and_z_first():
             assert sorted(z_side.words) == sorted(
                 {_oracle_preimage(code, s.s_x.bits) for s in syndromes if s.s_x.bits}
             )
+
+
+def _self_orthogonal_cyclic_specs(lengths):
+    """Every self-orthogonal cyclic code of the given lengths, by zero set."""
+    for n in lengths:
+        cosets = sorted(set(bch._length_table(n).coset_of))
+        for r in range(1, len(cosets)):
+            for chosen in itertools.combinations(cosets, r):
+                spec = spec_from_zero_set(n, sorted(itertools.chain(*chosen)))
+                if is_self_orthogonal_cyclic(spec):
+                    yield spec
+
+
+def _one_group_codes(kind):
+    """CSS(C, C) codes whose two sides share one recording decoder: random
+    C with a lookup decoder, its table cut at weight 1 for odd n, or every self-orthogonal cyclic C of lengths
+    7, 15 and 21 with Berlekamp-Massey on its dual.  Among the latter is
+    [[21,3,3]], whose dual's zero set is wider than its window's closure."""
+    if kind == "lookup":
+        rng = random.Random(25)
+        for n in (6, 9, 12, 16, 17, 20):
+            code = random_self_orthogonal_code(n, rng.randrange(1, n // 2 + 1), rng)
+            decoder = _Recording(LookupDecoder(code, max_weight=1 if n % 2 else None))
+            yield CssCode.from_self_orthogonal(code, decoder=decoder)
+    else:
+        for spec in _self_orthogonal_cyclic_specs((7, 15, 21)):
+            decoder = _Recording(BchDecoder(spec.dual_spec()))
+            yield CssCode.from_self_orthogonal(spec.to_code(), decoder=decoder)
+
+
+@pytest.mark.parametrize("kind", ["lookup", "bm"])
+def test_classify_block_decodes_both_sides_of_one_code_in_one_call(kind):
+    rng = np.random.default_rng(25)
+    seen, codes = set(), 0
+    for css in _one_group_codes(kind):
+        codes += 1
+        recorder = css.decoder1
+        for channel in (ChannelSpec.pauli(0, 0.1, 0), ChannelSpec.pauli(0, 0.3, 0),
+                        ChannelSpec.depolarizing(0.2)):
+            _, x, z = _sample_rows(channel, css.n, rng, 400)
+            errors = _pauli_errors(css.n, x, z)
+            want = [_scalar_outcome(css, e) for e in errors]
+            recorder.blocks.clear()
+            assert css.classify_block(x, z).tolist() == want, (css.c1, channel)
+            # one call over the distinct nonzero preimages of both sides, each
+            # once: a Y error's two halves share theirs
+            words = {_oracle_preimage(css.c1, s)
+                     for e in errors for s in _oracle_syndrome(css, e) if s}
+            assert [sorted(b) for b in recorder.blocks] == ([sorted(words)] if words else [])
+            seen.update(want)
+    assert codes >= 6 and {SUCCESS, LOGICAL, X_FAILURE, Z_FAILURE} <= seen
 
 
 class _ReturnsTheWord:
@@ -843,6 +903,18 @@ def test_classify_block_refuses_an_estimate_off_the_syndrome(broken):
     # the other side alone and the identity never reach the broken decoder
     other = PauliError.single(7, 0, "Z" if broken == "x" else "X")
     assert _classify(css, [PauliError.identity(7), other]) == [SUCCESS, SUCCESS]
+
+
+def test_classify_block_checks_the_x_estimate_of_a_z_failure():
+    # the x side is decoded on every row, so a broken x decoder shows also
+    # where the z side refuses, though the outcome would be a z failure
+    code = steane_component()
+    css = CssCode(code, code, decoder1=_Refuses(), decoder2=_ReturnsTheWord())
+    y = PauliError.single(7, 0, "Y")
+    assert _scalar_outcome(css, y) == Z_FAILURE
+    assert _classify(css, [PauliError.single(7, 0, "Z")]) == [Z_FAILURE]
+    with pytest.raises(InternalConsistencyError):
+        _classify(css, [PauliError.identity(7), y])
 
 
 class _WordOnly:
