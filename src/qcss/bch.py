@@ -328,16 +328,16 @@ def _generator_from_zeros(n: int, zeros, fld: Gf2mField) -> int:
     return g
 
 
-# cells of one (sets, units, 2n) block of best_windows; larger batches and
+# cells of one (sets, units, n) block of best_windows; larger batches and
 # lengths are scanned in chunks of at most this many cells
 _WINDOW_CELLS = 1 << 16
 
 
 @lru_cache(maxsize=16)
 def _unit_positions(n: int, r0: int, units: int) -> np.ndarray:
-    """positions[r, j] = inverses[r0 + r] * j mod n for j < 2n: exponent j of
+    """positions[r, j] = inverses[r0 + r] * j mod n for j < n: exponent j of
     the scaled set u*Z is in it iff exponent inv*j is in Z."""
-    positions = _length_table(n).inverses[r0 : r0 + units, None] * np.arange(2 * n) % n
+    positions = _length_table(n).inverses[r0 : r0 + units, None] * np.arange(n) % n
     positions.flags.writeable = False
     return positions
 
@@ -346,41 +346,46 @@ def best_windows(masks: np.ndarray, n: int) -> np.ndarray:
     """``best_window`` of every row of an (H, n) boolean array of zero sets,
     as an (H, 3) int64 array of (step, start, length) rows.
 
-    Each chunk gathers the scaled sets u*Z of up to ``_WINDOW_CELLS`` // 2n
-    (set, unit) pairs, each over two periods so that no run wraps.  The run
-    ending at position j has length j + 1 minus the running maximum of k + 1
-    over the missing positions k <= j (int16 while 2n fits).  A set's winner
-    is its first unit with the longest run, and the first longest run of
-    that unit in the doubled row starts at the smallest start, which lies in
-    0..n-1.  A full set gets the window (1, 0, n) and an empty one (1, 0, 0).
+    Each chunk gathers the scaled sets u*Z of up to ``_WINDOW_CELLS`` // n
+    (set, unit) pairs over one period.  The run ending at position j has
+    length j + 1 minus the running maximum of k + 1 over the missing
+    positions k <= j (int16 while n fits); the run through position 0 is
+    the trailing run joined to the leading one.  A set's winner is its
+    first unit with the longest run, and among that unit's longest runs the
+    one with the smallest start: the first one to end, unless only the run
+    through 0 is that long, since it starts after every other run.  A full
+    set gets the window (1, 0, n) and an empty one (1, 0, 0).
     """
     masks = np.asarray(masks, dtype=bool)
     table = _length_table(n)
     if (masks & ~masks[:, table.doubles]).any():
         raise InvalidInput(f"zero set is not closed under doubling mod {n}")
     missing = ~masks
-    ends = np.arange(1, 2 * n + 1, dtype=np.int16 if 2 * n < 1 << 15 else np.int32)
-    pairs = max(1, _WINDOW_CELLS // (2 * n))  # (set, unit) pairs in one chunk
+    ends = np.arange(1, n + 1, dtype=np.int16 if n < 1 << 15 else np.int32)
+    pairs = max(1, _WINDOW_CELLS // n)  # (set, unit) pairs in one chunk
     units = max(1, min(len(table.inverses), pairs))
     sets = max(1, pairs // units)
     # n = 1 has no units, and its empty set keeps the window (1, 0, 0)
     longest = np.zeros((len(masks), max(1, len(table.inverses))), dtype=ends.dtype)
-    first_end = np.zeros_like(longest)
+    first_start = np.zeros_like(longest)
     for r0 in range(0, len(table.inverses), units):
         positions = _unit_positions(n, r0, units)
         for h0 in range(0, len(masks), sets):
-            cut = missing[h0 : h0 + sets].take(positions, axis=1) * ends  # (sets, units, 2n)
-            runs = ends - np.maximum.accumulate(cut, axis=2)
+            gaps = missing[h0 : h0 + sets].take(positions, axis=1)  # (sets, units, n)
+            runs = ends - np.maximum.accumulate(gaps * ends, axis=2)
             most = runs.max(axis=2)
-            longest[h0 : h0 + sets, r0 : r0 + units] = most
-            first_end[h0 : h0 + sets, r0 : r0 + units] = (runs == most[..., None]).argmax(axis=2)
+            trailing = runs[..., -1]
+            wrap = trailing + gaps.argmax(axis=2)  # a full set's is overridden below
+            first = (runs == most[..., None]).argmax(axis=2) + 1 - most
+            longest[h0 : h0 + sets, r0 : r0 + units] = np.maximum(most, wrap)
+            first_start[h0 : h0 + sets, r0 : r0 + units] = np.where(wrap > most, n - trailing, first)
     rows = np.arange(len(masks))
     r = longest.argmax(axis=1)
     most = longest[rows, r]
     out = np.ones((len(masks), 3), dtype=np.int64)
     if len(table.inverses):
         out[:, 0] = table.inverses[r]
-    out[:, 1] = np.where(most, first_end[rows, r] + 1 - most, 0)
+    out[:, 1] = np.where(most, first_start[rows, r], 0)
     out[:, 2] = most
     out[masks.all(axis=1)] = (1, 0, n)
     return out

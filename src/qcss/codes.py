@@ -52,6 +52,8 @@ DEFAULT_BUDGET = 1 << 29
 _BLOCK_BITS = 16
 # cap on the 64-bit words in the split search's block of row XORs
 _SPLIT_BLOCK_WORDS = 1 << 20
+# numpy buffer size, in elements, of the split search's walk
+_SCAN_BUFFER = 256
 
 
 @dataclass(frozen=True)
@@ -365,28 +367,34 @@ def _low_weight_min(
             best = min(best, int(w.min()) + size)
         patterns += lower.shape[1] * per
 
-    for g in range(1 << (len(free) - b)):
-        if g:
-            acc = acc ^ free_arr[b + (g & -g).bit_length() - 1, :, None]
-        for s in range(1, r + 1):
-            scan(lows[0], acc, s, levels[s - 1], levels[s])
-        for j, start in enumerate(starts):
-            x = acc ^ terms[j]
-            # the prefixes of s + 1 rows that end at row j
-            for s, low in enumerate(lows):
-                scan(low[:, : math.comb(j, s)], x, s + 1 + r, start)
-            # longer ones: the rows between their lowest t and j are added one
-            # at a time, downward, and the lowest t come from lows[t]; with
-            # ``left`` rows still to add, z and a column of lows[t] make a
-            # prefix of depth - r - left + 1 rows
-            todo = [(x, j, depth - r - 1 - t)]
-            while todo:
-                y, top, left = todo.pop()
-                if left:
-                    for i in range(t, top):
-                        z = y ^ terms[i]
-                        scan(lows[t][:, : math.comb(i, t)], z, depth - left + 1, start)
-                        todo.append((z, i, left - 1))
+    # numpy's buffered iteration splits a broadcast XOR whose suffix is
+    # shorter than its buffer at about 3x the cost a cell; a buffer of
+    # _SCAN_BUFFER cells takes each suffix as it is, and the errstate
+    # scope restores the caller's size on return or on an exception
+    with np.errstate():
+        np.setbufsize(_SCAN_BUFFER)
+        for g in range(1 << (len(free) - b)):
+            if g:
+                acc = acc ^ free_arr[b + (g & -g).bit_length() - 1, :, None]
+            for s in range(1, r + 1):
+                scan(lows[0], acc, s, levels[s - 1], levels[s])
+            for j, start in enumerate(starts):
+                x = acc ^ terms[j]
+                # the prefixes of s + 1 rows that end at row j
+                for s, low in enumerate(lows):
+                    scan(low[:, : math.comb(j, s)], x, s + 1 + r, start)
+                # longer ones: the rows between their lowest t and j are added one
+                # at a time, downward, and the lowest t come from lows[t]; with
+                # ``left`` rows still to add, z and a column of lows[t] make a
+                # prefix of depth - r - left + 1 rows
+                todo = [(x, j, depth - r - 1 - t)]
+                while todo:
+                    y, top, left = todo.pop()
+                    if left:
+                        for i in range(t, top):
+                            z = y ^ terms[i]
+                            scan(lows[t][:, : math.comb(i, t)], z, depth - left + 1, start)
+                            todo.append((z, i, left - 1))
     return best, patterns
 
 

@@ -10,7 +10,11 @@ Each side of a code has two ``gf2.ParityMap``s, built once: a check map on
 the side's error bits, whose low bits are the syndrome and whose high bits,
 the checks of the other code's dual, vanish exactly on the stabilizer part;
 and a preimage map from a syndrome to a word that has it.  The sides share
-them when C1 and C2 have one generator.  Each check map is kept both as
+them when C1 and C2 have one generator.  When C1 and C2 are one code in two
+bases with one decoder, the x side's block path takes the z side's maps,
+since either preimage of an error's syndrome lies in its coset of the dual
+and a decoder's estimate depends on that coset alone; `syndrome` and
+`decode` keep C2's basis.  Each check map is kept both as
 ceil(n/8) tables of 256 ints, for `syndrome` and `residual_is_logical`, and
 as one numpy array (64 KB for [[127,57,11]]); the preimage map only as a
 numpy array.  Through those arrays `CssCode.classify_block` decodes a whole
@@ -258,14 +262,23 @@ class CssCode:
         self.distance = distance
         self._mask1, self._mask2 = (1 << c1.k) - 1, (1 << c2.k) - 1
         # z bits -> s_x, then the checks of C2's dual; x bits likewise
-        self._z_checks, self._z_table = _check_maps(c1, c2)
+        z_rows = _check_rows(c1, c2)
+        self._z_checks = ParityMap.from_rows(z_rows, self.n)
         self._preimage1 = _preimage_table(c1)
+        self._z_block = (packed_parities(z_rows, self.n), self._preimage1)
         if c1.generator == c2.generator:
-            self._x_checks, self._x_table = self._z_checks, self._z_table
-            self._preimage2 = self._preimage1
+            self._x_checks, self._preimage2 = self._z_checks, self._preimage1
+            self._x_block = self._z_block
         else:
-            self._x_checks, self._x_table = _check_maps(c2, c1)
+            x_rows = _check_rows(c2, c1)
+            self._x_checks = ParityMap.from_rows(x_rows, self.n)
             self._preimage2 = _preimage_table(c2)
+            # a preimage in either basis of one code lies in the error's
+            # coset of the dual, which is all that one shared decoder sees
+            if decoder1 is decoder2 and c1.same_code(c2):
+                self._x_block = self._z_block
+            else:
+                self._x_block = (packed_parities(x_rows, self.n), self._preimage2)
 
     @classmethod
     def from_self_orthogonal(
@@ -346,9 +359,10 @@ class CssCode:
         Row r of ``x`` and of ``z``, (count, ceil(n/8)) uint8 arrays, holds
         the little-endian bytes of error r's x and z bits.  Both sides of
         every row are decoded.  Sides that share the check map, the preimage
-        map and the decoder, as those of CSS(C, C) do, are classified as one
-        stacked block: one ``decode_block`` call over the distinct nonzero
-        syndromes of both, so a syndrome that both sides show decodes once.
+        map and the decoder, as those of CSS(C, C) in one basis or in two
+        do, are classified as one stacked block: one ``decode_block`` call
+        over the distinct nonzero syndromes of both, so a syndrome that both
+        sides show decodes once.
         Other sides get one call each.  As in `decode` the z side comes
         first: a row on which both sides fail is a z failure.  Every estimate
         that was decoded must have the observed syndrome.
@@ -357,9 +371,9 @@ class CssCode:
         for bits in (x, z):
             if bits.dtype != np.uint8 or bits.shape != (len(x), width):
                 raise InvalidInput(f"a block must be two ({len(x)}, {width}) uint8 arrays")
-        z_side = (self._z_table, self.c1.k, self._preimage1, self.decoder1)
-        x_side = (self._x_table, self.c2.k, self._preimage2, self.decoder2)
-        if self._z_table is self._x_table and self.decoder1 is self.decoder2:
+        z_side = (*self._z_block, self.c1.k, self.decoder1)
+        x_side = (*self._x_block, self.c2.k, self.decoder2)
+        if self._z_block is self._x_block and self.decoder1 is self.decoder2:
             parts = self._classify_side(np.concatenate((z, x)), *z_side)
         else:
             parts = map(np.concatenate, zip(self._classify_side(z, *z_side),
@@ -371,7 +385,7 @@ class CssCode:
             [z_failed, x_failed, logical.any(axis=0)], [Z_FAILURE, X_FAILURE, LOGICAL], SUCCESS
         )
 
-    def _classify_side(self, packed, table, k, preimage, decoder):
+    def _classify_side(self, packed, table, preimage, k, decoder):
         """Per row of one side: (decoding failed, residual syndrome nonzero,
         residual outside the stabilizer).  The checks are linear, so a
         row's residual checks are its own XOR those of its estimate, and
@@ -424,13 +438,12 @@ def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a[first], inverse
 
 
-def _check_maps(syndrome_code: LinearCode, stabilizer_code: LinearCode):
-    """Parities with the rows of ``syndrome_code``, then with the dual of
-    ``stabilizer_code``: those high bits vanish exactly on that code.  As a
-    ParityMap, for one error, and as ``apply_packed``'s table, for a block."""
-    rows = syndrome_code.generator.row_bits() + stabilizer_code.dual().generator.row_bits()
-    n = syndrome_code.n
-    return ParityMap.from_rows(rows, n), packed_parities(rows, n)
+def _check_rows(syndrome_code: LinearCode, stabilizer_code: LinearCode) -> list[int]:
+    """The rows of ``syndrome_code``, then those of the dual of
+    ``stabilizer_code``: parities with the latter vanish exactly on that
+    code.  A side's check map, as a ParityMap for one error and as
+    ``apply_packed``'s table for a block."""
+    return syndrome_code.generator.row_bits() + stabilizer_code.dual().generator.row_bits()
 
 
 def _preimage_table(code: LinearCode) -> np.ndarray:

@@ -225,6 +225,20 @@ def insert_rows(basis: dict[int, int], rows: Iterable[int]) -> list[int]:
     return added
 
 
+def _back_substitute(basis: dict[int, int]) -> list[int]:
+    """Clear every other pivot column of an ``insert_rows`` basis in place,
+    from the highest pivot down; returns the pivots in increasing order."""
+    pivots = sorted(basis)
+    mask = 0  # the pivot columns above the current one
+    for p in reversed(pivots):
+        v = basis[p]
+        while hit := v & mask:
+            v ^= basis[(hit & -hit).bit_length() - 1]
+        basis[p] = v
+        mask |= 1 << p
+    return pivots
+
+
 def rref(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
     """Reduced row echelon form over GF(2), zero rows dropped.
 
@@ -234,18 +248,37 @@ def rref(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
     on the leftmost nonzero column, with no column permutation and whatever
     the row order; this fixes the pivot/non-pivot column split used by the
     meet-in-the-middle distance search.
+
+    A matrix of at least 2 * cols rows is filtered first, in rounds while
+    that many are left: a spread sample of about cols of them goes into the
+    basis, back-substituted, and every row left whose residual vanishes is
+    dropped, with one ``apply_packed`` product.  The residual of r is r XOR the basis rows at r's pivot bits,
+    a linear map whose image of e_j is the basis row of pivot j without
+    its pivot bit, or e_j off the pivots; it vanishes exactly on the span,
+    as the parities against the basis's kernel do.  The rows left after a
+    round lie outside the span, so every later round adds a pivot: at most
+    rank + 1 rounds, the worst case being rows that repeat with the
+    sample's stride, one pivot a round.  The rest goes in by
+    ``insert_rows``.  Only rows of the span are dropped, so the span, and
+    with it the unique RREF, is that of every row.
     """
     basis: dict[int, int] = {}
-    insert_rows(basis, m.row_bits())
-    pivots = sorted(basis)
-    mask = 0  # the pivot columns above the current one
-    for p in reversed(pivots):
-        v = basis[p]
-        while hit := v & mask:
-            v ^= basis[(hit & -hit).bit_length() - 1]
-        basis[p] = v
-        mask |= 1 << p
-    return BitMatrix(m.cols, [basis[p] for p in pivots]), tuple(pivots)
+    rows, cols = m._data, m.cols
+    packed = None
+    while len(basis) < cols <= len(rows) // 2:
+        insert_rows(basis, rows[:: len(rows) // cols])
+        if len(basis) == cols:
+            break
+        _back_substitute(basis)
+        residual = packed_table([basis.get(j, 0) ^ 1 << j for j in range(cols)], cols)
+        if packed is None:
+            packed = ints_as_bytes(rows, (cols + 7) // 8)
+        keep = np.flatnonzero(apply_packed(residual, packed).any(axis=1))
+        rows, packed = [rows[i] for i in keep.tolist()], packed[keep]
+    if len(basis) < cols:
+        insert_rows(basis, rows)
+    pivots = _back_substitute(basis)
+    return BitMatrix(cols, [basis[p] for p in pivots]), tuple(pivots)
 
 
 def rank(m: BitMatrix) -> int:

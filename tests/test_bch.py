@@ -497,6 +497,12 @@ def _closed_set_batch(n, rng, count):
     return samples
 
 
+def _wrapping_sets(n):
+    """The closures of -a..a: the run through 0 is among the longest."""
+    for a in range(1, min(n // 2, 12)):
+        yield tuple(sorted({e for j in range(-a, a + 1) for e in cyclotomic_coset(j % n, n)}))
+
+
 @pytest.mark.parametrize("one_unit_per_chunk", [False, True])
 @pytest.mark.parametrize("n", [21, 45, 51, 73, 85, 89, 93])
 def test_best_window_matches_brute_force_on_closed_sets(n, one_unit_per_chunk, monkeypatch):
@@ -512,23 +518,27 @@ def test_best_window_matches_brute_force_on_closed_sets(n, one_unit_per_chunk, m
 
 
 @pytest.mark.parametrize("pairs", [None, 1, 3, "five_sets"])
-@pytest.mark.parametrize("n", [15, 21, 45, 51, 63, 73, 85, 89, 93, 127])
+@pytest.mark.parametrize("n", [7, 15, 21, 45, 51, 63, 73, 85, 89, 93, 127, 255])
 def test_batched_windows_match_oracle(n, pairs, monkeypatch):
     """Chunks of the default size, of one (set, unit) pair, of 3 pairs (a
     set's units split across chunks for most n) and of 5 sets with all their
-    units (the 43 sets end in a part chunk)."""
-    samples = _closed_set_batch(n, random.Random(1000 + n), 40)
+    units (the batch ends in a part chunk); random closed sets, the empty
+    and the full set, and sets whose longest run wraps through 0."""
+    samples = _closed_set_batch(n, random.Random(1000 + n), 40) + list(_wrapping_sets(n))
     if pairs == "five_sets":
         pairs = 5 * len(bch._length_table(n).coset_units) + 1
     if pairs is not None:
-        monkeypatch.setattr(bch, "_WINDOW_CELLS", pairs * 2 * n)
+        monkeypatch.setattr(bch, "_WINDOW_CELLS", pairs * n)
     masks = np.zeros((len(samples), n), dtype=bool)
     for row, zs in zip(masks, samples):
         row[list(zs)] = True
     got = best_windows(masks, n)
     assert got.shape == (len(samples), 3) and got.dtype == np.int64
-    assert [tuple(w) for w in got.tolist()] == [_oracle_best_window(zs, n) for zs in samples]
+    want = [_oracle_best_window(zs, n) for zs in samples]
+    assert [tuple(w) for w in got.tolist()] == want
     assert best_windows(masks[:0], n).shape == (0, 3)
+    wraps = [start + length > n for _, start, length in want]
+    assert any(wraps) and not all(wraps)
 
 
 def test_batched_windows_refuse_a_batch_with_one_open_set():

@@ -280,6 +280,33 @@ def test_split_agrees_with_exhaustive_on_random_codes():
                 assert res.patterns_scanned == predicted_split_patterns(c, bound)
 
 
+@pytest.mark.parametrize("raises", [False, True])
+def test_split_walk_restores_the_callers_buffer_size(raises, monkeypatch):
+    """The walk runs with numpy's buffer at ``_SCAN_BUFFER`` elements, and
+    the caller's size reads the same after it returns or raises."""
+    c = random_linear_code(60, 24, random.Random(26))
+    weights, seen = codes._weights, []
+
+    def spy(block, nbits, out=None):
+        seen.append(np.getbufsize())
+        if raises and seen[-1] == codes._SCAN_BUFFER:
+            raise RuntimeError("walk interrupted")
+        return weights(block, nbits, out)
+
+    monkeypatch.setattr(codes, "_weights", spy)
+    for caller in (np.getbufsize(), 4096):
+        with np.errstate():
+            np.setbufsize(caller)
+            if raises:
+                with pytest.raises(RuntimeError, match="walk interrupted"):
+                    c.min_distance_split(10)
+            else:
+                res = c.min_distance_split(10)
+                assert res.patterns_scanned == predicted_split_patterns(c, 10)
+            assert np.getbufsize() == caller
+    assert codes._SCAN_BUFFER in seen
+
+
 def nonpivot_rank(c):
     nonpivot = (1 << c.n) - 1 - sum(1 << p for p in c.pivots)
     return rank(BitMatrix(c.n, [r & nonpivot for r in c.rref_matrix.row_bits()]))

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import random
@@ -875,6 +876,43 @@ def test_classify_block_decodes_both_sides_of_one_code_in_one_call(kind):
             assert [sorted(b) for b in recorder.blocks] == ([sorted(words)] if words else [])
             seen.update(want)
     assert codes >= 6 and {SUCCESS, LOGICAL, X_FAILURE, Z_FAILURE} <= seen
+
+
+def _rebased(code, rng):
+    """The same code in another basis: random row additions, then a shuffle."""
+    rows = code.generator.row_bits()
+    for _ in range(3 * len(rows) if len(rows) > 1 else 0):
+        i, j = rng.sample(range(len(rows)), 2)
+        rows[i] ^= rows[j]
+    rng.shuffle(rows)
+    return LinearCode(BitMatrix(code.n, rows))
+
+
+@pytest.mark.parametrize("kind", ["lookup", "bm"])
+def test_classify_block_decodes_a_rebased_pair_in_one_call(kind):
+    """CSS(C, C') with C' a re-basis of C and one decoder: one decode_block
+    call a block, and the outcomes of two decoders on the two bases, of
+    the scalar path and of the pair in one basis."""
+    rng, nprng = random.Random(26), np.random.default_rng(26)
+    rebased = 0
+    for css in _one_group_codes(kind):
+        recorder, c1 = css.decoder1, css.c1
+        c2 = _rebased(c1, rng)
+        rebased += c2.generator != c1.generator
+        assert c2.same_code(c1)
+        shared = CssCode(c1, c2, decoder1=recorder, decoder2=recorder)
+        twin = copy.deepcopy(recorder.decoder)
+        apart = CssCode(c1, c2, decoder1=recorder.decoder, decoder2=twin)
+        for channel in (ChannelSpec.pauli(0, 0.1, 0), ChannelSpec.depolarizing(0.2)):
+            _, x, z = _sample_rows(channel, css.n, nprng, 300)
+            errors = _pauli_errors(css.n, x, z)
+            want = apart.classify_block(x, z).tolist()
+            assert want == [_scalar_outcome(shared, e) for e in errors]
+            assert want == css.classify_block(x, z).tolist()
+            recorder.blocks.clear()
+            assert shared.classify_block(x, z).tolist() == want, (c1, channel)
+            assert len(recorder.blocks) == 1
+    assert rebased >= 5
 
 
 class _ReturnsTheWord:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qcss import gf2
 from qcss.errors import InvalidInput
 from qcss.gf2 import (
     BitMatrix,
@@ -126,13 +127,37 @@ def column_sweep_rref(m):
     return BitMatrix(m.cols, data[: len(pivots)]), tuple(pivots)
 
 
-@pytest.mark.parametrize("shape", ["tall", "wide", "deficient"])
-def test_rref_matches_column_sweep(shape):
+def _stride_periodic_rows(cols, rng):
+    """p independent rows repeated cols times.  While p * cols of them are
+    left, a filtering round's sample takes every p-th row, all copies of
+    one row, so each round adds a single pivot."""
+    basis = {}
+    while len(basis) < min(cols, rng.randrange(2, 41)):
+        gf2.insert_rows(basis, [rng.getrandbits(cols)])
+    period = list(basis.values())
+    rng.shuffle(period)
+    return period * cols, len(period)
+
+
+@pytest.mark.parametrize("shape", ["tall", "very tall", "wide", "deficient"])
+def test_rref_matches_column_sweep(shape, monkeypatch):
     rng = random.Random(shape)
+    insertions = []
+    monkeypatch.setattr(
+        gf2, "insert_rows", lambda basis, rows: insertions.append(1) or insert_rows(basis, rows)
+    )
     for _ in range(200):
         cols = rng.randrange(0, 70)
+        period = None
         if shape == "tall":
             rows = [rng.getrandbits(cols) for _ in range(cols + rng.randrange(1, 40))]
+        elif shape == "very tall":  # up to 40 * cols rows, repeats and zero rows
+            cols = rng.choice([0, 1, rng.randrange(2, 24)])
+            if cols > 1 and rng.random() < 0.4:
+                rows, period = _stride_periodic_rows(cols, rng)
+            else:
+                pool = [rng.getrandbits(cols) for _ in range(rng.randrange(1, cols + 3))] + [0]
+                rows = [rng.choice(pool) for _ in range(rng.randrange(2 * cols, 40 * cols + 2))]
         elif shape == "wide":
             rows = [rng.getrandbits(cols) for _ in range(rng.randrange(0, cols // 2 + 1))]
         else:  # combinations of a few rows, in random order
@@ -142,7 +167,14 @@ def test_rref_matches_column_sweep(shape):
                 for _ in range(rng.randrange(1, 20))
             ]
         m = BitMatrix(cols, rows)
-        assert rref(m) == column_sweep_rref(m)
+        insertions.clear()
+        red, pivots = rref(m)
+        assert (red, pivots) == column_sweep_rref(m)
+        # one insertion a filtering round, of which there are at most
+        # rank + 1, and one for the rest
+        assert len(insertions) <= len(pivots) + 2
+        if period is not None:  # the worst case: one pivot a round
+            assert len(insertions) == period
 
 
 def test_nullspace_of_all_ones_row():

@@ -10,7 +10,15 @@ import pytest
 from qcss.codes import LinearCode
 from qcss import css, projgeom, tables
 from qcss.errors import DecodingFailure, InvalidInput, ResourceLimit, UnsupportedConfiguration
-from qcss.gf2 import BitMatrix, BitVector, bools_as_bytes, bytes_as_ints, ints_as_bytes, parities
+from qcss.gf2 import (
+    BitMatrix,
+    BitVector,
+    bools_as_bytes,
+    bytes_as_ints,
+    insert_rows,
+    ints_as_bytes,
+    parities,
+)
 from qcss.projgeom import (
     Configuration,
     ProjGeometry,
@@ -152,6 +160,24 @@ def test_pg32_code_parameters():
     assert (code.n, code.k) == (16, 5)
     assert code.min_distance() == 8
     assert code.dual().min_distance() == 4
+
+
+def test_pg63_basis_equals_plain_insertion():
+    """The PG(6,2) 3-space code, [128,64] from 11,811 extended incidence
+    rows, whose rref filters its rows in rounds: every row inserted one at a
+    time, then Gauss-Jordan on the pivot columns, gives the same basis."""
+    cfg = enumerate_spaces(ProjGeometry(6, 2), 3)
+    code = build_so_code(cfg)
+    basis = {}
+    insert_rows(basis, [r | 1 << cfg.v for r in cfg.incidence.row_bits()])
+    pivots = sorted(basis)
+    for p in pivots:
+        for q in pivots:
+            if q != p and basis[q] >> p & 1:
+                basis[q] ^= basis[p]
+    assert (cfg.incidence.rows, code.n, code.k) == (11811, 128, 64)
+    assert code.pivots == tuple(pivots)
+    assert code.generator == BitMatrix(code.n, [basis[p] for p in pivots])
 
 
 def test_pg42_lines_rejected_planes_accepted():
