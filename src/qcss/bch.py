@@ -12,9 +12,9 @@ numpy chunks; ``best_window`` is its one-set call, and the self-orthogonal
 search makes one call for its code zero sets and one for their duals.
 
 A binary word's values at field elements are GF(2)-linear in its bits:
-``_position_values`` gives that map's columns, from which a ``gf2.ParityMap``
-is built once per length and field for zero sets, and a ``gf2.packed_table``
-once per spec for the decoder.
+``_position_values`` gives that map's columns, from which a ``gf2.packed_table``
+is built once per length and field for zero sets, and once per spec for the
+decoder.
 """
 from __future__ import annotations
 
@@ -35,7 +35,6 @@ from .errors import (
 )
 from .gf2 import (
     BitMatrix,
-    ParityMap,
     apply_packed,
     bools_as_bytes,
     bytes_as_bools,
@@ -462,14 +461,14 @@ def is_self_orthogonal_cyclic(spec: CyclicCodeSpec) -> bool:
 
 
 @lru_cache(maxsize=16)
-def _coset_values(n: int, fld: Gf2mField) -> tuple[tuple[tuple[int, ...], ...], ParityMap]:
+def _coset_values(n: int, fld: Gf2mField) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
     """The cosets mod n by least element c, and a word's values at each
     beta^c; keyed by the field, not its m, as polynomials differ."""
     if fld.order % n:
         raise InvalidInput(f"{n} does not divide 2^{fld.m}-1")
     cosets = tuple(sorted(set(_length_table(n).coset_of)))
     points = [fld.order // n * c[0] for c in cosets]
-    return cosets, ParityMap(_position_values(fld, points, n, fld.m))
+    return cosets, packed_table(_position_values(fld, points, n, fld.m), fld.m * len(points))
 
 
 def zero_set_of_polynomial(n: int, g: int, fld: Gf2mField | None = None) -> tuple[int, ...]:
@@ -480,7 +479,7 @@ def zero_set_of_polynomial(n: int, g: int, fld: Gf2mField | None = None) -> tupl
         raise InvalidInput(f"polynomial {g} is negative")
     fld = fld or cyclic_field(n)
     cosets, values = _coset_values(n, fld)
-    packed = values(poly_mod(g, 1 << n | 1))
+    packed = bytes_as_ints(apply_packed(values, word_block(poly_mod(g, 1 << n | 1), n)))[0]
     zeros: list[int] = []
     for f, coset in enumerate(cosets):
         if not packed >> (fld.m * f) & fld.order:

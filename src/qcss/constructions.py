@@ -14,8 +14,8 @@ import numpy as np
 from .bch import Gf2mField
 from .codes import DEFAULT_BUDGET, LinearCode, _span_block, _weights, dual_min_distance
 from .errors import InvalidInput, PreconditionError, ResourceLimit
-from .gf2 import BitMatrix, BitVector, ParityMap, bytes_as_ints, insert_rows, pack_rows
-from .gf2 import parities, rref
+from .gf2 import BitMatrix, BitVector, apply_packed, bools_as_bytes, bytes_as_bools, bytes_as_ints
+from .gf2 import insert_rows, ints_as_bytes, pack_rows, packed_table, parities, rref, words_as_bytes
 
 # words a side computation may enumerate: a predicted dual distance, the dual
 # words of construction Y1, the distance `qcss pg` prints
@@ -289,13 +289,13 @@ def concatenate(inner: LinearCode, outer: OuterCode) -> ConstructionReport:
         raise PreconditionError(
             f"outer symbols are GF(2^{outer.field.m}) but the inner dimension is {k1}"
         )
-    to_bits = ParityMap(inner.rref_matrix.row_bits())
+    to_bits = packed_table(inner.rref_matrix.row_bits(), inner.n)
     mul = outer.field.mul
-    rows = [
-        sum(to_bits(mul(1 << i, coef)) << (col * inner.n) for col, coef in enumerate(row))
-        for row in outer.rows
-        for i in range(k1)
-    ]
+    # the symbols x^i * coef of outer row r, for each i < k1 in turn
+    symbols = [mul(1 << i, coef) for row in outer.rows for i in range(k1) for coef in row]
+    words = apply_packed(to_bits, ints_as_bytes(symbols, (k1 + 7) // 8))
+    bits = bytes_as_bools(words_as_bytes(words, inner.n), inner.n)
+    rows = bytes_as_ints(bools_as_bytes(bits.reshape(outer.k * k1, outer.n * inner.n)))
     out = LinearCode(BitMatrix(inner.n * outer.n, rows))
     return ConstructionReport(
         code=out,

@@ -6,23 +6,26 @@ Decoding runs the classical decoder of each constituent's dual on a word with
 the observed syndrome: x-type stabilizer syndromes determine the z-type error
 component and vice versa.
 
-Each side of a code has two ``gf2.ParityMap``s, built once: a check map on
-the side's error bits, whose low bits are the syndrome and whose high bits,
-the checks of the other code's dual, vanish exactly on the stabilizer part;
-and a preimage map from a syndrome to a word that has it.  The sides share
-them when C1 and C2 have one generator.  When C1 and C2 are one code in two
-bases with one decoder, the x side's block path takes the z side's maps,
-since either preimage of an error's syndrome lies in its coset of the dual
-and a decoder's estimate depends on that coset alone; `syndrome` and
-`decode` keep C2's basis.  Each check map is kept both as
-ceil(n/8) tables of 256 ints, for `syndrome` and `residual_is_logical`, and
-as one numpy array (64 KB for [[127,57,11]]); the preimage map only as a
-numpy array.  Through those arrays `CssCode.classify_block` decodes a whole
-Monte Carlo block at once: per group of sides that share the check map, the
-preimage map and the decoder (one group for CSS(C, C), two otherwise), one
-gather of the check map, one of the preimage map over the distinct nonzero
-syndromes of all the group's rows, one ``decode_block`` call and one XOR for
-the estimates.  `CssCode.decode` is that path on one syndrome, through the
+`syndrome` and `residual_is_logical` are the definitions themselves: the
+parities of an error's components against the stabilizer rows, and whether
+the residual's parts lie in C1 and C2.  They share no table with the block
+path below, whose oracle they are in the tests.
+
+Each side of a code has two ``gf2.packed_table``s, built once: a check map
+on the side's error bits, whose low bits are the syndrome and whose high
+bits, the checks of the other code's dual, vanish exactly on the stabilizer
+part; and a preimage map from a syndrome to a word that has it.  The sides
+share them when C1 and C2 have one generator.  When C1 and C2 are one code
+in two bases with one decoder, the x side's block path takes the z side's
+maps, since either preimage of an error's syndrome lies in its coset of the
+dual and a decoder's estimate depends on that coset alone; `decode` keeps
+C2's basis.  Through those tables (64 KB for the check map of
+[[127,57,11]]) `CssCode.classify_block` decodes a whole Monte Carlo block
+at once: per group of sides that share the check map, the preimage map and
+the decoder (one group for CSS(C, C), two otherwise), one gather of the
+check map, one of the preimage map over the distinct nonzero syndromes of
+all the group's rows, one ``decode_block`` call and one XOR for the
+estimates.  `CssCode.decode` is that path on one syndrome, through the
 decoder's one-row ``decode_word``.
 """
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .errors import (
 )
 from .gf2 import (
     BitVector,
-    ParityMap,
     apply_packed,
     bools_as_bytes,
     bytes_as_ints,
@@ -77,6 +79,8 @@ class PauliError:
     z_bits: int
 
     def __post_init__(self):
+        if self.n < 0:
+            raise InvalidInput(f"negative qubit count {self.n}")
         if self.x_bits >> self.n or self.z_bits >> self.n or self.x_bits < 0 or self.z_bits < 0:
             raise InvalidInput("component bits outside the qubit range")
 
@@ -88,6 +92,8 @@ class PauliError:
     def single(cls, n: int, qubit: int, kind: str) -> "PauliError":
         if not 0 <= qubit < n:
             raise InvalidInput(f"qubit {qubit} out of range")
+        if kind not in _PAULI_BITS:
+            raise InvalidInput(f"not a Pauli letter: {kind!r}")
         x, z = _PAULI_BITS[kind]
         return cls(n, x << qubit, z << qubit)
 
@@ -111,6 +117,8 @@ class PauliError:
         return PauliError(self.n, self.x_bits ^ other.x_bits, self.z_bits ^ other.z_bits)
 
     def kind(self, qubit: int) -> str:
+        if not 0 <= qubit < self.n:
+            raise InvalidInput(f"qubit {qubit} out of range")
         x = self.x_bits >> qubit & 1
         z = self.z_bits >> qubit & 1
         return {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}[(x, z)]
@@ -260,25 +268,19 @@ class CssCode:
         self.decoder1 = decoder1
         self.decoder2 = decoder2
         self.distance = distance
-        self._mask1, self._mask2 = (1 << c1.k) - 1, (1 << c2.k) - 1
         # z bits -> s_x, then the checks of C2's dual; x bits likewise
-        z_rows = _check_rows(c1, c2)
-        self._z_checks = ParityMap.from_rows(z_rows, self.n)
         self._preimage1 = _preimage_table(c1)
-        self._z_block = (packed_parities(z_rows, self.n), self._preimage1)
+        self._z_block = (packed_parities(_check_rows(c1, c2), self.n), self._preimage1)
         if c1.generator == c2.generator:
-            self._x_checks, self._preimage2 = self._z_checks, self._preimage1
-            self._x_block = self._z_block
+            self._preimage2, self._x_block = self._preimage1, self._z_block
         else:
-            x_rows = _check_rows(c2, c1)
-            self._x_checks = ParityMap.from_rows(x_rows, self.n)
             self._preimage2 = _preimage_table(c2)
             # a preimage in either basis of one code lies in the error's
             # coset of the dual, which is all that one shared decoder sees
             if decoder1 is decoder2 and c1.same_code(c2):
                 self._x_block = self._z_block
             else:
-                self._x_block = (packed_parities(x_rows, self.n), self._preimage2)
+                self._x_block = (packed_parities(_check_rows(c2, c1), self.n), self._preimage2)
 
     @classmethod
     def from_self_orthogonal(
@@ -295,17 +297,19 @@ class CssCode:
         return self.n, self.quantum_k, self.distance
 
     def stabilizer(self, kind: str, index: int) -> PauliError:
-        if kind == "x":
-            return PauliError(self.n, self.c1.generator.row(index).bits, 0)
-        if kind == "z":
-            return PauliError(self.n, 0, self.c2.generator.row(index).bits)
-        raise InvalidInput(f"stabilizer kind must be 'x' or 'z', got {kind!r}")
+        code = {"x": self.c1, "z": self.c2}.get(kind)
+        if code is None:
+            raise InvalidInput(f"stabilizer kind must be 'x' or 'z', got {kind!r}")
+        if not 0 <= index < code.k:
+            raise InvalidInput(f"no {kind}-type stabilizer {index} among {code.k}")
+        bits = code.generator.row(index).bits
+        return PauliError(self.n, bits, 0) if kind == "x" else PauliError(self.n, 0, bits)
 
     def syndrome(self, error: PauliError) -> Syndrome:
         if error.n != self.n:
             raise InvalidInput(f"error size {error.n} != {self.n}")
-        s_x = self._z_checks(error.z_bits) & self._mask1
-        s_z = self._x_checks(error.x_bits) & self._mask2
+        s_x = parities(self.c1.generator.row_bits(), error.z_bits)
+        s_z = parities(self.c2.generator.row_bits(), error.x_bits)
         return Syndrome(s_x=BitVector(self.c1.k, s_x), s_z=BitVector(self.c2.k, s_z))
 
     def decode(self, syndrome: Syndrome) -> PauliError:
@@ -340,16 +344,17 @@ class CssCode:
 
         A nonzero residual syndrome means the estimate was not syndrome
         consistent, which only a broken decoder produces.  Otherwise the
-        residual's x part lies in C1 exactly when the checks of C1's dual
-        vanish on it, and its z part in C2 likewise.
+        residual is a stabilizer exactly when its x part lies in C1 and its
+        z part in C2.
         """
         if error.n != self.n or estimate.n != self.n:
             raise InvalidInput(f"error sizes {error.n}, {estimate.n} != {self.n}")
-        z_checks = self._z_checks(error.z_bits ^ estimate.z_bits)
-        x_checks = self._x_checks(error.x_bits ^ estimate.x_bits)
-        if z_checks & self._mask1 or x_checks & self._mask2:
+        rx = BitVector(self.n, error.x_bits ^ estimate.x_bits)
+        rz = BitVector(self.n, error.z_bits ^ estimate.z_bits)
+        rows1, rows2 = self.c1.generator.row_bits(), self.c2.generator.row_bits()
+        if parities(rows1, rz.bits) or parities(rows2, rx.bits):
             raise InternalConsistencyError("estimate does not match the observed syndrome")
-        return bool(z_checks >> self.c1.k or x_checks >> self.c2.k)
+        return not (self.c1.contains(rx) and self.c2.contains(rz))
 
     def classify_block(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """The outcome of each error of a block: SUCCESS, LOGICAL, X_FAILURE
@@ -441,8 +446,7 @@ def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _check_rows(syndrome_code: LinearCode, stabilizer_code: LinearCode) -> list[int]:
     """The rows of ``syndrome_code``, then those of the dual of
     ``stabilizer_code``: parities with the latter vanish exactly on that
-    code.  A side's check map, as a ParityMap for one error and as
-    ``apply_packed``'s table for a block."""
+    code.  A side's check map, as ``apply_packed``'s table for a block."""
     return syndrome_code.generator.row_bits() + stabilizer_code.dual().generator.row_bits()
 
 

@@ -8,17 +8,15 @@ between ints and rows of bytes, ``bools_as_bytes`` and ``bytes_as_bools``
 between rows of bools and those bytes.  Each GF(2)-linear job
 of the package has one routine here: ``insert_rows`` (basis insertion, the
 first phase of ``rref``), ``preimages`` (words with given parities, and a
-kernel) and ``ParityMap`` (a fixed matrix applied to many words one at a
-time) with its numpy twin ``packed_table``, which ``apply_packed`` applies
-to a block of words at once.  A decoder's block is ``check_block``'s
+kernel), ``parities`` (a matrix applied to one word) and ``packed_table``
+(a fixed matrix as byte tables), which ``apply_packed`` applies to a block
+of words at once.  A decoder's block is ``check_block``'s
 (count, ceil(n/8)) uint8 array, and ``word_block`` makes the one-row block
 of a single word.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import getitem, xor
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -334,43 +332,12 @@ def parities(rows: Sequence[int], word: int) -> int:
     return out
 
 
-class ParityMap:
-    """A fixed GF(2) matrix applied to many words, one lookup per input byte.
-
-    ``images`` are its c columns.  Table k maps a byte v to the XOR of the
-    images of v's set bits at 8k..8k+7 ("Four Russians", Arlazarov et al.
-    1970): ceil(c/8) lists of 256 ints as wide as the output.  A last partial
-    byte fills 2^(c mod 8) entries, so a word must stay below 2^c.
-    """
-
-    __slots__ = ("tables",)
-
-    def __init__(self, images: Sequence[int]):
-        self.tables = []
-        for k in range(0, len(images), 8):
-            column = images[k : k + 8]
-            table = [0] * 256
-            for v in range(1, 1 << len(column)):
-                low = v & -v
-                table[v] = table[v ^ low] ^ column[low.bit_length() - 1]
-            self.tables.append(table)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[int], cols: int) -> "ParityMap":
-        """The map ``word -> parities(rows, word)`` on words of ``cols`` bits."""
-        return cls(BitMatrix(cols, rows).transpose().row_bits())
-
-    def __call__(self, word: int) -> int:
-        tables = self.tables
-        return reduce(xor, map(getitem, tables, word.to_bytes(len(tables), "little")), 0)
-
-
 def packed_table(images: Sequence[int], width: int) -> np.ndarray:
     """The map whose c columns are ``images``, each below 2^``width``, as
     one (ceil(c/8), 256, ceil(width/64)) uint64 array for ``apply_packed``:
-    entry [k, v] is the XOR of the images of v's set bits at 8k..8k+7,
-    split into 64-bit words, low word first, however narrow the images
-    are.  ``ParityMap``'s tables with numpy words: the entries of a last
+    entry [k, v] is the XOR of the images of v's set bits at 8k..8k+7
+    ("Four Russians", Arlazarov et al. 1970), split into 64-bit words, low
+    word first, however narrow the images are.  The entries of a last
     partial byte with bits beyond c stay zero.  Built in numpy, entries
     2^j..2^(j+1)-1 from the lower ones, with no Python int per entry."""
     if any(image < 0 or image >> width for image in images):

@@ -802,7 +802,8 @@ def test_bm_decode_tables_follow_the_field():
 
 
 def _byte_values_oracle(position_values, n):
-    """The per-byte tables bm_decode built for itself before ParityMap."""
+    """The per-byte tables bm_decode built for itself before the shared
+    byte tables of `gf2.packed_table`."""
     byte_values = []
     for k in range(0, n, 8):
         column = position_values[k : k + 8]

@@ -99,6 +99,25 @@ def test_pauli_weight_and_product():
     assert str(e * f) == "XIYZ"  # Y*Y = I up to phase, Z*X = Y up to phase
 
 
+_MALFORMED_PER_ERROR_INPUT = {
+    "negative qubit count": lambda rm: PauliError(-1, 0, 0),
+    "unknown Pauli letter": lambda rm: PauliError.single(3, 0, "Q"),
+    "kind beyond the qubits": lambda rm: PauliError(3, 1, 0).kind(5),
+    "negative kind qubit": lambda rm: PauliError(3, 1, 0).kind(-1),
+    "stabilizer beyond the rows": lambda rm: rm.stabilizer("x", 99),
+    "negative stabilizer index": lambda rm: rm.stabilizer("x", -1),
+    "z stabilizer one past the rows": lambda rm: rm.stabilizer("z", rm.c2.k),
+    "unknown stabilizer kind": lambda rm: rm.stabilizer("y", 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_PER_ERROR_INPUT))
+def test_malformed_per_error_input_raises_invalid_input(case):
+    rm = css_from_reed_muller(4, 1)
+    with pytest.raises(InvalidInput):
+        _MALFORMED_PER_ERROR_INPUT[case](rm)
+
+
 def test_build_css_rejects_non_orthogonal_pair():
     from qcss.codes import LinearCode
     from qcss.gf2 import BitMatrix
@@ -501,10 +520,19 @@ def test_css_maps_refuse_size_mismatches():
 
 def test_css_sides_share_maps_only_for_one_generator():
     rm = css_from_reed_muller(4, 1)
-    assert rm._x_checks is rm._z_checks and rm._preimage1 is rm._preimage2
+    assert rm._x_block is rm._z_block and rm._preimage1 is rm._preimage2
     c1, c2 = _random_css_pair(13, random.Random(6))
     pair = CssCode(c1, c2)
-    assert pair._x_checks is not pair._z_checks
+    assert pair._x_block is not pair._z_block and pair._preimage1 is not pair._preimage2
+    # one code in two bases: one decoder shares the block maps, but decode
+    # keeps C2's own preimage map; two decoders share nothing
+    rebased = _rebased(rm.c1, random.Random(7))
+    assert rebased.generator != rm.c1.generator
+    twin = CssCode(rm.c1, rebased, decoder1=rm.decoder1, decoder2=rm.decoder1)
+    assert twin._x_block is twin._z_block and twin._preimage2 is not twin._preimage1
+    assert np.array_equal(twin._preimage2, css_module._preimage_table(rebased))
+    apart = CssCode(rm.c1, rebased, decoder1=rm.decoder1, decoder2=copy.deepcopy(rm.decoder1))
+    assert apart._x_block is not apart._z_block
 
 
 def _x47_component():

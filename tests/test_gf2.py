@@ -12,7 +12,6 @@ from qcss.errors import InvalidInput
 from qcss.gf2 import (
     BitMatrix,
     BitVector,
-    ParityMap,
     apply_packed,
     bools_as_bytes,
     bytes_as_bools,
@@ -327,6 +326,36 @@ def test_parities_matches_per_row_loop(rows, word):
 _MAP_WIDTHS = [0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129]
 
 
+def _packed_words(words, cols):
+    width = (cols + 7) // 8
+    raw = b"".join(w.to_bytes(width, "little") for w in words)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(len(words), width)
+
+
+def _apply(table, words, cols):
+    return bytes_as_ints(apply_packed(table, _packed_words(words, cols)))
+
+
+def _byte_tables_oracle(images):
+    """One list of 256 ints per input byte of the map whose columns are
+    ``images``, entry v the XOR of the images of v's set bits, filled one
+    entry at a time from a lower one."""
+    tables = []
+    for k in range(0, len(images), 8):
+        column = images[k : k + 8]
+        table = [0] * 256
+        for v in range(1, 1 << len(column)):
+            low = v & -v
+            table[v] = table[v ^ low] ^ column[low.bit_length() - 1]
+        tables.append(table)
+    return tables
+
+
+def _image_oracle(images, word):
+    """The XOR of the images of the set bits of ``word``."""
+    return functools.reduce(operator.xor, (im for j, im in enumerate(images) if word >> j & 1), 0)
+
+
 @pytest.mark.parametrize("cols", _MAP_WIDTHS)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -336,27 +365,20 @@ def test_parity_map_matches_parities(cols, data):
     words = data.draw(st.lists(word, min_size=1, max_size=6), label="words")
     if cols:
         words += [w | 1 << (cols - 1) for w in words] + [(1 << cols) - 1]
-    pmap = ParityMap.from_rows(rows, cols)
-    for w in words:
-        assert pmap(w) == parities(rows, w)
+    table = packed_parities(rows, cols)
+    assert _apply(table, words, cols) == [parities(rows, w) for w in words]
 
 
 @pytest.mark.parametrize("cols", _MAP_WIDTHS)
 def test_parity_map_images_are_its_columns(cols):
     rng = random.Random(cols)
     images = [rng.getrandbits(70) for _ in range(cols)]
-    pmap = ParityMap(images)
-    assert [pmap(1 << j) for j in range(cols)] == images
-    assert len(pmap.tables) == (cols + 7) // 8
-    assert pmap(0) == 0
+    table = packed_table(images, 70)
+    assert _apply(table, [1 << j for j in range(cols)], cols) == images
+    assert len(table) == (cols + 7) // 8
+    assert _apply(table, [0], cols) == [0]
     rows = BitMatrix(70, images).transpose().row_bits()  # the matrix whose columns these are
-    assert ParityMap.from_rows(rows, cols).tables == pmap.tables
-
-
-def _packed_words(words, cols):
-    width = (cols + 7) // 8
-    raw = b"".join(w.to_bytes(width, "little") for w in words)
-    return np.frombuffer(raw, dtype=np.uint8).reshape(len(words), width)
+    assert np.array_equal(packed_parities(rows, cols), table)
 
 
 # input lengths on either side of the byte and word edges; output widths of
@@ -366,16 +388,16 @@ def _packed_words(words, cols):
 def test_packed_table_applies_the_map_to_a_block(cols, width):
     rng = random.Random(cols * 1000 + width)
     images = [rng.getrandbits(width) for _ in range(cols)]
-    pmap = ParityMap(images)
+    oracle = _byte_tables_oracle(images)
     table = packed_table(images, width)
-    assert table.shape == (len(pmap.tables), 256, (width + 63) // 64)
-    # ParityMap's tables entry for entry, unfilled entries of a partial byte included
-    assert bytes_as_ints(table.reshape(-1, table.shape[2])) == [v for t in pmap.tables for v in t]
+    assert table.shape == (len(oracle), 256, (width + 63) // 64)
+    # the oracle's tables entry for entry, unfilled entries of a partial byte included
+    assert bytes_as_ints(table.reshape(-1, table.shape[2])) == [v for t in oracle for v in t]
     assert table.dtype == np.uint64
     words = [rng.getrandbits(cols) for _ in range(60)] + [0, (1 << cols) - 1, 1 << (cols - 1)]
     out = apply_packed(table, _packed_words(words, cols))
     assert out.shape == (len(words), table.shape[2]) and out.dtype == np.uint64
-    assert [int.from_bytes(row.tobytes(), "little") for row in out] == [pmap(w) for w in words]
+    assert bytes_as_ints(out) == [_image_oracle(images, w) for w in words]
     assert apply_packed(table, _packed_words([], cols)).shape == (0, table.shape[2])
 
 
@@ -430,9 +452,9 @@ def test_packed_table_of_no_columns_maps_to_zero():
 
 
 def test_parity_map_of_no_rows_or_no_columns_is_zero():
-    assert ParityMap.from_rows([], 65)((1 << 65) - 1) == 0
-    assert ParityMap.from_rows([0, 0, 0], 0)(0) == 0
-    assert ParityMap([])(0) == 0
+    assert _apply(packed_parities([], 65), [(1 << 65) - 1], 65) == [0]
+    assert _apply(packed_parities([0, 0, 0], 0), [0], 0) == [0]
+    assert _apply(packed_table([], 0), [0], 0) == [0]
 
 
 @settings(max_examples=100, deadline=None)
