@@ -156,13 +156,21 @@ class Gf2mField:
         self._exp = exp
         self._log = log
 
+    def _element(self, a: int) -> int:
+        """``a``, refused unless it is an element: 0..2^m - 1."""
+        if not 0 <= a <= self.order:
+            raise InvalidInput(f"{a} is not an element of GF(2^{self.m})")
+        return a
+
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % self.order]
+        if 0 < a <= self.order and 0 < b <= self.order:
+            return self._exp[(self._log[a] + self._log[b]) % self.order]
+        self._element(a)
+        self._element(b)
+        return 0
 
     def inv(self, a: int) -> int:
-        if a == 0:
+        if self._element(a) == 0:
             raise InvalidInput("zero has no inverse")
         return self._exp[(self.order - self._log[a]) % self.order]
 
@@ -170,7 +178,7 @@ class Gf2mField:
         return self._exp[e % self.order]
 
     def log(self, a: int) -> int:
-        if a == 0:
+        if self._element(a) == 0:
             raise InvalidInput("log of zero")
         return self._log[a]
 

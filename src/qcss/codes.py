@@ -210,6 +210,16 @@ class LinearCode:
         return _min_distance_split(self, bound, budget)
 
 
+def require_mutually_orthogonal(c1: LinearCode, c2: LinearCode) -> None:
+    """Refuse a pair unless C2 lies inside the dual of C1: the rows of the
+    two generators are pairwise orthogonal."""
+    if c1.n != c2.n:
+        raise PreconditionError(f"length mismatch: {c1.n} != {c2.n}")
+    rows2 = c2.generator.row_bits()
+    if any(parities(rows2, a) for a in c1.generator.row_bits()):
+        raise PreconditionError("the second code is not inside the dual of the first")
+
+
 # -- word-major enumeration ------------------------------------------------
 
 
@@ -602,11 +612,11 @@ def random_linear_code(n: int, k: int, rng) -> LinearCode:
             return LinearCode(BitMatrix(n, rows))
 
 
-def random_self_orthogonal_code(n: int, k: int, rng, max_tries: int = 4000) -> LinearCode:
+def random_self_orthogonal_code(n: int, k: int, rng) -> LinearCode:
     """Random self-orthogonal [n, k] code by incremental row rejection."""
     if k > n // 2:
         raise PreconditionError(f"self-orthogonal codes need k <= n/2, got [{n},{k}]")
-    for _ in range(max_tries):
+    for _ in range(4000):
         rows: list[int] = []
         basis: dict[int, int] = {}  # the span of rows, for independence
         tries = 0

@@ -13,9 +13,10 @@ import numpy as np
 
 from .bch import Gf2mField
 from .codes import DEFAULT_BUDGET, LinearCode, _span_block, _weights, dual_min_distance
+from .codes import require_mutually_orthogonal
 from .errors import InvalidInput, PreconditionError, ResourceLimit
 from .gf2 import BitMatrix, BitVector, apply_packed, bools_as_bytes, bytes_as_bools, bytes_as_ints
-from .gf2 import insert_rows, ints_as_bytes, pack_rows, packed_table, parities, rref, words_as_bytes
+from .gf2 import insert_rows, ints_as_bytes, pack_rows, packed_table, rref, words_as_bytes
 
 # words a side computation may enumerate: a predicted dual distance, the dual
 # words of construction Y1, the distance `qcss pg` prints
@@ -74,14 +75,6 @@ def _require_self_orthogonal(*codes: LinearCode) -> None:
     for c in codes:
         if not c.is_self_orthogonal():
             raise PreconditionError(f"{c!r} is not self-orthogonal")
-
-
-def _require_mutually_orthogonal(c1: LinearCode, c2: LinearCode) -> None:
-    if c1.n != c2.n:
-        raise PreconditionError(f"length mismatch: {c1.n} != {c2.n}")
-    c2_rows = c2.generator.row_bits()
-    if any(parities(c2_rows, a) for a in c1.generator.row_bits()):
-        raise PreconditionError("second code is not inside the dual of the first")
 
 
 def _coset_leader_basis(sub: LinearCode, sup: LinearCode) -> list[int]:
@@ -144,7 +137,7 @@ def shorten(code: LinearCode, i: int) -> ConstructionReport:
 def plotkin(c1: LinearCode, c2: LinearCode) -> ConstructionReport:
     """(u | u+v) combination; dual distance is exactly min(2*d2, d1)."""
     _require_self_orthogonal(c1, c2)
-    _require_mutually_orthogonal(c1, c2)
+    require_mutually_orthogonal(c1, c2)
     n = c1.n
     rows = [g | g << n for g in c1.generator.row_bits()]
     rows += [h << n for h in c2.generator.row_bits()]
@@ -162,7 +155,7 @@ def plotkin(c1: LinearCode, c2: LinearCode) -> ConstructionReport:
 def triple_sum(c1: LinearCode, c2: LinearCode) -> ConstructionReport:
     """(u+w | v+w | u+v+w) combination; no dual-distance estimate exists."""
     _require_self_orthogonal(c1, c2)
-    _require_mutually_orthogonal(c1, c2)
+    require_mutually_orthogonal(c1, c2)
     n = c1.n
     rows = [g | g << (2 * n) for g in c1.generator.row_bits()]
     rows += [g << n | g << (2 * n) for g in c1.generator.row_bits()]
@@ -435,11 +428,11 @@ def _remove_support(code: LinearCode, support: tuple[int, ...]) -> LinearCode:
     return LinearCode.from_spanning(BitMatrix(code.n - w, kept))
 
 
-def construction_y1(code: LinearCode, budget: int = PREDICT_BUDGET) -> ConstructionReport:
+def construction_y1(code: LinearCode) -> ConstructionReport:
     """Shorten on the support of a minimum-weight dual word; of several, the
     lexicographically least support."""
     _require_self_orthogonal(code)
-    words, weights = _dual_span(code, budget)
+    words, weights = _dual_span(code, PREDICT_BUDGET)
     if not weights.size:
         raise PreconditionError("dual code is zero-dimensional")
     best_w = int(weights.min())
@@ -451,14 +444,15 @@ def construction_y1(code: LinearCode, budget: int = PREDICT_BUDGET) -> Construct
     )
 
 
-def construction_y4(code: LinearCode, max_dual_words: int = 1 << 13) -> ConstructionReport:
+def construction_y4(code: LinearCode) -> ConstructionReport:
     """Shorten on the union support of the best pair of distinct dual words:
     the lightest union, and of several, the lexicographically least support.
 
-    The pair search is quadratic in the dual size, hence the tighter budget.
+    The pair search is quadratic in the dual size, hence the tighter budget
+    of 2^13 dual words.
     """
     _require_self_orthogonal(code)
-    words, weights = _dual_span(code, max_dual_words)
+    words, weights = _dual_span(code, 1 << 13)
     if weights.size < 2:
         raise PreconditionError("dual code has fewer than two nonzero words")
     best_w, best = code.n + 1, []

@@ -14,19 +14,19 @@ path below, whose oracle they are in the tests.
 Each side of a code has two ``gf2.packed_table``s, built once: a check map
 on the side's error bits, whose low bits are the syndrome and whose high
 bits, the checks of the other code's dual, vanish exactly on the stabilizer
-part; and a preimage map from a syndrome to a word that has it.  The sides
-share them when C1 and C2 have one generator.  When C1 and C2 are one code
-in two bases with one decoder, the x side's block path takes the z side's
-maps, since either preimage of an error's syndrome lies in its coset of the
-dual and a decoder's estimate depends on that coset alone; `decode` keeps
-C2's basis.  Through those tables (64 KB for the check map of
-[[127,57,11]]) `CssCode.classify_block` decodes a whole Monte Carlo block
-at once: per group of sides that share the check map, the preimage map and
-the decoder (one group for CSS(C, C), two otherwise), one gather of the
-check map, one of the preimage map over the distinct nonzero syndromes of
-all the group's rows, one ``decode_block`` call and one XOR for the
-estimates.  `CssCode.decode` is that path on one syndrome, through the
-decoder's one-row ``decode_word``.
+part; and a preimage map from a syndrome to a word that has it.  One rule
+shares them: the x side takes the z side's two maps exactly when one
+decoder object decodes one code, that is ``decoder1 is decoder2`` and C1
+and C2 span one code, in one basis or in two.  Either preimage of an
+error's syndrome lies in its coset of the dual, and a decoder's estimate
+depends on that coset alone.  `decode` keeps C2's own preimage map, which
+is C1's exactly when the two generators are equal.  Through those tables
+(64 KB for the check map of [[127,57,11]]) `CssCode.classify_block`
+decodes a whole Monte Carlo block at once: per side, or once for both
+sides when they share their maps, one gather of the check map, one of the
+preimage map over the distinct nonzero syndromes of the rows, one
+``decode_block`` call and one XOR for the estimates.  `CssCode.decode` is
+that path on one syndrome, through the decoder's one-row ``decode_word``.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ from typing import Protocol
 import numpy as np
 
 from .bch import BchDecoder, CyclicCodeSpec
-from .codes import LinearCode
+from .codes import LinearCode, require_mutually_orthogonal
 from .errors import (
     DecodingFailure,
     InternalConsistencyError,
@@ -256,11 +256,7 @@ class CssCode:
         decoder2: BlockDecoder | None = None,
         distance: int | None = None,
     ):
-        if c1.n != c2.n:
-            raise PreconditionError(f"length mismatch: {c1.n} != {c2.n}")
-        rows2 = c2.generator.row_bits()
-        if any(parities(rows2, a) for a in c1.generator.row_bits()):
-            raise PreconditionError("the two codes are not mutually orthogonal")
+        require_mutually_orthogonal(c1, c2)
         self.c1 = c1
         self.c2 = c2
         self.n = c1.n
@@ -268,19 +264,17 @@ class CssCode:
         self.decoder1 = decoder1
         self.decoder2 = decoder2
         self.distance = distance
-        # z bits -> s_x, then the checks of C2's dual; x bits likewise
         self._preimage1 = _preimage_table(c1)
+        same_basis = c1.generator == c2.generator
+        self._preimage2 = self._preimage1 if same_basis else _preimage_table(c2)
+        # z bits -> s_x, then the checks of C2's dual; x bits likewise
         self._z_block = (packed_parities(_check_rows(c1, c2), self.n), self._preimage1)
-        if c1.generator == c2.generator:
-            self._preimage2, self._x_block = self._preimage1, self._z_block
+        # a preimage in either basis of one code lies in the error's coset
+        # of the dual, which is all that one decoder of that code sees
+        if decoder1 is decoder2 and (same_basis or c1.same_code(c2)):
+            self._x_block = self._z_block
         else:
-            self._preimage2 = _preimage_table(c2)
-            # a preimage in either basis of one code lies in the error's
-            # coset of the dual, which is all that one shared decoder sees
-            if decoder1 is decoder2 and c1.same_code(c2):
-                self._x_block = self._z_block
-            else:
-                self._x_block = (packed_parities(_check_rows(c2, c1), self.n), self._preimage2)
+            self._x_block = (packed_parities(_check_rows(c2, c1), self.n), self._preimage2)
 
     @classmethod
     def from_self_orthogonal(
@@ -363,14 +357,13 @@ class CssCode:
 
         Row r of ``x`` and of ``z``, (count, ceil(n/8)) uint8 arrays, holds
         the little-endian bytes of error r's x and z bits.  Both sides of
-        every row are decoded.  Sides that share the check map, the preimage
-        map and the decoder, as those of CSS(C, C) in one basis or in two
-        do, are classified as one stacked block: one ``decode_block`` call
-        over the distinct nonzero syndromes of both, so a syndrome that both
-        sides show decodes once.
-        Other sides get one call each.  As in `decode` the z side comes
-        first: a row on which both sides fail is a z failure.  Every estimate
-        that was decoded must have the observed syndrome.
+        every row are decoded.  Sides that share their maps, one decoder of
+        one code as in CSS(C, C), are classified as one stacked block: one
+        ``decode_block`` call over the distinct nonzero syndromes of both,
+        so a syndrome that both sides show decodes once.  Other sides get
+        one call each.  As in `decode` the z side comes first: a row on
+        which both sides fail is a z failure.  Every estimate that was
+        decoded must have the observed syndrome.
         """
         width = (self.n + 7) // 8
         for bits in (x, z):
@@ -378,7 +371,7 @@ class CssCode:
                 raise InvalidInput(f"a block must be two ({len(x)}, {width}) uint8 arrays")
         z_side = (*self._z_block, self.c1.k, self.decoder1)
         x_side = (*self._x_block, self.c2.k, self.decoder2)
-        if self._z_block is self._x_block and self.decoder1 is self.decoder2:
+        if self._z_block is self._x_block:
             parts = self._classify_side(np.concatenate((z, x)), *z_side)
         else:
             parts = map(np.concatenate, zip(self._classify_side(z, *z_side),

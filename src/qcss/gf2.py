@@ -43,10 +43,6 @@ class BitVector:
         _check_bits(self.n, self.bits)
 
     @classmethod
-    def zeros(cls, n: int) -> "BitVector":
-        return cls(n, 0)
-
-    @classmethod
     def ones(cls, n: int) -> "BitVector":
         return cls(n, (1 << n) - 1)
 
@@ -133,10 +129,6 @@ class BitMatrix:
     def from_strings(cls, rows: Sequence[str]) -> "BitMatrix":
         vecs = [BitVector.from_string(r) for r in rows]
         return cls.from_vectors(vecs)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(cols, [0] * rows)
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":

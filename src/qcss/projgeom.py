@@ -363,6 +363,10 @@ class RudolphDecoder:
         # points -> violated checks, the checks through each point, and a
         # word -> its syndrome in the code
         self._violated = packed_table(columns, cfg.b)
+        # a count of violated checks is not a GF(2) map, so this stays a
+        # float32 product: on the PG(2,8) decoder with one BLAS thread, an
+        # AND-popcount of the packed checks ran 3.4-12x slower at 50 to
+        # 2,048 rows
         self._incidence = bytes_as_bools(
             ints_as_bytes(cfg.incidence.row_bits(), (cfg.v + 7) // 8), cfg.v
         ).astype(np.float32)

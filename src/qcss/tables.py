@@ -291,14 +291,15 @@ class RmScanHit:
     distance: int
 
 
-def rm_scan(m_range=range(4, 8)) -> list[RmScanHit]:
-    """Self-orthogonal Reed-Muller codes giving nontrivial quantum codes.
+def rm_scan() -> list[RmScanHit]:
+    """Self-orthogonal Reed-Muller codes in 4 to 7 variables giving
+    nontrivial quantum codes.
 
     Nontrivial means positive quantum dimension and dual distance above 2
     (order-0 codes only detect, and self-dual orders encode nothing).
     """
     hits = []
-    for m in m_range:
+    for m in range(4, 8):
         for r in range(0, m):
             rm = rm_generator(m, r)
             if not rm.code.is_self_orthogonal():

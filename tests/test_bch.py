@@ -101,6 +101,20 @@ def test_field_tables_consistent():
         assert f.mul(x, f.inv(x)) == 1
 
 
+# without the range check a negative element wraps around the tables and 16 indexes past them
+@pytest.mark.parametrize("call", [
+    lambda f: f.mul(-1, 3), lambda f: f.mul(3, -1), lambda f: f.mul(16, 3),
+    lambda f: f.mul(3, 16), lambda f: f.mul(0, 16), lambda f: f.mul(-1, 0),
+    lambda f: f.inv(-2), lambda f: f.inv(16), lambda f: f.log(-3), lambda f: f.log(16),
+], ids=["mul-neg", "mul-neg-right", "mul-16", "mul-16-right", "mul-zero-16", "mul-neg-zero",
+        "inv-neg", "inv-16", "log-neg", "log-16"])
+def test_field_refuses_values_outside_the_field(call):
+    f = default_field(4)
+    with pytest.raises(InvalidInput, match="not an element of GF"):
+        call(f)
+    assert f.mul(15, 15) == f.alpha_pow(2 * f.log(15)) and f.mul(0, 15) == 0
+
+
 def test_minimal_polynomial_examples():
     f = default_field(4)
     assert minimal_polynomial(f, 0) == 0b11  # x + 1

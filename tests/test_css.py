@@ -518,7 +518,7 @@ def test_css_maps_refuse_size_mismatches():
         css.decode(Syndrome(BitVector(c1.k, 0), BitVector(c2.k - 1, 0)))
 
 
-def test_css_sides_share_maps_only_for_one_generator():
+def test_css_sides_share_maps_only_when_one_decoder_decodes_one_code():
     rm = css_from_reed_muller(4, 1)
     assert rm._x_block is rm._z_block and rm._preimage1 is rm._preimage2
     c1, c2 = _random_css_pair(13, random.Random(6))
@@ -533,6 +533,17 @@ def test_css_sides_share_maps_only_for_one_generator():
     assert np.array_equal(twin._preimage2, css_module._preimage_table(rebased))
     apart = CssCode(rm.c1, rebased, decoder1=rm.decoder1, decoder2=copy.deepcopy(rm.decoder1))
     assert apart._x_block is not apart._z_block
+    # one basis, two decoders: one preimage map, but each side has its own
+    # block maps and its own decode_block call, with the outcomes of one
+    # shared decoder
+    z_side, x_side = (_Recording(copy.deepcopy(rm.decoder1)) for _ in range(2))
+    two = CssCode(rm.c1, rm.c2, decoder1=z_side, decoder2=x_side)
+    assert two._x_block is not two._z_block and two._preimage2 is two._preimage1
+    _, x, z = _sample_rows(ChannelSpec.depolarizing(0.1), rm.n, np.random.default_rng(8), 300)
+    want = rm.classify_block(x, z).tolist()
+    assert two.classify_block(x, z).tolist() == want
+    assert len(z_side.blocks) == len(x_side.blocks) == 1
+    assert {SUCCESS, LOGICAL, X_FAILURE, Z_FAILURE} <= set(want)
 
 
 def _x47_component():

@@ -275,8 +275,9 @@ def _reed_test_words(rm, radius, rng, per_weight):
     return words + [rng.getrandbits(rm.n) for _ in range(per_weight)]
 
 
-# the duals that Reed-decode the CSS codes of RM(4,1) and RM(5,1), and RM(5,1)
-@pytest.mark.parametrize("m, r", [(4, 2), (5, 2), (5, 1)])
+# the duals that Reed-decode the CSS codes of RM(4,1), RM(5,1) and RM(6,2),
+# RM(5,1), and RM(7,3): layer tables of one 64-bit word and of two
+@pytest.mark.parametrize("m, r", [(4, 2), (5, 2), (5, 1), (6, 3), (7, 3)])
 def test_reed_block_matches_the_vote_loop_oracle(m, r):
     rm = rm_generator(m, r)
     dec = ReedDecoder(rm)
