@@ -109,6 +109,14 @@ def poly_divides(a: int, b: int) -> bool:
     return poly_divmod(b, a)[1] == 0
 
 
+def poly_gcd(a: int, b: int) -> int:
+    """Greatest common divisor, monic (over GF(2) every nonzero polynomial
+    is); gcd(0, 0) is 0."""
+    while b:
+        a, b = b, poly_mod(a, b)
+    return a
+
+
 def poly_reverse(p: int) -> int:
     """The reciprocal x^deg(p) p(1/x): the coefficients in reverse order."""
     return int(f"{p:b}"[::-1], 2)
@@ -596,11 +604,15 @@ def orbit_scan(spec: CyclicCodeSpec) -> OrbitScan:
     return OrbitScan(tuple(levels))
 
 
-def cyclic_weight_counts(spec: CyclicCodeSpec, budget: int = DEFAULT_BUDGET) -> WeightEnumerator:
+def cyclic_weight_counts(
+    spec: CyclicCodeSpec, budget: int = DEFAULT_BUDGET, plan: OrbitScan | None = None
+) -> WeightEnumerator:
     """Weight enumerator of a cyclic code from one coset per shift orbit
-    (see ``orbit_scan``).  Raises ``ResourceLimit`` before any scan when the
-    predicted words exceed ``budget``."""
-    plan = orbit_scan(spec)
+    (see ``orbit_scan``; ``plan`` is the spec's, when the caller has made
+    it).  Raises ``ResourceLimit`` before any scan when the predicted words
+    exceed ``budget``."""
+    if plan is None:
+        plan = orbit_scan(spec)
     if plan.words > budget:
         raise ResourceLimit(
             f"the orbit scan would visit {plan.words:,} words, beyond the budget of {budget:,}"
@@ -953,17 +965,18 @@ def match_polynomial_against_search(
     also returned (the minimal polynomial of the relabeled root).
     """
     fld = cyclic_field(n)
-    zeros = set(zero_set_of_polynomial(n, g, fld))
+    zeros = zero_set_of_polynomial(n, g, fld)
     if len(zeros) != poly_deg(g):
         return None
     if hits is None:
         hits = search_self_orthogonal_bch(n)
-    by_zeros = {frozenset(h.code_spec.zero_set): h for h in hits}
+    # zero sets are kept sorted, so a scaled set is looked up by its sorted
+    # tuple among the hits of the same size
+    by_zeros = {h.code_spec.zero_set: h for h in hits if len(h.code_spec.zero_set) == len(zeros)}
     # the zero set is closed, so u and 2u scale it alike and the first unit
     # that matches is least in its doubling coset
     for u in _length_table(n).coset_units:
-        scaled = frozenset(u * i % n for i in zeros)
-        hit = by_zeros.get(scaled)
+        hit = by_zeros.get(tuple(sorted(u * i % n for i in zeros)))
         if hit is None:
             continue
         alt = None

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -47,6 +47,9 @@ GEOMETRY_BUDGET = 1 << 22
 
 # span coordinates of one block of bases in enumerate_spaces
 _SPAN_CELLS = 1 << 16
+
+# vector images of one block of candidate maps in singer_order
+_WALK_IMAGES = 1 << 8
 
 # most violated-check cells (rows x checks) of one RudolphDecoder product; a
 # larger block is decoded in row slices
@@ -150,6 +153,47 @@ class ProjGeometry:
         scaled = mul[inv[first][:, None], vectors]
         self.lookup = (np.cumsum(canonical) - 1)[_numbers(scaled, q)]
         self.lookup.flags.writeable = False
+
+
+def singer_order(geom: ProjGeometry) -> tuple[int, ...]:
+    """The points along one Singer cycle (J. Singer, Trans. AMS 43, 1938):
+    entry i is the index of the point of x^i in GF(q)[x]/f, the residue
+    a_0 + a_1 x + ... + a_k x^k read as the vector (a_0, ..., a_k).
+
+    Multiplying by x is the linear map of f's companion matrix, invertible
+    when f(0) != 0, so it permutes the points and maps every subspace onto a
+    subspace; along the order it is the cyclic shift i -> i + 1 mod v, and
+    every point-subspace incidence code is cyclic in this order.  f is the
+    first monic polynomial of degree k + 1, its lower coefficients (constant
+    first) in ``product`` order, whose walk from the point of e_0 = 1 visits
+    all v points before it returns: that orbit is checked to be one v-cycle.
+    The candidates' maps are built on all q^(k+1) vectors, by their base-q
+    numbers, through the field's tables, _WALK_IMAGES images a block, and
+    each walk follows its map.
+    """
+    q, dim, v = geom.q, geom.k + 1, len(geom.points)
+    add, mul, _ = field_tables(q)
+    negate = (add == 0).argmax(axis=1)
+    vectors = _digits(0, q**dim, dim, q)
+    shifted = np.zeros_like(vectors)  # the coefficients times x, below x^dim
+    shifted[:, 1:] = vectors[:, :-1]
+    top = negate[vectors[:, -1]][:, None]  # x^dim = -(f - x^dim)
+    lows = vectors[vectors[:, 0] != 0]  # f(0) != 0, in product order
+    lookup = geom.lookup.tolist()
+    start = q ** (dim - 1)  # e_0: the first coordinate is the most significant
+    block = max(1, _WALK_IMAGES // q**dim)
+    for b0 in range(0, len(lows), block):
+        maps = _numbers(add[shifted, mul[top, lows[b0 : b0 + block, None]]], q).tolist()
+        for times_x in maps:
+            order, x = [lookup[start]], times_x[start]
+            while lookup[x] != order[0] and len(order) < v:
+                order.append(lookup[x])
+                x = times_x[x]
+            if lookup[x] == order[0] and len(order) == v == len(set(order)):
+                return tuple(order)
+    raise InternalConsistencyError(
+        f"no polynomial of degree {dim} walks the {v} points of PG({geom.k},{q})"
+    )
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from qcss.bch import (
     BchSearchHit,
     CyclicCodeSpec,
     Gf2mField,
+    SearchMatch,
     bch_bound,
     bch_generator,
     best_window,
@@ -36,6 +37,7 @@ from qcss.bch import (
     poly_deg,
     poly_divides,
     poly_divmod,
+    poly_gcd,
     poly_mod,
     poly_mul,
     poly_reverse,
@@ -296,6 +298,47 @@ def test_match_polynomial_relabeling():
         zeros = zero_set_of_polynomial(31, 0x32E8AB, alt)
         alt_spec = spec_from_zero_set(31, zeros, alt)
         assert alt_spec.generator == 0x32E8AB
+
+
+def _match_oracle(n, g, hits):
+    """The match as one frozenset of zeros per hit and per unit."""
+    fld = cyclic_field(n)
+    zeros = set(zero_set_of_polynomial(n, g, fld))
+    if len(zeros) != poly_deg(g):
+        return None
+    by_zeros = {frozenset(h.code_spec.zero_set): h for h in hits}
+    for u in bch._length_table(n).coset_units:
+        hit = by_zeros.get(frozenset(u * i % n for i in zeros))
+        if hit is None:
+            continue
+        alt = minimal_polynomial(fld, pow(u, -1, n)) if n == fld.order and u != 1 else None
+        return SearchMatch(hit=hit, unit=u, alternate_primitive_poly=alt)
+    return None
+
+
+def test_match_polynomial_equals_the_frozenset_oracle():
+    searches = {}
+    alternates = 0
+    for n, _, _, g in TABLE1_ROWS:
+        hits = searches.setdefault(n, search_self_orthogonal_bch(n))
+        match = match_polynomial_against_search(n, g, hits)
+        assert match is not None and match == _match_oracle(n, g, hits), hex(g)
+        alternates += match.alternate_primitive_poly is not None
+    assert alternates  # some row is reproduced only in another field
+    # the even-weight code (zeros {0}) is not self-orthogonal, (x + 1)^2 has
+    # a repeated zero, and a hit of another size matches nothing either
+    for g in (0x3, 0x5, 0x13):
+        assert match_polynomial_against_search(15, g, searches[15]) is None
+        assert _match_oracle(15, g, searches[15]) is None
+
+
+def test_poly_gcd():
+    assert poly_gcd(0b1001, 0b110) == 0b11  # x^3 + 1 and x^2 + x share x + 1
+    assert poly_gcd(0x13, 0b10) == 1
+    assert poly_gcd(0, 0x13) == 0x13 and poly_gcd(0x13, 0) == 0x13
+    assert poly_gcd(0, 0) == 0
+    for g in (0x9AF, 0x1A8F):
+        assert poly_gcd(poly_mul(g, 0b111), poly_mul(g, 0b1011)) == g
 
 
 def test_multiplicative_order():

@@ -27,6 +27,7 @@ from qcss.projgeom import (
     config_params,
     enumerate_spaces,
     field_tables,
+    singer_order,
 )
 
 PLANE_ROWS = [
@@ -705,3 +706,35 @@ def test_each_incidence_matrix_is_spanned_once(monkeypatch):
     spans.clear()
     tables.verify_table2(rows=[tables.TABLE2_ROWS[0]])
     assert spans.count(7) == 1  # the 7 lines of PG(2,2)
+
+
+_SINGER_GEOMETRIES = sorted(
+    {(k, q, l) for _, k, q, l, *_ in tables.TABLE2_ROWS}
+    | {(2, 3, 1), (2, 5, 1), (3, 3, 1), (3, 3, 2)}
+)
+
+
+def _spaces_in_order(cfg, order):
+    """Each incidence row as the set of positions of its points in ``order``."""
+    position = {point: i for i, point in enumerate(order)}
+    return {
+        frozenset(position[j] for j in range(cfg.v) if row >> j & 1)
+        for row in cfg.incidence.row_bits()
+    }
+
+
+def _shift_invariant(spaces, v):
+    return all(frozenset((i + 1) % v for i in space) in spaces for space in spaces)
+
+
+@pytest.mark.parametrize("k, q, l", _SINGER_GEOMETRIES)
+def test_singer_order_is_one_cycle_that_shifts_the_incidence_onto_itself(k, q, l):
+    geom = ProjGeometry(k, q)
+    cfg = enumerate_spaces(geom, l)
+    order = singer_order(geom)
+    assert sorted(order) == list(range(cfg.v))  # every point once: one v-cycle
+    assert _shift_invariant(_spaces_in_order(cfg, order), cfg.v)
+    # with two points swapped, some shifted space is no space
+    swapped = list(order)
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    assert not _shift_invariant(_spaces_in_order(cfg, swapped), cfg.v)

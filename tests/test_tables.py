@@ -3,24 +3,32 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 import qcss
 from qcss import tables
 from qcss.bch import (
     cyclic_weight_counts,
+    orbit_scan,
+    poly_deg,
     search_self_orthogonal_bch,
     spec_from_zero_set,
     zero_set_of_polynomial,
 )
+from qcss.codes import WeightEnumerator
 from qcss.constructions import extend_parity_dual
+from qcss.projgeom import ProjGeometry, build_so_code, enumerate_spaces, singer_order
 from qcss.tables import (
     RM_EXPECTED,
     TABLE1_ROWS,
     TABLE2_ROWS,
+    appended_parity_counts,
     extended_weight_counts,
     format_reports,
     reports_to_json,
     rm_scan,
     rm_scan_matches_expected,
+    singer_generator,
     verify_extended_table1,
     verify_table1_row,
     verify_table2,
@@ -223,3 +231,77 @@ def test_gf2_20_row_memory_stays_small():
 
 def test_verify_table2_of_no_rows_verifies_none():
     assert verify_table2(rows=[]) == []
+
+
+def _table2_code(row):
+    _, gk, q, l = row[:4]
+    geom = ProjGeometry(gk, q)
+    cfg = enumerate_spaces(geom, l)
+    return geom, cfg, build_so_code(cfg)
+
+
+def test_table2_orbit_spectrum_equals_the_direct_scan():
+    rows = [row for row in TABLE2_ROWS if row[5] <= 22]
+    assert len(rows) == 9
+    for row in rows:
+        geom, cfg, code = _table2_code(row)
+        g = singer_generator(code, singer_order(geom))
+        assert cfg.v - poly_deg(g) == code.k, row[0]
+        spec = spec_from_zero_set(cfg.v, zero_set_of_polynomial(cfg.v, g))
+        assert spec.generator == g
+        enum = appended_parity_counts(cyclic_weight_counts(spec))
+        assert enum == code.weight_enumerator(), row[0]
+
+
+def test_appended_parity_rule_on_every_odd_k_prime_row():
+    assert appended_parity_counts(WeightEnumerator((1, 3, 3, 1))) == WeightEnumerator((1, 0, 6, 0, 1))
+    for row in TABLE2_ROWS:
+        _, cfg, code = _table2_code(row)
+        assert cfg.k_prime % 2 == 1 and code.n == cfg.v + 1, row[0]
+        # each basis row's appended bit is the parity of its points, so
+        # every codeword's is
+        for word in code.generator.row_bits():
+            assert word >> cfg.v == (word & ((1 << cfg.v) - 1)).bit_count() % 2, row[0]
+
+
+@pytest.mark.parametrize("prefix", ["PG(2,2) 1-sp.", "PG(5,2) 3-sp.", "PG(2,4) 1-sp."])
+def test_table2_row_fails_when_two_singer_points_are_swapped(prefix, monkeypatch):
+    def swapped(geom):
+        order = list(singer_order(geom))
+        order[0], order[1] = order[1], order[0]
+        return tuple(order)
+
+    row = _table2_row(prefix)
+    assert verify_table2(rows=row)[0].checks["cyclic_in_singer_order"] is True
+    monkeypatch.setattr(tables, "singer_order", swapped)
+    rep = verify_table2(rows=row)[0]
+    assert rep.checks["cyclic_in_singer_order"] is False
+    assert not rep.passed and "cyclic_in_singer_order" in rep.line()
+    assert "spectrum_words" not in rep.values
+
+
+def test_table2_at_2_23_orbit_words_skips_only_the_split_row():
+    reports = verify_table2(budget=1 << 23)
+    assert all(rep.passed for rep in reports)
+    skipped = [rep.label for rep in reports if None in rep.checks.values()]
+    assert skipped == ["PG(6,2) 3-sp. [[128,0,16]]"]
+    words = {rep.label.split(" [[")[0]: rep.values["spectrum_words"] for rep in reports}
+    assert words["PG(6,2) 4-sp."] == 4_259_840
+    assert words["PG(2,8) 1-sp. [tabulated as PG(3,8)]"] == 3_678_208
+    assert all(rep.checks["cyclic_in_singer_order"] is True for rep in reports)
+    # a row skipped at a smaller budget names the predicted words
+    rep = verify_table2(budget=1 << 20, rows=_table2_row("PG(6,2) 4-sp."))[0]
+    assert rep.checks["distance"] is None
+    assert rep.notes == [
+        "the orbit scan would visit 4,259,840 words, beyond the budget of 1,048,576; "
+        "no split route, not self-dual"
+    ]
+
+
+def test_table1_rows_record_their_predicted_spectrum_words():
+    searches = {}
+    for row in TABLE1_ROWS:
+        rep = verify_table1_row(row, budget=1 << 10, searches=searches)
+        n, _, _, g = row
+        spec = spec_from_zero_set(n, zero_set_of_polynomial(n, g))
+        assert rep.values["spectrum_words"] == orbit_scan(spec).words, row[:3]
