@@ -42,7 +42,7 @@ from .css import (
     css_from_self_orthogonal_cyclic,
     css_with_lookup,
 )
-from .errors import InternalConsistencyError, InvalidInput, PreconditionError, QcssError
+from .errors import InvalidInput, PreconditionError, QcssError
 from .gf2 import BitMatrix
 from .projgeom import ProjGeometry, build_so_code, enumerate_spaces
 from .reedmuller import rm_generator
@@ -284,8 +284,6 @@ def _cmd_min_distance(args) -> int:
             )
         predicted = predicted_split_patterns(code, args.bound)
         print(f"predicted patterns {predicted}, scanned {res.patterns_scanned}")
-        if predicted != res.patterns_scanned:
-            raise InternalConsistencyError("the split search did not scan the predicted patterns")
         return 0
     print(f"minimum distance {code.min_distance(budget=args.budget)}")
     return 0
@@ -307,21 +305,17 @@ def _cmd_verify_tables(args) -> int:
     ok = True
     # without --budget each table keeps its own default
     budget = {} if args.budget is None else {"budget": args.budget}
-    if args.table in (None, 1):
-        reps = tables.verify_table1(**budget)
-        sections["table1"] = reps
-        print(tables.format_reports("table 1 (cyclic codes)", reps))
-        ok &= all(r.passed for r in reps)
-    if args.table in (None, 2):
-        reps = tables.verify_table2(**budget)
-        sections["table2"] = reps
-        print(tables.format_reports("table 2 (projective geometries)", reps))
-        ok &= all(r.passed for r in reps)
+    # the parity-extended family (table None) runs only with both tables
+    for table, key, title, verify in (
+        (1, "table1", "table 1 (cyclic codes)", tables.verify_table1),
+        (2, "table2", "table 2 (projective geometries)", tables.verify_table2),
+        (None, "table1_extended", "table 1 parity-extended family", tables.verify_extended_table1),
+    ):
+        if args.table in (None, table):
+            reps = sections[key] = verify(**budget)
+            print(tables.format_reports(title, reps))
+            ok &= all(r.passed for r in reps)
     if args.table is None:
-        reps = tables.verify_extended_table1(**budget)
-        sections["table1_extended"] = reps
-        print(tables.format_reports("table 1 parity-extended family", reps))
-        ok &= all(r.passed for r in reps)
         match = tables.rm_scan_matches_expected()
         hits = tables.rm_scan()
         print("reed-muller scan:", ", ".join(f"[[{h.n},{h.quantum_k},{h.distance}]]" for h in hits))

@@ -452,9 +452,8 @@ def _split_depths(code: LinearCode, bound: int) -> tuple[int, int] | None:
 def predicted_split_patterns(code: LinearCode, bound: int) -> int:
     """``patterns_scanned`` of ``code.min_distance_split(bound)`` without the
     scan: ``split_patterns`` of the search's depths and of the rank of the
-    generator's non-pivot columns.  The search's budget gate uses it, and
-    ``qcss min-distance --split`` checks it against the count of patterns
-    the kernel actually scanned."""
+    generator's non-pivot columns, the count the search gates its budget on
+    and checks its scan against."""
     depths = _split_depths(code, bound)
     if depths is None:
         return 0
@@ -481,12 +480,6 @@ def _min_distance_split(code: LinearCode, bound: int, budget: int) -> SplitDista
     if depths is None:
         return SplitDistanceResult(False, bound + 1, row_witness, 0)
     h1, h2 = depths
-    predicted = predicted_split_patterns(code, bound)
-    if predicted > budget:
-        raise ResourceLimit(
-            f"the split search would scan {predicted:.3g} patterns, beyond the "
-            f"budget of {budget}"
-        )
 
     # restriction of each rref row to the non-pivot columns, compacted
     a_rows = [_compact(r, nonpivots) for r in red]
@@ -497,6 +490,12 @@ def _min_distance_split(code: LinearCode, bound: int, budget: int) -> SplitDista
     a_mat = BitMatrix(n_np, a_rows)
     ra, ra_pivots = rref(a_mat)
     ra_rows = ra.row_bits()
+    predicted = split_patterns(k, len(ra_pivots), h1, h2)
+    if predicted > budget:
+        raise ResourceLimit(
+            f"the split search would scan {predicted:.3g} patterns, beyond the "
+            f"budget of {budget}"
+        )
 
     # The columns of A at RA's pivots are the rows of U^T, so m_j with
     # U^T m_j = e_j has m_j . A = RA row j, and ker U^T = ker(m -> m . A).
@@ -527,6 +526,10 @@ def _min_distance_split(code: LinearCode, bound: int, budget: int) -> SplitDista
     # generator rows are codewords, so their weights bound the distance
     best = min(row_witness, pivot_best, nonpivot_best)
     patterns = pivot_patterns + nonpivot_patterns
+    if patterns != predicted:
+        raise InternalConsistencyError(
+            f"the split search scanned {patterns} patterns, predicted {predicted}"
+        )
     if best <= bound:
         return SplitDistanceResult(True, best, best, patterns)
     return SplitDistanceResult(False, bound + 1, best, patterns)
@@ -586,6 +589,15 @@ def extend_with_parity(code: LinearCode) -> LinearCode:
     for r in code.generator.row_bits():
         rows.append(r | (r.bit_count() & 1) << code.n)
     return LinearCode(BitMatrix(code.n + 1, rows))
+
+
+def appended_parity_counts(enum: WeightEnumerator) -> WeightEnumerator:
+    """Spectrum of ``extend_with_parity`` of a code from the code's: a word
+    of weight w gains its parity bit, so A'_{w + (w mod 2)} = A_w."""
+    counts = [0] * (len(enum.counts) + 1)
+    for w, a in enumerate(enum.counts):
+        counts[w + w % 2] += a
+    return WeightEnumerator(tuple(counts))
 
 
 def dual_min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int | None:

@@ -18,7 +18,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .codes import LinearCode
+from .codes import LinearCode, extend_with_parity
 from .errors import (
     DecodingFailure,
     InternalConsistencyError,
@@ -346,19 +346,20 @@ def enumerate_spaces(geom: ProjGeometry, l: int) -> Configuration:
 def build_so_code(cfg: Configuration) -> LinearCode:
     """Span of the incidence rows, extended by an all-ones column when both
     k' and lambda are odd; rejected when the parities are mixed or the row
-    products turn out uneven."""
+    products turn out uneven.
+
+    Every incidence row has weight k', so when k' is odd the all-ones
+    column is each row's parity, and the extended span is
+    ``extend_with_parity`` of the span of the rows, with the same pivots."""
     kp_odd = cfg.k_prime % 2 == 1
     lam_odd = cfg.lam % 2 == 1
     if kp_odd != lam_odd:
         raise UnsupportedConfiguration(
             f"k'={cfg.k_prime} and lambda={cfg.lam} have mixed parity"
         )
+    code = LinearCode.from_spanning(cfg.incidence)
     if kp_odd:
-        rows = [r | 1 << cfg.v for r in cfg.incidence.row_bits()]
-        matrix = BitMatrix(cfg.v + 1, rows)
-    else:
-        matrix = cfg.incidence
-    code = LinearCode.from_spanning(matrix)
+        code = extend_with_parity(code)
     if not code.is_self_orthogonal():
         raise UnsupportedConfiguration(
             "row products are not uniformly "

@@ -14,6 +14,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .bch import (
+    CyclicCodeSpec,
     bch_bound,
     cyclic_weight_counts,
     dual_zero_set,
@@ -27,7 +28,7 @@ from .bch import (
     spec_from_zero_set,
     zero_set_of_polynomial,
 )
-from .codes import DEFAULT_BUDGET, LinearCode, WeightEnumerator, macwilliams
+from .codes import DEFAULT_BUDGET, LinearCode, WeightEnumerator, appended_parity_counts, macwilliams
 from .constructions import extend_parity_dual
 from .errors import ResourceLimit
 from .gf2 import bools_as_bytes, bytes_as_bools, bytes_as_ints, ints_as_bytes
@@ -122,6 +123,18 @@ class RowReport:
 TABLE1_BUDGET = 1 << 26
 
 
+def _orbit_spectrum(rep: RowReport, spec: CyclicCodeSpec, budget: int) -> WeightEnumerator | str:
+    """The spectrum of a cyclic code from ``cyclic_weight_counts`` under
+    ``budget``, or the refusal text when its planned words exceed it; the
+    planned words go to ``rep.values["spectrum_words"]`` either way."""
+    plan = orbit_scan(spec)
+    rep.values["spectrum_words"] = plan.words
+    try:
+        return cyclic_weight_counts(spec, budget, plan)
+    except ResourceLimit as exc:
+        return str(exc)
+
+
 def verify_table1(budget: int = TABLE1_BUDGET) -> list[RowReport]:
     searches: dict[int, list] = {}
     return [verify_table1_row(row, budget, searches) for row in TABLE1_ROWS]
@@ -170,13 +183,10 @@ def verify_table1_row(
             rep.notes.append(f"matches the search after root relabeling by {match.unit}")
 
     if rep.checks["self_orthogonal"]:
-        plan = orbit_scan(spec)
-        rep.values["spectrum_words"] = plan.words
-        try:
-            enum = cyclic_weight_counts(spec, budget, plan)
-        except ResourceLimit as exc:
+        enum = _orbit_spectrum(rep, spec, budget)
+        if isinstance(enum, str):
             rep.checks["exact_dual_distance_at_least_d"] = None
-            rep.notes.append(f"{exc}; bound-certified only")
+            rep.notes.append(f"{enum}; bound-certified only")
         else:
             exact = macwilliams(enum, n, k).min_distance()
             rep.values["exact_dual_distance"] = exact
@@ -189,54 +199,39 @@ def verify_table1_row(
     return rep
 
 
-def extended_weight_counts(enum: WeightEnumerator) -> WeightEnumerator:
-    """Spectrum of ``extend_parity_dual`` of C from C's: c|0 weighs wt(c) and
-    its complement n + 1 - wt(c), so A'_w = A_w + A_{n+1-w}."""
-    a = enum.counts + (0,)
-    return WeightEnumerator(tuple(x + y for x, y in zip(a, reversed(a))))
-
-
 def verify_extended_table1(budget: int = TABLE1_BUDGET) -> list[RowReport]:
     """The additional codes obtained by adding a parity bit to every row; the
-    dual distances come from Table 1's orbit spectra under the same budget."""
+    dual distances come from Table 1's orbit spectra under the same budget.
+
+    The extended code of a self-orthogonal row C of odd length n is
+    E = C|0 + 1 (``extend_parity_dual``).  A word x|b is orthogonal to C|0
+    exactly when x is in C-perp, and to the all-ones word exactly when
+    b = wt(x) mod 2, so E-perp is the parity extension of C-perp and its
+    spectrum is ``appended_parity_counts`` of the MacWilliams transform of
+    C's.  A row that is not self-orthogonal has no extended code: it fails
+    ``self_orthogonal`` and leaves the other checks unrun."""
     reports = []
     for n, kq, d, g in TABLE1_ROWS:
         t0 = time.perf_counter()
         rep = RowReport(label=f"extended [[{n},{kq},{d}]] -> n={n + 1}")
         spec = spec_from_zero_set(n, zero_set_of_polynomial(n, g))
-        rep.checks["generator"] = spec.generator == g
         code = spec.to_code()
-        ext = extend_parity_dual(code)
-        rep.checks["dimensions"] = (ext.code.n, ext.code.k) == (n + 1, code.k + 1)
-        rep.checks["self_orthogonal"] = ext.code.is_self_orthogonal()
-        try:
-            enum = extended_weight_counts(cyclic_weight_counts(spec, budget))
-        except ResourceLimit as exc:
-            rep.checks["dual_distance_at_least_d"] = None
-            rep.notes.append(f"{exc}; extended dual distance skipped")
-        else:
-            exact = macwilliams(enum, n + 1, code.k + 1).min_distance()
-            rep.values["dual_distance"] = exact
-            rep.checks["dual_distance_at_least_d"] = exact >= d
+        ext = extend_parity_dual(code).code if code.is_self_orthogonal() else None
+        rep.checks["generator"] = spec.generator == g
+        rep.checks["dimensions"] = None if ext is None else (ext.n, ext.k) == (n + 1, code.k + 1)
+        rep.checks["self_orthogonal"] = ext is not None and ext.is_self_orthogonal()
+        rep.checks["dual_distance_at_least_d"] = None
+        if ext is not None:
+            enum = _orbit_spectrum(rep, spec, budget)
+            if isinstance(enum, str):
+                rep.notes.append(f"{enum}; extended dual distance skipped")
+            else:
+                exact = appended_parity_counts(macwilliams(enum, n, code.k)).min_distance()
+                rep.values["dual_distance"] = exact
+                rep.checks["dual_distance_at_least_d"] = exact >= d
         rep.seconds = time.perf_counter() - t0
         reports.append(rep)
     return reports
-
-
-def appended_parity_counts(enum: WeightEnumerator) -> WeightEnumerator:
-    """Spectrum of a code whose last coordinate is the parity of the others,
-    from the spectrum of the others: A'_{w + (w mod 2)} = A_w.
-
-    ``build_so_code`` appends a coordinate exactly when k' is odd, with a 1
-    in every incidence row.  A sum of s rows then has appended bit s mod 2,
-    and its point weight is congruent to s k', so to s, mod 2: the appended
-    bit is the parity of the point part.  Dropping that coordinate is
-    therefore one-to-one from the code onto the span of the point rows,
-    and a point word of weight w extends to weight w + (w mod 2)."""
-    counts = [0] * (len(enum.counts) + 1)
-    for w, a in enumerate(enum.counts):
-        counts[w + w % 2] += a
-    return WeightEnumerator(tuple(counts))
 
 
 def singer_generator(code: LinearCode, order: Sequence[int]) -> int:
@@ -245,8 +240,8 @@ def singer_generator(code: LinearCode, order: Sequence[int]) -> int:
     ``order[i]``.  g generates the least cyclic code that holds the rows,
     of dimension v - deg g, so the rows span a cyclic code in that order
     exactly when v - deg g is their rank, ``code.k``.  Any coordinate past
-    the points is the parity bit of ``appended_parity_counts``, and dropping
-    it keeps the rank."""
+    the points is the parity bit of ``build_so_code``, and dropping it keeps
+    the rank."""
     v = len(order)
     bits = bytes_as_bools(ints_as_bytes(code.generator.row_bits(), (code.n + 7) // 8), v)
     g = (1 << v) | 1
@@ -283,18 +278,12 @@ def verify_table2(budget: int = DEFAULT_BUDGET, rows=None) -> list[RowReport]:
 
         self_dual = code.n == 2 * code.k and code.dual().same_code(code)
         rep.checks["distance"] = rep.checks["dual_distance"] = None
-        enum = None
         if rep.checks["cyclic_in_singer_order"]:
             spec = spec_from_zero_set(cfg.v, zero_set_of_polynomial(cfg.v, g))
-            plan = orbit_scan(spec)
-            rep.values["spectrum_words"] = plan.words
-            try:
-                enum = cyclic_weight_counts(spec, budget, plan)
-            except ResourceLimit as exc:
-                refusal = str(exc)
+            enum = _orbit_spectrum(rep, spec, budget)
         else:
-            refusal = "the code is not cyclic in the Singer order"
-        if enum is not None:
+            enum = "the code is not cyclic in the Singer order"
+        if not isinstance(enum, str):
             if code.n > cfg.v:
                 enum = appended_parity_counts(enum)
             rep.values["d"] = enum.min_distance()
@@ -302,7 +291,7 @@ def verify_table2(budget: int = DEFAULT_BUDGET, rows=None) -> list[RowReport]:
             rep.values["d_perp"] = macwilliams(enum, code.n, code.k).min_distance()
             rep.checks["dual_distance"] = rep.values["d_perp"] == d_perp
         elif not self_dual:
-            rep.notes.append(f"{refusal}; no split route, not self-dual")
+            rep.notes.append(f"{enum}; no split route, not self-dual")
         else:
             try:
                 split = code.min_distance_split(d - 1, budget)

@@ -360,6 +360,22 @@ def test_verify_tables_budget_reaches_both_tables(monkeypatch, capsys):
     ]
 
 
+def test_verify_tables_prints_an_extended_row_that_is_not_self_orthogonal(monkeypatch, capsys):
+    from qcss import tables
+
+    # x^4 + x + 1 generates the [15,11] Hamming code, which is not self-orthogonal
+    monkeypatch.setattr(tables, "TABLE1_ROWS", ((15, 7, 3, 0x13),))
+    monkeypatch.setattr(tables, "verify_table2", lambda **kw: [])
+    code = main(["verify-tables"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    lines = captured.out.splitlines()
+    at = lines.index("table 1 parity-extended family")
+    assert lines[at + 1].startswith("  FAIL  extended [[15,7,3]] -> n=16 ")
+    assert "failed: self_orthogonal skipped: dimensions,dual_distance_at_least_d" in lines[at + 1]
+    assert lines[at + 2] == "  0/1 rows pass"
+
+
 @pytest.mark.parametrize(
     "budget", ["-3", "2^100000000000000000000", "2^1025", "2^-1", "2^x", "1.5", ""]
 )

@@ -458,6 +458,20 @@ def test_split_refuses_search_predicted_above_budget():
         dual.min_distance_split(15)
 
 
+def test_split_search_checks_its_scan_against_its_prediction(monkeypatch):
+    c = ext_hamming()
+    assert c.min_distance_split(4).patterns_scanned == 14
+    low_weight_min = codes._low_weight_min
+
+    def under_reports(*args):
+        best, patterns = low_weight_min(*args)
+        return best, patterns - 1
+
+    monkeypatch.setattr(codes, "_low_weight_min", under_reports)
+    with pytest.raises(InternalConsistencyError, match="scanned 12 patterns, predicted 14"):
+        c.min_distance_split(4)
+
+
 def test_weight_modulus_detection():
     assert ext_hamming().weight_modulus() == 4
     assert repetition(3).weight_modulus() == 1

@@ -15,15 +15,15 @@ from qcss.bch import (
     spec_from_zero_set,
     zero_set_of_polynomial,
 )
-from qcss.codes import WeightEnumerator
+from qcss.codes import LinearCode, WeightEnumerator, appended_parity_counts, macwilliams
 from qcss.constructions import extend_parity_dual
+from qcss.gf2 import BitMatrix
 from qcss.projgeom import ProjGeometry, build_so_code, enumerate_spaces, singer_order
 from qcss.tables import (
     RM_EXPECTED,
     TABLE1_ROWS,
     TABLE2_ROWS,
-    appended_parity_counts,
-    extended_weight_counts,
+    TABLE1_BUDGET,
     format_reports,
     reports_to_json,
     rm_scan,
@@ -120,6 +120,13 @@ def test_extended_family_self_orthogonal():
     assert all(r.passed for r in reports)
 
 
+def extended_weight_counts(enum: WeightEnumerator) -> WeightEnumerator:
+    """Oracle: the spectrum of ``extend_parity_dual`` of C from C's, since
+    c|0 weighs wt(c) and its complement n + 1 - wt(c), so A'_w = A_w + A_{n+1-w}."""
+    a = enum.counts + (0,)
+    return WeightEnumerator(tuple(x + y for x, y in zip(a, reversed(a))))
+
+
 def test_extended_spectrum_equals_the_direct_scan():
     checked = 0
     for n, kq, d, g in TABLE1_ROWS:
@@ -128,8 +135,26 @@ def test_extended_spectrum_equals_the_direct_scan():
             continue
         direct = extend_parity_dual(spec.to_code()).code.weight_enumerator()
         assert extended_weight_counts(cyclic_weight_counts(spec)) == direct, (n, kq, d)
+        # the extended dual is the parity extension of the row's dual
+        dual = appended_parity_counts(macwilliams(cyclic_weight_counts(spec), n, spec.dimension))
+        assert dual == macwilliams(direct, n + 1, spec.dimension + 1), (n, kq, d)
         checked += 1
     assert checked == 14
+
+
+def test_parity_rule_on_the_dual_equals_the_extended_oracle():
+    """Every row whose orbit spectrum fits the default budget: the whole
+    spectrum of the extended dual, not only its least weight."""
+    checked = 0
+    for n, kq, d, g in TABLE1_ROWS:
+        spec = spec_from_zero_set(n, zero_set_of_polynomial(n, g))
+        if orbit_scan(spec).words > TABLE1_BUDGET:
+            continue
+        enum, k = cyclic_weight_counts(spec), spec.dimension
+        oracle = macwilliams(extended_weight_counts(enum), n + 1, k + 1)
+        assert appended_parity_counts(macwilliams(enum, n, k)) == oracle, (n, kq, d)
+        checked += 1
+    assert checked == 21
 
 
 def test_extended_family_shares_table1_budget():
@@ -158,6 +183,25 @@ def test_extended_family_refuses_a_row_whose_hex_is_not_a_generator(monkeypatch)
     monkeypatch.setattr(tables, "TABLE1_ROWS", TABLE1_ROWS[:1])
     [rep] = verify_extended_table1()
     assert rep.checks["generator"] is True and rep.passed
+
+
+# x^4 + x + 1 generates the [15,11] Hamming code, which is not self-orthogonal
+NOT_SELF_ORTHOGONAL_ROW = (15, 7, 3, 0x13)
+
+
+def test_extended_family_fails_a_row_that_is_not_self_orthogonal(monkeypatch):
+    assert verify_table1_row(NOT_SELF_ORTHOGONAL_ROW).checks["self_orthogonal"] is False
+    monkeypatch.setattr(tables, "TABLE1_ROWS", (NOT_SELF_ORTHOGONAL_ROW,))
+    [rep] = verify_extended_table1()
+    assert not rep.passed
+    # the keys in the order of a passing row's
+    assert list(rep.checks.items()) == [
+        ("generator", True),
+        ("dimensions", None),
+        ("self_orthogonal", False),
+        ("dual_distance_at_least_d", None),
+    ]
+    assert rep.values == {} and rep.notes == []
 
 
 def _table2_row(prefix):
@@ -262,6 +306,17 @@ def test_appended_parity_rule_on_every_odd_k_prime_row():
         # every codeword's is
         for word in code.generator.row_bits():
             assert word >> cfg.v == (word & ((1 << cfg.v) - 1)).bit_count() % 2, row[0]
+
+
+def test_build_so_code_equals_the_ones_column_oracle():
+    """``build_so_code`` extends the rref of the incidence rows by parity;
+    the oracle appends a 1 to every incidence row and reduces those."""
+    for row in TABLE2_ROWS:
+        _, cfg, code = _table2_code(row)
+        ones = [r | 1 << cfg.v for r in cfg.incidence.row_bits()]
+        oracle = LinearCode.from_spanning(BitMatrix(cfg.v + 1, ones))
+        assert code.generator == oracle.generator, row[0]
+        assert code.pivots == oracle.pivots, row[0]
 
 
 @pytest.mark.parametrize("prefix", ["PG(2,2) 1-sp.", "PG(5,2) 3-sp.", "PG(2,4) 1-sp."])
