@@ -17,7 +17,7 @@ from .bch import (
     zero_set_of_polynomial,
 )
 from .channel import ChannelSpec, monte_carlo
-from .codes import DEFAULT_BUDGET, LinearCode, dual_min_distance, predicted_split_patterns
+from .codes import DEFAULT_BUDGET, LinearCode, macwilliams, predicted_split_patterns
 from .constructions import (
     PREDICT_BUDGET,
     OuterCode,
@@ -176,8 +176,10 @@ def _cmd_pg(args) -> int:
     if args.emit == "code":
         sys.stdout.write(code.to_text())
         return 0
-    dual_d = dual_min_distance(code, PREDICT_BUDGET)  # None beyond a side computation's budget
-    print(f"[[{code.n},{code.n - 2 * code.k},{'?' if dual_d is None else dual_d}]]")
+    # the spectrum through the Singer order, refused beyond a side computation's budget
+    enum = tables.singer_spectrum(tables.RowReport("qcss pg"), code, geom, PREDICT_BUDGET)
+    dual_d = "?" if isinstance(enum, str) else macwilliams(enum, code.n, code.k).min_distance()
+    print(f"[[{code.n},{code.n - 2 * code.k},{dual_d}]]")
     return 0
 
 

@@ -37,6 +37,7 @@ from .gf2 import (
     ints_as_bytes,
     packed_parities,
     packed_table,
+    transpose_bytes,
     word_block,
 )
 
@@ -47,6 +48,10 @@ GEOMETRY_BUDGET = 1 << 22
 
 # span coordinates of one block of bases in enumerate_spaces
 _SPAN_CELLS = 1 << 16
+
+# most uint64 words of the column pairs one chunk of Configuration's meet
+# check ANDs
+_MEET_WORDS = 1 << 15
 
 # vector images of one block of candidate maps in singer_order
 _WALK_IMAGES = 1 << 8
@@ -221,22 +226,40 @@ class Configuration:
         return (self.r + self.lam) // (2 * self.lam)
 
     def check_invariants(self) -> None:
-        rows = self.incidence.row_bits()
-        if len(rows) != self.b or self.incidence.cols != self.v:
+        """Raise unless the incidence has b rows of v points, every row k'
+        points, every point r rows and every pair of points lambda rows in
+        common; ``_check_packed`` counts them on the packed rows."""
+        if self.incidence.rows != self.b or self.incidence.cols != self.v:
             raise InternalConsistencyError("incidence shape mismatch")
-        for row in rows:
-            if row.bit_count() != self.k_prime:
-                raise InternalConsistencyError("row weight differs from k'")
-        columns = self.incidence.transpose().row_bits()
-        for col in columns:
-            if col.bit_count() != self.r:
-                raise InternalConsistencyError("column weight differs from r")
-        for i, a in enumerate(columns):
-            for bcol in columns[i + 1 :]:
-                if (a & bcol).bit_count() != self.lam:
-                    raise InternalConsistencyError(
-                        "a column pair meets in != lambda rows"
-                    )
+        self._check_packed(ints_as_bytes(self.incidence.row_bits(), (self.v + 7) // 8))
+
+    def _check_packed(self, packed: np.ndarray) -> None:
+        """The weight and meet checks on the (b, ceil(v/8)) uint8 rows of the
+        incidence: row and column weights by ``np.bitwise_count``, and the
+        meet of every column pair i < j by AND-popcount of the columns packed
+        as uint64 words, pairs in row-major order, chunks of at most
+        _MEET_WORDS words."""
+        if (np.bitwise_count(packed).sum(axis=1) != self.k_prime).any():
+            raise InternalConsistencyError("row weight differs from k'")
+        columns = np.zeros((self.v, -(-self.b // 64) * 8), dtype=np.uint8)
+        columns[:, : -(-self.b // 8)] = transpose_bytes(packed, self.v)
+        columns = columns.view(np.uint64)  # (v, ceil(b/64))
+        if (np.bitwise_count(columns).sum(axis=1) != self.r).any():
+            raise InternalConsistencyError("column weight differs from r")
+        # the pairs (i, j), i < j, numbered in row-major order: those of
+        # column i start at number starts[i], and number p is j = i + 1 +
+        # p - starts[i]
+        counts = np.arange(self.v - 1, -1, -1)
+        starts = np.cumsum(counts) - counts
+        total = self.v * (self.v - 1) // 2
+        step = max(1, _MEET_WORDS // columns.shape[1])
+        for lo in range(0, total, step):
+            pairs = np.arange(lo, min(lo + step, total))
+            first = np.searchsorted(starts, pairs, side="right") - 1
+            second = pairs - starts[first] + first + 1
+            meets = np.bitwise_count(columns[first] & columns[second]).sum(axis=1, dtype=np.int32)
+            if (meets != self.lam).any():
+                raise InternalConsistencyError("a column pair meets in != lambda rows")
 
 
 def _p_sum(p: int, s: int, i: int, j: int) -> int:
@@ -273,13 +296,19 @@ def config_params(k: int, q: int, l: int) -> tuple[int, int, int, int, int]:
     return b, v, r, k_prime, lam
 
 
-def _echelon_blocks(k1: int, m: int, q: int, block: int):
+def _echelon_columns(k1: int, m: int, q: int, block: int):
     """All reduced-echelon k1 x m matrices of rank k1 over GF(q), one per
-    k1-dimensional subspace, as uint8 arrays of at most ``block`` matrices.
+    k1-dimensional subspace, each as the base-q numbers of its m columns
+    (the first row most significant), in (count, m) intp arrays of at most
+    ``block`` matrices.
 
     Pivot sets come in ``combinations`` order and, within one, the free
     entries (right of their row's pivot, outside pivot columns, row by row)
-    in ``product`` order, the first entry most significant."""
+    in ``product`` order, the first entry most significant.  Entry (i, c)
+    adds its value times q^(k1-1-i) to column c's number, so the columns of
+    a pivot set's matrices are one product of their free values."""
+    pending: list[np.ndarray] = []
+    count = 0
     for pivots in combinations(range(m), k1):
         free = [
             (i, c)
@@ -287,23 +316,35 @@ def _echelon_blocks(k1: int, m: int, q: int, block: int):
             for c in range(pivots[i] + 1, m)
             if c not in pivots
         ]
-        rows = np.array([i for i, _ in free], dtype=np.intp)
-        cols = np.array([c for _, c in free], dtype=np.intp)
+        place = np.zeros((len(free), m), dtype=np.intp)
+        place[np.arange(len(free)), [c for _, c in free]] = [q ** (k1 - 1 - i) for i, _ in free]
+        pivot_numbers = np.zeros(m, dtype=np.intp)
+        pivot_numbers[list(pivots)] = q ** np.arange(k1 - 1, -1, -1)
         total = q ** len(free)
         for lo in range(0, total, block):
-            values = _digits(lo, min(lo + block, total), len(free), q)
-            bases = np.zeros((len(values), k1, m), dtype=np.uint8)
-            bases[:, list(range(k1)), list(pivots)] = 1
-            bases[:, rows, cols] = values
-            yield bases
+            values = _digits(lo, min(lo + block, total), len(free), q).astype(np.intp)
+            columns = values @ place + pivot_numbers
+            if count + len(columns) > block:
+                yield np.concatenate(pending)
+                pending, count = [], 0
+            pending.append(columns)
+            count += len(columns)
+    yield np.concatenate(pending)
 
 
 def enumerate_spaces(geom: ProjGeometry, l: int) -> Configuration:
     """Incidence matrix of all l-spaces of the geometry over its point set.
 
-    The rows follow the reduced-echelon order of ``_echelon_blocks``.  A
-    block of bases is spanned one basis row at a time: the span so far plus
-    every multiple of the next row, through the field's add and mul tables.
+    The rows follow the reduced-echelon order of ``_echelon_columns``.  Spans
+    go through one dot table of GF(q)^(l+1), T[x, c] = sum_i x_i c_i over
+    the field, x and c by their base-q numbers.  The combination x of a
+    basis's rows has coordinate T[x, c_j] at column j, c_j being the number
+    of the basis's column j, so a block of bases becomes the base-q numbers
+    of its spaces' vectors by one lookup of T per coordinate, weighted by
+    q^j and summed, and their points by ``geom.lookup``.  T has q^(2(l+1))
+    entries, at most b q^(l+1), so the span budget bounds it too.  The
+    packed rows pass ``Configuration``'s invariant check before they become
+    ints, in one ``bytes_as_ints``.
     """
     b, v, r, k_prime, lam = config_params(geom.k, geom.q, l)
     q = geom.q
@@ -317,29 +358,32 @@ def enumerate_spaces(geom: ProjGeometry, l: int) -> Configuration:
             f"{GEOMETRY_BUDGET}"
         )
     add, mul, _ = field_tables(q)
-    elements = np.arange(q, dtype=np.uint8)[:, None]
-    rows: list[int] = []
-    for bases in _echelon_blocks(dim, ambient, q, max(1, _SPAN_CELLS // (q**dim * ambient))):
-        count = len(bases)
-        span = np.zeros((count, 1, ambient), dtype=np.uint8)
-        for i in range(dim):
-            multiples = mul[elements, bases[:, i, None, :]]  # (count, q, ambient)
-            span = add[span[:, :, None, :], multiples[:, None, :, :]].reshape(count, -1, ambient)
-        points = geom.lookup[_numbers(span[:, 1:], q)]  # the zero vector is first
-        incidence = np.zeros((count, v), dtype=bool)
-        incidence[np.arange(count)[:, None], points] = True
-        rows += bytes_as_ints(bools_as_bytes(incidence))
-    if len(rows) != b:
-        raise InternalConsistencyError(f"enumerated {len(rows)} spaces, expected {b}")
+    digits = _digits(0, q**dim, dim, q)
+    dot = np.zeros((q**dim, q**dim), dtype=np.uint8)  # symmetric in x and c
+    for i in range(dim):
+        dot = add[dot, mul[digits[:, i, None], digits[:, i]]]
+    blocks = []
+    for columns in _echelon_columns(dim, ambient, q, max(1, _SPAN_CELLS // (q**dim * ambient))):
+        numbers = np.zeros((len(columns), q**dim), dtype=np.intp)
+        for column in columns.T:
+            numbers *= q
+            numbers += dot[column]
+        points = geom.lookup[numbers[:, 1:]]  # x = 0 gives the zero vector
+        incidence = np.zeros((len(columns), v), dtype=bool)
+        incidence[np.arange(len(columns))[:, None], points] = True
+        blocks.append(bools_as_bytes(incidence))
+    packed = np.concatenate(blocks)
+    if len(packed) != b:
+        raise InternalConsistencyError(f"enumerated {len(packed)} spaces, expected {b}")
     cfg = Configuration(
-        incidence=BitMatrix(len(geom.points), rows),
+        incidence=BitMatrix(v, bytes_as_ints(packed)),
         b=b,
         v=v,
         r=r,
         k_prime=k_prime,
         lam=lam,
     )
-    cfg.check_invariants()
+    cfg._check_packed(packed)
     return cfg
 
 

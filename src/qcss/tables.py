@@ -250,16 +250,34 @@ def singer_generator(code: LinearCode, order: Sequence[int]) -> int:
     return g
 
 
+def singer_spectrum(
+    rep: RowReport, code: LinearCode, geom: ProjGeometry, budget: int
+) -> WeightEnumerator | str:
+    """The spectrum of a code spanned by incidence rows of ``geom``
+    (``build_so_code``, or the plain span), or the text that says why not.
+
+    The code must be cyclic once its point coordinates are put in
+    ``singer_order``: v - deg g = k for g = ``singer_generator`` (check
+    ``cyclic_in_singer_order`` of ``rep``); the emitted code and the
+    decoders keep the lexicographic point order.  The spectrum is then
+    ``_orbit_spectrum`` of that cyclic code under ``budget``, extended by
+    ``appended_parity_counts`` over the parity coordinate."""
+    v = len(geom.points)
+    g = singer_generator(code, singer_order(geom))
+    rep.checks["cyclic_in_singer_order"] = v - poly_deg(g) == code.k
+    if not rep.checks["cyclic_in_singer_order"]:
+        return "the code is not cyclic in the Singer order"
+    enum = _orbit_spectrum(rep, spec_from_zero_set(v, zero_set_of_polynomial(v, g)), budget)
+    if isinstance(enum, str) or code.n == v:
+        return enum
+    return appended_parity_counts(enum)
+
+
 def verify_table2(budget: int = DEFAULT_BUDGET, rows=None) -> list[RowReport]:
-    """Each row's code must be cyclic once its point coordinates are put in
-    ``singer_order`` (check ``cyclic_in_singer_order``, through
-    ``singer_generator``); the emitted code and the decoders keep the
-    lexicographic point order.  Both distances come from the orbit spectrum
-    of that cyclic code, extended by ``appended_parity_counts`` over the
-    parity coordinate, when its predicted words fit ``budget``; else, for a
-    self-dual code, from the split search at bound d - 1 under the same
-    budget (d_perp = d); else both are skipped with a note that names the
-    predicted words."""
+    """Both distances of each row come from ``singer_spectrum`` when its
+    predicted words fit ``budget``; else, for a self-dual code, from the
+    split search at bound d - 1 under the same budget (d_perp = d); else
+    both are skipped with a note that names the predicted words."""
     reports = []
     rows = TABLE2_ROWS if rows is None else rows
     for label, gk, q, l, n, k, d, d_perp, kq, t_printed in rows:
@@ -273,19 +291,11 @@ def verify_table2(budget: int = DEFAULT_BUDGET, rows=None) -> list[RowReport]:
         rep.checks["dimension"] = code.k == k
         rep.checks["self_orthogonal"] = code.is_self_orthogonal()
         rep.checks["quantum_dimension"] = n - 2 * k == kq
-        g = singer_generator(code, singer_order(geom))
-        rep.checks["cyclic_in_singer_order"] = cfg.v - poly_deg(g) == code.k
+        enum = singer_spectrum(rep, code, geom, budget)
 
         self_dual = code.n == 2 * code.k and code.dual().same_code(code)
         rep.checks["distance"] = rep.checks["dual_distance"] = None
-        if rep.checks["cyclic_in_singer_order"]:
-            spec = spec_from_zero_set(cfg.v, zero_set_of_polynomial(cfg.v, g))
-            enum = _orbit_spectrum(rep, spec, budget)
-        else:
-            enum = "the code is not cyclic in the Singer order"
         if not isinstance(enum, str):
-            if code.n > cfg.v:
-                enum = appended_parity_counts(enum)
             rep.values["d"] = enum.min_distance()
             rep.checks["distance"] = rep.values["d"] == d
             rep.values["d_perp"] = macwilliams(enum, code.n, code.k).min_distance()

@@ -129,10 +129,15 @@ def test_split_search_refuses_above_the_budget_flag(tmp_path, capsys, monkeypatc
 
 
 def test_pg_prints_the_dual_distance_within_2_24_words(capsys):
+    # through the Singer-order orbit spectrum, as verify-tables reads it
     code, out = run(capsys, "pg", "--k", "4", "--q", "2", "--l", "3")
     assert code == 0 and out == "[[32,20,4]]\n"
-    code, out = run(capsys, "pg", "--k", "6", "--q", "2", "--l", "4")
-    assert code == 0 and out == "[[128,70,?]]\n"
+    code, out = run(capsys, "pg", "--k", "2", "--q", "8", "--l", "1")  # 3,678,208 words
+    assert code == 0 and out == "[[74,18,10]]\n"
+    code, out = run(capsys, "pg", "--k", "6", "--q", "2", "--l", "4")  # 4,259,840 words
+    assert code == 0 and out == "[[128,70,8]]\n"
+    code, out = run(capsys, "pg", "--k", "6", "--q", "2", "--l", "3")  # beyond 2^24 words
+    assert code == 0 and out == "[[128,0,?]]\n"
 
 
 def test_css_build_and_simulate(tmp_path, capsys):

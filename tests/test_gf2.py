@@ -27,6 +27,7 @@ from qcss.gf2 import (
     preimages,
     rank,
     rref,
+    transpose_bytes,
     word_block,
 )
 
@@ -514,3 +515,24 @@ def test_packed_bit_codec_roundtrips_hypothesis(case):
     assert np.array_equal(words, _loop_pack_rows(values, n)) and words.dtype == np.uint64
     assert bytes_as_ints(words) == values
     packed[:] = 0  # the codec's arrays are writable
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 64, 65, 200])
+@pytest.mark.parametrize("cols", [0, 1, 7, 8, 9, 63, 64, 65, 130])
+def test_transpose_bytes_matches_the_unpacked_transpose(count, cols):
+    # the unpack, transpose and pack that BitMatrix.transpose ran before
+    bits = np.random.default_rng(count * 131 + cols).integers(0, 2, (count, cols)).astype(bool)
+    out = transpose_bytes(bools_as_bytes(bits), cols)
+    assert out.dtype == np.uint8 and out.shape == (cols, (count + 7) // 8)
+    assert np.array_equal(out, bools_as_bytes(np.ascontiguousarray(bits.T)))
+
+
+def test_bit_matrix_range_check_over_all_rows():
+    rows = [0b101, 0b11, 0b111]
+    assert BitMatrix(3, iter(rows)).row_bits() == rows  # an iterator is read once
+    for bad in (-1, 1 << 3):
+        with pytest.raises(InvalidInput, match="^value has bits beyond length 3$"):
+            BitMatrix(3, [0b101, bad, 0b11])
+    with pytest.raises(InvalidInput, match="^negative length -2$"):
+        BitMatrix(-2, [0])
+    assert BitMatrix(-2, []).rows == 0  # no row, nothing to check, as before

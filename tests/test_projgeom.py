@@ -9,7 +9,13 @@ import pytest
 
 from qcss.codes import LinearCode
 from qcss import css, projgeom, tables
-from qcss.errors import DecodingFailure, InvalidInput, ResourceLimit, UnsupportedConfiguration
+from qcss.errors import (
+    DecodingFailure,
+    InternalConsistencyError,
+    InvalidInput,
+    ResourceLimit,
+    UnsupportedConfiguration,
+)
 from qcss.gf2 import (
     BitMatrix,
     BitVector,
@@ -690,6 +696,72 @@ def test_oversized_geometries_are_refused():
     assert time.perf_counter() - start < 2
     with pytest.raises(ResourceLimit, match="3-spaces of PG\\(7,2\\)"):
         enumerate_spaces(ProjGeometry(7, 2), 3)
+
+
+# -- the invariant check against mutated incidence ----------------------------
+
+
+def _lines_of_pg28():
+    """A valid configuration whose columns take two 64-bit words (73 rows)."""
+    cfg = enumerate_spaces(ProjGeometry(2, 8), 1)
+    cfg.check_invariants()
+    return cfg, cfg.incidence.row_bits()
+
+
+def _with_rows(cfg, rows):
+    return dataclasses.replace(cfg, incidence=BitMatrix(cfg.v, rows))
+
+
+def test_invariant_check_catches_a_row_of_the_wrong_weight():
+    cfg, rows = _lines_of_pg28()
+    rows[5] |= 1 << next(j for j in range(cfg.v) if not rows[5] >> j & 1)
+    with pytest.raises(InternalConsistencyError, match="^row weight differs from k'$"):
+        _with_rows(cfg, rows).check_invariants()
+
+
+def test_invariant_check_catches_a_point_moved_within_a_row():
+    cfg, rows = _lines_of_pg28()
+    on = next(j for j in range(cfg.v) if rows[5] >> j & 1)
+    off = next(j for j in range(cfg.v) if not rows[5] >> j & 1)
+    rows[5] ^= 1 << on | 1 << off  # every row keeps k' points; two columns lose r
+    mutant = _with_rows(cfg, rows)
+    assert all(row.bit_count() == cfg.k_prime for row in rows)
+    weights = [column.bit_count() for column in mutant.incidence.transpose().row_bits()]
+    assert sorted(w for w in weights if w != cfg.r) == [cfg.r - 1, cfg.r + 1]
+    with pytest.raises(InternalConsistencyError, match="^column weight differs from r$"):
+        mutant.check_invariants()
+
+
+def test_invariant_check_catches_pair_meets_in_chunks_of_one_column(monkeypatch):
+    cfg, rows = _lines_of_pg28()
+    a, b = cfg.v - 2, cfg.v - 1
+    # a 2 x 2 switch: a row on a but not b and a row on b but not a trade
+    # those points, so every row and column keeps its weight
+    first = next(i for i, row in enumerate(rows) if row >> a & 1 and not row >> b & 1)
+    second = next(i for i, row in enumerate(rows) if row >> b & 1 and not row >> a & 1)
+    for i in (first, second):
+        rows[i] ^= 1 << a | 1 << b
+    mutant = _with_rows(cfg, rows)
+    assert all(row.bit_count() == cfg.k_prime for row in rows)
+    assert all(c.bit_count() == cfg.r for c in mutant.incidence.transpose().row_bits())
+    # the words of one column: one pair a chunk, through the last pair
+    words = -(-cfg.b // 64)
+    monkeypatch.setattr(projgeom, "_MEET_WORDS", words)
+    cfg.check_invariants()
+    with pytest.raises(InternalConsistencyError, match="^a column pair meets in != lambda rows$"):
+        mutant.check_invariants()
+    # with the points of the two switched rows relabelled last, every broken
+    # pair lies in the second and last of two chunks
+    moved = rows[first] | rows[second]
+    order = sorted(range(cfg.v), key=lambda j: moved >> j & 1)
+
+    def relabelled(rows):
+        return _with_rows(cfg, [sum(1 << i for i, j in enumerate(order) if row >> j & 1) for row in rows])
+
+    monkeypatch.setattr(projgeom, "_MEET_WORDS", words * -(-cfg.v * (cfg.v - 1) // 4))
+    relabelled(cfg.incidence.row_bits()).check_invariants()
+    with pytest.raises(InternalConsistencyError, match="^a column pair meets in != lambda rows$"):
+        relabelled(rows).check_invariants()
 
 
 def test_each_incidence_matrix_is_spanned_once(monkeypatch):
