@@ -723,7 +723,7 @@ def test_invariant_check_catches_a_point_moved_within_a_row():
     cfg, rows = _lines_of_pg28()
     on = next(j for j in range(cfg.v) if rows[5] >> j & 1)
     off = next(j for j in range(cfg.v) if not rows[5] >> j & 1)
-    rows[5] ^= 1 << on | 1 << off  # every row keeps k' points; two columns lose r
+    rows[5] ^= 1 << on | 1 << off  # every row keeps k' points; two columns do not keep r
     mutant = _with_rows(cfg, rows)
     assert all(row.bit_count() == cfg.k_prime for row in rows)
     weights = [column.bit_count() for column in mutant.incidence.transpose().row_bits()]
