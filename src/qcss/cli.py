@@ -42,7 +42,7 @@ from .css import (
     css_from_self_orthogonal_cyclic,
     css_with_lookup,
 )
-from .errors import InvalidInput, PreconditionError, QcssError
+from .errors import InvalidInput, PreconditionError, QcssError, ResourceLimit
 from .gf2 import BitMatrix
 from .projgeom import ProjGeometry, build_so_code, enumerate_spaces
 from .reedmuller import rm_generator
@@ -260,6 +260,10 @@ def load_css(path: str) -> CssCode:
 
 
 def _cmd_simulate(args) -> int:
+    if args.trials > args.budget:
+        raise ResourceLimit(
+            f"the simulation would run {args.trials} trials, beyond the budget of {args.budget}"
+        )
     css = load_css(args.css)
     channel = ChannelSpec.depolarizing(args.p)
     report = monte_carlo(css, channel, trials=args.trials, seed=args.seed)
@@ -384,6 +388,7 @@ def main(argv=None) -> int:
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--csv")
+    p.add_argument("--budget", type=_parse_budget, default=DEFAULT_BUDGET, help="most trials run")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("min-distance", help="exact or split-certified distance")

@@ -13,11 +13,14 @@ m codewords, row i their i-th 64-bit word, so that a popcount is one
   to scan one coset per orbit of the cyclic shift.
 - Distance certificates: ``min_distance_split`` is a meet-in-the-middle
   search whose pivot and non-pivot halves both call ``_low_weight_min``.
-  Their depths add up to one less than the largest weight searched for
-  (see ``split_patterns``).  Each half is a generator [I | R] whose
-  identity part stays implicit: the word of a support S of rows weighs
-  |S| + popcount(XOR R[S]), so only R is scanned and |S| is added once per
-  scan (the information-set bookkeeping of the Brouwer-Zimmermann family;
+  Their depths add up to one less than the largest weight searched for, or
+  two less when the caller names a cyclic length N, the code is invariant
+  under the shift of its first N coordinates, its pivots are 0..k - 1 and
+  that weight is below N / gcd(N, k) (see ``split_patterns``).  Each half
+  is a generator [I | R] whose identity part stays implicit: the word of a
+  support S of rows weighs |S| + popcount(XOR R[S]), so only R is scanned
+  and |S| is added once per scan (the information-set bookkeeping of the
+  Brouwer-Zimmermann family;
   M. Grassl, "Searching for linear codes with large minimum distance",
   2006).  That kernel keeps every XOR of up to 3 rows in one block and the
   XORs of the rows before them in colex-ordered tables, and scans all the
@@ -88,13 +91,15 @@ class SplitDistanceResult:
     ``found`` is True when a codeword of weight <= bound exists; ``value`` is
     then the exact minimum distance.  Otherwise ``value`` = bound + 1 is a
     certified lower bound, and ``witness_weight`` (the lightest codeword seen
-    during the scan) is an upper bound on the true distance.
+    during the scan) is an upper bound on the true distance.  ``depths`` are
+    the pivot and non-pivot depths scanned, None when nothing was.
     """
 
     found: bool
     value: int
     witness_weight: int | None
     patterns_scanned: int
+    depths: tuple[int, int] | None = None
 
 
 class LinearCode:
@@ -206,8 +211,10 @@ class LinearCode:
             return 4
         return 2
 
-    def min_distance_split(self, bound: int, budget: int = DEFAULT_BUDGET) -> SplitDistanceResult:
-        return _min_distance_split(self, bound, budget)
+    def min_distance_split(
+        self, bound: int, budget: int = DEFAULT_BUDGET, cyclic: int | None = None
+    ) -> SplitDistanceResult:
+        return _min_distance_split(self, bound, budget, cyclic)
 
 
 def require_mutually_orthogonal(c1: LinearCode, c2: LinearCode) -> None:
@@ -429,6 +436,21 @@ def split_patterns(k: int, rank: int, pivot_depth: int, nonpivot_depth: int) -> 
     p >= h1 + 1, so q <= max_w - h1 - 1 = h2, and the non-pivot side lists
     it: the RA-row support mu of its non-pivot part has |mu| <= q, since RA
     is reduced, and its message is the preimage of mu plus a kernel word.
+
+    With a shift, h1 + h2 = max_w - 2 is enough (the Brouwer-Zimmermann
+    argument with an automorphism: M. Grassl, 2006; A. Betten et al.,
+    "Error-Correcting Linear Codes", 2006, 1.7).  Let sigma shift the first
+    N coordinates cyclically and fix the rest, let the code be
+    sigma-invariant with pivots 0..k - 1, k < N, and let max_w < N / gcd(N,
+    k).  sigma keeps weights, so the search needs to list one sigma^s c of
+    each lightest word c.  Let a(s) be the pivot weight of sigma^s c and w_N
+    the weight of c on the N moving coordinates; every moving coordinate
+    passes the k pivots once over the N shifts, so sum_s a(s) = k w_N.  A
+    nonzero word has a(s) >= 1, and the search misses sigma^s c only if
+    h1 + 1 <= a(s) <= w - h2 - 1 <= max_w - h2 - 1 <= h1 + 1.  Missing every
+    shift makes a(s) constant, so N a = k w_N and N / gcd(N, k) divides w_N.
+    w_N <= max_w < N / gcd(N, k) leaves w_N = 0, so c is zero on the pivots
+    and c = 0.
     """
     kernel_size = 1 << (k - rank)
     pivot = sum(math.comb(k, i) for i in range(1, pivot_depth + 1))
@@ -436,25 +458,32 @@ def split_patterns(k: int, rank: int, pivot_depth: int, nonpivot_depth: int) -> 
     return kernel_size - 1 + pivot + nonpivot * kernel_size
 
 
-def _split_depths(code: LinearCode, bound: int) -> tuple[int, int] | None:
+def _split_depths(
+    code: LinearCode, bound: int, cyclic: int | None = None
+) -> tuple[int, int] | None:
     """Pivot and non-pivot depths of the split search up to weight ``bound``,
     or None when it scans nothing (k = 0, k = n, or no nonzero codeword
-    weight up to the bound).  They add up to max_w - 1, max_w being the
-    largest multiple of the weight modulus up to the bound, which is enough
-    by the argument in ``split_patterns``."""
+    weight up to the bound).  max_w is the largest multiple of the weight
+    modulus up to the bound; the depths add up to top = max_w - 1, or to
+    max_w - 2 (at least 0) when ``cyclic`` = N names a shift premise with
+    k < N and max_w < N / gcd(N, k), by the arguments in ``split_patterns``;
+    h1 = (top + 1) // 2 and h2 = top - h1."""
     modulus = code.weight_modulus()
     max_w = (bound // modulus) * modulus
     if code.k in (0, code.n) or max_w <= 0:
         return None
-    return max_w // 2, max_w - 1 - max_w // 2
+    shift = cyclic is not None and code.k < cyclic and max_w < cyclic // math.gcd(cyclic, code.k)
+    top = max(max_w - 2, 0) if shift else max_w - 1
+    h1 = (top + 1) // 2
+    return h1, top - h1
 
 
-def predicted_split_patterns(code: LinearCode, bound: int) -> int:
-    """``patterns_scanned`` of ``code.min_distance_split(bound)`` without the
-    scan: ``split_patterns`` of the search's depths and of the rank of the
-    generator's non-pivot columns, the count the search gates its budget on
-    and checks its scan against."""
-    depths = _split_depths(code, bound)
+def predicted_split_patterns(code: LinearCode, bound: int, cyclic: int | None = None) -> int:
+    """``patterns_scanned`` of ``code.min_distance_split(bound, cyclic=cyclic)``
+    without the scan: ``split_patterns`` of the search's depths and of the
+    rank of the generator's non-pivot columns, the count the search gates its
+    budget on and checks its scan against."""
+    depths = _split_depths(code, bound, cyclic)
     if depths is None:
         return 0
     nonpivot = (1 << code.n) - 1 - sum(1 << p for p in code.pivots)
@@ -462,8 +491,32 @@ def predicted_split_patterns(code: LinearCode, bound: int) -> int:
     return split_patterns(code.k, len(rref(part)[1]), *depths)
 
 
-def _min_distance_split(code: LinearCode, bound: int, budget: int) -> SplitDistanceResult:
+def _require_shift_premise(code: LinearCode, cyclic: int) -> None:
+    """Refuse the shift rule of ``split_patterns`` unless the pivots are
+    0..k - 1 within the first ``cyclic`` = N coordinates and the shift of
+    those N coordinates maps every generator row into the code."""
     n, k = code.n, code.k
+    if not 0 < cyclic <= n:
+        raise InvalidInput(f"cyclic length {cyclic} outside 1..{n}")
+    if k > cyclic or code.pivots != tuple(range(k)):
+        raise PreconditionError(
+            f"the pivots are not 0..{k - 1} within the first {cyclic} coordinates"
+        )
+    low = (1 << cyclic) - 1
+    for r in code.generator.row_bits():
+        m = r & low
+        if not code.contains(BitVector(n, r ^ m | (m << 1 | m >> (cyclic - 1)) & low)):
+            raise PreconditionError(
+                f"the code is not invariant under the shift of its first {cyclic} coordinates"
+            )
+
+
+def _min_distance_split(
+    code: LinearCode, bound: int, budget: int, cyclic: int | None = None
+) -> SplitDistanceResult:
+    n, k = code.n, code.k
+    if cyclic is not None:
+        _require_shift_premise(code, cyclic)
     if k == 0:
         return SplitDistanceResult(False, bound + 1, None, 0)
     red = code.rref_matrix.row_bits()
@@ -476,7 +529,7 @@ def _min_distance_split(code: LinearCode, bound: int, budget: int) -> SplitDista
         return SplitDistanceResult(bound >= 1, 1 if bound >= 1 else bound + 1, 1, 0)
 
     row_witness = min(r.bit_count() for r in red)
-    depths = _split_depths(code, bound)
+    depths = _split_depths(code, bound, cyclic)
     if depths is None:
         return SplitDistanceResult(False, bound + 1, row_witness, 0)
     h1, h2 = depths
@@ -531,8 +584,8 @@ def _min_distance_split(code: LinearCode, bound: int, budget: int) -> SplitDista
             f"the split search scanned {patterns} patterns, predicted {predicted}"
         )
     if best <= bound:
-        return SplitDistanceResult(True, best, best, patterns)
-    return SplitDistanceResult(False, bound + 1, best, patterns)
+        return SplitDistanceResult(True, best, best, patterns, depths)
+    return SplitDistanceResult(False, bound + 1, best, patterns, depths)
 
 
 # -- MacWilliams transform -------------------------------------------------

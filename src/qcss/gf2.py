@@ -115,12 +115,11 @@ class BitMatrix:
         self.cols = cols
         self._data = data = list(row_bits)
         self.rows = len(data)
+        if cols < 0:
+            raise InvalidInput(f"negative length {cols}")
         # one range check over all rows, raising as _check_bits on each would
-        if data:
-            if cols < 0:
-                raise InvalidInput(f"negative length {cols}")
-            if min(data) < 0 or max(data) >> cols:
-                raise InvalidInput(f"value has bits beyond length {cols}")
+        if data and (min(data) < 0 or max(data) >> cols):
+            raise InvalidInput(f"value has bits beyond length {cols}")
 
     @classmethod
     def from_vectors(cls, vectors: Sequence[BitVector]) -> "BitMatrix":

@@ -30,8 +30,8 @@ from .bch import (
 )
 from .codes import DEFAULT_BUDGET, LinearCode, WeightEnumerator, appended_parity_counts, macwilliams
 from .constructions import extend_parity_dual
-from .errors import ResourceLimit
-from .gf2 import bools_as_bytes, bytes_as_bools, bytes_as_ints, ints_as_bytes
+from .errors import PreconditionError, ResourceLimit
+from .gf2 import BitMatrix, bools_as_bytes, bytes_as_bools, bytes_as_ints, ints_as_bytes
 from .projgeom import ProjGeometry, build_so_code, enumerate_spaces, singer_order
 from .reedmuller import rm_generator
 
@@ -234,19 +234,24 @@ def verify_extended_table1(budget: int = TABLE1_BUDGET) -> list[RowReport]:
     return reports
 
 
+def singer_rows(code: LinearCode, order: Sequence[int]) -> list[int]:
+    """The code's generator rows with column i the point ``order[i]`` for
+    i < v = len(order); any coordinate past the points, the parity bit of
+    ``build_so_code``, keeps its place after them."""
+    bits = bytes_as_bools(ints_as_bytes(code.generator.row_bits(), (code.n + 7) // 8), code.n)
+    return bytes_as_ints(bools_as_bytes(bits[:, [*order, *range(len(order), code.n)]]))
+
+
 def singer_generator(code: LinearCode, order: Sequence[int]) -> int:
-    """g = gcd(x^v + 1, rows) of the code's rref rows on the v = len(order)
-    point coordinates, column i of the row polynomials being point
-    ``order[i]``.  g generates the least cyclic code that holds the rows,
-    of dimension v - deg g, so the rows span a cyclic code in that order
-    exactly when v - deg g is their rank, ``code.k``.  Any coordinate past
-    the points is the parity bit of ``build_so_code``, and dropping it keeps
-    the rank."""
-    v = len(order)
-    bits = bytes_as_bools(ints_as_bytes(code.generator.row_bits(), (code.n + 7) // 8), v)
-    g = (1 << v) | 1
-    for row in bytes_as_ints(bools_as_bytes(bits[:, list(order)])):
-        g = poly_gcd(row, g)
+    """g = gcd(x^v + 1, rows) of the code's rows on the v = len(order)
+    point coordinates in ``singer_rows`` order.  g generates the least
+    cyclic code that holds the rows, of dimension v - deg g, so the rows
+    span a cyclic code in that order exactly when v - deg g is their rank,
+    ``code.k``.  Dropping the parity bit keeps the rank."""
+    points = (1 << len(order)) - 1
+    g = (1 << len(order)) | 1
+    for row in singer_rows(code, order):
+        g = poly_gcd(row & points, g)
     return g
 
 
@@ -277,7 +282,10 @@ def verify_table2(budget: int = DEFAULT_BUDGET, rows=None) -> list[RowReport]:
     """Both distances of each row come from ``singer_spectrum`` when its
     predicted words fit ``budget``; else, for a self-dual code, from the
     split search at bound d - 1 under the same budget (d_perp = d); else
-    both are skipped with a note that names the predicted words."""
+    both are skipped with a note that names the predicted words.  The split
+    search runs on the ``singer_rows`` of the code, with the shift of its v
+    point coordinates (``cyclic`` = v), and skips with a note when the
+    budget or the search's own check of that shift refuses."""
     reports = []
     rows = TABLE2_ROWS if rows is None else rows
     for label, gk, q, l, n, k, d, d_perp, kq, t_printed in rows:
@@ -303,13 +311,15 @@ def verify_table2(budget: int = DEFAULT_BUDGET, rows=None) -> list[RowReport]:
         elif not self_dual:
             rep.notes.append(f"{enum}; no split route, not self-dual")
         else:
+            shifted = LinearCode(BitMatrix(code.n, singer_rows(code, singer_order(geom))))
             try:
-                split = code.min_distance_split(d - 1, budget)
-            except ResourceLimit as exc:
+                split = shifted.min_distance_split(d - 1, budget, cyclic=cfg.v)
+            except (ResourceLimit, PreconditionError) as exc:
                 rep.notes.append(f"{exc}; distances skipped")
             else:
                 rep.values["split_patterns"] = split.patterns_scanned
                 rep.values["split_witness"] = split.witness_weight
+                rep.values["split_depths"] = split.depths
                 # no word below d and a row of weight d; the code is its own dual
                 rep.checks["distance"] = not split.found and split.witness_weight == d
                 rep.checks["dual_distance"] = rep.checks["distance"] and d_perp == d

@@ -69,7 +69,8 @@ def test_criterion_2_table2_reproduction():
     ok = all(r.passed for r in reports) and len(reports) == 12
     big = next(r for r in reports if "PG(6,2) 3-sp." in r.label)
     ok &= big.values.get("split_witness") == 16
-    ok &= big.values.get("split_patterns") == 91_581_632
+    ok &= big.values.get("split_patterns") == 16_607_264
+    ok &= big.values.get("split_depths") == (5, 5)
     # every other row fits the default budget of 2^29 spectrum words
     ok &= all("d" in r.values and "d_perp" in r.values and "split_patterns" not in r.values
               for r in reports if r is not big)

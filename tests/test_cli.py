@@ -108,6 +108,30 @@ def test_min_distance_and_spectrum(tmp_path, capsys):
     assert "4,14" in csv.read_text()
 
 
+def test_simulate_refuses_trials_above_the_budget_flag(tmp_path, capsys, monkeypatch):
+    css_path = tmp_path / "rm.css"
+    assert run(capsys, "css-build", "--decoder", "reed", "--decoder-args", "4", "1",
+               "--out", str(css_path))[0] == 0
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the simulation ran")
+
+    monkeypatch.setattr(cli, "monte_carlo", no_run)
+    t0 = time.perf_counter()
+    for trials, budget, flag in (("100000000000000000", 1 << 29, []),
+                                 ("1025", 1024, ["--budget", "2^10"])):
+        code = main(["simulate", "--css", str(css_path), "--p", "0.01", "--trials", trials, *flag])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: the simulation would run {trials} trials, beyond the budget of {budget}\n"
+        )
+    assert time.perf_counter() - t0 < 1
+    monkeypatch.undo()
+    code, out = run(capsys, "simulate", "--css", str(css_path), "--p", "0.01",
+                    "--trials", "1024", "--budget", "2^10", "--seed", "5")
+    assert code == 0 and out.startswith("trials=1024 ")
+
+
 def test_split_search_refuses_above_the_budget_flag(tmp_path, capsys, monkeypatch):
     code, out = run(capsys, "pg", "--k", "6", "--q", "2", "--l", "3", "--emit", "code")
     assert code == 0

@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from qcss import codes, gf2, tables
-from qcss.bch import spec_from_zero_set, zero_set_of_polynomial
+from qcss.bch import (
+    poly_deg,
+    poly_divmod,
+    poly_gcd,
+    poly_mul,
+    spec_from_zero_set,
+    zero_set_of_polynomial,
+)
 from qcss.codes import (
     LinearCode,
     WeightEnumerator,
@@ -21,7 +28,7 @@ from qcss.codes import (
     random_self_orthogonal_code,
     split_patterns,
 )
-from qcss.errors import InternalConsistencyError, InvalidInput, ResourceLimit
+from qcss.errors import InternalConsistencyError, InvalidInput, PreconditionError, ResourceLimit
 from qcss.gf2 import BitMatrix, BitVector, rank
 
 EXT_HAMMING_ROWS = ["11111111", "01010101", "00110011", "00001111"]
@@ -359,6 +366,155 @@ def test_split_depths_add_up_to_max_weight_less_one(n, rows, d, split):
     assert res.found and res.value == d
     h1 = d // 2
     assert res.patterns_scanned == split_patterns(len(rows), nonpivot_rank(c), h1, d - 1 - h1)
+
+
+def random_cyclic_code(rng, n_max, k_max):
+    """A cyclic [n, k] code, 3 <= n <= n_max and 0 < k <= k_max, held as
+    the rows x^j g of a divisor g of x^n + 1: their rref has pivots
+    0..k - 1, since any k consecutive coordinates of a cyclic code are an
+    information set.  g is a random subset product of a split of x^n + 1
+    into factors, each split by the gcd with a random polynomial."""
+    while True:
+        n = rng.randrange(3, n_max + 1)
+        parts = [(1 << n) | 1]
+        for _ in range(12):
+            r = rng.getrandbits(n)
+            split = [(poly_gcd(p, r), p) for p in parts]
+            parts = [f for a, p in split for f in (a, poly_divmod(p, a)[0]) if f > 1]
+        g = functools.reduce(poly_mul, [p for p in parts if rng.random() < 0.5], 1)
+        k = n - poly_deg(g)
+        if 0 < k <= k_max and k < n:
+            return n, LinearCode(BitMatrix(n, [g << j for j in range(k)]))
+
+
+def shift(word, n):
+    """The cyclic shift of the first n coordinates of ``word``; the rest stay."""
+    low = word & (1 << n) - 1
+    return word ^ low | (low << 1 | low >> (n - 1)) & (1 << n) - 1
+
+
+def test_shift_split_agrees_with_exhaustive_on_random_cyclic_codes():
+    """Cyclic codes of length N <= 31, with and without a parity bit after
+    the N shifted coordinates, at every bound up to d + 2: the shift rule's
+    depths, which may add up to max_w - 2, still find the distance."""
+    rng = random.Random(32)
+    cases = shifted = 0
+    for _ in range(160):
+        big_n, c = random_cyclic_code(rng, 31, 18)
+        if rng.random() < 0.5:
+            c = extend_with_parity(c)
+        d = c.min_distance()
+        for bound in range(d + 3):
+            res = c.min_distance_split(bound, cyclic=big_n)
+            if bound >= d:
+                assert res.found and res.value == d
+            else:
+                assert not res.found and res.value == bound + 1
+            assert res.patterns_scanned == predicted_split_patterns(c, bound, big_n)
+            generic = codes._split_depths(c, bound)
+            assert res.depths == codes._split_depths(c, bound, big_n)
+            cases += 1
+            shifted += res.depths is not None and sum(res.depths) < sum(generic)
+    assert cases > 1000 and shifted > 300
+
+
+def test_shift_depths_reach_a_shift_of_every_light_word():
+    """The argument itself, word by word: every nonzero codeword of weight
+    w <= max_w has a shift whose pivot weight a is at most h1 or whose
+    non-pivot weight w - a is at most h2."""
+    rng = random.Random(5)
+    for _ in range(120):
+        big_n, c = random_cyclic_code(rng, 31, 10)
+        if rng.random() < 0.5:
+            c = extend_with_parity(c)
+        span = [0]
+        for r in c.generator.row_bits():
+            span += [w ^ r for w in span]
+        pivot_mask = (1 << c.k) - 1
+        modulus = c.weight_modulus()
+        for bound in range(1, c.n + 1):
+            depths = codes._split_depths(c, bound, big_n)
+            if depths is None:
+                continue
+            h1, h2 = depths
+            for word in span[1:]:
+                w = word.bit_count()
+                if w > bound // modulus * modulus:
+                    continue
+                for _ in range(big_n):
+                    a = (word & pivot_mask).bit_count()
+                    if a <= h1 or w - a <= h2:
+                        break
+                    word = shift(word, big_n)
+                else:
+                    raise AssertionError(f"no shift of a weight-{w} word within {depths}")
+
+
+# Cyclic codes (N, g, parity bit or not) whose rref rows all weigh more than
+# d, so that only the scan can find d: for (30, 0x3BF1) the shift rule's
+# depths (1, 1) are needed, one less misses; for (30, 0xDE27) N / gcd(N, k)
+# = 2 <= max_w, and depths adding up to max_w - 2 would miss.
+TIGHT_SHIFT_CODES = [(30, 0x3BF1, False, 4, (1, 1)), (30, 0x3BF1, True, 4, (1, 1)),
+                     (30, 0xDE27, False, 6, (3, 2)), (30, 0xDE27, True, 6, (3, 2))]
+
+
+@pytest.mark.parametrize("big_n, g, parity, d, depths", TIGHT_SHIFT_CODES)
+def test_shift_split_on_codes_that_need_its_exact_depths(big_n, g, parity, d, depths):
+    c = LinearCode(BitMatrix(big_n, [g << j for j in range(big_n - poly_deg(g))]))
+    if parity:
+        c = extend_with_parity(c)
+    assert c.min_distance() == d
+    assert min(r.bit_count() for r in c.rref_matrix.row_bits()) > d
+    res = c.min_distance_split(d, cyclic=big_n)
+    assert res.found and res.value == d and res.depths == depths
+
+
+def test_split_depths_fall_back_without_the_shift_premise():
+    c = LinearCode(BitMatrix(15, [0b10011 << j for j in range(11)]))  # Hamming [15,11]
+    assert c.weight_modulus() == 1
+    # no shift: max_w - 1; N / gcd(15, 11) = 15 > max_w: max_w - 2, at least 0
+    assert [codes._split_depths(c, b) for b in (1, 2, 3, 14)] == [(0, 0), (1, 0), (1, 1), (7, 6)]
+    assert [codes._split_depths(c, b, 15) for b in (1, 2, 3, 14)] == [(0, 0), (0, 0), (1, 0), (6, 6)]
+    # a cyclic [15,5] code: N / gcd(15, 5) = 3, so the shift rule holds below weight 3 only
+    g = poly_mul(poly_mul(0b111, 0b10011), 0b11001)
+    c5 = LinearCode(BitMatrix(15, [g << j for j in range(5)]))
+    for b in range(1, 16):
+        max_w = b // c5.weight_modulus() * c5.weight_modulus()
+        shifted = codes._split_depths(c5, b, 15)
+        assert shifted == ((0, 0) if 0 < max_w < 3 else codes._split_depths(c5, b))
+    # k >= N: the rule needs k < N
+    assert codes._split_depths(c, 3, 11) == codes._split_depths(c, 3, 10) == (1, 1)
+    # the weight-2 word 1010|0 of the parity-extended [4,2] code x^2 + 1 has
+    # pivot weight 1 at every shift: N / gcd(4, 2) = 2 = max_w, and depths
+    # (0, 0) would never list it
+    ext = extend_with_parity(LinearCode(BitMatrix(4, [0b101, 0b1010])))
+    assert codes._split_depths(ext, 2, 4) == codes._split_depths(ext, 2) == (1, 0)
+
+
+def test_shift_split_refuses_codes_outside_its_premise(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("the split search scanned")
+
+    monkeypatch.setattr(codes, "_low_weight_min", no_scan)
+    # pivots (1,), not (0,)
+    with pytest.raises(PreconditionError, match="pivots are not 0..0 within the first 4"):
+        LinearCode(BitMatrix(4, [0b0110])).min_distance_split(3, cyclic=4)
+    # pivots 0..3 but only 3 shifted coordinates
+    with pytest.raises(PreconditionError, match="pivots are not 0..3 within the first 3"):
+        ext_hamming().min_distance_split(3, cyclic=3)
+    # pivots 0..k - 1, not invariant: [I | R] with R random
+    rng = random.Random(4)
+    c = LinearCode(BitMatrix(20, [1 << i | rng.getrandbits(10) << 10 for i in range(10)]))
+    assert c.pivots == tuple(range(10))
+    with pytest.raises(PreconditionError, match="not invariant under the shift of its first 20"):
+        c.min_distance_split(5, cyclic=20)
+    # cyclic, so invariant under the shift of 15 coordinates, but not of 14
+    hamming = LinearCode(BitMatrix(15, [0b10011 << j for j in range(11)]))
+    with pytest.raises(PreconditionError, match="not invariant under the shift of its first 14"):
+        hamming.min_distance_split(3, cyclic=14)
+    for bad in (0, 16):
+        with pytest.raises(InvalidInput, match=f"cyclic length {bad} outside 1..15"):
+            hamming.min_distance_split(3, cyclic=bad)
 
 
 def test_split_memory_does_not_grow_with_the_kernel():

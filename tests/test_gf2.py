@@ -533,6 +533,6 @@ def test_bit_matrix_range_check_over_all_rows():
     for bad in (-1, 1 << 3):
         with pytest.raises(InvalidInput, match="^value has bits beyond length 3$"):
             BitMatrix(3, [0b101, bad, 0b11])
-    with pytest.raises(InvalidInput, match="^negative length -2$"):
-        BitMatrix(-2, [0])
-    assert BitMatrix(-2, []).rows == 0  # no row, nothing to check, as before
+    for rows in ([0], []):  # the width is checked whether or not there are rows
+        with pytest.raises(InvalidInput, match="^negative length -2$"):
+            BitMatrix(-2, rows)

@@ -17,6 +17,7 @@ from qcss.bch import (
 )
 from qcss.codes import LinearCode, WeightEnumerator, appended_parity_counts, macwilliams
 from qcss.constructions import extend_parity_dual
+from qcss.errors import PreconditionError
 from qcss.gf2 import BitMatrix
 from qcss.projgeom import ProjGeometry, build_so_code, enumerate_spaces, singer_order
 from qcss.tables import (
@@ -29,6 +30,7 @@ from qcss.tables import (
     rm_scan,
     rm_scan_matches_expected,
     singer_generator,
+    singer_rows,
     verify_extended_table1,
     verify_table1_row,
     verify_table2,
@@ -213,20 +215,62 @@ def test_table2_split_route_runs_under_the_callers_budget():
     # split search at bound 7, which fits
     rep = verify_table2(budget=1 << 10, rows=_table2_row("PG(4,2) 2-sp."))[0]
     assert rep.passed and rep.checks["distance"] and rep.checks["dual_distance"]
-    assert rep.values["split_patterns"] == 152
+    assert rep.values["split_patterns"] == 32
     assert rep.values["split_witness"] == 8
-    # the [128,64,16] row's split search predicts 9.16e7 patterns: refused
+    assert rep.values["split_depths"] == (1, 1)
+    # the [128,64,16] row's split search predicts 1.66e7 patterns: refused
     t0 = time.perf_counter()
     rep = verify_table2(budget=1 << 20, rows=_table2_row("PG(6,2) 3-sp."))[0]
     assert time.perf_counter() - t0 < 2
     assert rep.checks["distance"] is None and rep.checks["dual_distance"] is None
     assert rep.checks["self_dual"] is True
     assert "split_patterns" not in rep.values
-    assert any("9.16e+07 patterns" in note for note in rep.notes), rep.notes
+    assert any("1.66e+07 patterns" in note for note in rep.notes), rep.notes
     # a code that is not self-dual has no split route
     rep = verify_table2(budget=1 << 4, rows=_table2_row("PG(3,2) 2-sp."))[0]
     assert rep.checks["distance"] is None and rep.checks["dual_distance"] is None
     assert "not self-dual" in rep.notes[0]
+
+
+@pytest.mark.parametrize(
+    "prefix, generic, shifted",
+    [("PG(4,2) 2-sp.", 152, 32), ("PG(6,2) 3-sp.", 91_581_632, 16_607_264)],
+)
+def test_table2_split_route_agrees_with_the_lexicographic_search(prefix, generic, shifted):
+    """The Singer-order code under the shift rule against the emitted,
+    lexicographic code under the generic one: the same verdict and witness
+    from fewer patterns; the lexicographic code refuses the shift rule."""
+    row = _table2_row(prefix)[0]
+    geom, cfg, code = _table2_code(row)
+    d = row[6]
+    lex = code.min_distance_split(d - 1)
+    cyclic = LinearCode(BitMatrix(code.n, singer_rows(code, singer_order(geom))))
+    assert cyclic.pivots == tuple(range(code.k))
+    split = cyclic.min_distance_split(d - 1, cyclic=cfg.v)
+    assert (lex.patterns_scanned, split.patterns_scanned) == (generic, shifted)
+    assert (lex.found, lex.value, lex.witness_weight) == (False, d, d)
+    assert (split.found, split.value, split.witness_weight) == (False, d, d)
+    assert sum(lex.depths) == sum(split.depths) + 1
+    with pytest.raises(PreconditionError):
+        code.min_distance_split(d - 1, cyclic=cfg.v)
+
+
+def test_table2_split_route_skips_a_code_that_is_not_cyclic(monkeypatch):
+    """Two Singer points swapped: the split search's own check refuses the
+    shift, and the row notes it and fails on ``cyclic_in_singer_order``."""
+
+    def swapped(geom):
+        order = list(singer_order(geom))
+        order[0], order[1] = order[1], order[0]
+        return tuple(order)
+
+    monkeypatch.setattr(tables, "singer_order", swapped)
+    rep = verify_table2(budget=1 << 10, rows=_table2_row("PG(4,2) 2-sp."))[0]
+    assert rep.checks["cyclic_in_singer_order"] is False and not rep.passed
+    assert rep.checks["distance"] is None and "split_patterns" not in rep.values
+    assert rep.notes == [
+        "the code is not invariant under the shift of its first 31 coordinates; distances skipped"
+    ]
 
 
 def test_verify_table2_small_rows():
