@@ -17,7 +17,7 @@ from .bch import (
     zero_set_of_polynomial,
 )
 from .channel import ChannelSpec, monte_carlo
-from .codes import DEFAULT_BUDGET, LinearCode, macwilliams, predicted_split_patterns
+from .codes import DEFAULT_BUDGET, LinearCode
 from .constructions import (
     PREDICT_BUDGET,
     OuterCode,
@@ -43,7 +43,7 @@ from .css import (
     css_with_lookup,
 )
 from .errors import InvalidInput, PreconditionError, QcssError, ResourceLimit
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, bytes_as_ints
 from .projgeom import ProjGeometry, build_so_code, enumerate_spaces
 from .reedmuller import rm_generator
 
@@ -170,15 +170,15 @@ def _cmd_pg(args) -> int:
     geom = ProjGeometry(args.k, args.q)
     cfg = enumerate_spaces(geom, args.l)
     if args.emit == "config":
-        sys.stdout.write(cfg.incidence.to_text())
+        sys.stdout.write(BitMatrix(cfg.v, bytes_as_ints(cfg.incidence)).to_text())
         return 0
     code = build_so_code(cfg)
     if args.emit == "code":
         sys.stdout.write(code.to_text())
         return 0
-    # the spectrum through the Singer order, refused beyond a side computation's budget
-    enum = tables.singer_spectrum(tables.RowReport("qcss pg"), code, geom, PREDICT_BUDGET)
-    dual_d = "?" if isinstance(enum, str) else macwilliams(enum, code.n, code.k).min_distance()
+    # "?" when both routes exceed a side computation's budget
+    distances = tables.singer_distances(tables.RowReport("qcss pg"), code, geom, PREDICT_BUDGET)
+    dual_d = "?" if isinstance(distances, str) else distances[1]
     print(f"[[{code.n},{code.n - 2 * code.k},{dual_d}]]")
     return 0
 
@@ -288,8 +288,8 @@ def _cmd_min_distance(args) -> int:
             print(
                 f"no codeword of weight <= {args.bound}; lightest seen: {res.witness_weight}"
             )
-        predicted = predicted_split_patterns(code, args.bound)
-        print(f"predicted patterns {predicted}, scanned {res.patterns_scanned}")
+        # the search raises unless it scanned exactly the patterns it planned
+        print(f"predicted patterns {res.patterns_scanned}, scanned {res.patterns_scanned}")
         return 0
     print(f"minimum distance {code.min_distance(budget=args.budget)}")
     return 0

@@ -478,17 +478,32 @@ def _split_depths(
     return h1, top - h1
 
 
+def _split_plan(
+    code: LinearCode, bound: int, cyclic: int | None = None
+) -> tuple[tuple[int, int], BitMatrix, list[int], tuple[int, ...]] | None:
+    """What the split search up to weight ``bound`` scans, or None when it
+    scans nothing: its depths, the non-pivot part A of the rref (rows
+    compacted to the non-pivot columns) and RA = rref(A) with its pivots."""
+    depths = _split_depths(code, bound, cyclic)
+    if depths is None:
+        return None
+    pivots = set(code.pivots)
+    nonpivots = [c for c in range(code.n) if c not in pivots]
+    a_mat = BitMatrix(len(nonpivots), [_compact(r, nonpivots) for r in code.rref_matrix.row_bits()])
+    ra, ra_pivots = rref(a_mat)
+    return depths, a_mat, ra.row_bits(), ra_pivots
+
+
 def predicted_split_patterns(code: LinearCode, bound: int, cyclic: int | None = None) -> int:
     """``patterns_scanned`` of ``code.min_distance_split(bound, cyclic=cyclic)``
     without the scan: ``split_patterns`` of the search's depths and of the
     rank of the generator's non-pivot columns, the count the search gates its
     budget on and checks its scan against."""
-    depths = _split_depths(code, bound, cyclic)
-    if depths is None:
+    plan = _split_plan(code, bound, cyclic)
+    if plan is None:
         return 0
-    nonpivot = (1 << code.n) - 1 - sum(1 << p for p in code.pivots)
-    part = BitMatrix(code.n, [r & nonpivot for r in code.rref_matrix.row_bits()])
-    return split_patterns(code.k, len(rref(part)[1]), *depths)
+    depths, _, _, ra_pivots = plan
+    return split_patterns(code.k, len(ra_pivots), *depths)
 
 
 def _require_shift_premise(code: LinearCode, cyclic: int) -> None:
@@ -519,30 +534,20 @@ def _min_distance_split(
         _require_shift_premise(code, cyclic)
     if k == 0:
         return SplitDistanceResult(False, bound + 1, None, 0)
-    red = code.rref_matrix.row_bits()
-    pivots = code.pivots
-    nonpivots = [c for c in range(n) if c not in set(pivots)]
-
-    n_np = len(nonpivots)
-    if n_np == 0:
+    if k == n:
         # full [n, n] code: unit vectors are codewords
         return SplitDistanceResult(bound >= 1, 1 if bound >= 1 else bound + 1, 1, 0)
 
-    row_witness = min(r.bit_count() for r in red)
-    depths = _split_depths(code, bound, cyclic)
-    if depths is None:
+    row_witness = min(r.bit_count() for r in code.rref_matrix.row_bits())
+    plan = _split_plan(code, bound, cyclic)
+    if plan is None:
         return SplitDistanceResult(False, bound + 1, row_witness, 0)
-    h1, h2 = depths
-
-    # restriction of each rref row to the non-pivot columns, compacted
-    a_rows = [_compact(r, nonpivots) for r in red]
-
     # Write A = U . RA with RA = rref(A).  The kernel of m -> m.A consists of
     # the codewords supported entirely on pivot columns; they are scanned in
     # full because their non-pivot weight is 0 regardless of the depth.
-    a_mat = BitMatrix(n_np, a_rows)
-    ra, ra_pivots = rref(a_mat)
-    ra_rows = ra.row_bits()
+    depths, a_mat, ra_rows, ra_pivots = plan
+    h1, h2 = depths
+    a_rows = a_mat.row_bits()
     predicted = split_patterns(k, len(ra_pivots), h1, h2)
     if predicted > budget:
         raise ResourceLimit(
@@ -559,7 +564,7 @@ def _min_distance_split(
     # Pivot side: row i of the rref has a single 1 among the pivot columns,
     # at pivot i, so the codeword of message S is S on the pivots and
     # XOR a_rows[S] elsewhere, and weighs |S| + wt(XOR a_rows[S]).
-    pivot_best, pivot_patterns = _low_weight_min(a_rows, n_np, h1)
+    pivot_best, pivot_patterns = _low_weight_min(a_rows, a_mat.cols, h1)
     # Non-pivot side: every message m with wt(m . A) <= h2 is m = XOR m_j[mu]
     # ^ f for an RA-row support mu and a kernel word f; mu = {} gives the
     # kernel codewords themselves.  The codeword is m on the pivots and
@@ -568,7 +573,7 @@ def _min_distance_split(
     # RA's pivots): the popcount of the rows RA off its pivots with m_j above
     # them, XORed over mu and with f above them.
     ra_pivot_set = set(ra_pivots)
-    rest = [c for c in range(n_np) if c not in ra_pivot_set]
+    rest = [c for c in range(a_mat.cols) if c not in ra_pivot_set]
     width = len(rest)
     nonpivot_best, nonpivot_patterns = _low_weight_min(
         [_compact(ra, rest) | m << width for ra, m in zip(ra_rows, solvers)],

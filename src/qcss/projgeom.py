@@ -34,7 +34,6 @@ from .gf2 import (
     bytes_as_ints,
     check_block,
     decode_in_slices,
-    ints_as_bytes,
     packed_parities,
     packed_table,
     transpose_bytes,
@@ -201,17 +200,21 @@ def singer_order(geom: ProjGeometry) -> tuple[int, ...]:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Configuration:
     """Incidence structure with constant row weight, column weight, and
-    pairwise column intersection count."""
+    pairwise column intersection count.  ``incidence`` holds its b rows of
+    v points as a (b, ceil(v/8)) uint8 block (``gf2.check_block``)."""
 
-    incidence: BitMatrix
+    incidence: np.ndarray
     b: int
     v: int
     r: int
     k_prime: int
     lam: int
+
+    def __post_init__(self) -> None:
+        check_block(self.incidence, self.v)
 
     @property
     def one_step_bound(self) -> int:
@@ -226,19 +229,14 @@ class Configuration:
         return (self.r + self.lam) // (2 * self.lam)
 
     def check_invariants(self) -> None:
-        """Raise unless the incidence has b rows of v points, every row k'
-        points, every point r rows and every pair of points lambda rows in
-        common; ``_check_packed`` counts them on the packed rows."""
-        if self.incidence.rows != self.b or self.incidence.cols != self.v:
+        """Raise unless the incidence has b rows, every row k' points, every
+        point r rows and every pair of points lambda rows in common: row and
+        column weights by ``np.bitwise_count``, and the meet of every column
+        pair i < j by AND-popcount of the columns packed as uint64 words,
+        pairs in row-major order, chunks of at most _MEET_WORDS words."""
+        packed = self.incidence
+        if len(packed) != self.b:
             raise InternalConsistencyError("incidence shape mismatch")
-        self._check_packed(ints_as_bytes(self.incidence.row_bits(), (self.v + 7) // 8))
-
-    def _check_packed(self, packed: np.ndarray) -> None:
-        """The weight and meet checks on the (b, ceil(v/8)) uint8 rows of the
-        incidence: row and column weights by ``np.bitwise_count``, and the
-        meet of every column pair i < j by AND-popcount of the columns packed
-        as uint64 words, pairs in row-major order, chunks of at most
-        _MEET_WORDS words."""
         if (np.bitwise_count(packed).sum(axis=1) != self.k_prime).any():
             raise InternalConsistencyError("row weight differs from k'")
         columns = np.zeros((self.v, -(-self.b // 64) * 8), dtype=np.uint8)
@@ -343,8 +341,7 @@ def enumerate_spaces(geom: ProjGeometry, l: int) -> Configuration:
     of its spaces' vectors by one lookup of T per coordinate, weighted by
     q^j and summed, and their points by ``geom.lookup``.  T has q^(2(l+1))
     entries, at most b q^(l+1), so the span budget bounds it too.  The
-    packed rows pass ``Configuration``'s invariant check before they become
-    ints, in one ``bytes_as_ints``.
+    packed rows are the incidence, and pass its invariant check.
     """
     b, v, r, k_prime, lam = config_params(geom.k, geom.q, l)
     q = geom.q
@@ -375,15 +372,8 @@ def enumerate_spaces(geom: ProjGeometry, l: int) -> Configuration:
     packed = np.concatenate(blocks)
     if len(packed) != b:
         raise InternalConsistencyError(f"enumerated {len(packed)} spaces, expected {b}")
-    cfg = Configuration(
-        incidence=BitMatrix(v, bytes_as_ints(packed)),
-        b=b,
-        v=v,
-        r=r,
-        k_prime=k_prime,
-        lam=lam,
-    )
-    cfg._check_packed(packed)
+    cfg = Configuration(incidence=packed, b=b, v=v, r=r, k_prime=k_prime, lam=lam)
+    cfg.check_invariants()
     return cfg
 
 
@@ -401,7 +391,7 @@ def build_so_code(cfg: Configuration) -> LinearCode:
         raise UnsupportedConfiguration(
             f"k'={cfg.k_prime} and lambda={cfg.lam} have mixed parity"
         )
-    code = LinearCode.from_spanning(cfg.incidence)
+    code = LinearCode.from_spanning(BitMatrix(cfg.v, bytes_as_ints(cfg.incidence)))
     if kp_odd:
         code = extend_with_parity(code)
     if not code.is_self_orthogonal():
@@ -423,7 +413,7 @@ class RudolphDecoder:
     only hypothesis 0 is.
 
     ``code`` is the span of the incidence rows that the caller has built:
-    ``build_so_code(cfg)``, or the plain span of ``cfg.incidence``.  It is
+    ``build_so_code(cfg)``, or the plain span of the incidence rows.  It is
     extended when it has one coordinate more than the configuration's points.
 
     A block decodes at once: its violated checks by one gather of a packed
@@ -446,19 +436,17 @@ class RudolphDecoder:
         self.v = cfg.v
         self.n = code.n
         # bit i of column j is set when check i passes through point j
-        columns = cfg.incidence.transpose().row_bits()
-        if any(column.bit_count() != cfg.r for column in columns):
+        columns = transpose_bytes(cfg.incidence, cfg.v)
+        if (np.bitwise_count(columns).sum(axis=1) != cfg.r).any():
             raise InvalidInput("a point does not lie on exactly r checks")
         # points -> violated checks, the checks through each point, and a
         # word -> its syndrome in the code
-        self._violated = packed_table(columns, cfg.b)
+        self._violated = packed_table(bytes_as_ints(columns), cfg.b)
         # a count of violated checks is not a GF(2) map, so this stays a
         # float32 product: on the PG(2,8) decoder with one BLAS thread, an
         # AND-popcount of the packed checks ran 3.4-12x slower at 50 to
         # 2,048 rows
-        self._incidence = bytes_as_bools(
-            ints_as_bytes(cfg.incidence.row_bits(), (cfg.v + 7) // 8), cfg.v
-        ).astype(np.float32)
+        self._incidence = bytes_as_bools(cfg.incidence, cfg.v).astype(np.float32)
         self._syndrome = packed_parities(code.generator.row_bits(), code.n)
         self.one_step_bound = cfg.one_step_bound
         self.two_pass_bound = cfg.two_pass_bound

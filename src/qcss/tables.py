@@ -4,7 +4,10 @@ projective-geometry CSS constructions.
 Each row is re-derived from scratch and audited; a report carries one named
 check per claim so that a single failing row pinpoints what broke.  Checks
 that the caller's budget rules out, in the words or patterns each route
-predicts, are recorded as skipped with a note, not passed.
+predicts, are recorded as skipped with a note, not passed.  A geometry
+code's distances, for ``verify_table2`` and ``qcss pg`` alike, come from
+one step, ``singer_distances``, which alone chooses between the orbit
+spectrum and the split search.
 """
 from __future__ import annotations
 
@@ -242,50 +245,74 @@ def singer_rows(code: LinearCode, order: Sequence[int]) -> list[int]:
     return bytes_as_ints(bools_as_bytes(bits[:, [*order, *range(len(order), code.n)]]))
 
 
-def singer_generator(code: LinearCode, order: Sequence[int]) -> int:
-    """g = gcd(x^v + 1, rows) of the code's rows on the v = len(order)
-    point coordinates in ``singer_rows`` order.  g generates the least
-    cyclic code that holds the rows, of dimension v - deg g, so the rows
-    span a cyclic code in that order exactly when v - deg g is their rank,
-    ``code.k``.  Dropping the parity bit keeps the rank."""
-    points = (1 << len(order)) - 1
-    g = (1 << len(order)) | 1
-    for row in singer_rows(code, order):
+def singer_generator(rows: Sequence[int], v: int) -> int:
+    """g = gcd(x^v + 1, rows) of ``singer_rows`` on their v point
+    coordinates.  g generates the least cyclic code that holds the rows, of
+    dimension v - deg g, so the rows span a cyclic code in that order
+    exactly when v - deg g is their rank.  Dropping the parity bit keeps
+    the rank."""
+    points = (1 << v) - 1
+    g = (1 << v) | 1
+    for row in rows:
         g = poly_gcd(row & points, g)
     return g
 
 
-def singer_spectrum(
+def singer_distances(
     rep: RowReport, code: LinearCode, geom: ProjGeometry, budget: int
-) -> WeightEnumerator | str:
-    """The spectrum of a code spanned by incidence rows of ``geom``
-    (``build_so_code``, or the plain span), or the text that says why not.
+) -> tuple[int, int] | str:
+    """Both distances (d, d_perp) of a code spanned by incidence rows of
+    ``geom`` (``build_so_code``, or the plain span), or the text that says
+    why not.
 
-    The code must be cyclic once its point coordinates are put in
-    ``singer_order``: v - deg g = k for g = ``singer_generator`` (check
+    The code's rows are put in ``singer_order`` once, where the code must
+    be cyclic: v - deg g = k for g = ``singer_generator`` (check
     ``cyclic_in_singer_order`` of ``rep``); the emitted code and the
-    decoders keep the lexicographic point order.  The spectrum is then
-    ``_orbit_spectrum`` of that cyclic code under ``budget``, extended by
-    ``appended_parity_counts`` over the parity coordinate."""
+    decoders keep the lexicographic point order.  Both distances (``d`` and
+    ``d_perp`` of ``rep``) come from ``_orbit_spectrum`` of that cyclic
+    code under ``budget``, extended by ``appended_parity_counts`` over the
+    parity coordinate.  When that is refused, a self-dual code (d_perp = d)
+    goes to the split search on the same rows, with the shift of its v
+    point coordinates (``cyclic`` = v), under ``budget``, at bound w - 1
+    for the lightest rref row weight w, so that finding no lighter word
+    certifies d = w (``split_patterns``, ``split_witness``, ``split_depths``
+    and a note); the refusal of the budget or of the search's own check of
+    that shift is returned."""
     v = len(geom.points)
-    g = singer_generator(code, singer_order(geom))
+    rows = singer_rows(code, singer_order(geom))
+    g = singer_generator(rows, v)
     rep.checks["cyclic_in_singer_order"] = v - poly_deg(g) == code.k
-    if not rep.checks["cyclic_in_singer_order"]:
-        return "the code is not cyclic in the Singer order"
-    enum = _orbit_spectrum(rep, spec_from_zero_set(v, zero_set_of_polynomial(v, g)), budget)
-    if isinstance(enum, str) or code.n == v:
-        return enum
-    return appended_parity_counts(enum)
+    enum = "the code is not cyclic in the Singer order"
+    if rep.checks["cyclic_in_singer_order"]:
+        enum = _orbit_spectrum(rep, spec_from_zero_set(v, zero_set_of_polynomial(v, g)), budget)
+    if not isinstance(enum, str):
+        if code.n > v:
+            enum = appended_parity_counts(enum)
+        rep.values["d"] = enum.min_distance()
+        rep.values["d_perp"] = macwilliams(enum, code.n, code.k).min_distance()
+        return rep.values["d"], rep.values["d_perp"]
+    if code.n != 2 * code.k or not code.is_self_orthogonal():
+        return f"{enum}; no split route, not self-dual"
+    shifted = LinearCode(BitMatrix(code.n, rows))
+    bound = min(row.bit_count() for row in shifted.rref_matrix.row_bits()) - 1
+    try:
+        split = shifted.min_distance_split(bound, budget, cyclic=v)
+    except (ResourceLimit, PreconditionError) as exc:
+        return f"{exc}; distances skipped"
+    rep.values["split_patterns"] = split.patterns_scanned
+    rep.values["split_witness"] = split.witness_weight
+    rep.values["split_depths"] = split.depths
+    rep.notes.append(
+        f"distance certified by split search: no codeword below {split.value}, "
+        f"witness row weight {split.witness_weight}"
+    )
+    # the exact distance whether a word below w was found or not
+    return split.value, split.value
 
 
 def verify_table2(budget: int = DEFAULT_BUDGET, rows=None) -> list[RowReport]:
-    """Both distances of each row come from ``singer_spectrum`` when its
-    predicted words fit ``budget``; else, for a self-dual code, from the
-    split search at bound d - 1 under the same budget (d_perp = d); else
-    both are skipped with a note that names the predicted words.  The split
-    search runs on the ``singer_rows`` of the code, with the shift of its v
-    point coordinates (``cyclic`` = v), and skips with a note when the
-    budget or the search's own check of that shift refuses."""
+    """Both distances of each row come from ``singer_distances`` under
+    ``budget``; a row it refuses skips both checks with its note."""
     reports = []
     rows = TABLE2_ROWS if rows is None else rows
     for label, gk, q, l, n, k, d, d_perp, kq, t_printed in rows:
@@ -299,37 +326,16 @@ def verify_table2(budget: int = DEFAULT_BUDGET, rows=None) -> list[RowReport]:
         rep.checks["dimension"] = code.k == k
         rep.checks["self_orthogonal"] = code.is_self_orthogonal()
         rep.checks["quantum_dimension"] = n - 2 * k == kq
-        enum = singer_spectrum(rep, code, geom, budget)
-
-        self_dual = code.n == 2 * code.k and code.dual().same_code(code)
-        rep.checks["distance"] = rep.checks["dual_distance"] = None
-        if not isinstance(enum, str):
-            rep.values["d"] = enum.min_distance()
-            rep.checks["distance"] = rep.values["d"] == d
-            rep.values["d_perp"] = macwilliams(enum, code.n, code.k).min_distance()
-            rep.checks["dual_distance"] = rep.values["d_perp"] == d_perp
-        elif not self_dual:
-            rep.notes.append(f"{enum}; no split route, not self-dual")
+        distances = singer_distances(rep, code, geom, budget)
+        if isinstance(distances, str):
+            rep.checks["distance"] = rep.checks["dual_distance"] = None
+            rep.notes.append(distances)
         else:
-            shifted = LinearCode(BitMatrix(code.n, singer_rows(code, singer_order(geom))))
-            try:
-                split = shifted.min_distance_split(d - 1, budget, cyclic=cfg.v)
-            except (ResourceLimit, PreconditionError) as exc:
-                rep.notes.append(f"{exc}; distances skipped")
-            else:
-                rep.values["split_patterns"] = split.patterns_scanned
-                rep.values["split_witness"] = split.witness_weight
-                rep.values["split_depths"] = split.depths
-                # no word below d and a row of weight d; the code is its own dual
-                rep.checks["distance"] = not split.found and split.witness_weight == d
-                rep.checks["dual_distance"] = rep.checks["distance"] and d_perp == d
-                rep.notes.append(
-                    f"distance certified by split search: no codeword below {split.value}, "
-                    f"witness row weight {split.witness_weight}"
-                )
+            rep.checks["distance"] = distances[0] == d
+            rep.checks["dual_distance"] = distances[1] == d_perp
 
         if kq == 0:
-            rep.checks["self_dual"] = self_dual
+            rep.checks["self_dual"] = code.n == 2 * code.k and code.dual().same_code(code)
 
         cap = (d_perp - 1) // 2
         rep.values["one_step_bound"] = cfg.one_step_bound

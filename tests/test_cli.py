@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcss import bch, cli, codes, constructions, reedmuller
+from qcss import bch, cli, codes, constructions, reedmuller, tables
 from qcss.cli import _load_outer, _parse_budget, load_css, main
 from qcss.codes import LinearCode, random_self_orthogonal_code
 from qcss.css import LookupDecoder
@@ -152,7 +152,7 @@ def test_split_search_refuses_above_the_budget_flag(tmp_path, capsys, monkeypatc
     )
 
 
-def test_pg_prints_the_dual_distance_within_2_24_words(capsys):
+def test_pg_prints_the_dual_distance_within_2_24_words(capsys, monkeypatch):
     # through the Singer-order orbit spectrum, as verify-tables reads it
     code, out = run(capsys, "pg", "--k", "4", "--q", "2", "--l", "3")
     assert code == 0 and out == "[[32,20,4]]\n"
@@ -160,8 +160,22 @@ def test_pg_prints_the_dual_distance_within_2_24_words(capsys):
     assert code == 0 and out == "[[74,18,10]]\n"
     code, out = run(capsys, "pg", "--k", "6", "--q", "2", "--l", "4")  # 4,259,840 words
     assert code == 0 and out == "[[128,70,8]]\n"
-    code, out = run(capsys, "pg", "--k", "6", "--q", "2", "--l", "3")  # beyond 2^24 words
+    # beyond 2^24 orbit words: the split search, 16,607,264 patterns
+    code, out = run(capsys, "pg", "--k", "6", "--q", "2", "--l", "3")
+    assert code == 0 and out == "[[128,0,16]]\n"
+    # a budget that refuses the split search as well leaves the distance open
+    monkeypatch.setattr(cli, "PREDICT_BUDGET", 1 << 23)
+    code, out = run(capsys, "pg", "--k", "6", "--q", "2", "--l", "3")
     assert code == 0 and out == "[[128,0,?]]\n"
+
+
+@pytest.mark.parametrize("row", tables.TABLE2_ROWS, ids=[row[0] for row in tables.TABLE2_ROWS])
+def test_pg_prints_every_table2_row(capsys, row):
+    """``qcss pg`` and ``verify-tables`` take one distance step, so the
+    printed row is the tabulated one, the split-search row included."""
+    _, k, q, l, n, _, _, d_perp, kq, _ = row
+    code, out = run(capsys, "pg", "--k", str(k), "--q", str(q), "--l", str(l))
+    assert code == 0 and out == f"[[{n},{kq},{d_perp}]]\n"
 
 
 def test_css_build_and_simulate(tmp_path, capsys):

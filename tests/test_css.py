@@ -706,6 +706,7 @@ def test_every_decoder_rejects_words_outside_its_length():
     from qcss.reedmuller import ReedDecoder, rm_generator
 
     fano = enumerate_spaces(ProjGeometry(2, 2), 1)
+    span = LinearCode.from_spanning(BitMatrix(7, bytes_as_ints(fano.incidence)))
     spec = bch_generator(15, 1, 5)
     decoders = [
         (LookupDecoder(steane_component()).decode_word, 7),
@@ -713,7 +714,7 @@ def test_every_decoder_rejects_words_outside_its_length():
         (lambda bits: bm_decode(spec, bits), 15),
         (ReedDecoder(rm_generator(4, 1)).decode_word, 16),
         (RudolphDecoder(fano, build_so_code(fano)).decode_word, 8),
-        (RudolphDecoder(fano, LinearCode.from_spanning(fano.incidence)).decode_word, 7),
+        (RudolphDecoder(fano, span).decode_word, 7),
     ]
     for decode, n in decoders:
         assert decode(0) == 0

@@ -24,6 +24,7 @@ from qcss.gf2 import (
     insert_rows,
     ints_as_bytes,
     parities,
+    transpose_bytes,
 )
 from qcss.projgeom import (
     Configuration,
@@ -176,13 +177,13 @@ def test_pg63_basis_equals_plain_insertion():
     cfg = enumerate_spaces(ProjGeometry(6, 2), 3)
     code = build_so_code(cfg)
     basis = {}
-    insert_rows(basis, [r | 1 << cfg.v for r in cfg.incidence.row_bits()])
+    insert_rows(basis, [r | 1 << cfg.v for r in bytes_as_ints(cfg.incidence)])
     pivots = sorted(basis)
     for p in pivots:
         for q in pivots:
             if q != p and basis[q] >> p & 1:
                 basis[q] ^= basis[p]
-    assert (cfg.incidence.rows, code.n, code.k) == (11811, 128, 64)
+    assert (len(cfg.incidence), code.n, code.k) == (11811, 128, 64)
     assert code.pivots == tuple(pivots)
     assert code.generator == BitMatrix(code.n, [basis[p] for p in pivots])
 
@@ -305,9 +306,9 @@ def test_rudolph_pg28_radius_four():
 def test_rudolph_unextended_even_even_configuration():
     # complемented Fano incidence: rows of weight 4, column pairs in 2 rows
     fano = enumerate_spaces(ProjGeometry(2, 2), 1)
-    rows = [r ^ 0x7F for r in fano.incidence.row_bits()]
+    rows = [r ^ 0x7F for r in bytes_as_ints(fano.incidence)]
     cfg = Configuration(
-        incidence=BitMatrix(7, rows), b=7, v=7, r=4, k_prime=4, lam=2
+        incidence=ints_as_bytes(rows, 1), b=7, v=7, r=4, k_prime=4, lam=2
     )
     cfg.check_invariants()
     code = build_so_code(cfg)
@@ -382,18 +383,18 @@ def test_hyperplane_oracle_for_space_enumeration():
                     bits |= 1 << idx
             expected.add(bits)
         cfg = enumerate_spaces(geom, k - 1)
-        assert set(cfg.incidence.row_bits()) == expected
+        assert set(bytes_as_ints(cfg.incidence)) == expected
 
 
 def test_line_oracle_as_hyperplane_intersections_pg32():
     # lines of PG(3,2) as pairwise intersections of distinct planes
     geom = ProjGeometry(3, 2)
-    planes = enumerate_spaces(geom, 2).incidence.row_bits()
+    planes = bytes_as_ints(enumerate_spaces(geom, 2).incidence)
     expected = set()
     for i, a in enumerate(planes):
         for b in planes[i + 1 :]:
             expected.add(a & b)
-    lines = set(enumerate_spaces(geom, 1).incidence.row_bits())
+    lines = set(bytes_as_ints(enumerate_spaces(geom, 1).incidence))
     assert lines == expected
 
 
@@ -403,7 +404,7 @@ def test_line_oracle_as_hyperplane_intersections_pg32():
 def _oracle_majority_pass(cfg, word_bits, hypothesis):
     """_majority_pass as it was before the column masks: one parity per
     check, then a sum over the checks through each point."""
-    checks = cfg.incidence.row_bits()
+    checks = bytes_as_ints(cfg.incidence)
     through = [[] for _ in range(cfg.v)]
     for idx, check in enumerate(checks):
         for j in range(cfg.v):
@@ -445,10 +446,15 @@ def _oracle_decode(dec, code, bits):
     return candidates[0][1]
 
 
+def _span(cfg):
+    """The plain span of the incidence rows, with no parity column."""
+    return LinearCode.from_spanning(BitMatrix(cfg.v, bytes_as_ints(cfg.incidence)))
+
+
 def _complemented_fano():
     fano = enumerate_spaces(ProjGeometry(2, 2), 1)
-    rows = [r ^ 0x7F for r in fano.incidence.row_bits()]
-    return Configuration(incidence=BitMatrix(7, rows), b=7, v=7, r=4, k_prime=4, lam=2)
+    rows = [r ^ 0x7F for r in bytes_as_ints(fano.incidence)]
+    return Configuration(incidence=ints_as_bytes(rows, 1), b=7, v=7, r=4, k_prime=4, lam=2)
 
 
 _RUDOLPH_CASES = [
@@ -466,11 +472,11 @@ def _rudolph_case(make_cfg, extended):
     """The decoder, its code and 300 words: 150 uniform, 150 dual codewords
     with up to radius + 3 flipped points (and a random appended bit)."""
     cfg = make_cfg()
-    code = build_so_code(cfg) if extended else LinearCode.from_spanning(cfg.incidence)
+    code = build_so_code(cfg) if extended else _span(cfg)
     dec = RudolphDecoder(cfg, code)
     assert dec.extended == extended
     rng = random.Random(cfg.v)
-    rows = LinearCode.from_spanning(cfg.incidence).dual().generator.row_bits()
+    rows = _span(cfg).dual().generator.row_bits()
     words = [rng.getrandbits(dec.n) for _ in range(150)]
     for _ in range(150):
         cw = 0
@@ -682,7 +688,7 @@ def test_enumerate_spaces_matches_per_vector_oracle(k, q, l):
             number = number * q + x
         assert geom.lookup[number] == i
     assert geom.lookup[0] == -1
-    assert enumerate_spaces(geom, l).incidence.row_bits() == _oracle_space_rows(geom, l)
+    assert bytes_as_ints(enumerate_spaces(geom, l).incidence) == _oracle_space_rows(geom, l)
 
 
 def test_oversized_geometries_are_refused():
@@ -705,11 +711,21 @@ def _lines_of_pg28():
     """A valid configuration whose columns take two 64-bit words (73 rows)."""
     cfg = enumerate_spaces(ProjGeometry(2, 8), 1)
     cfg.check_invariants()
-    return cfg, cfg.incidence.row_bits()
+    return cfg, bytes_as_ints(cfg.incidence)
+
+
+def test_configuration_refuses_an_incidence_that_is_not_a_packed_block():
+    fano = enumerate_spaces(ProjGeometry(2, 2), 1)
+    rows = bytes_as_ints(fano.incidence)
+    for bad in (ints_as_bytes(rows, 2), ints_as_bytes([r | 1 << 7 for r in rows], 1)):
+        with pytest.raises(InvalidInput):
+            dataclasses.replace(fano, incidence=bad)
+    with pytest.raises(InternalConsistencyError, match="^incidence shape mismatch$"):
+        dataclasses.replace(fano, incidence=fano.incidence[:6]).check_invariants()
 
 
 def _with_rows(cfg, rows):
-    return dataclasses.replace(cfg, incidence=BitMatrix(cfg.v, rows))
+    return dataclasses.replace(cfg, incidence=ints_as_bytes(rows, (cfg.v + 7) // 8))
 
 
 def test_invariant_check_catches_a_row_of_the_wrong_weight():
@@ -726,7 +742,7 @@ def test_invariant_check_catches_a_point_moved_within_a_row():
     rows[5] ^= 1 << on | 1 << off  # every row keeps k' points; two columns do not keep r
     mutant = _with_rows(cfg, rows)
     assert all(row.bit_count() == cfg.k_prime for row in rows)
-    weights = [column.bit_count() for column in mutant.incidence.transpose().row_bits()]
+    weights = [column.bit_count() for column in bytes_as_ints(transpose_bytes(mutant.incidence, cfg.v))]
     assert sorted(w for w in weights if w != cfg.r) == [cfg.r - 1, cfg.r + 1]
     with pytest.raises(InternalConsistencyError, match="^column weight differs from r$"):
         mutant.check_invariants()
@@ -743,7 +759,7 @@ def test_invariant_check_catches_pair_meets_in_chunks_of_one_column(monkeypatch)
         rows[i] ^= 1 << a | 1 << b
     mutant = _with_rows(cfg, rows)
     assert all(row.bit_count() == cfg.k_prime for row in rows)
-    assert all(c.bit_count() == cfg.r for c in mutant.incidence.transpose().row_bits())
+    assert all(c.bit_count() == cfg.r for c in bytes_as_ints(transpose_bytes(mutant.incidence, cfg.v)))
     # the words of one column: one pair a chunk, through the last pair
     words = -(-cfg.b // 64)
     monkeypatch.setattr(projgeom, "_MEET_WORDS", words)
@@ -759,7 +775,7 @@ def test_invariant_check_catches_pair_meets_in_chunks_of_one_column(monkeypatch)
         return _with_rows(cfg, [sum(1 << i for i, j in enumerate(order) if row >> j & 1) for row in rows])
 
     monkeypatch.setattr(projgeom, "_MEET_WORDS", words * -(-cfg.v * (cfg.v - 1) // 4))
-    relabelled(cfg.incidence.row_bits()).check_invariants()
+    relabelled(bytes_as_ints(cfg.incidence)).check_invariants()
     with pytest.raises(InternalConsistencyError, match="^a column pair meets in != lambda rows$"):
         relabelled(rows).check_invariants()
 
@@ -791,7 +807,7 @@ def _spaces_in_order(cfg, order):
     position = {point: i for i, point in enumerate(order)}
     return {
         frozenset(position[j] for j in range(cfg.v) if row >> j & 1)
-        for row in cfg.incidence.row_bits()
+        for row in bytes_as_ints(cfg.incidence)
     }
 
 

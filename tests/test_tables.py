@@ -18,7 +18,7 @@ from qcss.bch import (
 from qcss.codes import LinearCode, WeightEnumerator, appended_parity_counts, macwilliams
 from qcss.constructions import extend_parity_dual
 from qcss.errors import PreconditionError
-from qcss.gf2 import BitMatrix
+from qcss.gf2 import BitMatrix, bytes_as_ints
 from qcss.projgeom import ProjGeometry, build_so_code, enumerate_spaces, singer_order
 from qcss.tables import (
     RM_EXPECTED,
@@ -333,7 +333,7 @@ def test_table2_orbit_spectrum_equals_the_direct_scan():
     assert len(rows) == 9
     for row in rows:
         geom, cfg, code = _table2_code(row)
-        g = singer_generator(code, singer_order(geom))
+        g = singer_generator(singer_rows(code, singer_order(geom)), cfg.v)
         assert cfg.v - poly_deg(g) == code.k, row[0]
         spec = spec_from_zero_set(cfg.v, zero_set_of_polynomial(cfg.v, g))
         assert spec.generator == g
@@ -357,7 +357,7 @@ def test_build_so_code_equals_the_ones_column_oracle():
     the oracle appends a 1 to every incidence row and reduces those."""
     for row in TABLE2_ROWS:
         _, cfg, code = _table2_code(row)
-        ones = [r | 1 << cfg.v for r in cfg.incidence.row_bits()]
+        ones = [r | 1 << cfg.v for r in bytes_as_ints(cfg.incidence)]
         oracle = LinearCode.from_spanning(BitMatrix(cfg.v + 1, ones))
         assert code.generator == oracle.generator, row[0]
         assert code.pivots == oracle.pivots, row[0]
