@@ -1,4 +1,4 @@
-"""Cyclic and BCH codes over GF(2), with GF(2^m) log-table arithmetic.
+"""Cyclic and BCH codes over GF(2), with GF(2^m) arithmetic.
 
 Polynomials over GF(2) are ints with bit i = coefficient of x^i, so the hex
 rendering of a generator polynomial is its value at x = 2.
@@ -11,17 +11,18 @@ coset.  ``best_windows`` scans the windows of a whole batch of zero sets in
 numpy chunks; ``best_window`` is its one-set call, and the self-orthogonal
 search makes one call for its code zero sets and one for their duals.
 
-A binary word's values at field elements are GF(2)-linear in its bits:
-``_position_values`` gives that map's columns, from which a ``gf2.packed_table``
-is built once per length and field for zero sets, and once per spec for the
-decoder.
+GF(2^m) multiplies as polynomials; its one log/exp table, ``_log_exp``, is
+built when a Berlekamp-Massey decoder first runs.  A word's values at field
+elements are GF(2)-linear in its bits: ``_position_values`` gives that map's
+columns from the n powers of beta, whose ``gf2.packed_table`` is built once
+per length and field for zero sets and once per spec for the decoder.
 """
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .gf2 import (
     bytes_as_bools,
     bytes_as_ints,
     check_block,
+    insert_rows,
     ints_as_bytes,
     pack_rows,
     packed_table,
@@ -48,7 +50,7 @@ from .gf2 import (
 )
 
 # One fixed primitive polynomial per extension degree (lowest-weight standard
-# choices).  Primitivity is re-verified at table construction time.
+# choices).  Primitivity is re-verified when a field is built.
 PRIMITIVE_POLYS = {
     2: 0x7,
     3: 0xB,
@@ -92,9 +94,9 @@ def poly_divmod(a: int, b: int) -> tuple[int, int]:
     """(q, r) with a = q*b + r and deg r < deg b."""
     if b == 0:
         raise InvalidInput("division by the zero polynomial")
-    db = poly_deg(b)
+    db = b.bit_length()
     q = 0
-    while (shift := poly_deg(a) - db) >= 0:
+    while (shift := a.bit_length() - db) >= 0:
         q |= 1 << shift
         a ^= b << shift
     return q, a
@@ -126,15 +128,9 @@ def poly_reverse(p: int) -> int:
 
 
 class Gf2mField:
-    """GF(2^m) with exp/log tables; elements are ints in poly representation.
-
-    ``_exp[i]`` is alpha^i for 0 <= i <= 2^m - 1 (the last entry is 1 again)
-    and ``_log[x]`` is the exponent of x != 0; ``_log[0]`` is unused.  Both are
-    ``array('I')`` of 2^m entries at 4 bytes each, filled in place, so the
-    largest field on record (m = 20) holds about 8 MB of tables.  A Python
-    list would hold a pointer per entry plus an int object per distinct value,
-    about ten times that.
-    """
+    """GF(2^m) as GF(2)[x] modulo a primitive polynomial of degree m, with
+    alpha = x; elements are ints in poly representation.  The field holds
+    no table: ``log`` reads ``_log_exp``, the one log/exp table."""
 
     def __init__(self, m: int, primitive_poly: int | None = None):
         if m < 1:
@@ -142,27 +138,14 @@ class Gf2mField:
         poly = PRIMITIVE_POLYS.get(m) if primitive_poly is None else primitive_poly
         if poly is None:
             raise InvalidInput(f"no primitive polynomial on record for m={m}")
-        if poly_deg(poly) != m:
+        if poly < 0 or poly_deg(poly) != m:
             raise InvalidInput(f"polynomial 0x{poly:x} does not have degree {m}")
         self.m = m
         self.poly = poly
         self.order = (1 << m) - 1
-        exp = array("I", [0]) * (1 << m)
-        log = array("I", [0]) * (1 << m)
-        x = 1
-        for i in range(self.order):
-            exp[i] = x
-            if x == 1 and i > 0:
-                raise InvalidInput(f"0x{poly:x} is not primitive of degree {m}")
-            log[x] = i
-            x <<= 1
-            if x >> m & 1:
-                x ^= poly
-        if x != 1:
+        # x has order 2^m - 1: of the divisors d of 2^m - 1, x^d = 1 only at d = 2^m - 1
+        if {d for d in _divisors(self.order) if self._power(2, d) == 1} != {self.order}:
             raise InvalidInput(f"0x{poly:x} is not primitive of degree {m}")
-        exp[self.order] = 1
-        self._exp = exp
-        self._log = log
 
     def _element(self, a: int) -> int:
         """``a``, refused unless it is an element: 0..2^m - 1."""
@@ -170,28 +153,40 @@ class Gf2mField:
             raise InvalidInput(f"{a} is not an element of GF(2^{self.m})")
         return a
 
+    def _power(self, a: int, e: int) -> int:
+        """a^e mod the field polynomial for e >= 0, by square-and-multiply."""
+        out = 1
+        while e:
+            if e & 1:
+                out = poly_mod(poly_mul(out, a), self.poly)
+            a = poly_mod(poly_mul(a, a), self.poly)
+            e >>= 1
+        return out
+
     def mul(self, a: int, b: int) -> int:
-        if 0 < a <= self.order and 0 < b <= self.order:
-            return self._exp[(self._log[a] + self._log[b]) % self.order]
-        self._element(a)
-        self._element(b)
-        return 0
+        return poly_mod(poly_mul(self._element(a), self._element(b)), self.poly)
 
     def inv(self, a: int) -> int:
         if self._element(a) == 0:
             raise InvalidInput("zero has no inverse")
-        return self._exp[(self.order - self._log[a]) % self.order]
+        return self._power(a, self.order - 1)
 
     def alpha_pow(self, e: int) -> int:
-        return self._exp[e % self.order]
+        return self._power(2, e % self.order)
 
     def log(self, a: int) -> int:
         if self._element(a) == 0:
             raise InvalidInput("log of zero")
-        return self._log[a]
+        return int(_log_exp(self)[0][a])
 
     def __repr__(self) -> str:
         return f"Gf2mField(m={self.m}, poly=0x{self.poly:x})"
+
+
+def _divisors(k: int) -> set[int]:
+    """The divisors of k >= 1."""
+    small = [d for d in range(1, math.isqrt(k) + 1) if k % d == 0]
+    return {*small, *(k // d for d in small)}
 
 
 @lru_cache(maxsize=None)
@@ -221,27 +216,19 @@ def cyclotomic_coset(e: int, n: int) -> tuple[int, ...]:
 
 
 def minimal_polynomial(field: Gf2mField, e: int) -> int:
-    """Binary minimal polynomial of alpha^e: product of (x - alpha^i) over the
-    cyclotomic coset of e mod 2^m - 1."""
+    """Binary minimal polynomial of gamma = alpha^e: the first GF(2)
+    dependency among 1, gamma, ..., gamma^c, c the size of e's cyclotomic
+    coset mod 2^m - 1 (MacWilliams and Sloane, ch. 4), found by
+    ``insert_rows`` with the exponent i of gamma^i tagged as bit m + i."""
     n = field.order
     if not 0 <= e < n:
         raise InvalidInput(f"exponent {e} out of range for order {n}")
-    coset = cyclotomic_coset(e, n)
-    # coefficients in GF(2^m), low degree first
-    coeffs = [1]
-    for i in coset:
-        root = field.alpha_pow(i)
-        nxt = [0] * (len(coeffs) + 1)
-        for d, c in enumerate(coeffs):
-            nxt[d + 1] ^= c
-            nxt[d] ^= field.mul(c, root)
-        coeffs = nxt
-    bits = 0
-    for d, c in enumerate(coeffs):
-        if c == 1:
-            bits |= 1 << d
-        elif c != 0:
-            raise InvalidInput("coset product did not collapse to GF(2)")
+    c = len(cyclotomic_coset(e, n))
+    powers = accumulate([field.alpha_pow(e)] * c, field.mul, initial=1)
+    residues = insert_rows({}, (x | 1 << (field.m + i) for i, x in enumerate(powers)))
+    bits = next((r >> field.m for r in residues if not r & n), 0)
+    if poly_deg(bits) != c:
+        raise InternalConsistencyError(f"minimal polynomial of degree {poly_deg(bits)}, not {c}")
     return bits
 
 
@@ -483,8 +470,8 @@ def _coset_values(n: int, fld: Gf2mField) -> tuple[tuple[tuple[int, ...], ...], 
     if fld.order % n:
         raise InvalidInput(f"{n} does not divide 2^{fld.m}-1")
     cosets = tuple(sorted(set(_length_table(n).coset_of)))
-    points = [fld.order // n * c[0] for c in cosets]
-    return cosets, packed_table(_position_values(fld, points, n, fld.m), fld.m * len(points))
+    values = _position_values(fld, [c[0] for c in cosets], n, fld.m)
+    return cosets, packed_table(values, fld.m * len(cosets))
 
 
 def zero_set_of_polynomial(n: int, g: int, fld: Gf2mField | None = None) -> tuple[int, ...]:
@@ -655,26 +642,40 @@ def _lane(m: int) -> np.dtype:
 
 
 def _position_values(fld: Gf2mField, points, n: int, lane: int) -> list[int]:
-    """The columns of the map from an n-bit word to its values at alpha^e
-    for e in ``points``, field f at bits lane*f up: entry p holds the
-    values of x^p."""
-    exp, order = fld._exp, fld.order
-    return [sum(exp[e * p % order] << (lane * f) for f, e in enumerate(points)) for p in range(n)]
+    """The columns of the map from an n-bit word to its values at beta^e
+    for e in ``points``, value f at bits lane*f up: entry p holds the values
+    of x^p, gathered from the n powers of beta = alpha^((2^m - 1)/n)."""
+    powers = list(accumulate([fld.alpha_pow(fld.order // n)] * (n - 1), fld.mul, initial=1))
+    return [sum(powers[e * p % n] << (lane * f) for f, e in enumerate(points)) for p in range(n)]
 
 
 @lru_cache(maxsize=8)
 def _log_exp(fld: Gf2mField) -> tuple[np.ndarray, np.ndarray]:
-    """log and exp as numpy arrays with a zero sentinel Z = 3 * order - 1:
+    """The field's one log/exp table, built when a BM decoder first runs:
+    log and exp as numpy arrays with a zero sentinel Z = 3 * order - 1:
     ``log[0]`` is Z and ``exp`` has 3 * order entries, alpha^(i mod order)
     below Z and 0 at Z.  A decoder's sums have at most three terms, logs of
     nonzero elements (0..order-1) and at most one order - log (1..order),
     so they stay below Z; a sum with Z among its terms is at least Z, so
-    ``exp.take(sum, mode="clip")`` is the product, zero included."""
-    order = fld.order
-    exp = np.frombuffer(fld._exp, dtype=np.uint32)[:order]
-    exp = np.concatenate([exp, exp, exp[:-1], [0]]).astype(_lane(fld.m))
-    log = np.frombuffer(fld._log, dtype=np.uint32).astype(np.int32)
-    log[0] = 3 * order - 1
+    ``exp.take(sum, mode="clip")`` is the product, zero included.  exp is
+    filled by doubling: exp[s:2s] = alpha^s exp[0:s], one ``apply_packed``
+    of a fixed linear map, in chunks of at most 2^16; log is one scatter of
+    exp, which must reach every nonzero element."""
+    order, m, zero = fld.order, fld.m, 3 * fld.order - 1
+    exp = np.empty(3 * order, dtype=_lane(m))
+    exp[0], s = 1, 1
+    while s < order:
+        end = min(2 * s, s + (1 << 16), order)
+        table = packed_table([fld.mul(fld.alpha_pow(s), 1 << j) for j in range(m)], m)
+        exp[s:end] = apply_packed(table, exp[: end - s].view(np.uint8).reshape(end - s, -1))[:, 0]
+        s = end
+    exp[order : 2 * order] = exp[:order]
+    exp[2 * order : zero] = exp[: order - 1]
+    exp[zero] = 0
+    log = np.full(1 << m, zero, dtype=np.int32)
+    log[exp[:order]] = np.arange(order, dtype=np.int32)
+    if (log[1:] == zero).any():
+        raise InternalConsistencyError(f"the powers of alpha miss elements of GF(2^{m})")
     for a in (exp, log):
         a.flags.writeable = False
     return log, exp
@@ -707,13 +708,12 @@ def _decoder_tables(spec: CyclicCodeSpec, poly: int) -> _DecoderTables:
     m, order, n = fld.m, fld.order, spec.n
     log, exp = _log_exp(fld)
     lane = 8 * _lane(m).itemsize
-    s0 = order // n  # beta = alpha^s0
-    s = s0 * spec.step % order  # the decoding root beta^step
-    # the exponents of alpha at which words are evaluated, one per lane
-    points = [s * (spec.b + j) for j in range(spec.delta - 1)]
+    s = order // n * spec.step % order  # the decoding root beta^step = alpha^s
+    # the exponents of beta at which words are evaluated, one per lane
+    points = [spec.step * (spec.b + j) for j in range(spec.delta - 1)]
     # c(beta^2z) = c(beta^z)^2 for a binary word c, so one zero per coset
     # tests the whole zero set
-    points += [s0 * z for z in sorted({_length_table(n).coset_of[z][0] for z in spec.zero_set})]
+    points += sorted({_length_table(n).coset_of[z][0] for z in spec.zero_set})
     values = packed_table(_position_values(fld, points, n, lane), lane * len(points))
     # term (i, c): bit b of x^c * beta^(-i*step*p) at bit b*W + p
     t = (spec.delta - 1) // 2

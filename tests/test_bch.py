@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -96,6 +97,71 @@ def test_field_rejects_non_primitive():
         Gf2mField(4, 0x1F)  # x^4+x^3+x^2+x+1 is irreducible but has order 5
 
 
+@pytest.mark.parametrize("m, poly", [(2, -5), (3, -11), (4, -0x13), (4, 0x25)])
+def test_field_refuses_a_polynomial_not_of_degree_m(m, poly):
+    # a negative int is no polynomial, and the order test's reduction would not end on it
+    with pytest.raises(InvalidInput, match=f"does not have degree {m}"):
+        Gf2mField(m, poly)
+
+
+def _first_returns(m):
+    """Every polynomial p of degree m, and the first step k <= 2^m - 1 at
+    which the walk x^k mod p is back at 1 (0 if it is not): brute force,
+    over all p at once."""
+    polys = np.arange(1 << m, 2 << m, dtype=np.int64)
+    x = np.ones_like(polys)
+    first = np.zeros_like(polys)
+    for k in range(1, 1 << m):
+        x <<= 1
+        x ^= np.where(x >> m & 1, polys, 0)
+        first[(first == 0) & (x == 1)] = k
+    return polys.tolist(), first.tolist()
+
+
+def _primitivity_mismatches(m):
+    """The polynomials of degree m that Gf2mField accepts or refuses unlike
+    the walk: it accepts p exactly when the walk first returns at 2^m - 1."""
+    wrong = []
+    for p, k in zip(*_first_returns(m)):
+        try:
+            Gf2mField(m, p)
+            accepted = True
+        except InvalidInput as exc:
+            assert str(exc) == f"0x{p:x} is not primitive of degree {m}"
+            accepted = False
+        if accepted != (k == (1 << m) - 1):
+            wrong.append(p)
+    return wrong
+
+
+# primitive polynomials of degree m: phi(2^m - 1) / m
+_PRIMITIVE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 2, 5: 6, 6: 6, 7: 18, 8: 16, 9: 48, 10: 60}
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_field_accepts_exactly_the_primitive_polynomials(m):
+    # every polynomial of degree m: reducible ones, 0x1F at m = 4, the primitive ones
+    assert _primitivity_mismatches(m) == []
+    _, first = _first_returns(m)
+    assert first.count((1 << m) - 1) == _PRIMITIVE_COUNTS[m]
+
+
+@pytest.mark.parametrize("m", [4, 6, 8, 10])
+def test_order_test_without_one_divisor_accepts_non_primitive_polynomials(m, monkeypatch):
+    # alpha^3 has order (2^m - 1) / 3 and a minimal polynomial of degree m,
+    # which passes an order test that skips that divisor: 0x1F at m = 4
+    minpoly = minimal_polynomial(default_field(m), 3)
+    real = bch._divisors
+    monkeypatch.setattr(bch, "_divisors", lambda k: real(k) - {k // 3})
+    assert minpoly in _primitivity_mismatches(m)
+
+
+def test_divisors():
+    divisors = [sorted(bch._divisors(k)) for k in (1, 15, 63)]
+    assert divisors == [[1], [1, 3, 5, 15], [1, 3, 7, 9, 21, 63]]
+    assert len(bch._divisors((1 << 20) - 1)) == 48  # 3 * 5^2 * 11 * 31 * 41
+
+
 def test_field_tables_consistent():
     f = default_field(5)
     for x in range(1, 32):
@@ -124,16 +190,57 @@ def test_minimal_polynomial_examples():
     m3 = minimal_polynomial(f, 3)
     assert poly_deg(m3) == len(cyclotomic_coset(3, 15))
     assert poly_divides(m3, (1 << 15) | 1)
-    # direct oracle: multiply (x - a^i) over the coset {3,6,12,9} and compare
+    # the product of (x - a^i) over the coset {3,6,12,9}
+    assert m3 == _coset_product_minpoly(_list_field(4, f.poly), 3) == 0x1F
+
+
+def _coset_product_minpoly(fld, e):
+    """minimal_polynomial as it was before the linear dependency: the
+    product of (x - alpha^i) over the cyclotomic coset of e, in the
+    arithmetic of ``fld``."""
     coeffs = [1]
-    for i in cyclotomic_coset(3, 15):
-        root = f.alpha_pow(i)
+    for i in cyclotomic_coset(e, fld.order):
+        root = fld.alpha_pow(i)
         nxt = [0] * (len(coeffs) + 1)
         for d, c in enumerate(coeffs):
             nxt[d + 1] ^= c
-            nxt[d] ^= f.mul(c, root)
+            nxt[d] ^= fld.mul(c, root)
         coeffs = nxt
-    assert m3 == sum(c << d for d, c in enumerate(coeffs))
+    assert set(coeffs) <= {0, 1}, "coset product did not collapse to GF(2)"
+    return sum(c << d for d, c in enumerate(coeffs))
+
+
+def test_minimal_polynomial_matches_the_coset_product():
+    # every exponent for m <= 12, against one product per coset in list tables
+    pairs = 0
+    for m in range(2, 13):
+        fld = default_field(m)
+        oracle = _list_field(m, fld.poly)
+        want = {}
+        for e in range(fld.order):
+            rep = cyclotomic_coset(e, fld.order)[0]
+            if rep not in want:
+                want[rep] = _coset_product_minpoly(oracle, rep)
+            assert minimal_polynomial(fld, e) == want[rep], (m, e)
+            pairs += 1
+    assert pairs == 8177
+    # a sample at m = 20, the product in the field's own arithmetic; the
+    # cosets of order / 3, / 5, / 11 and / 33 have 2, 4, 10 and 10 elements
+    fld = default_field(20)
+    rng = random.Random(20)
+    sample = [0, 1, fld.order // 3, fld.order // 5, fld.order // 11, fld.order // 33]
+    for e in sample + [rng.randrange(fld.order) for _ in range(6)]:
+        assert minimal_polynomial(fld, e) == _coset_product_minpoly(fld, e), e
+
+
+def test_minimal_polynomial_refuses_a_dependency_of_the_wrong_degree(monkeypatch):
+    # a coset one element too large: the first dependency has degree 4, not 5
+    real = bch.cyclotomic_coset
+    monkeypatch.setattr(bch, "cyclotomic_coset", lambda e, n: real(e, n) + (n,))
+    with pytest.raises(InternalConsistencyError, match="of degree 4, not 5"):
+        minimal_polynomial(default_field(4), 1)
+    with pytest.raises(InvalidInput, match="out of range"):
+        minimal_polynomial(default_field(4), 15)
 
 
 def test_bch_generator_hamming_codes():
@@ -619,8 +726,9 @@ def test_window_refuses_sets_not_closed_under_doubling():
 
 def _oracle_bm_decode(spec, received):
     """bm_decode as it was before its tables: one field call per product,
-    and a set of error positions folded into the error word at the end."""
-    fld = spec.field
+    in list tables, and a set of error positions folded into the error
+    word at the end."""
+    fld = _list_field(spec.field.m, spec.field.poly)
     s = (fld.order // spec.n) * spec.step
     nsyn = spec.delta - 1
     syndromes = []
@@ -682,7 +790,7 @@ def _oracle_bm_decode(spec, received):
 
 
 def _oracle_zero_set_check(spec, corrected):
-    fld = spec.field
+    fld = _list_field(spec.field.m, spec.field.poly)
     s0 = fld.order // spec.n
     for i in spec.zero_set:
         acc = 0
@@ -927,6 +1035,32 @@ print(error == 1 << 3, (after - before) / 1024)
 """
 
 
+_SPEC_MEMORY = """
+import tracemalloc
+from qcss import bch
+from qcss.tables import TABLE1_ROWS
+n, _, _, g = next(r for r in TABLE1_ROWS if r[:3] == (55, 15, 4))
+tables = bch._log_exp.cache_info().currsize
+tracemalloc.start()
+bch.spec_from_zero_set(n, bch.zero_set_of_polynomial(n, g))
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(bch._log_exp.cache_info().currsize - tables, peak / 2**20)
+"""
+
+
+def test_gf2_20_spec_holds_no_field_table():
+    # the [[55,15,4]] spec lives in GF(2^20); a field that tabulated its
+    # 2^20 elements allocated about 9 MB here, before any decoder
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bch.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", _SPEC_MEMORY], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    ).stdout.split()
+    assert out[0] == "0", "the spec path built a log/exp table"
+    assert float(out[1]) < 1, f"the spec path allocated {out[1]} MB"
+
+
 def test_gf2_20_decoder_memory_stays_small():
     # the [[55,15,4]] dual decodes over GF(2^20); list copies of the field's
     # exp/log arrays once grew a fresh process by about 80 MB on one decode
@@ -969,15 +1103,42 @@ def _alpha_pow_by_squaring(e, poly):
     return out
 
 
+class _ListField:
+    """GF(2^m) on the list tables of ``_list_field_tables``: the oracles'
+    arithmetic, which shares none with ``Gf2mField`` or ``bch._log_exp``."""
+
+    def __init__(self, m, poly):
+        self.m, self.poly, self.order = m, poly, (1 << m) - 1
+        self.exp, self.logs = _list_field_tables(m, poly)
+
+    def mul(self, a, b):
+        return self.exp[(self.logs[a] + self.logs[b]) % self.order] if a and b else 0
+
+    def inv(self, a):
+        return self.exp[self.order - self.logs[a]]
+
+    def alpha_pow(self, e):
+        return self.exp[e % self.order]
+
+
+@lru_cache(maxsize=None)
+def _list_field(m, poly):
+    return _ListField(m, poly)
+
+
 @pytest.mark.parametrize("m", sorted(PRIMITIVE_POLYS))
 def test_compact_field_matches_list_oracle(m):
     fld = Gf2mField(m)
     poly, order = fld.poly, fld.order
-    assert fld._exp.itemsize == fld._log.itemsize == 4
-    assert len(fld._exp) == len(fld._log) == 1 << m
+    assert vars(fld) == {"m": m, "poly": poly, "order": order}  # the field holds no table
+    log, exp = bch._log_exp(fld)
+    zero = 3 * order - 1
+    assert log.dtype == np.int32 and len(log) == 1 << m and log[0] == zero
+    assert len(exp) == 3 * order and exp[zero] == 0
+    assert np.array_equal(exp[:zero], np.resize(exp[:order], zero))
     if m <= 12:
-        exp, log = _list_field_tables(m, poly)
-        assert list(fld._exp) == exp and list(fld._log) == log
+        want_exp, want_log = _list_field_tables(m, poly)
+        assert exp[: order + 1].tolist() == want_exp and log[1:].tolist() == want_log[1:]
     rng = random.Random(m)
     elements = [1, 2, order] + [rng.randrange(1, 1 << m) for _ in range(300)]
     for a, b in zip(elements, reversed(elements)):
@@ -992,11 +1153,23 @@ def test_compact_field_matches_list_oracle(m):
             assert fld.log(fld.alpha_pow(e)) == e
 
 
+def test_log_exp_refuses_powers_that_miss_elements():
+    # x^4 + x^3 + x^2 + x + 1 under a field built for x^4 + x + 1: x has
+    # order 5, so the doubling reaches 5 of the 15 nonzero elements
+    fld = Gf2mField(4)
+    fld.poly = 0x1F
+    with pytest.raises(InternalConsistencyError, match="miss elements of GF"):
+        bch._log_exp(fld)
+
+
 def _direct_zero_set(n, g, fld=None):
     """g evaluated at every residue by Horner's rule, one field
-    multiplication per coefficient."""
+    multiplication per coefficient, in list tables up to m = 12 (those
+    of GF(2^20) would hold about 80 MB)."""
     if fld is None:
         fld = cyclic_field(n)
+    if fld.m <= 12:
+        fld = _list_field(fld.m, fld.poly)
     s = fld.order // n
 
     def value(x):
