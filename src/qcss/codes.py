@@ -206,8 +206,7 @@ class LinearCode:
         rows = self.generator.row_bits()
         if any(r.bit_count() & 1 for r in rows):
             return 1
-        pair_even = not any(parities(rows[i + 1 :], a) for i, a in enumerate(rows))
-        if pair_even and all(r.bit_count() % 4 == 0 for r in rows):
+        if all(r.bit_count() % 4 == 0 for r in rows) and self.is_self_orthogonal():
             return 4
         return 2
 

@@ -4,10 +4,10 @@ projective-geometry CSS constructions.
 Each row is re-derived from scratch and audited; a report carries one named
 check per claim so that a single failing row pinpoints what broke.  Checks
 that the caller's budget rules out, in the words or patterns each route
-predicts, are recorded as skipped with a note, not passed.  A geometry
-code's distances, for ``verify_table2`` and ``qcss pg`` alike, come from
-one step, ``singer_distances``, which alone chooses between the orbit
-spectrum and the split search.
+predicts, are recorded as skipped with a note, not passed.  The extended
+family reads Table 1's reports.  A geometry code's distances, for
+``verify_table2`` and ``qcss pg`` alike, come from one step,
+``singer_distances``, which alone picks the orbit spectrum or split search.
 """
 from __future__ import annotations
 
@@ -117,12 +117,11 @@ class RowReport:
         return f"{status:4}  {self.label:34}{extra}  ({self.seconds:.1f}s)"
 
 
-# Default budget of a Table-1 row's exact dual distance, and its extended
-# row's, in the words ``cyclic_weight_counts`` predicts.  It covers every row
-# with k <= 28 (the largest scan, [[127,71,9]], visits 2,129,920 words) and
-# skips the exact check on the other five, as perfbench's certify gate tests.
-# A budget of 2^29 also certifies [[89,23,9]] (96,518,144 words) and
-# [[127,57,11]] (270,565,376 words), in about 3 s more.
+# Default budget of a Table-1 row's exact dual distance, in the words
+# ``cyclic_weight_counts`` predicts.  It covers the 21 rows with k <= 28 (the
+# largest scan, [[127,71,9]], visits 2,129,920 words), as perfbench's certify
+# gate tests.  2^29 also covers [[89,23,9]] (96,518,144 words) and
+# [[127,57,11]] (270,565,376 words), in about 2 s more.
 TABLE1_BUDGET = 1 << 26
 
 
@@ -202,19 +201,19 @@ def verify_table1_row(
     return rep
 
 
-def verify_extended_table1(budget: int = TABLE1_BUDGET) -> list[RowReport]:
-    """The additional codes obtained by adding a parity bit to every row; the
-    dual distances come from Table 1's orbit spectra under the same budget.
+def verify_extended_table1(table1: Sequence[RowReport]) -> list[RowReport]:
+    """The additional codes obtained by adding a parity bit to every row,
+    each read against its report in ``table1`` from ``verify_table1``.
 
     The extended code of a self-orthogonal row C of odd length n is
     E = C|0 + 1 (``extend_parity_dual``).  A word x|b is orthogonal to C|0
     exactly when x is in C-perp, and to the all-ones word exactly when
-    b = wt(x) mod 2, so E-perp is the parity extension of C-perp and its
-    spectrum is ``appended_parity_counts`` of the MacWilliams transform of
-    C's.  A row that is not self-orthogonal has no extended code: it fails
-    ``self_orthogonal`` and leaves the other checks unrun."""
+    b = wt(x) mod 2, so E-perp is C-perp with each word's parity bit
+    appended: its distance is d + d mod 2 for C-perp's d, skipped where
+    Table 1 skipped d.  A row that is not self-orthogonal has no extended
+    code: it fails ``self_orthogonal`` and leaves the other checks unrun."""
     reports = []
-    for n, kq, d, g in TABLE1_ROWS:
+    for (n, kq, d, g), row in zip(TABLE1_ROWS, table1, strict=True):
         t0 = time.perf_counter()
         rep = RowReport(label=f"extended [[{n},{kq},{d}]] -> n={n + 1}")
         spec = spec_from_zero_set(n, zero_set_of_polynomial(n, g))
@@ -225,13 +224,13 @@ def verify_extended_table1(budget: int = TABLE1_BUDGET) -> list[RowReport]:
         rep.checks["self_orthogonal"] = ext is not None and ext.is_self_orthogonal()
         rep.checks["dual_distance_at_least_d"] = None
         if ext is not None:
-            enum = _orbit_spectrum(rep, spec, budget)
-            if isinstance(enum, str):
-                rep.notes.append(f"{enum}; extended dual distance skipped")
+            words = rep.values["spectrum_words"] = row.values["spectrum_words"]
+            if (dual := row.values.get("exact_dual_distance")) is None:
+                rep.notes.append(f"the row's orbit scan ({words:,} words) is beyond "
+                                 "Table 1's budget; extended dual distance skipped")
             else:
-                exact = appended_parity_counts(macwilliams(enum, n, code.k)).min_distance()
-                rep.values["dual_distance"] = exact
-                rep.checks["dual_distance_at_least_d"] = exact >= d
+                rep.values["dual_distance"] = even = dual + dual % 2
+                rep.checks["dual_distance_at_least_d"] = even >= d
         rep.seconds = time.perf_counter() - t0
         reports.append(rep)
     return reports

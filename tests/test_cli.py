@@ -373,12 +373,13 @@ def test_verify_tables_budget_reaches_both_tables(monkeypatch, capsys):
     """Without --budget each table keeps its own default; with it both get it."""
     from qcss import tables
 
-    calls = []
+    calls, returned = [], []
 
     def fake(name):
-        def verify(**kw):
-            calls.append((name, kw))
-            return []
+        def verify(*args, **kw):
+            calls.append((name, args, kw))
+            returned.append([tables.RowReport(label=name)])
+            return returned[-1]
         return verify
 
     for name in ("verify_table1", "verify_table2"):
@@ -387,20 +388,22 @@ def test_verify_tables_budget_reaches_both_tables(monkeypatch, capsys):
         assert main(["verify-tables", "--table", table]) == 0
         assert main(["verify-tables", "--table", table, "--budget", "2^29"]) == 0
     assert calls == [
-        ("verify_table1", {}),
-        ("verify_table1", {"budget": 1 << 29}),
-        ("verify_table2", {}),
-        ("verify_table2", {"budget": 1 << 29}),
+        ("verify_table1", (), {}),
+        ("verify_table1", (), {"budget": 1 << 29}),
+        ("verify_table2", (), {}),
+        ("verify_table2", (), {"budget": 1 << 29}),
     ]
-    # the parity-extended family takes the same budget as the tables
+    # the parity-extended family reads the Table-1 reports of the same run
     monkeypatch.setattr(tables, "verify_extended_table1", fake("verify_extended_table1"))
     calls.clear()
+    returned.clear()
     assert main(["verify-tables", "--budget", "2^20"]) == 0
     assert calls == [
-        ("verify_table1", {"budget": 1 << 20}),
-        ("verify_table2", {"budget": 1 << 20}),
-        ("verify_extended_table1", {"budget": 1 << 20}),
+        ("verify_table1", (), {"budget": 1 << 20}),
+        ("verify_table2", (), {"budget": 1 << 20}),
+        ("verify_extended_table1", (returned[0],), {}),
     ]
+    assert calls[2][1][0] is returned[0]
 
 
 def test_verify_tables_prints_an_extended_row_that_is_not_self_orthogonal(monkeypatch, capsys):
@@ -427,7 +430,7 @@ def test_budget_refuses_anything_but_a_count_or_a_power_of_two(budget, monkeypat
 
     calls = []
     for name in ("verify_table1", "verify_table2", "verify_extended_table1"):
-        monkeypatch.setattr(tables, name, lambda **kw: calls.append(kw) or [])
+        monkeypatch.setattr(tables, name, lambda *args, **kw: calls.append((args, kw)) or [])
     for argv in (["verify-tables", "--table", "1"], ["spectrum", "--code", "missing.code"]):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--budget", budget])

@@ -32,6 +32,7 @@ from qcss.tables import (
     singer_generator,
     singer_rows,
     verify_extended_table1,
+    verify_table1,
     verify_table1_row,
     verify_table2,
 )
@@ -97,13 +98,23 @@ def test_rows_beyond_the_default_budget_stay_bound_certified():
         assert rep.checks["exact_dual_distance_at_least_d"] is None
 
 
-def test_orbit_scan_certifies_two_more_rows_at_2_29_words():
-    searches = {}
-    for key in ((89, 23, 9), (127, 57, 11)):
-        rep = verify_table1_row(_table1_row(key), budget=1 << 29, searches=searches)
+def test_orbit_scan_certifies_two_more_rows_at_2_29_words(monkeypatch):
+    """Both scans run once: the extended rows read Table 1's certificates."""
+    rows = tuple(_table1_row(key) for key in ((89, 23, 9), (127, 57, 11)))
+    monkeypatch.setattr(tables, "TABLE1_ROWS", rows)
+    scans = []
+    monkeypatch.setattr(
+        tables, "cyclic_weight_counts", lambda *a: scans.append(a) or cyclic_weight_counts(*a)
+    )
+    reports = verify_table1(budget=1 << 29)
+    for rep in reports:
         assert rep.passed, rep.line()
         assert rep.checks["exact_dual_distance_at_least_d"] is True
         assert rep.values["exact_dual_distance"] == 11
+    for rep in verify_extended_table1(reports):
+        assert rep.passed, rep.line()
+        assert rep.values["dual_distance"] == 12
+    assert len(scans) == 2
 
 
 def test_rm_scan_expected_set():
@@ -114,7 +125,7 @@ def test_rm_scan_expected_set():
 
 
 def test_extended_family_self_orthogonal():
-    reports = verify_extended_table1(budget=1 << 18)
+    reports = verify_extended_table1(verify_table1(budget=1 << 18))
     assert all(r.checks["dimensions"] for r in reports)
     assert all(r.checks["self_orthogonal"] for r in reports)
     checked = [r for r in reports if r.checks["dual_distance_at_least_d"] is not None]
@@ -160,7 +171,7 @@ def test_parity_rule_on_the_dual_equals_the_extended_oracle():
 
 
 def test_extended_family_shares_table1_budget():
-    reports = {r.label: r for r in verify_extended_table1()}
+    reports = {r.label: r for r in verify_extended_table1(verify_table1())}
     exact = {label: r.values["dual_distance"] for label, r in reports.items()
              if r.checks["dual_distance_at_least_d"]}
     assert len(exact) == 21
@@ -171,19 +182,57 @@ def test_extended_family_shares_table1_budget():
     assert "270,565,376 words" in skipped.notes[0]
 
 
+# A self-orthogonal [35,15] cyclic code of designed dual distance 5 whose
+# dual's least weight is 6: every tabulated row's dual distance is odd
+EVEN_DUAL_ROW = (35, 5, 5, 0x191B4F)
+
+
+def test_extended_family_reads_table1_and_runs_no_scan(monkeypatch):
+    """The extended dual distance from Table 1's certificate, rounded up to
+    even, against the former route: the parity extension of the row's dual
+    spectrum, for every row Table 1 certifies at its default budget and for
+    a row whose dual distance is already even."""
+    rows = (*TABLE1_ROWS, EVEN_DUAL_ROW)
+    monkeypatch.setattr(tables, "TABLE1_ROWS", rows)
+    table1 = verify_table1()
+
+    def refuse(*args):
+        raise AssertionError("the extended family ran an orbit scan")
+
+    monkeypatch.setattr(tables, "orbit_scan", refuse)
+    monkeypatch.setattr(tables, "cyclic_weight_counts", refuse)
+    reports = verify_extended_table1(table1)
+    monkeypatch.undo()
+    checked = 0
+    for (n, kq, d, g), row, rep in zip(rows, table1, reports, strict=True):
+        assert rep.passed, rep.line()
+        assert rep.values["spectrum_words"] == row.values["spectrum_words"]
+        if "exact_dual_distance" not in row.values:
+            assert rep.checks["dual_distance_at_least_d"] is None
+            assert "dual_distance" not in rep.values
+            continue
+        spec = spec_from_zero_set(n, zero_set_of_polynomial(n, g))
+        enum = cyclic_weight_counts(spec)
+        oracle = appended_parity_counts(macwilliams(enum, n, spec.dimension)).min_distance()
+        assert rep.values["dual_distance"] == oracle, (n, kq, d)
+        checked += 1
+    assert checked == 22
+    assert table1[-1].values["exact_dual_distance"] == reports[-1].values["dual_distance"] == 6
+
+
 def test_extended_family_refuses_a_row_whose_hex_is_not_a_generator(monkeypatch):
     # x * g for the first row: the same zero set, but not a generator of the code
     row = (15, 7, 3, 0x135E)
     assert TABLE1_ROWS[0] == (15, 7, 3, 0x9AF)
     assert verify_table1_row(row).checks["divides_xn_plus_1"] is False
     monkeypatch.setattr(tables, "TABLE1_ROWS", (row,))
-    [rep] = verify_extended_table1()
+    [rep] = verify_extended_table1(verify_table1())
     assert rep.label == "extended [[15,7,3]] -> n=16"
     assert rep.checks["generator"] is False
     assert not rep.passed
     # the true generator passes the same check
     monkeypatch.setattr(tables, "TABLE1_ROWS", TABLE1_ROWS[:1])
-    [rep] = verify_extended_table1()
+    [rep] = verify_extended_table1(verify_table1())
     assert rep.checks["generator"] is True and rep.passed
 
 
@@ -194,7 +243,7 @@ NOT_SELF_ORTHOGONAL_ROW = (15, 7, 3, 0x13)
 def test_extended_family_fails_a_row_that_is_not_self_orthogonal(monkeypatch):
     assert verify_table1_row(NOT_SELF_ORTHOGONAL_ROW).checks["self_orthogonal"] is False
     monkeypatch.setattr(tables, "TABLE1_ROWS", (NOT_SELF_ORTHOGONAL_ROW,))
-    [rep] = verify_extended_table1()
+    [rep] = verify_extended_table1(verify_table1())
     assert not rep.passed
     # the keys in the order of a passing row's
     assert list(rep.checks.items()) == [
