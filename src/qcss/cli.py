@@ -177,9 +177,8 @@ def _cmd_pg(args) -> int:
         sys.stdout.write(code.to_text())
         return 0
     # "?" when both routes exceed a side computation's budget
-    distances = tables.singer_distances(tables.RowReport("qcss pg"), code, geom, PREDICT_BUDGET)
-    dual_d = "?" if isinstance(distances, str) else distances[1]
-    print(f"[[{code.n},{code.n - 2 * code.k},{dual_d}]]")
+    _, dual = tables.singer_distances(tables.RowReport("qcss pg"), code, geom, PREDICT_BUDGET)
+    print(f"[[{code.n},{code.n - 2 * code.k},{'?' if dual.exact is None else dual.exact}]]")
     return 0
 
 
@@ -282,14 +281,12 @@ def _cmd_min_distance(args) -> int:
     code = _load_code(args.code)
     if args.split:
         res = code.min_distance_split(args.bound, args.budget)
-        if res.found:
-            print(f"minimum distance {res.value}")
+        if res.upper <= args.bound:
+            print(f"minimum distance {res.upper}")
         else:
-            print(
-                f"no codeword of weight <= {args.bound}; lightest seen: {res.witness_weight}"
-            )
+            print(f"no codeword of weight <= {args.bound}; lightest seen: {res.upper}")
         # the search raises unless it scanned exactly the patterns it planned
-        print(f"predicted patterns {res.patterns_scanned}, scanned {res.patterns_scanned}")
+        print(f"predicted patterns {res.patterns_predicted}, scanned {res.patterns_scanned}")
         return 0
     print(f"minimum distance {code.min_distance(budget=args.budget)}")
     return 0

@@ -26,6 +26,8 @@ m codewords, row i their i-th 64-bit word, so that a popcount is one
   XORs of the rows before them in colex-ordered tables, and scans all the
   longer supports that share their last prefix row against the block at
   once.
+- Every distance route returns one ``Distance`` record: ``dual_min_distance``
+  from a spectrum, ``min_distance_split``, and the orbit spectrum of ``tables``.
 """
 from __future__ import annotations
 
@@ -84,22 +86,36 @@ class WeightEnumerator:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class SplitDistanceResult:
-    """Outcome of the pivot/non-pivot low-weight search.
+@dataclass(frozen=True, slots=True)
+class Distance:
+    """What one route certifies about a code's minimum distance: no nonzero
+    codeword weighs less than ``lower``, one of weight ``upper`` exists (None
+    if unknown), and ``witness`` is such a word where the route kept one.
+    ``route`` is "spectrum", "orbit" or "split"; its work is in words for the
+    spectrum routes and in patterns for the split search, whose depths are
+    ``params``.  ``refusal`` says why a route did not run."""
 
-    ``found`` is True when a codeword of weight <= bound exists; ``value`` is
-    then the exact minimum distance.  Otherwise ``value`` = bound + 1 is a
-    certified lower bound, and ``witness_weight`` (the lightest codeword seen
-    during the scan) is an upper bound on the true distance.  ``depths`` are
-    the pivot and non-pivot depths scanned, None when nothing was.
-    """
+    route: str
+    lower: int
+    upper: int | None = None
+    patterns_predicted: int = 0
+    patterns_scanned: int = 0
+    params: tuple[int, ...] = ()
+    witness: int | None = None
+    refusal: str | None = None
 
-    found: bool
-    value: int
-    witness_weight: int | None
-    patterns_scanned: int
-    depths: tuple[int, int] | None = None
+    def __post_init__(self):
+        if self.upper is not None and self.lower > self.upper:
+            raise InternalConsistencyError(f"lower bound {self.lower} above upper {self.upper}")
+        if self.witness is not None and self.witness.bit_count() != self.upper:
+            raise InternalConsistencyError(
+                f"witness of weight {self.witness.bit_count()}, upper bound {self.upper}"
+            )
+
+    @property
+    def exact(self) -> int | None:
+        """The distance, when the bounds meet."""
+        return self.lower if self.lower == self.upper else None
 
 
 class LinearCode:
@@ -212,8 +228,24 @@ class LinearCode:
 
     def min_distance_split(
         self, bound: int, budget: int = DEFAULT_BUDGET, cyclic: int | None = None
-    ) -> SplitDistanceResult:
-        return _min_distance_split(self, bound, budget, cyclic)
+    ) -> Distance:
+        """The "split" record: the lightest word seen, ``upper``, is the
+        distance when it weighs at most ``bound``, and ``lower`` is bound + 1
+        otherwise; the witness is the lightest rref row when it weighs ``upper``."""
+        if bound < 0:
+            raise InvalidInput(f"the bound must be at least 0, got {bound}")
+        if self.k == 0:
+            raise InvalidInput("zero-dimensional code has no minimum distance")
+        if cyclic is not None:
+            _require_shift_premise(self, cyclic)
+        # generator rows are codewords, so their weights bound the distance; a
+        # full [n, n] code has unit rows and scans nothing
+        row = min(self._rref.row_bits(), key=int.bit_count)
+        depths = _split_depths(self, bound, cyclic)
+        best, patterns = _split_scan(self, depths, budget) if depths else (row.bit_count(), 0)
+        best = min(best, row.bit_count())
+        return Distance("split", best if best <= bound else bound + 1, best, patterns, patterns,
+                        depths or (), row if row.bit_count() == best else None)
 
 
 def require_mutually_orthogonal(c1: LinearCode, c2: LinearCode) -> None:
@@ -477,34 +509,6 @@ def _split_depths(
     return h1, top - h1
 
 
-def _split_plan(
-    code: LinearCode, bound: int, cyclic: int | None = None
-) -> tuple[tuple[int, int], BitMatrix, list[int], tuple[int, ...]] | None:
-    """What the split search up to weight ``bound`` scans, or None when it
-    scans nothing: its depths, the non-pivot part A of the rref (rows
-    compacted to the non-pivot columns) and RA = rref(A) with its pivots."""
-    depths = _split_depths(code, bound, cyclic)
-    if depths is None:
-        return None
-    pivots = set(code.pivots)
-    nonpivots = [c for c in range(code.n) if c not in pivots]
-    a_mat = BitMatrix(len(nonpivots), [_compact(r, nonpivots) for r in code.rref_matrix.row_bits()])
-    ra, ra_pivots = rref(a_mat)
-    return depths, a_mat, ra.row_bits(), ra_pivots
-
-
-def predicted_split_patterns(code: LinearCode, bound: int, cyclic: int | None = None) -> int:
-    """``patterns_scanned`` of ``code.min_distance_split(bound, cyclic=cyclic)``
-    without the scan: ``split_patterns`` of the search's depths and of the
-    rank of the generator's non-pivot columns, the count the search gates its
-    budget on and checks its scan against."""
-    plan = _split_plan(code, bound, cyclic)
-    if plan is None:
-        return 0
-    depths, _, _, ra_pivots = plan
-    return split_patterns(code.k, len(ra_pivots), *depths)
-
-
 def _require_shift_premise(code: LinearCode, cyclic: int) -> None:
     """Refuse the shift rule of ``split_patterns`` unless the pivots are
     0..k - 1 within the first ``cyclic`` = N coordinates and the shift of
@@ -525,28 +529,20 @@ def _require_shift_premise(code: LinearCode, cyclic: int) -> None:
             )
 
 
-def _min_distance_split(
-    code: LinearCode, bound: int, budget: int, cyclic: int | None = None
-) -> SplitDistanceResult:
-    n, k = code.n, code.k
-    if cyclic is not None:
-        _require_shift_premise(code, cyclic)
-    if k == 0:
-        return SplitDistanceResult(False, bound + 1, None, 0)
-    if k == n:
-        # full [n, n] code: unit vectors are codewords
-        return SplitDistanceResult(bound >= 1, 1 if bound >= 1 else bound + 1, 1, 0)
-
-    row_witness = min(r.bit_count() for r in code.rref_matrix.row_bits())
-    plan = _split_plan(code, bound, cyclic)
-    if plan is None:
-        return SplitDistanceResult(False, bound + 1, row_witness, 0)
+def _split_scan(code: LinearCode, depths: tuple[int, int], budget: int) -> tuple[int, int]:
+    """The lightest weight the split search at ``depths`` finds, and its
+    patterns, which it checks against ``split_patterns`` of the depths and
+    of the rank of the non-pivot part A of the rref (rows compacted to the
+    non-pivot columns); that prediction is gated on ``budget`` first."""
+    k, (h1, h2) = code.k, depths
+    pivots = set(code.pivots)
+    nonpivots = [c for c in range(code.n) if c not in pivots]
+    a_mat = BitMatrix(len(nonpivots), [_compact(r, nonpivots) for r in code.rref_matrix.row_bits()])
+    a_rows = a_mat.row_bits()
     # Write A = U . RA with RA = rref(A).  The kernel of m -> m.A consists of
     # the codewords supported entirely on pivot columns; they are scanned in
     # full because their non-pivot weight is 0 regardless of the depth.
-    depths, a_mat, ra_rows, ra_pivots = plan
-    h1, h2 = depths
-    a_rows = a_mat.row_bits()
+    ra, ra_pivots = rref(a_mat)
     predicted = split_patterns(k, len(ra_pivots), h1, h2)
     if predicted > budget:
         raise ResourceLimit(
@@ -575,21 +571,17 @@ def _min_distance_split(
     rest = [c for c in range(a_mat.cols) if c not in ra_pivot_set]
     width = len(rest)
     nonpivot_best, nonpivot_patterns = _low_weight_min(
-        [_compact(ra, rest) | m << width for ra, m in zip(ra_rows, solvers)],
+        [_compact(r, rest) | m << width for r, m in zip(ra.row_bits(), solvers)],
         width + k,
         h2,
         [w << width for w in kernel],
     )
-    # generator rows are codewords, so their weights bound the distance
-    best = min(row_witness, pivot_best, nonpivot_best)
     patterns = pivot_patterns + nonpivot_patterns
     if patterns != predicted:
         raise InternalConsistencyError(
             f"the split search scanned {patterns} patterns, predicted {predicted}"
         )
-    if best <= bound:
-        return SplitDistanceResult(True, best, best, patterns, depths)
-    return SplitDistanceResult(False, bound + 1, best, patterns, depths)
+    return min(pivot_best, nonpivot_best), patterns
 
 
 # -- MacWilliams transform -------------------------------------------------
@@ -657,18 +649,22 @@ def appended_parity_counts(enum: WeightEnumerator) -> WeightEnumerator:
     return WeightEnumerator(tuple(counts))
 
 
-def dual_min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int | None:
-    """d_min of the dual from the smaller spectrum: the dual's own 2^(n-k)
-    words, or the code's 2^k words and the MacWilliams transform.  None when
-    the dual is zero-dimensional or that spectrum exceeds ``budget``."""
+def dual_min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Distance:
+    """The "spectrum" record of the dual's distance, from the smaller
+    spectrum: the dual's own 2^(n-k) words, or the code's 2^k words and the
+    MacWilliams transform.  Refused when the dual is zero-dimensional or
+    that spectrum exceeds ``budget``."""
     if code.k == code.n:
-        return None
+        return Distance("spectrum", 1, refusal="the dual is zero-dimensional")
+    words = 1 << min(code.k, code.n - code.k)
     try:
         if code.n - code.k <= code.k:
-            return code.dual().min_distance(budget)
-        return macwilliams(code.weight_enumerator(budget), code.n, code.k).min_distance()
-    except ResourceLimit:
-        return None
+            d = code.dual().min_distance(budget)
+        else:
+            d = macwilliams(code.weight_enumerator(budget), code.n, code.k).min_distance()
+    except ResourceLimit as exc:
+        return Distance("spectrum", 1, patterns_predicted=words, refusal=str(exc))
+    return Distance("spectrum", d, d, words, words)
 
 
 def random_linear_code(n: int, k: int, rng) -> LinearCode:

@@ -45,7 +45,7 @@ class ConstructionReport:
             problems.append("result is not self-orthogonal")
         p = self.predicted_dual_distance
         if p is not None:
-            d = dual_min_distance(self.code, budget)
+            d = dual_min_distance(self.code, budget).exact
             if d is None:
                 problems.append(f"dual distance claim not checked within the budget of {budget}")
             elif self.dual_distance_relation == "==" and d != p:
@@ -61,7 +61,7 @@ class ConstructionReport:
         d is the prediction under "==", else measured (None beyond ``budget``)."""
         d = self.predicted_dual_distance if self.dual_distance_relation == "==" else None
         if d is None:
-            d = dual_min_distance(self.code, budget)
+            d = dual_min_distance(self.code, budget).exact
         return self.code.n, self.code.n - 2 * self.code.k, d
 
 
@@ -108,7 +108,7 @@ def augment(code: LinearCode) -> ConstructionReport:
         code=out,
         predicted_n=code.n,
         predicted_k=code.k + 1,
-        predicted_dual_distance=dual_min_distance(code, PREDICT_BUDGET),
+        predicted_dual_distance=dual_min_distance(code, PREDICT_BUDGET).exact,
         dual_distance_relation=">=",
     )
 
@@ -123,7 +123,7 @@ def shorten(code: LinearCode, i: int) -> ConstructionReport:
     if zero_column:
         warning = f"column {i} is identically zero; dimension does not drop"
     out = _remove_support(code, (i,))
-    d = dual_min_distance(code, PREDICT_BUDGET)
+    d = dual_min_distance(code, PREDICT_BUDGET).exact
     return ConstructionReport(
         code=out,
         predicted_n=code.n - 1,
@@ -142,7 +142,7 @@ def plotkin(c1: LinearCode, c2: LinearCode) -> ConstructionReport:
     rows = [g | g << n for g in c1.generator.row_bits()]
     rows += [h << n for h in c2.generator.row_bits()]
     out = LinearCode(BitMatrix(2 * n, rows))
-    d1, d2 = (dual_min_distance(c, PREDICT_BUDGET) for c in (c1, c2))
+    d1, d2 = (dual_min_distance(c, PREDICT_BUDGET).exact for c in (c1, c2))
     return ConstructionReport(
         code=out,
         predicted_n=2 * n,
@@ -221,7 +221,7 @@ def product(c1: LinearCode, c2: LinearCode) -> ConstructionReport:
         for h in c2.generator.row_bits()
     ]
     out = LinearCode(BitMatrix(c1.n * c2.n, rows))
-    d1, d2 = (dual_min_distance(c, PREDICT_BUDGET) for c in (c1, c2))
+    d1, d2 = (dual_min_distance(c, PREDICT_BUDGET).exact for c in (c1, c2))
     return ConstructionReport(
         code=out,
         predicted_n=c1.n * c2.n,
@@ -294,7 +294,7 @@ def concatenate(inner: LinearCode, outer: OuterCode) -> ConstructionReport:
         code=out,
         predicted_n=inner.n * outer.n,
         predicted_k=k1 * outer.k,
-        predicted_dual_distance=dual_min_distance(inner, PREDICT_BUDGET),
+        predicted_dual_distance=dual_min_distance(inner, PREDICT_BUDGET).exact,
         dual_distance_relation="<=",
     )
 
@@ -311,10 +311,10 @@ def _mixed_word_report(
     not exceed the floor that every mixed word weighs at least, the dual
     distances of ``mixed`` plus ``extra``, and "<=" with a warning beyond it
     or when the floor is unknown.  The floor is computed only for a prediction."""
-    predicted = _pure_min(*(dual_min_distance(c, PREDICT_BUDGET) for c in pure))
+    predicted = _pure_min(*(dual_min_distance(c, PREDICT_BUDGET).exact for c in pure))
     relation, warning = "==", None
     if predicted is not None:
-        ds = [dual_min_distance(c, PREDICT_BUDGET) for c in mixed]
+        ds = [dual_min_distance(c, PREDICT_BUDGET).exact for c in mixed]
         floor = None if None in ds else sum(ds) + extra
         if floor is None or predicted > floor:
             relation = "<="

@@ -4,10 +4,12 @@ projective-geometry CSS constructions.
 Each row is re-derived from scratch and audited; a report carries one named
 check per claim so that a single failing row pinpoints what broke.  Checks
 that the caller's budget rules out, in the words or patterns each route
-predicts, are recorded as skipped with a note, not passed.  The extended
-family reads Table 1's reports.  A geometry code's distances, for
-``verify_table2`` and ``qcss pg`` alike, come from one step,
-``singer_distances``, which alone picks the orbit spectrum or split search.
+predicts, are recorded as skipped with a note, not passed.  Every
+distance is a ``codes.Distance`` record, and a report's distance values
+are read off it.  The extended family reads Table 1's reports.  A geometry
+code's distances, for ``verify_table2`` and ``qcss pg`` alike, come from
+one step, ``singer_distances``, which alone picks the orbit spectrum or
+split search.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from .bch import (
     spec_from_zero_set,
     zero_set_of_polynomial,
 )
-from .codes import DEFAULT_BUDGET, LinearCode, WeightEnumerator, appended_parity_counts, macwilliams
+from .codes import DEFAULT_BUDGET, Distance, LinearCode, appended_parity_counts, macwilliams
 from .constructions import extend_parity_dual
 from .errors import PreconditionError, ResourceLimit
 from .gf2 import BitMatrix, bools_as_bytes, bytes_as_bools, bytes_as_ints, ints_as_bytes
@@ -125,16 +127,21 @@ class RowReport:
 TABLE1_BUDGET = 1 << 26
 
 
-def _orbit_spectrum(rep: RowReport, spec: CyclicCodeSpec, budget: int) -> WeightEnumerator | str:
-    """The spectrum of a cyclic code from ``cyclic_weight_counts`` under
-    ``budget``, or the refusal text when its planned words exceed it; the
-    planned words go to ``rep.values["spectrum_words"]`` either way."""
+def _orbit_distances(
+    spec: CyclicCodeSpec, budget: int, parity: bool = False
+) -> tuple[Distance, Distance]:
+    """The "orbit" records (d, d_perp) of a cyclic code, with a parity
+    coordinate appended when ``parity``, from ``cyclic_weight_counts`` under
+    ``budget``; both refused with its text when the planned words exceed it."""
     plan = orbit_scan(spec)
-    rep.values["spectrum_words"] = plan.words
     try:
-        return cyclic_weight_counts(spec, budget, plan)
+        enum = cyclic_weight_counts(spec, budget, plan)
     except ResourceLimit as exc:
-        return str(exc)
+        return (Distance("orbit", 1, patterns_predicted=plan.words, refusal=str(exc)),) * 2
+    if parity:
+        enum = appended_parity_counts(enum)
+    d, d_perp = enum.min_distance(), macwilliams(enum, enum.n, spec.dimension).min_distance()
+    return tuple(Distance("orbit", w, w, plan.words, plan.words) for w in (d, d_perp))
 
 
 def verify_table1(budget: int = TABLE1_BUDGET) -> list[RowReport]:
@@ -185,12 +192,12 @@ def verify_table1_row(
             rep.notes.append(f"matches the search after root relabeling by {match.unit}")
 
     if rep.checks["self_orthogonal"]:
-        enum = _orbit_spectrum(rep, spec, budget)
-        if isinstance(enum, str):
+        _, dual = _orbit_distances(spec, budget)
+        rep.values["spectrum_words"] = dual.patterns_predicted
+        if (exact := dual.exact) is None:
             rep.checks["exact_dual_distance_at_least_d"] = None
-            rep.notes.append(f"{enum}; bound-certified only")
+            rep.notes.append(f"{dual.refusal}; bound-certified only")
         else:
-            exact = macwilliams(enum, n, k).min_distance()
             rep.values["exact_dual_distance"] = exact
             rep.checks["exact_dual_distance_at_least_d"] = exact >= d
             if exact > d:
@@ -259,54 +266,41 @@ def singer_generator(rows: Sequence[int], v: int) -> int:
 
 def singer_distances(
     rep: RowReport, code: LinearCode, geom: ProjGeometry, budget: int
-) -> tuple[int, int] | str:
-    """Both distances (d, d_perp) of a code spanned by incidence rows of
-    ``geom`` (``build_so_code``, or the plain span), or the text that says
-    why not.
+) -> tuple[Distance, Distance]:
+    """The records (d, d_perp) of a code spanned by incidence rows of
+    ``geom`` (``build_so_code``, or the plain span).
 
     The code's rows are put in ``singer_order`` once, where the code must
     be cyclic: v - deg g = k for g = ``singer_generator`` (check
     ``cyclic_in_singer_order`` of ``rep``); the emitted code and the
-    decoders keep the lexicographic point order.  Both distances (``d`` and
-    ``d_perp`` of ``rep``) come from ``_orbit_spectrum`` of that cyclic
-    code under ``budget``, extended by ``appended_parity_counts`` over the
-    parity coordinate.  When that is refused, a self-dual code (d_perp = d)
-    goes to the split search on the same rows, with the shift of its v
-    point coordinates (``cyclic`` = v), under ``budget``, at bound w - 1
-    for the lightest rref row weight w, so that finding no lighter word
-    certifies d = w (``split_patterns``, ``split_witness``, ``split_depths``
-    and a note); the refusal of the budget or of the search's own check of
-    that shift is returned."""
+    decoders keep the lexicographic point order.  Both records come from
+    ``_orbit_distances`` of that cyclic code and the parity coordinate under
+    ``budget`` (its words are ``spectrum_words`` of ``rep``).  When that is
+    refused, a self-dual code goes to the split search on the same rows,
+    with the shift of its v point coordinates (``cyclic`` = v), at bound
+    w - 1 for the lightest rref row weight w, so that finding no lighter
+    word certifies d = d_perp = w, and its one record stands for both."""
     v = len(geom.points)
     rows = singer_rows(code, singer_order(geom))
     g = singer_generator(rows, v)
     rep.checks["cyclic_in_singer_order"] = v - poly_deg(g) == code.k
-    enum = "the code is not cyclic in the Singer order"
+    refusal = "the code is not cyclic in the Singer order"
     if rep.checks["cyclic_in_singer_order"]:
-        enum = _orbit_spectrum(rep, spec_from_zero_set(v, zero_set_of_polynomial(v, g)), budget)
-    if not isinstance(enum, str):
-        if code.n > v:
-            enum = appended_parity_counts(enum)
-        rep.values["d"] = enum.min_distance()
-        rep.values["d_perp"] = macwilliams(enum, code.n, code.k).min_distance()
-        return rep.values["d"], rep.values["d_perp"]
+        spec = spec_from_zero_set(v, zero_set_of_polynomial(v, g))
+        d, d_perp = _orbit_distances(spec, budget, parity=code.n > v)
+        rep.values["spectrum_words"] = d.patterns_predicted
+        if d.refusal is None:
+            return d, d_perp
+        refusal = d.refusal
     if code.n != 2 * code.k or not code.is_self_orthogonal():
-        return f"{enum}; no split route, not self-dual"
+        return (Distance("orbit", 1, refusal=f"{refusal}; no split route, not self-dual"),) * 2
     shifted = LinearCode(BitMatrix(code.n, rows))
     bound = min(row.bit_count() for row in shifted.rref_matrix.row_bits()) - 1
     try:
         split = shifted.min_distance_split(bound, budget, cyclic=v)
     except (ResourceLimit, PreconditionError) as exc:
-        return f"{exc}; distances skipped"
-    rep.values["split_patterns"] = split.patterns_scanned
-    rep.values["split_witness"] = split.witness_weight
-    rep.values["split_depths"] = split.depths
-    rep.notes.append(
-        f"distance certified by split search: no codeword below {split.value}, "
-        f"witness row weight {split.witness_weight}"
-    )
-    # the exact distance whether a word below w was found or not
-    return split.value, split.value
+        return (Distance("split", 1, refusal=f"{exc}; distances skipped"),) * 2
+    return split, split
 
 
 def verify_table2(budget: int = DEFAULT_BUDGET, rows=None) -> list[RowReport]:
@@ -325,13 +319,21 @@ def verify_table2(budget: int = DEFAULT_BUDGET, rows=None) -> list[RowReport]:
         rep.checks["dimension"] = code.k == k
         rep.checks["self_orthogonal"] = code.is_self_orthogonal()
         rep.checks["quantum_dimension"] = n - 2 * k == kq
-        distances = singer_distances(rep, code, geom, budget)
-        if isinstance(distances, str):
-            rep.checks["distance"] = rep.checks["dual_distance"] = None
-            rep.notes.append(distances)
+        dist, dual = singer_distances(rep, code, geom, budget)
+        if dist.refusal is not None:
+            rep.notes.append(dist.refusal)
+        elif dist.route == "split":
+            rep.values["split_patterns"] = dist.patterns_scanned
+            rep.values["split_witness"] = dist.upper
+            rep.values["split_depths"] = dist.params
+            rep.notes.append(
+                f"distance certified by split search: no codeword below {dist.lower}, "
+                f"witness row weight {dist.upper}"
+            )
         else:
-            rep.checks["distance"] = distances[0] == d
-            rep.checks["dual_distance"] = distances[1] == d_perp
+            rep.values["d"], rep.values["d_perp"] = dist.exact, dual.exact
+        rep.checks["distance"] = None if dist.exact is None else dist.exact == d
+        rep.checks["dual_distance"] = None if dual.exact is None else dual.exact == d_perp
 
         if kq == 0:
             rep.checks["self_dual"] = code.n == 2 * code.k and code.dual().same_code(code)
@@ -408,10 +410,11 @@ def reports_to_json(sections: dict[str, list[RowReport]]) -> str:
                 "label": r.label,
                 "passed": r.passed,
                 "checks": r.checks,
-                "values": {k: repr(v) if not isinstance(v, (int, float, str, list, tuple, type(None))) else v for k, v in r.values.items()},
+                "values": r.values,
                 "notes": r.notes,
                 "seconds": round(r.seconds, 3),
             }
             for r in reports
         ]
-    return json.dumps(payload, indent=2, default=str)
+    # a value that JSON cannot hold is written as its repr
+    return json.dumps(payload, indent=2, default=repr)

@@ -103,7 +103,7 @@ def test_criterion_4_worked_examples():
     y1 = construction_y1(golay)
     ok &= (y1.code.n, y1.code.k) == (16, 5)
     ok &= y1.code.min_distance() == 8
-    ok &= dual_min_distance(y1.code) == 4
+    ok &= dual_min_distance(y1.code).exact == 4
     ok &= y1.quantum_parameters() == (16, 6, 4)
 
     # construction X on the nested dual cyclic [31,5] < [31,10] with the
@@ -113,7 +113,7 @@ def test_criterion_4_worked_examples():
     c3 = rm_generator(4, 1).code
     x = construction_x(c1, c2, c3)
     ok &= (x.code.n, x.code.k) == (47, 10)
-    ok &= dual_min_distance(x.code) == 4
+    ok &= dual_min_distance(x.code).exact == 4
     ok &= x.quantum_parameters() == (47, 27, 4)
     _verdict("criterion 4: worked examples match exactly", ok)
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import tempfile
 import time
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from qcss import bch, cli, codes, constructions, reedmuller, tables
 from qcss.cli import _load_outer, _parse_budget, load_css, main
-from qcss.codes import LinearCode, random_self_orthogonal_code
+from qcss.codes import Distance, LinearCode, random_self_orthogonal_code
 from qcss.css import LookupDecoder
 from qcss.gf2 import BitMatrix
 from qcss.named import extended_hamming_8
@@ -106,6 +108,39 @@ def test_min_distance_and_spectrum(tmp_path, capsys):
     code, _ = run(capsys, "spectrum", "--code", str(src), "--out", str(csv))
     assert code == 0
     assert "4,14" in csv.read_text()
+
+
+@pytest.mark.parametrize("bound", ["-1", "-3"])
+def test_split_refuses_a_negative_bound_as_an_error_line(bound, tmp_path, capsys):
+    src = tmp_path / "full.code"
+    src.write_text("4 4\n1000\n0100\n0010\n0001\n")
+    code = main(["min-distance", "--code", str(src), "--split", f"--bound={bound}"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: the bound must be at least 0, got {bound}\n"
+    assert run(capsys, "min-distance", "--code", str(src), "--split", "--bound", "0") == (
+        0, "no codeword of weight <= 0; lightest seen: 1\npredicted patterns 0, scanned 0\n"
+    )
+
+
+def test_split_of_a_zero_dimensional_code_is_the_plain_error_line(tmp_path, capsys):
+    src = tmp_path / "zero.code"
+    src.write_text("0 4\n")
+    for split in ([], ["--split"]):
+        code = main(["min-distance", "--code", str(src), *split])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: zero-dimensional code has no minimum distance\n"
+
+
+def test_split_prints_its_predicted_and_scanned_patterns_apart(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "ext.code"
+    src.write_text(extended_hamming_8().to_text())
+    monkeypatch.setattr(LinearCode, "min_distance_split",
+                        lambda self, bound, budget: Distance("split", 4, 4, 14, 13))
+    code, out = run(capsys, "min-distance", "--code", str(src), "--split", "--bound", "4")
+    assert code == 0
+    assert out.splitlines() == ["minimum distance 4", "predicted patterns 14, scanned 13"]
 
 
 def test_simulate_refuses_trials_above_the_budget_flag(tmp_path, capsys, monkeypatch):
@@ -404,6 +439,27 @@ def test_verify_tables_budget_reaches_both_tables(monkeypatch, capsys):
         ("verify_extended_table1", (returned[0],), {}),
     ]
     assert calls[2][1][0] is returned[0]
+
+
+# sha256 of the whole `verify-tables --json` report, with every row's
+# "seconds" deleted, as json.dumps(report, indent=2) writes it
+REPORT_DIGESTS = {
+    "default": "b1326aa4da3ded8b763a3398f1a824ccf2bd14f382f42eec592628d0611388c7",
+    "2^23": "ddda7d6e492b0e2841c7ea4a37a088c044b991263e6f766b2f8f763ad5cd1ae7",
+}
+
+
+@pytest.mark.parametrize("budget", list(REPORT_DIGESTS))
+def test_verify_tables_json_report_is_pinned(budget, tmp_path, capsys):
+    path = tmp_path / "tables.json"
+    flags = [] if budget == "default" else ["--budget", budget]
+    assert main(["verify-tables", *flags, "--json", str(path)]) == 0
+    report = json.loads(path.read_text())
+    for rows in report.values():
+        for row in rows:
+            del row["seconds"]
+    digest = hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
+    assert digest == REPORT_DIGESTS[budget]
 
 
 def test_verify_tables_prints_an_extended_row_that_is_not_self_orthogonal(monkeypatch, capsys):

@@ -18,12 +18,12 @@ from qcss.bch import (
     zero_set_of_polynomial,
 )
 from qcss.codes import (
+    Distance,
     LinearCode,
     WeightEnumerator,
     dual_min_distance,
     extend_with_parity,
     macwilliams,
-    predicted_split_patterns,
     random_linear_code,
     random_self_orthogonal_code,
     split_patterns,
@@ -240,8 +240,8 @@ def test_macwilliams_rejects_inconsistent_input():
 def test_split_trivial_bound_zero():
     c = ext_hamming()
     res = c.min_distance_split(0)
-    assert not res.found
-    assert res.value == 1
+    assert res.upper > 0  # nothing of weight <= 0 found
+    assert res.lower == 1
 
 
 def test_split_finds_distance_of_extended_hamming():
@@ -257,15 +257,57 @@ def test_split_finds_distance_of_extended_hamming():
         weights.append(acc.bit_count())
     assert min(weights) == 4
     res = c.min_distance_split(4)
-    assert res.found and res.value == 4
+    assert res.exact == 4
 
 
 def test_split_certificate_above_true_distance():
     c = ext_hamming()
     res = c.min_distance_split(3)
-    assert not res.found
-    assert res.value == 4
-    assert res.witness_weight == 4
+    assert res.upper > 3  # nothing of weight <= 3 found
+    assert res.lower == 4
+    assert res.upper == 4
+    # the lightest rref row weighs 4, so it is the witness
+    assert res.witness.bit_count() == 4 and c.contains(BitVector(8, res.witness))
+
+
+def test_split_refuses_a_negative_bound():
+    for c in (ext_hamming(), LinearCode(BitMatrix(4, [1, 2, 4, 8]))):
+        for bound in (-1, -3):
+            with pytest.raises(InvalidInput, match=f"the bound must be at least 0, got {bound}"):
+                c.min_distance_split(bound)
+        res = c.min_distance_split(0)
+        assert res.lower == 1 and res.upper == c.min_distance()
+
+
+def test_split_refuses_a_zero_dimensional_code():
+    with pytest.raises(InvalidInput, match="zero-dimensional code has no minimum distance"):
+        LinearCode.from_spanning(BitMatrix(4, [])).min_distance_split(4)
+
+
+def test_split_of_the_full_code_finds_a_unit_row():
+    c = LinearCode(BitMatrix(4, [1, 2, 4, 8]))
+    res = c.min_distance_split(1)
+    assert (res.exact, res.patterns_predicted, res.patterns_scanned, res.params) == (1, 0, 0, ())
+    assert res.witness.bit_count() == 1
+
+
+@pytest.mark.parametrize(
+    "fields, match",
+    [
+        (dict(lower=5, upper=4), "lower bound 5 above upper 4"),
+        (dict(lower=3, upper=4, witness=0b111), "witness of weight 3, upper bound 4"),
+        (dict(lower=1, witness=0b1), "witness of weight 1, upper bound None"),
+    ],
+)
+def test_distance_record_refuses_inconsistent_fields(fields, match):
+    with pytest.raises(InternalConsistencyError, match=match):
+        Distance("split", **fields)
+
+
+def test_distance_record_is_exact_only_where_its_bounds_meet():
+    assert Distance("split", 4, 4, witness=0b1111).exact == 4
+    assert Distance("split", 4, 6).exact is None
+    assert Distance("spectrum", 1, refusal="refused").exact is None
 
 
 def test_split_agrees_with_exhaustive_on_random_codes():
@@ -281,10 +323,11 @@ def test_split_agrees_with_exhaustive_on_random_codes():
                     continue
                 res = c.min_distance_split(bound)
                 if bound >= d:
-                    assert res.found and res.value == d
+                    assert res.exact == d
                 else:
-                    assert not res.found and res.value == bound + 1
-                assert res.patterns_scanned == predicted_split_patterns(c, bound)
+                    assert res.upper > bound and res.lower == bound + 1
+                assert res.patterns_predicted == res.patterns_scanned
+                assert res.witness is None or c.contains(BitVector(n, res.witness))
 
 
 @pytest.mark.parametrize("raises", [False, True])
@@ -309,7 +352,7 @@ def test_split_walk_restores_the_callers_buffer_size(raises, monkeypatch):
                     c.min_distance_split(10)
             else:
                 res = c.min_distance_split(10)
-                assert res.patterns_scanned == predicted_split_patterns(c, 10)
+                assert res.patterns_scanned == res.patterns_predicted
             assert np.getbufsize() == caller
     assert codes._SCAN_BUFFER in seen
 
@@ -330,7 +373,7 @@ def test_split_prediction_equals_patterns_scanned():
         modulus = c.weight_modulus()
         max_w = bound // modulus * modulus
         res = c.min_distance_split(bound)
-        assert predicted_split_patterns(c, bound) == res.patterns_scanned
+        assert res.patterns_predicted == res.patterns_scanned
         if bound >= modulus:  # otherwise the search returns before scanning
             h1 = max_w // 2
             assert split_patterns(c.k, rk, h1, max_w - 1 - h1) == res.patterns_scanned
@@ -363,7 +406,7 @@ def test_split_depths_add_up_to_max_weight_less_one(n, rows, d, split):
     parts = {((w & pivot_mask).bit_count(), (w & ~pivot_mask).bit_count()) for w in lightest}
     assert parts == {split}
     res = c.min_distance_split(d)
-    assert res.found and res.value == d
+    assert res.exact == d
     h1 = d // 2
     assert res.patterns_scanned == split_patterns(len(rows), nonpivot_rank(c), h1, d - 1 - h1)
 
@@ -407,14 +450,14 @@ def test_shift_split_agrees_with_exhaustive_on_random_cyclic_codes():
         for bound in range(d + 3):
             res = c.min_distance_split(bound, cyclic=big_n)
             if bound >= d:
-                assert res.found and res.value == d
+                assert res.exact == d
             else:
-                assert not res.found and res.value == bound + 1
-            assert res.patterns_scanned == predicted_split_patterns(c, bound, big_n)
+                assert res.upper > bound and res.lower == bound + 1
+            assert res.patterns_scanned == res.patterns_predicted
             generic = codes._split_depths(c, bound)
-            assert res.depths == codes._split_depths(c, bound, big_n)
+            assert res.params == (codes._split_depths(c, bound, big_n) or ())
             cases += 1
-            shifted += res.depths is not None and sum(res.depths) < sum(generic)
+            shifted += bool(res.params) and sum(res.params) < sum(generic)
     assert cases > 1000 and shifted > 300
 
 
@@ -466,7 +509,8 @@ def test_shift_split_on_codes_that_need_its_exact_depths(big_n, g, parity, d, de
     assert c.min_distance() == d
     assert min(r.bit_count() for r in c.rref_matrix.row_bits()) > d
     res = c.min_distance_split(d, cyclic=big_n)
-    assert res.found and res.value == d and res.depths == depths
+    assert res.exact == d and res.params == depths
+    assert res.witness is None  # every rref row weighs more than d
 
 
 def test_split_depths_fall_back_without_the_shift_premise():
@@ -528,7 +572,7 @@ def test_split_memory_does_not_grow_with_the_kernel():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.found and res.value == c.min_distance()
+    assert res.exact == c.min_distance()
     assert peak < 4 << 20
 
 
@@ -652,17 +696,25 @@ def _brute_dual_distance(code):
 def test_dual_min_distance_on_both_sides():
     # every k runs the dual's own spectrum (n - k <= k) or the code's
     # spectrum and the transform (n - k > k), whichever is smaller; below
-    # that spectrum's size the answer is None, before and after a scan
+    # that spectrum's size the record is refused, before and after a scan
     rng = random.Random(14)
     for n in range(2, 15):
         for k in range(1, n):
             c = random_linear_code(n, k, rng)
             side = min(k, n - k)
-            assert dual_min_distance(c, budget=(1 << side) - 1) is None, (n, k)
-            assert dual_min_distance(c, budget=1 << side) == _brute_dual_distance(c), (n, k)
-            assert dual_min_distance(c, budget=(1 << side) - 1) is None, (n, k)
-    assert dual_min_distance(first_order_rm(4)) == 4
-    assert dual_min_distance(LinearCode(BitMatrix(3, [1, 2, 4]))) is None  # zero-dimensional dual
+            refused = dual_min_distance(c, budget=(1 << side) - 1)
+            assert refused.exact is None and "exceed the budget" in refused.refusal, (n, k)
+            d = dual_min_distance(c, budget=1 << side)
+            assert d.exact == _brute_dual_distance(c) and d.refusal is None, (n, k)
+            assert d.patterns_predicted == d.patterns_scanned == 1 << side, (n, k)
+            assert dual_min_distance(c, budget=(1 << side) - 1).exact is None, (n, k)
+    assert dual_min_distance(first_order_rm(4)).exact == 4
+    zero = dual_min_distance(LinearCode(BitMatrix(3, [1, 2, 4])))  # zero-dimensional dual
+    assert zero.exact is None and zero.route == "spectrum"
+    # the two refusals say which one they are
+    over = dual_min_distance(first_order_rm(4), budget=1)
+    assert zero.refusal == "the dual is zero-dimensional"
+    assert over.refusal == "2^5 codewords exceed the budget of 1; use min_distance_split for distance bounds"
 
 
 def test_code_text_roundtrip():

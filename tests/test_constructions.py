@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 from qcss import constructions
-from qcss.codes import LinearCode, random_self_orthogonal_code
+from qcss.codes import Distance, LinearCode, random_self_orthogonal_code
 from qcss.constructions import (
     OuterCode,
     augment,
@@ -241,7 +241,7 @@ def test_concatenate_repetition_outer():
     # lies in the dual
     assert rep.predicted_dual_distance == 4
     assert rep.dual_distance_relation == "<="
-    assert dual_min_distance(rep.code) == 2
+    assert dual_min_distance(rep.code).exact == 2
     two = BitVector(24, sum(1 << j for j in [0, 8]))
     assert all((two & row).weight() % 2 == 0 for row in rep.code.generator)
 
@@ -263,7 +263,7 @@ def test_construction_x_47_27_4():
     assert (rep.code.n, rep.code.k) == (47, 10)
     assert rep.code.is_self_orthogonal()
     assert rep.predicted_dual_distance == 4
-    assert dual_min_distance(rep.code) == 4
+    assert dual_min_distance(rep.code).exact == 4
     n, k, d = rep.quantum_parameters()
     assert (n, k, d) == (47, 27, 4)
 
@@ -339,7 +339,7 @@ def test_x_family_upper_bound_branch(name):
     assert rep.dual_distance_relation == "<="
     assert rep.warning.startswith("mixed dual words may weigh as little as 3;")
     # floor 3 <= measured 3 < predicted 4
-    assert dual_min_distance(rep.code) == 3 < rep.predicted_dual_distance == 4
+    assert dual_min_distance(rep.code).exact == 3 < rep.predicted_dual_distance == 4
     assert not rep.verify()
 
 
@@ -348,7 +348,7 @@ def test_x4_at_its_floor_is_exact():
     rep = construction_x4(_rm(4, 0), _rm(4, 1), _rm(4, 0), _rm(4, 1))
     assert (rep.predicted_dual_distance, rep.dual_distance_relation) == (4, "==")
     assert rep.warning is None
-    assert dual_min_distance(rep.code) == 4
+    assert dual_min_distance(rep.code).exact == 4
 
 
 def test_x_family_unknown_floor_is_an_upper_bound(monkeypatch):
@@ -356,7 +356,8 @@ def test_x_family_unknown_floor_is_an_upper_bound(monkeypatch):
     c1 = _rm(4, 0)
     measure = constructions.dual_min_distance
     monkeypatch.setattr(
-        constructions, "dual_min_distance", lambda c, b: None if c is c1 else measure(c, b)
+        constructions, "dual_min_distance",
+        lambda c, b: Distance("spectrum", 1, refusal="refused") if c is c1 else measure(c, b),
     )
     rep = construction_x4(c1, _rm(4, 1), _rm(4, 0), _rm(4, 1))
     assert (rep.predicted_dual_distance, rep.dual_distance_relation) == (4, "<=")
@@ -376,7 +377,7 @@ def test_quantum_parameters_return_only_exact_distances():
     # stays unknown after the [24, 5] code's 2^5 words were scanned
     rep = UPPER_BOUND_CASES["x"]()
     assert rep.quantum_parameters(budget=4) == (24, 14, None)
-    assert dual_min_distance(rep.code) == 3
+    assert dual_min_distance(rep.code).exact == 3
     with pytest.raises(ResourceLimit):
         rep.code.weight_enumerator(budget=4)
     assert rep.quantum_parameters(budget=4) == (24, 14, None)

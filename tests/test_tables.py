@@ -18,17 +18,19 @@ from qcss.bch import (
 from qcss.codes import LinearCode, WeightEnumerator, appended_parity_counts, macwilliams
 from qcss.constructions import extend_parity_dual
 from qcss.errors import PreconditionError
-from qcss.gf2 import BitMatrix, bytes_as_ints
+from qcss.gf2 import BitMatrix, BitVector, bytes_as_ints
 from qcss.projgeom import ProjGeometry, build_so_code, enumerate_spaces, singer_order
 from qcss.tables import (
     RM_EXPECTED,
     TABLE1_ROWS,
     TABLE2_ROWS,
     TABLE1_BUDGET,
+    RowReport,
     format_reports,
     reports_to_json,
     rm_scan,
     rm_scan_matches_expected,
+    singer_distances,
     singer_generator,
     singer_rows,
     verify_extended_table1,
@@ -275,6 +277,13 @@ def test_table2_split_route_runs_under_the_callers_budget():
     assert rep.checks["self_dual"] is True
     assert "split_patterns" not in rep.values
     assert any("1.66e+07 patterns" in note for note in rep.notes), rep.notes
+    # one record stands for both distances; its witness is a word of the
+    # Singer-order code the search ran on
+    geom, _, code = _table2_code(_table2_row("PG(4,2) 2-sp.")[0])
+    d, d_perp = singer_distances(RowReport("split"), code, geom, 1 << 10)
+    assert d is d_perp and (d.route, d.exact, d.params) == ("split", 8, (1, 1))
+    shifted = LinearCode(BitMatrix(code.n, singer_rows(code, singer_order(geom))))
+    assert d.witness.bit_count() == 8 and shifted.contains(BitVector(code.n, d.witness))
     # a code that is not self-dual has no split route
     rep = verify_table2(budget=1 << 4, rows=_table2_row("PG(3,2) 2-sp."))[0]
     assert rep.checks["distance"] is None and rep.checks["dual_distance"] is None
@@ -297,9 +306,11 @@ def test_table2_split_route_agrees_with_the_lexicographic_search(prefix, generic
     assert cyclic.pivots == tuple(range(code.k))
     split = cyclic.min_distance_split(d - 1, cyclic=cfg.v)
     assert (lex.patterns_scanned, split.patterns_scanned) == (generic, shifted)
-    assert (lex.found, lex.value, lex.witness_weight) == (False, d, d)
-    assert (split.found, split.value, split.witness_weight) == (False, d, d)
-    assert sum(lex.depths) == sum(split.depths) + 1
+    # nothing below d, and a word of weight d: an rref row of the code searched
+    assert (lex.lower, lex.upper) == (split.lower, split.upper) == (d, d)
+    assert lex.witness in code.rref_matrix.row_bits()
+    assert split.witness in cyclic.rref_matrix.row_bits()
+    assert sum(lex.params) == sum(split.params) + 1
     with pytest.raises(PreconditionError):
         code.min_distance_split(d - 1, cyclic=cfg.v)
 
