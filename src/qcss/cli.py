@@ -162,7 +162,7 @@ def _cmd_rm(args) -> int:
         if not rm.code.is_self_orthogonal():
             raise PreconditionError(f"RM({args.m},{args.r}) is not self-orthogonal")
         n = rm.n
-        print(f"[[{n},{n - 2 * rm.k},{1 << (args.r + 1)}]]")
+        print(f"[[{n},{n - 2 * rm.k},{rm.dual_distance()}]]")
     return 0
 
 

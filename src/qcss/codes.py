@@ -22,16 +22,14 @@ m codewords, row i their i-th 64-bit word, so that a popcount is one
   and |S| is added once per scan (the information-set bookkeeping of the
   Brouwer-Zimmermann family;
   M. Grassl, "Searching for linear codes with large minimum distance",
-  2006).  That kernel keeps every XOR of up to 3 rows in one block and the
-  XORs of the rows before them in colex-ordered tables, and scans all the
-  longer supports that share their last prefix row against the block at
-  once.
+  2006).  That kernel splits a support into its top r <= 3 rows and the
+  prefix below them, keeps the XORs of both in ``_colex_xors`` tables, and
+  scans all the supports that share their last prefix row at once.
 - Every distance route returns one ``Distance`` record: ``dual_min_distance``
   from a spectrum, ``min_distance_split``, and the orbit spectrum of ``tables``.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -309,6 +307,27 @@ def _weight_counts(
     return counts
 
 
+def _colex_xors(arr: np.ndarray, levels: int, cap: int) -> list[np.ndarray]:
+    """XORs of the s-sets of the rows of a (rows, words) array, s = 0..levels,
+    as (words, C(rows, s)) tables in colex order: the s-sets of the rows
+    below i are the first C(i, s) columns.  Level 0, the zero word, is always
+    kept; the tables stop before their words would exceed ``cap`` in all."""
+    rows, words = arr.shape
+    tables, used = [np.zeros((words, 1), dtype=np.uint64)], words
+    for s in range(1, levels + 1):
+        used += math.comb(rows, s) * words
+        if used > cap:
+            break
+        table, end = np.empty((words, math.comb(rows, s)), dtype=np.uint64), 0
+        for i in range(s - 1, rows):
+            # the s-sets with largest row i: row i XOR the (s - 1)-sets below it
+            prev = tables[-1][:, : math.comb(i, s - 1)]
+            np.bitwise_xor(prev, arr[i, :, None], out=table[:, end : end + prev.shape[1]])
+            end += prev.shape[1]
+        tables.append(table)
+    return tables
+
+
 def _low_weight_min(
     rows: Sequence[int], nbits: int, depth: int, free: Sequence[int] = ()
 ) -> tuple[int, int]:
@@ -321,19 +340,19 @@ def _low_weight_min(
     rows[S]), and |S| is never scanned.  Every scan below covers supports of
     one size, so the size is added to a chunk's minimum, not to its cells.
 
-    The XORs of 1..r rows (r <= 3) sit in one word-major block, level by
-    level, those of exactly r rows last and in lexicographic order, so the
-    r-sets that extend a prefix ending at row j are a contiguous suffix of
-    the block.  The prefixes of up to depth - r rows are grouped by their
-    last row j: the XORs of the s-sets of rows below j are the first C(j, s)
-    columns of a colex-ordered table, so every prefix of s + 1 rows that
-    ends at j is one column of an array scanned against that suffix at once.
-    The tables hold as many levels t as fit in ``_SPLIT_BLOCK_WORDS``;
-    longer prefixes take their rows above the lowest t one at a time in
-    Python.  The span of the first free words is a middle axis of the block,
-    as far as it stays within 2^16 cells; the rest is Gray-stepped around
-    the whole walk.  Each chunk is XORed and popcounted into buffers that
-    every chunk reuses.
+    A support splits into a suffix, its top r <= 3 rows, and a prefix, the
+    rest, and ``_colex_xors`` tables hold both.  Over the rows reversed, the
+    first C(kk - 1 - j, r) columns of level r are the r-sets after row j,
+    and whole levels are the supports of up to r rows.  Over the rows below
+    a prefix's last row j, the first C(j, s) columns of level s are the
+    s-sets below j, so every prefix of s + 1 rows ending at j is a column
+    scanned against those suffixes at once.  The suffix tables hold the
+    levels r that fit in ``_SPLIT_BLOCK_WORDS`` (the rows at least), the
+    prefix tables the levels t that fit; longer prefixes take their rows
+    above the lowest t one at a time in Python.  The span of the first free
+    words is a middle axis of the suffix tables, as far as they stay within
+    2^16 cells; the rest is Gray-stepped around the whole walk.  Each chunk
+    is XORed and popcounted into buffers that every chunk reuses.
     """
     kk, depth = len(rows), min(depth, len(rows))
     arr, free_arr = pack_rows(rows, nbits), pack_rows(free, nbits)
@@ -344,65 +363,33 @@ def _low_weight_min(
         patterns = (1 << len(free)) - 1
     if depth == 0:
         return best, patterns
-    r = min(3, depth)
-    while r > 1 and math.comb(kk, r) * words > _SPLIT_BLOCK_WORDS:
-        r -= 1
-    sizes = [math.comb(kk, s) for s in range(1, r + 1)]
-    # level s of the block: the XORs of s rows, in columns levels[s - 1]..levels[s]
-    levels = list(itertools.accumulate(sizes, initial=0))
+    # highs[s]: the s-sets of the rows reversed; the rows themselves whatever the cap
+    highs = _colex_xors(arr[::-1], min(3, depth), max(_SPLIT_BLOCK_WORDS, (kk + 1) * words))
+    r = len(highs) - 1
+    cols = sum(tab.shape[1] for tab in highs)
     b = 0
-    while b < len(free) and levels[r] * words << (b + 1) <= 1 << _BLOCK_BITS:
+    while b < len(free) and cols * words << (b + 1) <= 1 << _BLOCK_BITS:
         b += 1
-    block = np.empty((words, 1 << b, levels[r]), dtype=np.uint64)
-    flat = block[:, 0]
-    flat[:, :kk] = arr.T
-    for s in range(2, r + 1):
-        # the s-sets that start at row i: row i XOR the last C(kk - i - 1, s - 1)
-        # columns of the (s - 1)-sets, so every level stays lexicographic
-        prev, end = flat[:, levels[s - 2] : levels[s - 1]], levels[s - 1]
-        for i in range(kk):
-            tail = prev[:, sizes[s - 2] - math.comb(kk - i - 1, s - 1) :]
-            np.bitwise_xor(tail, arr[i, :, None], out=flat[:, end : end + tail.shape[1]])
-            end += tail.shape[1]
     span = _span_block(free_arr[:b, :, None], words)
-    np.bitwise_xor(flat[:, None, :], span[:, 1:, None], out=block[:, 1:])
-    # where the suffix of a prefix ending at row j starts: the r-sets after j
-    starts = [levels[r] - math.comb(kk - j - 1, r) for j in range(kk - r)]
-    if depth == r:  # no prefixes
-        starts = []
-    terms = arr[:, :, None]  # row j as a (words, 1) column
-    # lows[s]: XORs of the s-sets of rows 0..kk - r - 2 in colex order (the
-    # sets of rows below i first), as many levels as the block cap allows
-    lows = [np.zeros((words, 1), dtype=np.uint64)]
-    used = words
-    while len(lows) < depth - r:
-        s = len(lows)
-        used += math.comb(kk - r - 1, s) * words
-        if used > _SPLIT_BLOCK_WORDS:
-            break
-        low, end = np.empty((words, math.comb(kk - r - 1, s)), dtype=np.uint64), 0
-        for i in range(s - 1, kk - r - 1):
-            # the s-sets with largest row i: row i XOR the (s - 1)-sets below it
-            prev = lows[-1][:, : math.comb(i, s - 1)]
-            np.bitwise_xor(prev, terms[i], out=low[:, end : end + prev.shape[1]])
-            end += prev.shape[1]
-        lows.append(low)
+    # as (words, 2^b, columns), f ^ the XORs along the middle axis; views for b = 0
+    highs = [tab[:, None, :] ^ span[:, :, None] if b else tab[:, None, :] for tab in highs]
+    # lows[s]: the s-sets of rows 0..kk - r - 2, below every prefix's last row
+    lows = _colex_xors(arr[: kk - r - 1], depth - r - 1, _SPLIT_BLOCK_WORDS)
     t = len(lows) - 1
+    terms = arr[:, :, None]  # row j as a (words, 1) column
     acc = np.zeros((words, 1), dtype=np.uint64)
     # a chunk has at most 2^_BLOCK_BITS cells, or one prefix against a whole
     # level when that level alone is larger
-    cells = max(1 << _BLOCK_BITS, (1 << b) * max(sizes))
+    cells = max(1 << _BLOCK_BITS, max(tab[0].size for tab in highs))
     pre_buf = np.empty((words, 1 << _BLOCK_BITS), dtype=np.uint64)
     xor_buf = np.empty(words * cells, dtype=np.uint64)
     count_buf = np.empty(words * cells, dtype=np.uint8)
 
-    def scan(
-        lower: np.ndarray, x: np.ndarray, size: int, start: int, stop: int | None = None
-    ) -> None:
-        # the prefixes x ^ (a column of lower) against block columns
-        # start..stop, every pair a support of ``size`` rows
+    def scan(lower: np.ndarray, x: np.ndarray, size: int, suffix: np.ndarray) -> None:
+        # the prefixes x ^ (a column of lower) against the (words, 2^b,
+        # columns) suffix array, every pair a support of ``size`` rows
         nonlocal best, patterns
-        seg = block[:, None, :, start:stop]
+        seg = suffix[:, None]
         per = seg[0].size
         step = max(1, (1 << _BLOCK_BITS) // per)
         for lo in range(0, lower.shape[1], step):
@@ -425,12 +412,14 @@ def _low_weight_min(
             if g:
                 acc = acc ^ free_arr[b + (g & -g).bit_length() - 1, :, None]
             for s in range(1, r + 1):
-                scan(lows[0], acc, s, levels[s - 1], levels[s])
-            for j, start in enumerate(starts):
+                scan(lows[0], acc, s, highs[s])
+            for j in range(kk - r if depth > r else 0):
                 x = acc ^ terms[j]
-                # the prefixes of s + 1 rows that end at row j
+                # the r-sets of the rows after j, against the prefixes of
+                # s + 1 rows that end at row j
+                suffix = highs[r][:, :, : math.comb(kk - 1 - j, r)]
                 for s, low in enumerate(lows):
-                    scan(low[:, : math.comb(j, s)], x, s + 1 + r, start)
+                    scan(low[:, : math.comb(j, s)], x, s + 1 + r, suffix)
                 # longer ones: the rows between their lowest t and j are added one
                 # at a time, downward, and the lowest t come from lows[t]; with
                 # ``left`` rows still to add, z and a column of lows[t] make a
@@ -441,7 +430,7 @@ def _low_weight_min(
                     if left:
                         for i in range(t, top):
                             z = y ^ terms[i]
-                            scan(lows[t][:, : math.comb(i, t)], z, depth - left + 1, start)
+                            scan(lows[t][:, : math.comb(i, t)], z, depth - left + 1, suffix)
                             todo.append((z, i, left - 1))
     return best, patterns
 
@@ -484,8 +473,9 @@ def split_patterns(k: int, rank: int, pivot_depth: int, nonpivot_depth: int) -> 
     and c = 0.
     """
     kernel_size = 1 << (k - rank)
-    pivot = sum(math.comb(k, i) for i in range(1, pivot_depth + 1))
-    nonpivot = sum(math.comb(rank, i) for i in range(1, nonpivot_depth + 1))
+    # the depths may pass the row counts, where C(k, i) = 0
+    pivot = sum(math.comb(k, i) for i in range(1, min(pivot_depth, k) + 1))
+    nonpivot = sum(math.comb(rank, i) for i in range(1, min(nonpivot_depth, rank) + 1))
     return kernel_size - 1 + pivot + nonpivot * kernel_size
 
 

@@ -472,7 +472,7 @@ def css_from_reed_muller(m: int, r: int) -> CssCode:
         raise PreconditionError(f"order {r} in {m} variables is not self-orthogonal")
     dual = rm_generator(m, m - r - 1)
     return CssCode.from_self_orthogonal(
-        rm.code, decoder=ReedDecoder(dual), distance=1 << (r + 1)
+        rm.code, decoder=ReedDecoder(dual), distance=rm.dual_distance()
     )
 
 

@@ -50,6 +50,10 @@ class RmCode:
     def design_distance(self) -> int:
         return 1 << (self.m - self.r)
 
+    def dual_distance(self) -> int:
+        """The distance of the dual, RM(m, m - r - 1)."""
+        return 1 << (self.r + 1)
+
 
 def rm_generator(m: int, r: int) -> RmCode:
     """The order-r Reed-Muller code over 2^m points; the row of a monomial

@@ -380,7 +380,7 @@ def rm_scan() -> list[RmScanHit]:
                 continue
             n = rm.n
             kq = n - 2 * rm.k
-            d = 1 << (r + 1)  # dual of RM(m, r) is RM(m, m-r-1)
+            d = rm.dual_distance()
             if kq <= 0 or d <= 2:
                 continue
             hits.append(RmScanHit(m=m, r=r, n=n, quantum_k=kq, distance=d))

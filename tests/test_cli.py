@@ -123,6 +123,22 @@ def test_split_refuses_a_negative_bound_as_an_error_line(bound, tmp_path, capsys
     )
 
 
+def test_split_with_a_huge_bound_returns_at_once(tmp_path, capsys):
+    # bound 6 gives depths (3, 2), past both row counts of this [4,2] code;
+    # a bound of 10^12 scans the same supports and its prediction stops at
+    # the row counts too (bound 4 gives depths (2, 1), 5 patterns)
+    src = tmp_path / "c42.code"
+    src.write_text("2 4\n1100\n0011\n")
+    lines = ["minimum distance 2", "predicted patterns 6, scanned 6"]
+    assert run(capsys, "min-distance", "--code", str(src), "--split", "--bound", "6") == (
+        0, "\n".join(lines) + "\n"
+    )
+    start = time.perf_counter()
+    code, out = run(capsys, "min-distance", "--code", str(src), "--split", "--bound", str(10**12))
+    assert time.perf_counter() - start < 1
+    assert code == 0 and out.splitlines() == lines
+
+
 def test_split_of_a_zero_dimensional_code_is_the_plain_error_line(tmp_path, capsys):
     src = tmp_path / "zero.code"
     src.write_text("0 4\n")

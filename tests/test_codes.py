@@ -380,6 +380,12 @@ def test_split_prediction_equals_patterns_scanned():
             trivial += rk == c.k
             nontrivial += rk < c.k
     assert trivial > 50 and nontrivial > 50
+    # a huge bound: the depths grow with it, the sums stop at the row counts
+    c = random_linear_code(9, 6, rng)
+    rk = nonpivot_rank(c)
+    res = c.min_distance_split(10**12)
+    assert res.params == codes._split_depths(c, 10**12) and min(res.params) > 10**11
+    assert res.patterns_predicted == res.patterns_scanned == split_patterns(c.k, rk, c.k, rk)
 
 
 # Codes with bound = d and weight modulus 1, so max_w = d, whose lightest
@@ -617,6 +623,31 @@ def test_low_weight_kernel_matches_brute_force(monkeypatch, block_words, block_b
         assert codes._low_weight_min(rows, nbits, depth, free) == brute_low_weight_min(
             rows, depth, free
         )
+    # 18 rows at depth 6: under the default cap, suffixes of 3 rows against
+    # prefix tables of levels 0..2, for prefixes ending at rows 0..14
+    rows = [rng.getrandbits(90) for _ in range(18)]
+    free = random_linear_code(90, 1, rng).generator.row_bits()
+    assert codes._low_weight_min(rows, 90, 6, free) == brute_low_weight_min(rows, 6, free)
+
+
+def test_colex_xor_tables_list_the_row_subsets_in_colex_order():
+    rng = random.Random(9)
+    rows = [rng.getrandbits(100) for _ in range(9)]
+    arr = gf2.pack_rows(rows, 100)  # 2 words a row
+    tables = codes._colex_xors(arr, 4, codes._SPLIT_BLOCK_WORDS)
+    assert len(tables) == 5
+    for s, table in enumerate(tables):
+        # colex: by the largest row first, so the s-sets of the rows below i
+        # come first
+        sets = sorted(itertools.combinations(range(9), s), key=lambda c: c[::-1])
+        xors = [functools.reduce(operator.xor, (rows[i] for i in c), 0) for c in sets]
+        assert np.array_equal(table, gf2.pack_rows(xors, 100).T)
+    # levels 0..4 take 2, 18, 72, 168 and 252 words: a cap keeps the levels
+    # whose running total fits it, and level 0 always
+    for cap, levels in [(1, 1), (19, 1), (20, 2), (91, 2), (92, 3), (259, 3), (260, 4),
+                        (511, 4), (512, 5)]:
+        assert len(codes._colex_xors(arr, 4, cap)) == levels
+    assert len(codes._colex_xors(arr, 0, 1 << 20)) == 1
 
 
 def test_deep_low_weight_search_keeps_its_tables_within_the_cap():

@@ -75,14 +75,15 @@ def test_min_distance_is_power_of_two():
             else:
                 # the dual is small; transform its spectrum instead
                 d = dual_min_distance(rm_generator(m, m - r - 1).code).exact
-            assert d == 1 << (m - r)
+            assert d == 1 << (m - r) == rm.design_distance()
 
 
 def test_dual_relation():
     for m in range(2, 7):
         for r in range(0, m):
-            rm = rm_generator(m, r)
-            assert rm.code.dual().same_code(rm_generator(m, m - r - 1).code)
+            rm, dual = rm_generator(m, r), rm_generator(m, m - r - 1)
+            assert rm.code.dual().same_code(dual.code)
+            assert rm.dual_distance() == dual.design_distance()
 
 
 def test_nesting():
