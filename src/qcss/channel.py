@@ -4,12 +4,14 @@ Trials are grouped into blocks of ``_BLOCK`` consecutive indices; block b
 draws its errors in order from one generator keyed by (seed, b).  The stream
 is a function of the seed alone, so the first t errors of any run are those
 of a t-trial run.  A block is drawn as one ``(trials, n)`` array, which
-equals the same number of successive ``rng.random(n)`` draws.  Its
-non-identity rows stay packed in numpy and are classified together by
-`CssCode.classify_block`, which hands the distinct syndromes of a block to
-the decoders: one ``decode_block`` call for both sides of a code CSS(C, C),
-whose sides share their maps and decoder, and one per side otherwise.
-`sample_error` is the one-row call of the block sampler.
+equals the same number of successive ``rng.random(n)`` draws.  Blocks are
+the stream's unit only: the non-identity rows of successive blocks stay
+packed in numpy and are classified in batches of whole blocks, about
+``_BATCH_ROWS`` rows each, by `CssCode.classify_block`, which hands the
+distinct syndromes of a batch to the decoders: one ``decode_block`` call for
+both sides of a code CSS(C, C), whose sides share their maps and decoder,
+and one per side otherwise.  `sample_error` is the one-row call of the
+block sampler.
 
 Every trial runs on the calling thread.  `monte_carlo` still takes a
 ``workers`` keyword because callers pass it (among them the benchmark's
@@ -19,6 +21,7 @@ keyword changes nothing.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +33,9 @@ from .gf2 import bools_as_bytes, bytes_as_ints
 _PROB_TOL = 1e-9
 # trials per generator; part of the stream's definition, not a tuning knob
 _BLOCK = 1024
+# sampled rows that `monte_carlo` holds before it classifies them; it
+# flushes at block boundaries, so one call gets fewer than this + _BLOCK
+_BATCH_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -41,6 +47,9 @@ class ChannelSpec:
 
     def __post_init__(self):
         probs = (self.p_i, self.p_x, self.p_y, self.p_z)
+        # NaN fails every comparison below, so it is refused first
+        if not all(math.isfinite(p) for p in probs):
+            raise InvalidInput(f"non-finite probability in {probs}")
         if any(p < -_PROB_TOL for p in probs):
             raise InvalidInput(f"negative probability in {probs}")
         if abs(sum(probs) - 1.0) > _PROB_TOL:
@@ -164,14 +173,18 @@ def monte_carlo(
 ) -> TrialReport:
     """Sample, decode and classify `trials` errors; deterministic in `seed`.
 
-    Each block of trials is classified at once by `CssCode.classify_block`,
-    one ``decode_block`` call per side over its distinct nonzero syndromes,
-    or one over those of both sides where they share their maps and
-    decoder, as the sides of CSS(C, C) do;
+    The blocks are drawn one by one as `_trial_errors` gives them, and
+    their sampled rows are held until they reach ``_BATCH_ROWS``; then,
+    and after the last block, the rows held are classified at once by
+    `CssCode.classify_block`, one ``decode_block`` call per side over their
+    distinct nonzero syndromes, or one over those of both sides where they
+    share their maps and decoder, as the sides of CSS(C, C) do.  A batch
+    ends at a block boundary, so rows of different blocks share one decode;
     the decoders are deterministic, so the report equals that of decoding
-    every trial through `CssCode.decode`.  An identity error is counted as
-    a success without decoding it; its syndrome is zero, which decodes to
-    the identity, and the zero residual lies in the stabilizer.
+    every trial through `CssCode.decode`, whatever the batches.  An
+    identity error is counted as a success without decoding it; its
+    syndrome is zero, which decodes to the identity, and the zero residual
+    lies in the stabilizer.
 
     Every trial runs on the calling thread.  ``workers`` is accepted for
     callers that pass it, such as the benchmark's check that ``workers=1``
@@ -183,8 +196,14 @@ def monte_carlo(
     if seed < 0:
         raise InvalidInput(f"seed must be non-negative, got {seed}")
     counts = np.zeros(4, dtype=np.int64)
-    for _, x, z in _trial_errors(channel, code.n, seed, trials):
-        counts += np.bincount(code.classify_block(x, z), minlength=4)
+    held, rows = [], 0
+    for block, (_, x, z) in enumerate(_trial_errors(channel, code.n, seed, trials)):
+        held.append((x, z))
+        rows += len(x)
+        if rows >= _BATCH_ROWS or (block + 1) * _BLOCK >= trials:
+            x, z = (np.concatenate(bits) for bits in zip(*held))
+            counts += np.bincount(code.classify_block(x, z), minlength=4)
+            held, rows = [], 0
     logicals, x_failures, z_failures = (int(counts[i]) for i in (LOGICAL, X_FAILURE, Z_FAILURE))
     return TrialReport(
         trials=trials,
@@ -203,8 +222,6 @@ def component_weight_bound(n: int, p_component: float, radius: int) -> float:
 
     Binomial tail: 1 - sum_{w <= radius} C(n, w) p^w (1-p)^(n-w).
     """
-    import math
-
     acc = 0.0
     for w in range(radius + 1):
         acc += math.comb(n, w) * p_component**w * (1 - p_component) ** (n - w)

@@ -177,7 +177,7 @@ def _cmd_pg(args) -> int:
         sys.stdout.write(code.to_text())
         return 0
     # "?" when both routes exceed a side computation's budget
-    _, dual = tables.singer_distances(tables.RowReport("qcss pg"), code, geom, PREDICT_BUDGET)
+    _, dual, _, _ = tables.singer_distances(code, geom, PREDICT_BUDGET)
     print(f"[[{code.n},{code.n - 2 * code.k},{'?' if dual.exact is None else dual.exact}]]")
     return 0
 

@@ -265,42 +265,44 @@ def singer_generator(rows: Sequence[int], v: int) -> int:
 
 
 def singer_distances(
-    rep: RowReport, code: LinearCode, geom: ProjGeometry, budget: int
-) -> tuple[Distance, Distance]:
+    code: LinearCode, geom: ProjGeometry, budget: int
+) -> tuple[Distance, Distance, bool, int | None]:
     """The records (d, d_perp) of a code spanned by incidence rows of
-    ``geom`` (``build_so_code``, or the plain span).
+    ``geom`` (``build_so_code``, or the plain span), whether the code is
+    cyclic in the Singer order, and the words of its orbit spectrum (None
+    when it is not cyclic).
 
     The code's rows are put in ``singer_order`` once, where the code must
-    be cyclic: v - deg g = k for g = ``singer_generator`` (check
-    ``cyclic_in_singer_order`` of ``rep``); the emitted code and the
-    decoders keep the lexicographic point order.  Both records come from
-    ``_orbit_distances`` of that cyclic code and the parity coordinate under
-    ``budget`` (its words are ``spectrum_words`` of ``rep``).  When that is
-    refused, a self-dual code goes to the split search on the same rows,
-    with the shift of its v point coordinates (``cyclic`` = v), at bound
-    w - 1 for the lightest rref row weight w, so that finding no lighter
-    word certifies d = d_perp = w, and its one record stands for both."""
+    be cyclic: v - deg g = k for g = ``singer_generator``; the emitted code
+    and the decoders keep the lexicographic point order.  Both records come
+    from ``_orbit_distances`` of that cyclic code and the parity coordinate
+    under ``budget``.  When that is refused, a self-dual code goes to the
+    split search on the same rows, with the shift of its v point
+    coordinates (``cyclic`` = v), at bound w - 1 for the lightest rref row
+    weight w, so that finding no lighter word certifies d = d_perp = w, and
+    its one record stands for both."""
     v = len(geom.points)
     rows = singer_rows(code, singer_order(geom))
     g = singer_generator(rows, v)
-    rep.checks["cyclic_in_singer_order"] = v - poly_deg(g) == code.k
-    refusal = "the code is not cyclic in the Singer order"
-    if rep.checks["cyclic_in_singer_order"]:
+    cyclic = v - poly_deg(g) == code.k
+    words, refusal = None, "the code is not cyclic in the Singer order"
+    if cyclic:
         spec = spec_from_zero_set(v, zero_set_of_polynomial(v, g))
         d, d_perp = _orbit_distances(spec, budget, parity=code.n > v)
-        rep.values["spectrum_words"] = d.patterns_predicted
+        words = d.patterns_predicted
         if d.refusal is None:
-            return d, d_perp
+            return d, d_perp, cyclic, words
         refusal = d.refusal
     if code.n != 2 * code.k or not code.is_self_orthogonal():
-        return (Distance("orbit", 1, refusal=f"{refusal}; no split route, not self-dual"),) * 2
+        refused = Distance("orbit", 1, refusal=f"{refusal}; no split route, not self-dual")
+        return refused, refused, cyclic, words
     shifted = LinearCode(BitMatrix(code.n, rows))
     bound = min(row.bit_count() for row in shifted.rref_matrix.row_bits()) - 1
     try:
         split = shifted.min_distance_split(bound, budget, cyclic=v)
     except (ResourceLimit, PreconditionError) as exc:
-        return (Distance("split", 1, refusal=f"{exc}; distances skipped"),) * 2
-    return split, split
+        split = Distance("split", 1, refusal=f"{exc}; distances skipped")
+    return split, split, cyclic, words
 
 
 def verify_table2(budget: int = DEFAULT_BUDGET, rows=None) -> list[RowReport]:
@@ -319,7 +321,10 @@ def verify_table2(budget: int = DEFAULT_BUDGET, rows=None) -> list[RowReport]:
         rep.checks["dimension"] = code.k == k
         rep.checks["self_orthogonal"] = code.is_self_orthogonal()
         rep.checks["quantum_dimension"] = n - 2 * k == kq
-        dist, dual = singer_distances(rep, code, geom, budget)
+        dist, dual, cyclic, words = singer_distances(code, geom, budget)
+        rep.checks["cyclic_in_singer_order"] = cyclic
+        if words is not None:
+            rep.values["spectrum_words"] = words
         if dist.refusal is not None:
             rep.notes.append(dist.refusal)
         elif dist.route == "split":

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import qcss.channel as channel_module
 from qcss.channel import (
+    _BATCH_ROWS,
     _BLOCK,
     ChannelSpec,
     TrialReport,
@@ -17,6 +19,7 @@ from qcss.channel import (
 from qcss.css import CssCode, LookupDecoder, PauliError, css_from_reed_muller, css_with_lookup
 from qcss.errors import DecodingFailure, InternalConsistencyError, InvalidInput
 from qcss.named import steane_component
+from qcss.reedmuller import rm_generator
 
 
 def test_channel_validation():
@@ -26,6 +29,21 @@ def test_channel_validation():
         ChannelSpec(0.5, 0.1, 0.1, 0.1)
     dep = ChannelSpec.depolarizing(0.3)
     assert dep.p_x == dep.p_y == dep.p_z == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("field", range(4))
+def test_channel_refuses_non_finite_probabilities(field):
+    # NaN fails both the sign and the sum comparison, so it needs its own check
+    for bad in (math.nan, math.inf, -math.inf):
+        probs = [0.25] * 4
+        probs[field] = bad
+        with pytest.raises(InvalidInput, match="non-finite"):
+            ChannelSpec(*probs)
+        if field:
+            pauli = [0.1] * 3
+            pauli[field - 1] = bad
+            with pytest.raises(InvalidInput, match="non-finite"):
+                ChannelSpec.pauli(*pauli)
 
 
 def test_sample_error_extremes():
@@ -486,3 +504,73 @@ def test_monte_carlo_reports_pinned():
         r = monte_carlo(codes[name], ChannelSpec.depolarizing(p), trials, seed)
         got = (r.successes, r.x_failures, r.z_failures, r.logical_errors)
         assert got == want, (name, p, seed, trials)
+
+
+@pytest.fixture(scope="module")
+def batch_codes():
+    """The perfbench simulate codes and a lookup pair with distinct sides."""
+    codes = _simulate_codes()
+    codes["lookup16"] = css_with_lookup(rm_generator(4, 1).code, rm_generator(4, 0).code)
+    return codes
+
+
+def _classify_calls(monkeypatch):
+    """The row count of every later `CssCode.classify_block` call."""
+    sizes = []
+    classify = CssCode.classify_block
+
+    def counted(self, x, z):
+        sizes.append(len(x))
+        return classify(self, x, z)
+
+    monkeypatch.setattr(CssCode, "classify_block", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("name", ["rm16", "lookup47", "pg74", "bch127", "lookup16"])
+def test_monte_carlo_reports_do_not_depend_on_the_batches(monkeypatch, batch_codes, name):
+    # a bound of 1 classifies every block alone; 2^40 classifies a run at once
+    css = batch_codes[name]
+    sizes = _classify_calls(monkeypatch)
+    for p in (0.03, 0.3):
+        channel = ChannelSpec.depolarizing(p)
+        for trials in (1, 1025, 2500, 60_000):
+            reports = []
+            for bound in (1, _BATCH_ROWS, 1 << 40):
+                monkeypatch.setattr(channel_module, "_BATCH_ROWS", bound)
+                sizes.clear()
+                reports.append(monte_carlo(css, channel, trials, seed=38))
+                if bound == _BATCH_ROWS and trials == 60_000:
+                    assert len(sizes) > 1  # at least 23k sampled rows
+            assert reports[0] == reports[1] == reports[2], (p, trials)
+
+
+def test_monte_carlo_classifies_whole_blocks_in_batches(monkeypatch):
+    sizes = _classify_calls(monkeypatch)
+    rm16 = css_from_reed_muller(4, 1)
+    # a perfbench rm16 chunk: two blocks and about 300 rows, one call
+    monte_carlo(rm16, ChannelSpec.depolarizing(0.01), 2000, 3)
+    assert len(sizes) == 1
+    # at p = 1 every trial is a row, so a batch is ceil(bound / _BLOCK) blocks
+    full = ChannelSpec.depolarizing(1.0)
+    for bound in (1, 1000, 3000, _BATCH_ROWS):
+        monkeypatch.setattr(channel_module, "_BATCH_ROWS", bound)
+        for trials in (1, 1024, 1025, 40 * _BLOCK + 5):
+            sizes.clear()
+            monte_carlo(rm16, full, trials, 7)
+            blocks, per_batch = -(-trials // _BLOCK), -(-bound // _BLOCK)
+            assert len(sizes) == -(-blocks // per_batch), (bound, trials)
+            assert sum(sizes) == trials and max(sizes) < bound + _BLOCK
+    # elsewhere a batch ends at the first block boundary at or past the bound
+    channel, bound = ChannelSpec.depolarizing(0.1), 3000
+    monkeypatch.setattr(channel_module, "_BATCH_ROWS", bound)
+    rows = [len(t) for t, _, _ in _trial_errors(channel, 16, 5, 20 * _BLOCK)]
+    want, held = [], 0
+    for block, count in enumerate(rows):
+        held += count
+        if held >= bound or block == len(rows) - 1:
+            want.append(held)
+            held = 0
+    sizes.clear()
+    monte_carlo(rm16, channel, 20 * _BLOCK, 5)
+    assert sizes == want and len(want) > 3

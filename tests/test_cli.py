@@ -339,6 +339,12 @@ def _simulate_negative_seed(tmp):
     return ["simulate", "--css", str(path), "--p", "0.01", "--trials", "10", "--seed", "-1"]
 
 
+def _simulate_nan_p(tmp):
+    path = tmp / "rm.css"
+    path.write_text("decoder: reed 4 1\n")
+    return ["simulate", "--css", str(path), "--p", "nan", "--trials", "10"]
+
+
 @pytest.mark.parametrize("make_argv", [
     _css_without_g1,
     _bch_with_one_argument,
@@ -352,9 +358,10 @@ def _simulate_negative_seed(tmp):
     _pg_too_large,
     _pg_huge_prime,
     _simulate_negative_seed,
+    _simulate_nan_p,
 ], ids=["css-no-g1", "bch-one-arg", "bch-length-one", "bch-not-generator", "bch-zero",
         "bch-negative", "missing-file", "outer-non-hex",
-        "outer-short-header", "pg-too-large", "pg-huge-prime", "negative-seed"])
+        "outer-short-header", "pg-too-large", "pg-huge-prime", "negative-seed", "nan-p"])
 def test_malformed_input_is_an_error_line(tmp_path, capsys, make_argv):
     code = main(make_argv(tmp_path))
     err = capsys.readouterr().err

@@ -25,7 +25,6 @@ from qcss.tables import (
     TABLE1_ROWS,
     TABLE2_ROWS,
     TABLE1_BUDGET,
-    RowReport,
     format_reports,
     reports_to_json,
     rm_scan,
@@ -269,6 +268,7 @@ def test_table2_split_route_runs_under_the_callers_budget():
     assert rep.values["split_patterns"] == 32
     assert rep.values["split_witness"] == 8
     assert rep.values["split_depths"] == (1, 1)
+    spectrum_words = rep.values["spectrum_words"]
     # the [128,64,16] row's split search predicts 1.66e7 patterns: refused
     t0 = time.perf_counter()
     rep = verify_table2(budget=1 << 20, rows=_table2_row("PG(6,2) 3-sp."))[0]
@@ -280,8 +280,9 @@ def test_table2_split_route_runs_under_the_callers_budget():
     # one record stands for both distances; its witness is a word of the
     # Singer-order code the search ran on
     geom, _, code = _table2_code(_table2_row("PG(4,2) 2-sp.")[0])
-    d, d_perp = singer_distances(RowReport("split"), code, geom, 1 << 10)
+    d, d_perp, cyclic, words = singer_distances(code, geom, 1 << 10)
     assert d is d_perp and (d.route, d.exact, d.params) == ("split", 8, (1, 1))
+    assert cyclic and words == spectrum_words
     shifted = LinearCode(BitMatrix(code.n, singer_rows(code, singer_order(geom))))
     assert d.witness.bit_count() == 8 and shifted.contains(BitVector(code.n, d.witness))
     # a code that is not self-dual has no split route
